@@ -15,8 +15,6 @@ direction.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,31 +23,12 @@ from . import bergman, domains, geometry, kobayashi, measures
 from .bergman import KernelModel
 from .domains import DomainSpec, as_point
 from .errors import ConfigError, InputError, ResourceError
-from .geometry import MinimalFrame
 from .measures import AtomicMeasure, DensityMeasure
 from .polynomials import HoloPolynomial, poly_eval, random_polynomial
 
 BOUNDED = "Bounded"
 DIVERGING = "Diverging"
 INCONCLUSIVE = "Inconclusive"
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CARLESON_LAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items: list):
-    """Order-preserving map; results are seed-determined, so thread count
-    never changes the output."""
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +219,7 @@ def criterion_geometric(
         err = bracket.outer.stderr / vol_inner
         return lower, upper, err
 
-    rows = _parallel_map(one, list(range(len(grid))))
+    rows = [one(i) for i in range(len(grid))]
     lower = np.array([row[0] for row in rows])
     upper = np.array([row[1] for row in rows])
     stderr = np.array([row[2] for row in rows])
@@ -346,14 +325,19 @@ class CarlesonReport:
     measure_label: str
 
 
+def dictionary_table(spec: DomainSpec, model: KernelModel, config: CarlesonConfig) -> bergman.MomentTable:
+    """Moment table for the polynomial dictionary: the series model's own
+    table when it reaches the dictionary degree, else a fresh one."""
+    if model.variant == "series" and model.table.degree >= config.polynomial_degree:
+        return model.table
+    return bergman.moments(spec, config.polynomial_degree)
+
+
 def carleson_test(spec: DomainSpec, model: KernelModel, mu, config: CarlesonConfig) -> CarlesonReport:
     grid = build_grid(spec, config)
     c2 = criterion_berezin(spec, model, mu, grid, config)
     c3 = criterion_geometric(spec, mu, grid, config)
-    if model.variant == "series" and model.table.degree >= config.polynomial_degree:
-        table = model.table
-    else:
-        table = bergman.moments(spec, config.polynomial_degree)
+    table = dictionary_table(spec, model, config)
     c1, entries = criterion_operator(spec, model, mu, grid, config, table, berezin_trace=c2)
     label = getattr(mu, "label", type(mu).__name__)
     return CarlesonReport(
@@ -388,19 +372,12 @@ class CoverageReport:
 @dataclass(frozen=True)
 class CoverResult:
     centers: np.ndarray
-    frames: list[MinimalFrame] | None
     r: float
     level: float
     coverage: CoverageReport
     candidate_count: int
     seed: int
     external_sample: bool  # coverage was checked on caller-supplied points
-
-
-def _box_coords(pts: np.ndarray, centers: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """|<p - z_k, e_i(z_k)>| for pts (B,n) against centers (K,n), bases (K,n,n)."""
-    diff = pts[:, None, :] - centers[None, :, :]
-    return np.abs(np.einsum("bkj,kij->bki", diff, np.conj(bases)))
 
 
 def kobayashi_cover(
@@ -421,9 +398,9 @@ def kobayashi_cover(
     then measured, not assumed: a test point is certified when its distance
     to some center is certified < r, uncovered when it is certified >= r from
     every center, and heuristic otherwise (some membership is Uncertain).
-    Domains with the exact distance oracle (disk, ball, (1, m) ellipsoid) use
-    it for both steps, so heuristic points are those whose bracket stays open;
-    other domains use the polydisk sandwich of each center's minimal frame.
+    Both steps go through kobayashi.ball_relation, so on the domains with the
+    exact distance oracle (disk, ball, (1, m) ellipsoid) heuristic points are
+    those whose bracket stays open.
     By default the test sample is the leading slice of the candidate stream.
     Any uncovered point raises ResourceError.
     """
@@ -432,7 +409,6 @@ def kobayashi_cover(
     anchor = domains.anchor_point(spec)
     if level is None:
         level = 0.1 * abs(float(domains.defining_value(spec, anchor)))
-    exact = kobayashi.has_exact_distance(spec)
     third = math.atanh(r / 3.0)
     r_star = math.tanh(2.0 * third)  # centers closer than this have meeting r/3 balls
 
@@ -448,72 +424,21 @@ def kobayashi_cover(
     # Deepest-first processing: the packing fills the domain in level shells,
     # which makes the overlap multiplicity reproducible across seeds.  Greedy
     # maximality (hence coverage of every candidate) holds in any order.
-    depth = domains._value_batch(spec, pts)
-    pts = pts[np.argsort(depth, kind="stable")]
-
-    # The anchor seeds the packing.  Starting every run from the same maximal
-    # point removes the run-to-run freedom in the first accepted box, which
+    # The anchor goes first.  Starting every run from the same maximal point
+    # removes the run-to-run freedom in the first accepted ball, which
     # otherwise shifts the whole boundary crust of the packing.
-    centers: list[np.ndarray] = []
-    frames: list[MinimalFrame] = []
-    outer_radii: list[np.ndarray] = []
+    depth = domains._value_batch(spec, pts)
+    stream = np.vstack([anchor[None, :], pts[np.argsort(depth, kind="stable")]])
+    zs = stream[kobayashi.greedy_separated(spec, stream, r_star)]
 
-    def add_center(z: np.ndarray) -> None:
-        centers.append(z)
-        if not exact:
-            frame = geometry.minimal_frame(spec, z)
-            frames.append(frame)
-            outer_radii.append((2.0 * r_star / (1.0 - r_star)) * frame.sigma)
-
-    add_center(anchor)
-
-    def conflicts(batch: np.ndarray, first: int = 0) -> np.ndarray:
-        """True where a batch point's r/3 ball may meet the r/3 ball of an
-        accepted center from index ``first`` on (Uncertain counts as meeting)."""
-        zs = np.array(centers[first:])
-        if exact:
-            return kobayashi.ball_relation(spec, batch, zs, r_star)[1].any(axis=1)
-        bases = np.array([f.basis for f in frames[first:]])
-        coords = _box_coords(batch, zs, bases)
-        outside = (coords > np.array(outer_radii[first:])[None, :, :]).any(axis=2)
-        return ~outside.all(axis=1)
-
-    chunk = 256
-    for start in range(0, candidates, chunk):
-        batch = pts[start : start + chunk]
-        bad = conflicts(batch)
-        first_new = len(centers)
-        for local in np.flatnonzero(~bad):
-            z = batch[local]
-            if len(centers) > first_new and conflicts(z[None, :], first_new)[0]:
-                continue  # conflicts with a survivor accepted inside this chunk
-            add_center(z)
-
-    zs = np.array(centers)
-    certified = 0
-    heuristic = 0
-    uncovered = 0
-    if not exact:
-        bases = np.array([f.basis for f in frames])
-        inner = np.array([(r / spec.dim) * f.sigma for f in frames])
-        outer = np.array([(2.0 * r / (1.0 - r)) * f.sigma for f in frames])
-    test_chunk = 1024
-    for start in range(0, len(sample), test_chunk):
-        batch = sample[start : start + test_chunk]
-        if exact:
-            inside, maybe = kobayashi.ball_relation(spec, batch, zs, r)
-            in_some = inside.any(axis=1)
-            maybe_some = maybe.any(axis=1)
-        else:
-            coords = _box_coords(batch, zs, bases)
-            in_some = (coords <= inner[None, :, :]).all(axis=2).any(axis=1)
-            maybe_some = (coords <= outer[None, :, :]).all(axis=2).any(axis=1)
-        certified += int(in_some.sum())
-        heuristic += int((~in_some & maybe_some).sum())
-        uncovered += int((~maybe_some).sum())
-
+    inside_n, maybe_n = kobayashi.ball_counts(spec, sample, zs, r)
+    certified = int((inside_n > 0).sum())
+    uncovered = int((maybe_n == 0).sum())
     coverage = CoverageReport(
-        total=len(sample), certified=certified, heuristic=heuristic, uncovered=uncovered
+        total=len(sample),
+        certified=certified,
+        heuristic=len(sample) - certified - uncovered,
+        uncovered=uncovered,
     )
     if uncovered:
         raise ResourceError(
@@ -522,7 +447,6 @@ def kobayashi_cover(
         )
     return CoverResult(
         centers=zs,
-        frames=None if exact else frames,
         r=r,
         level=level,
         coverage=coverage,
@@ -542,28 +466,11 @@ def overlap_count(spec: DomainSpec, centers: np.ndarray, big_r: float, query) ->
 
 
 def overlap_count_many(spec: DomainSpec, centers: np.ndarray, big_r: float, queries) -> np.ndarray:
-    """overlap_count for a batch of queries.  With the exact oracle (disk,
-    ball, (1, m) ellipsoid) only pairs whose bracket stays open around big_r
-    are Uncertain; other domains count every center whose outer polydisk
-    does not exclude the query."""
+    """overlap_count for a batch of queries: the balls whose ball_relation is
+    maybe (inside or Uncertain) count."""
     queries = np.atleast_2d(np.asarray(queries, dtype=complex))
     centers = np.atleast_2d(np.asarray(centers, dtype=complex))
-    exact = kobayashi.has_exact_distance(spec)
-    counts = np.zeros(len(queries), dtype=int)
-    if not exact:
-        sandwiches = [kobayashi.ball_sandwich(spec, c, big_r) for c in centers]
-        bases = np.array([s.frame.basis for s in sandwiches])
-        outer = np.array([s.outer.radii for s in sandwiches])
-    chunk = 1024
-    for start in range(0, len(queries), chunk):
-        batch = queries[start : start + chunk]
-        if exact:
-            hits = kobayashi.ball_relation(spec, batch, centers, big_r)[1]
-        else:
-            coords = _box_coords(batch, centers, bases)
-            hits = ~(coords > outer[None, :, :]).any(axis=2)
-        counts[start : start + len(batch)] = hits.sum(axis=1)
-    return counts
+    return kobayashi.ball_counts(spec, queries, centers, big_r)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -602,11 +602,6 @@ def collar_width(spec: DomainSpec) -> float:
     return spec.collar * inradius(spec)
 
 
-def in_collar(spec: DomainSpec, z) -> bool:
-    """True when the point lies in the boundary collar W = {delta_D < width}."""
-    return boundary_distance(spec, z) < collar_width(spec)
-
-
 def box_nu_volume(spec: DomainSpec) -> float:
     """Volume of the validation box under the normalization nu(B_1(0)) = 1."""
     leb = float(np.prod([(2.0 * b) ** 2 for b in spec.box]))
@@ -713,29 +708,35 @@ def spec_to_json(spec: DomainSpec) -> dict:
 
 
 def spec_from_json(data: dict) -> DomainSpec:
+    if not isinstance(data, dict):
+        raise InputError(f"domain spec must be a JSON object, got {type(data).__name__}")
     unknown = set(data) - _JSON_KEYS
     if unknown:
         raise ConfigError(f"unknown keys in domain spec: {sorted(unknown)}")
     kind = data.get("kind")
-    collar = float(data.get("collar", 0.2))
-    if kind == "disk":
-        return unit_disk(collar=collar)
-    if kind == "ball":
-        return unit_ball(int(data.get("dimension", 1)), collar=collar)
-    if kind == "ellipsoid":
-        if "exponents" not in data:
-            raise ConfigError("ellipsoid spec needs 'exponents'")
-        return complex_ellipsoid(
-            data["exponents"], data.get("semi_axes"), collar=collar
-        )
-    if kind == "polynomial":
-        for key in ("dimension", "terms", "box"):
-            if key not in data:
-                raise ConfigError(f"polynomial spec needs {key!r}")
-        terms = [(t["coeff"], t["powers"]) for t in data["terms"]]
-        return convex_polynomial(
-            terms, int(data["dimension"]), data["box"], data.get("anchor"), collar=collar
-        )
+    # a field of the wrong type or a non-numeric value fails in the constructors
+    try:
+        collar = float(data.get("collar", 0.2))
+        if kind == "disk":
+            return unit_disk(collar=collar)
+        if kind == "ball":
+            return unit_ball(int(data.get("dimension", 1)), collar=collar)
+        if kind == "ellipsoid":
+            if "exponents" not in data:
+                raise ConfigError("ellipsoid spec needs 'exponents'")
+            return complex_ellipsoid(
+                data["exponents"], data.get("semi_axes"), collar=collar
+            )
+        if kind == "polynomial":
+            for key in ("dimension", "terms", "box"):
+                if key not in data:
+                    raise ConfigError(f"polynomial spec needs {key!r}")
+            terms = [(t["coeff"], t["powers"]) for t in data["terms"]]
+            return convex_polynomial(
+                terms, int(data["dimension"]), data["box"], data.get("anchor"), collar=collar
+            )
+    except (TypeError, ValueError, KeyError) as exc:
+        raise InputError(f"malformed {kind!r} domain spec: {exc}") from None
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 

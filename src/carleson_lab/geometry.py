@@ -55,13 +55,14 @@ def _orthonormal_complement(basis: np.ndarray, direction: np.ndarray) -> np.ndar
     """Rows of ``basis`` minus the span of ``direction``, re-orthonormalized."""
     d = direction / np.linalg.norm(direction)
     proj = basis - np.outer(basis @ np.conj(d), d)
-    q, rmat = np.linalg.qr(proj.T, mode="reduced")
-    cols = [q[:, j] for j in range(q.shape[1]) if abs(rmat[j, j]) > 1e-10]
-    if len(cols) != basis.shape[0] - 1:
-        raise NumericError(
-            "slice complement lost rank", {"expected": basis.shape[0] - 1, "got": len(cols)}
-        )
-    return np.array(cols)
+    # the projected orthonormal rows have singular values 1, ..., 1, 0; keep
+    # the leading right singular vectors (a near-zero row, from a direction
+    # close to one basis row, carries no rank information of its own)
+    keep = basis.shape[0] - 1
+    _, s, vh = np.linalg.svd(proj)
+    if not s[keep - 1] > 0.5:
+        raise NumericError("slice complement lost rank", {"singular_values": s.tolist()})
+    return vh[:keep]
 
 
 def _level_frame(spec: DomainSpec, q: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -156,15 +157,23 @@ def frame_polydisk(frame: MinimalFrame, scale: float) -> Polydisk:
 
 
 def polydisk_coordinates(P: Polydisk, pts: np.ndarray) -> np.ndarray:
-    """Frame coordinates <z - center, e_i>, shape (..., n)."""
+    """Frame coordinates <z - center, e_i>, shape (..., n); for a stack of K
+    polydisks (center (K,n), basis (K,n,n), radii (K,n)) shape (..., K, n)."""
     pts = np.asarray(pts, dtype=complex)
-    return (pts - P.center) @ np.conj(P.basis).T
+    if P.basis.ndim == 2:
+        return (pts - P.center) @ np.conj(P.basis).T
+    return np.einsum("...kj,kij->...ki", pts[..., None, :] - P.center, np.conj(P.basis))
+
+
+def polydisk_gauge(P: Polydisk, pts) -> np.ndarray:
+    """max_i |<z - center, e_i>| / radii_i, so that P = {gauge <= 1}; shape
+    (...) for one polydisk, (..., K) for a stack of K."""
+    return np.max(np.abs(polydisk_coordinates(P, pts)) / P.radii, axis=-1)
 
 
 def polydisk_contains(P: Polydisk, z) -> bool | np.ndarray:
     """Closed membership test; accepts one point (n,) or a batch (..., n)."""
-    u = polydisk_coordinates(P, z)
-    inside = np.all(np.abs(u) <= P.radii, axis=-1)
+    inside = polydisk_gauge(P, z) <= 1.0
     return bool(inside) if inside.ndim == 0 else inside
 
 

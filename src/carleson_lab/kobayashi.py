@@ -7,6 +7,11 @@ ellipsoids {|z1/a1|^2 + |z2/a2|^(2m) < 1}; elsewhere the module provides
 certified two-sided infinitesimal bounds, certified upper bounds on distances
 (shortest piecewise-linear path measured in the upper metric), and the
 polydisk sandwich of Kobayashi balls coming from the minimal frame.
+
+This module alone decides how a distance question is answered on a domain:
+ball_relation (is w within tanh-radius r of z), ball_counts, the greedy loop
+greedy_separated and min_tanh_distance serve every domain, from the oracle
+where it exists and from the polydisk sandwich elsewhere.
 """
 
 from __future__ import annotations
@@ -72,12 +77,7 @@ def tanh_distance_model(spec: DomainSpec, z, w) -> float:
     """Pseudohyperbolic distance tanh d_K on the disk/ball."""
     if spec.kind not in ("disk", "ball"):
         raise CapabilityError(f"no exact Kobayashi distance for kind {spec.kind!r}")
-    z = as_point(spec, z)
-    w = as_point(spec, w)
-    zw = complex(np.sum(z * np.conj(w)))
-    num = (1.0 - float(np.vdot(z, z).real)) * (1.0 - float(np.vdot(w, w).real))
-    rho_sq = 1.0 - num / abs(1.0 - zw) ** 2
-    return math.sqrt(max(rho_sq, 0.0))
+    return float(_pair_pd(as_point(spec, z), as_point(spec, w)))
 
 
 def exact_distance_model(spec: DomainSpec, z, w) -> float:
@@ -99,6 +99,15 @@ def pseudo_distance_matrix(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     c2 = (centers.real**2 + centers.imag**2).sum(axis=1)
     num = (1.0 - p2)[:, None] * (1.0 - c2)[None, :]
     rho2 = 1.0 - num / np.abs(1.0 - inner) ** 2
+    return np.sqrt(np.clip(rho2, 0.0, None))
+
+
+def _pair_pd(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Unit-ball pseudo-distances of paired batches z, w (k, n), elementwise."""
+    inner = np.sum(z * np.conj(w), axis=-1)
+    z2 = (z.real**2 + z.imag**2).sum(axis=-1)
+    w2 = (w.real**2 + w.imag**2).sum(axis=-1)
+    rho2 = 1.0 - (1.0 - z2) * (1.0 - w2) / np.abs(1.0 - inner) ** 2
     return np.sqrt(np.clip(rho2, 0.0, None))
 
 
@@ -345,22 +354,90 @@ def _bracket_1m(
     return low, high
 
 
-def tanh_distance_bracket(spec: DomainSpec, z, w) -> tuple[np.ndarray, np.ndarray]:
-    """Bracket [low, high] on tanh d_K(z, w) on a (1, m) ellipsoid, for
-    paired batches z, w (k, 2) (broadcast against each other).
+def _images(spec: DomainSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(normalized points, images, m) on an oracle domain.  The unit-ball
+    pseudo-distance of the images bounds tanh d_K from below: they are the
+    points themselves on the disk and ball (exact there), Phi of the
+    normalized points on the (1, m) ellipsoid."""
+    if spec.kind in ("disk", "ball"):
+        return pts, pts, 1
+    pn, m = _normalize_1m(spec, pts)
+    return pn, np.stack([pn[:, 0], pn[:, 1] ** m], axis=1), m
 
-    The bracket closes to rounding (about 1e-12) for all but a few pairs in
-    10^4; both ends are true bounds at every Newton iterate, so an unconverged
-    pair only leaves an open bracket.  Other domains raise CapabilityError.
+
+def tanh_distance_bracket(spec: DomainSpec, z, w) -> tuple[np.ndarray, np.ndarray]:
+    """Bracket [low, high] on tanh d_K(z, w) for paired batches z, w (k, n)
+    (broadcast against each other) on the domains with the exact oracle.
+
+    On the disk and ball both ends are the exact value.  On a (1, m)
+    ellipsoid the bracket closes to rounding (about 1e-12) for all but a few
+    pairs in 10^4; both ends are true bounds at every Newton iterate, so an
+    unconverged pair only leaves an open bracket.  Other domains raise
+    CapabilityError.
     """
-    if _ellipsoid_1m_order(spec) is None:
+    if not has_exact_distance(spec):
         raise CapabilityError(f"no distance bracket for {spec.kind!r} {spec.exponents}")
     z, w = np.broadcast_arrays(
         np.atleast_2d(np.asarray(z, dtype=complex)), np.atleast_2d(np.asarray(w, dtype=complex))
     )
+    if spec.kind in ("disk", "ball"):
+        rho = _pair_pd(z, w)
+        return rho, rho.copy()
     zn, m = _normalize_1m(spec, z)
     wn, _ = _normalize_1m(spec, w)
     return _bracket_1m(zn, wn, m)
+
+
+# ---------------------------------------------------------------------------
+# one ball test, one greedy loop and one separation for every domain
+#
+# Domains with the oracle answer from it.  Elsewhere the answer comes from the
+# minimal frame (e_i, sigma_i) at the center z0 through the frame gauge
+# g(z) = max_i |<z - z0, e_i>| / sigma_i and the polydisk sandwich
+# {g <= r/n} in B(z0, r) in {g <= 2r/(1-r)}.
+
+_GREEDY_CHUNK = 256
+_COUNT_CHUNK = 1024
+# the pseudo_distance_matrix form of a small distance rho carries an absolute
+# rounding error up to about sqrt(eps); a lower bound is trusted only above it
+_LOWER_SLACK = 1e-7
+
+
+def _sandwich_scales(r: float, n: int) -> tuple[float, float]:
+    """Gauge thresholds of the inner and outer polydisks of B(z0, r)."""
+    return r / n, 2.0 * r / (1.0 - r)
+
+
+def _stack(centers: np.ndarray, frames: list[MinimalFrame]) -> Polydisk:
+    """Minimal frames of the centers as one stacked Polydisk with radii sigma."""
+    n = centers.shape[1]
+    basis = np.array([f.basis for f in frames]).reshape(-1, n, n)
+    sigma = np.array([f.sigma for f in frames]).reshape(-1, n)
+    return Polydisk(center=centers, basis=basis, radii=sigma)
+
+
+def _frame_stack(spec: DomainSpec, centers: np.ndarray) -> Polydisk:
+    return _stack(centers, [minimal_frame(spec, c) for c in centers])
+
+
+def _gauge(pts: np.ndarray, frames: Polydisk) -> np.ndarray:
+    """(B, K) frame gauges of pts against K stacked frames, in blocks of
+    about _PAIR_CHUNK pairs."""
+    out = np.empty((len(pts), len(frames.center)))
+    step = max(1, _PAIR_CHUNK // max(1, len(frames.center)))
+    for start in range(0, len(pts), step):
+        out[start : start + step] = geometry.polydisk_gauge(frames, pts[start : start + step])
+    return out
+
+
+def _relate(spec: DomainSpec, pts, centers, r: float, frames: Polydisk | None):
+    """ball_relation for centers whose frames are already known (None on the
+    domains with the oracle)."""
+    if frames is None:
+        return ball_relation(spec, pts, centers, r)
+    gauge = _gauge(pts, frames)
+    inner, outer = _sandwich_scales(r, spec.dim)
+    return gauge <= inner, gauge <= outer
 
 
 def ball_relation(
@@ -368,28 +445,27 @@ def ball_relation(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise (inside, maybe) for pts (B,n) against Kobayashi balls of
     tanh-radius r around centers (K,n): inside is certified tanh d < r, maybe
-    is "not certified >= r" (inside or Uncertain).  Exact-oracle domains only.
+    is "not certified >= r" (inside or Uncertain).
 
-    On the (1, m) ellipsoid the ball distance of the Phi-images prefilters the
-    pairs and only those below r go through the oracle.  Both steps run in
-    blocks of about _PAIR_CHUNK pairs to bound the temporaries.
+    Disk and ball answer exactly.  On the (1, m) ellipsoid the ball distance
+    of the Phi-images prefilters the pairs and only those below r go through
+    the oracle.  Other domains use the polydisk sandwich in each center's
+    minimal frame.  Every step runs in blocks of about _PAIR_CHUNK pairs to
+    bound the temporaries.
     """
-    exact_model = spec.kind in ("disk", "ball")
-    if not exact_model and _ellipsoid_1m_order(spec) is None:
-        raise CapabilityError(f"no exact Kobayashi distance for {spec.kind!r} {spec.exponents}")
-    if exact_model:
-        pn = phi_p = np.asarray(pts, dtype=complex)
-        cn = phi_c = np.asarray(centers, dtype=complex)
-    else:
-        pn, m = _normalize_1m(spec, pts)
-        cn, _ = _normalize_1m(spec, centers)
-        phi_p = np.stack([pn[:, 0], pn[:, 1] ** m], axis=1)
-        phi_c = np.stack([cn[:, 0], cn[:, 1] ** m], axis=1)
-    maybe = np.zeros((len(pn), len(cn)), dtype=bool)
-    step = max(1, _PAIR_CHUNK // max(1, len(cn)))
-    for start in range(0, len(pn), step):
+    if not 0.0 < r < 1.0:
+        raise InputError(f"tanh radius must lie in (0, 1), got {r}")
+    pts = np.asarray(pts, dtype=complex)
+    centers = np.asarray(centers, dtype=complex)
+    if not has_exact_distance(spec):
+        return _relate(spec, pts, centers, r, _frame_stack(spec, centers))
+    pn, phi_p, m = _images(spec, pts)
+    cn, phi_c, _ = _images(spec, centers)
+    maybe = np.zeros((len(pts), len(centers)), dtype=bool)
+    step = max(1, _PAIR_CHUNK // max(1, len(centers)))
+    for start in range(0, len(pts), step):
         maybe[start : start + step] = pseudo_distance_matrix(phi_p[start : start + step], phi_c) < r
-    if exact_model:
+    if spec.kind in ("disk", "ball"):
         return maybe, maybe
     inside = np.zeros_like(maybe)
     rows, cols = np.nonzero(maybe)
@@ -400,6 +476,92 @@ def ball_relation(
         inside[i, j] = high < r
         maybe[i, j] = (low < r) | (high < r)
     return inside, maybe
+
+
+def ball_counts(
+    spec: DomainSpec, pts: np.ndarray, centers: np.ndarray, r: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per point of pts: how many tanh-radius-r balls around centers certainly
+    contain it (inside), and how many may (maybe).  ball_relation runs on
+    blocks of _COUNT_CHUNK points; each center's frame is computed once."""
+    frames = None if has_exact_distance(spec) else _frame_stack(spec, centers)
+    inside_n = np.zeros(len(pts), dtype=int)
+    maybe_n = np.zeros(len(pts), dtype=int)
+    for start in range(0, len(pts), _COUNT_CHUNK):
+        # only the sums outlive the block, so no relation matrix is held
+        # while the next one is computed
+        block = slice(start, start + _COUNT_CHUNK)
+        inside_n[block], maybe_n[block] = (
+            relation.sum(axis=1) for relation in _relate(spec, pts[block], centers, r, frames)
+        )
+    return inside_n, maybe_n
+
+
+def greedy_separated(spec: DomainSpec, pts: np.ndarray, r: float) -> np.ndarray:
+    """Indices of the greedy maximal r-separated subset of pts, taken in order.
+
+    A point is kept when ball_relation certifies it outside the tanh-radius-r
+    ball of every point kept before it, so kept points are pairwise certified
+    >= r apart, and every other point may lie within r of a kept one.  Points
+    go in chunks of _GREEDY_CHUNK: a chunk is tested against the points kept
+    before it in one call, then each survivor against those kept inside the
+    chunk.  Without the oracle each kept point's minimal frame is computed once.
+    """
+    frames: list[MinimalFrame] | None = None if has_exact_distance(spec) else []
+    kept: list[int] = []
+
+    def near(batch: np.ndarray, first: int) -> np.ndarray:
+        centers = pts[kept[first:]]
+        stack = None if frames is None else _stack(centers, frames[first:])
+        return _relate(spec, batch, centers, r, stack)[1].any(axis=1)
+
+    for start in range(0, len(pts), _GREEDY_CHUNK):
+        batch = pts[start : start + _GREEDY_CHUNK]
+        free = ~near(batch, 0) if kept else np.ones(len(batch), dtype=bool)
+        first_new = len(kept)
+        for local in np.flatnonzero(free):
+            if len(kept) > first_new and near(batch[local : local + 1], first_new)[0]:
+                continue  # within r of a point kept inside this chunk
+            kept.append(start + local)
+            if frames is not None:
+                frames.append(minimal_frame(spec, pts[start + local]))
+    return np.array(kept, dtype=int)
+
+
+def min_tanh_distance(spec: DomainSpec, pts: np.ndarray) -> float:
+    """Minimum over pairs of the lower end of the tanh-distance bracket:
+    exact on the disk and ball, the oracle's bracket on the (1, m) ellipsoid,
+    the frame bound elsewhere.  Fewer than two points give +inf.
+
+    With the oracle, each block of rows sends its pairs through
+    tanh_distance_bracket in increasing order of the ball distance of their
+    images, a lower bound, until that bound passes the best value found.
+    Elsewhere the larger frame gauge g of the two points in each other's
+    frames gives tanh d >= g / (2 + g), the inverse of the outer scale."""
+    count = len(pts)
+    if count < 2:
+        return math.inf
+    if not has_exact_distance(spec):
+        gauge = _gauge(pts, _frame_stack(spec, pts))
+        gauge = np.maximum(gauge, gauge.T)
+        np.fill_diagonal(gauge, np.inf)
+        g = float(gauge.min())
+        return g / (2.0 + g)
+    _, images, _ = _images(spec, pts)
+    best = math.inf
+    step = max(1, _PAIR_CHUNK // count)
+    for start in range(0, count - 1, step):
+        lower = pseudo_distance_matrix(images[start : start + step], images)
+        i, j = np.nonzero(np.triu(lower <= best + _LOWER_SLACK, start + 1))  # pairs i < j
+        order = np.argsort(lower[i, j], kind="stable")
+        i, j, bound = i[order], j[order], lower[i[order], j[order]]
+        for first in range(0, len(i), _PAIR_CHUNK):
+            if bound[first] > best + _LOWER_SLACK:
+                break
+            k = slice(first, first + _PAIR_CHUNK)
+            low, _ = tanh_distance_bracket(spec, pts[start + i[k]], pts[j[k]])
+            best = min(best, float(low.min()))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -604,69 +766,42 @@ def ball_sandwich(spec: DomainSpec, z0, r: float, frame: MinimalFrame | None = N
         raise InputError(f"tanh radius must lie in (0, 1), got {r}")
     z0 = as_point(spec, z0)
     frame = frame if frame is not None else minimal_frame(spec, z0)
-    n = spec.dim
-    inner = geometry.frame_polydisk(frame, r / n)
-    outer = geometry.frame_polydisk(frame, 2.0 * r / (1.0 - r))
-    return BallSandwich(center=z0, radius=r, frame=frame, inner=inner, outer=outer)
+    inner, outer = _sandwich_scales(r, spec.dim)
+    return BallSandwich(
+        center=z0,
+        radius=r,
+        frame=frame,
+        inner=geometry.frame_polydisk(frame, inner),
+        outer=geometry.frame_polydisk(frame, outer),
+    )
 
 
-def ball_membership(
-    spec: DomainSpec,
-    z0,
-    r: float,
-    z,
-    sandwich: BallSandwich | None = None,
-    use_path: bool = True,
-    path_refinement: int = 1,
-) -> str:
-    """Classify z against the Kobayashi ball B_D(z0, r): inside/outside/uncertain.
-
-    Disk and ball use the exact oracle; other domains use the polydisk
-    sandwich, falling back to the path upper bound to certify 'inside'.
-    """
-    if not 0.0 < r < 1.0:
-        raise InputError(f"tanh radius must lie in (0, 1), got {r}")
+def ball_membership(spec: DomainSpec, z0, r: float, z) -> str:
+    """Classify z against the Kobayashi ball B_D(z0, r): inside/outside/uncertain
+    (ball_relation for one point and one center)."""
+    z0 = as_point(spec, z0)
     z = as_point(spec, z)
-    if spec.kind in ("disk", "ball"):
-        return INSIDE if tanh_distance_model(spec, z0, z) < r else OUTSIDE
-    sw = sandwich if sandwich is not None else ball_sandwich(spec, z0, r)
-    if geometry.polydisk_contains(sw.inner, z):
+    inside, maybe = ball_relation(spec, z[None, :], z0[None, :], r)
+    if inside[0, 0]:
         return INSIDE
-    if not geometry.polydisk_contains(sw.outer, z):
-        return OUTSIDE
-    if use_path and math.tanh(distance_upper(spec, sw.center, z, refinement=path_refinement)) < r:
-        return INSIDE
-    return UNCERTAIN
+    return UNCERTAIN if maybe[0, 0] else OUTSIDE
 
 
-def bracket_tanh_distance(
-    spec: DomainSpec,
-    x,
-    y,
-    frame_x: MinimalFrame | None = None,
-    frame_y: MinimalFrame | None = None,
-    with_upper: bool = False,
-) -> tuple[float, float]:
-    """Certified bracket [low, high] for tanh d_K(x, y).
-
-    The lower bound inverts the outer polydisk inclusion: if the frame ratio
-    max_i |<y-x, e_i>| / sigma_i equals m, then tanh d >= m / (2 + m).
+def bracket_tanh_distance(spec: DomainSpec, x, y, with_upper: bool = False) -> tuple[float, float]:
+    """Certified bracket [low, high] for tanh d_K(x, y): tanh_distance_bracket
+    on the domains with the oracle, min_tanh_distance of the pair (with
+    high = 1) elsewhere.  With ``with_upper`` an open high end is replaced by
+    the straight-segment length of distance_upper.
     """
     x = as_point(spec, x)
     y = as_point(spec, y)
-    if spec.kind in ("disk", "ball"):
-        rho = tanh_distance_model(spec, x, y)
-        return rho, rho
-    low = 0.0
-    for point, other, frame in ((x, y, frame_x), (y, x, frame_y)):
-        fr = frame if frame is not None else minimal_frame(spec, point)
-        ratios = np.abs(np.conj(fr.basis) @ (other - point)) / fr.sigma
-        m = float(ratios.max())
-        low = max(low, m / (2.0 + m))
-    high = 1.0
-    if with_upper:
-        high = math.tanh(distance_upper(spec, x, y, refinement=0))
-        high = max(high, low)
+    if has_exact_distance(spec):
+        low, high = (float(end[0]) for end in tanh_distance_bracket(spec, x, y))
+        low = min(low, high)  # a closed bracket may cross by a rounding error
+    else:
+        low, high = min_tanh_distance(spec, np.array([x, y])), 1.0
+    if with_upper and high >= 1.0:
+        high = max(low, math.tanh(distance_upper(spec, x, y, refinement=0)))
     return low, high
 
 

@@ -175,6 +175,20 @@ def atoms_to_csv(mu: AtomicMeasure, path) -> None:
             writer.writerow(row + [f"{w:.17g}"])
 
 
+def csv_floats(rows: list[list[str]], width: int, path) -> np.ndarray:
+    """CSV data rows (after the header) as floats, shape (len(rows), width);
+    a row of another width or a non-numeric cell raises InputError."""
+    out = np.empty((len(rows), width))
+    for number, row in enumerate(rows):
+        try:
+            if len(row) != width:
+                raise ValueError(f"{len(row)} cells, expected {width}")
+            out[number] = [float(cell) for cell in row]
+        except ValueError as exc:
+            raise InputError(f"{path}, row {number + 2}: {exc}") from None
+    return out
+
+
 def atoms_from_csv(spec: DomainSpec, path, label: str | None = None) -> AtomicMeasure:
     try:
         with open(path, newline="") as fh:
@@ -189,10 +203,7 @@ def atoms_from_csv(spec: DomainSpec, path, label: str | None = None) -> AtomicMe
             f"atom file has {len(header)} columns, expected {2 * spec.dim + 1} "
             f"for dimension {spec.dim}"
         )
-    pts, weights = [], []
-    for row in body:
-        vals = [float(x) for x in row]
-        pts.append([complex(vals[2 * i], vals[2 * i + 1]) for i in range(spec.dim)])
-        weights.append(vals[-1])
+    vals = csv_floats(body, len(header), path)
+    pts = vals[:, 0:-1:2] + 1j * vals[:, 1:-1:2]
     name = label if label is not None else str(path)
-    return atomic_measure(spec, np.array(pts, dtype=complex), np.array(weights), label=name)
+    return atomic_measure(spec, pts, vals[:, -1], label=name)

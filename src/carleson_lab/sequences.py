@@ -10,23 +10,17 @@ predicts.  Boundary-accumulating counterexample generators live here too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import domains, geometry, kobayashi, measures
-from .carleson import CarlesonConfig, CarlesonReport, carleson_test
+from .carleson import CarlesonConfig, CarlesonReport, carleson_test, dictionary_table
 from .bergman import KernelModel, kernel_row, norm_sq
 from .domains import DomainSpec
 from .errors import InputError
-from .kobayashi import pseudo_distance_matrix
 from .measures import AtomicMeasure
 from .polynomials import poly_eval, random_polynomial
-
-INSIDE = kobayashi.INSIDE
-OUTSIDE = kobayashi.OUTSIDE
-UNCERTAIN = kobayashi.UNCERTAIN
 
 
 @dataclass(frozen=True)
@@ -68,24 +62,10 @@ def sequence_set(spec: DomainSpec, points, label: str = "") -> SequenceSet:
 
 
 def separation(spec: DomainSpec, gamma: SequenceSet) -> float:
-    """Min pairwise tanh-distance; exact on the models, a certified lower
-    bound elsewhere.  Fewer than two points returns +inf."""
-    pts = gamma.points
-    if len(pts) < 2:
-        return math.inf
-    if spec.kind in ("disk", "ball"):
-        rho = pseudo_distance_matrix(pts, pts)
-        np.fill_diagonal(rho, np.inf)
-        return float(rho.min())
-    frames = [geometry.minimal_frame(spec, p) for p in pts]
-    best = math.inf
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            low, _ = kobayashi.bracket_tanh_distance(
-                spec, pts[i], pts[j], frame_x=frames[i], frame_y=frames[j]
-            )
-            best = min(best, low)
-    return best
+    """Min pairwise tanh-distance (kobayashi.min_tanh_distance): exact on the
+    disk, the ball and the (1, m) ellipsoid, a certified lower bound
+    elsewhere.  Fewer than two points returns +inf."""
+    return kobayashi.min_tanh_distance(spec, gamma.points)
 
 
 @dataclass(frozen=True)
@@ -100,43 +80,20 @@ def count_in_ball(spec: DomainSpec, x, r: float, gamma: SequenceSet) -> BallCoun
     x = domains.as_point(spec, x)
     if gamma.count == 0:
         return BallCount(count=0, uncertain=0)
-    if spec.kind in ("disk", "ball"):
-        rho = pseudo_distance_matrix(gamma.points, x[None, :])[:, 0]
-        return BallCount(count=int((rho < r).sum()), uncertain=0)
-    sandwich = kobayashi.ball_sandwich(spec, x, r)
-    count = 0
-    uncertain = 0
-    for p in gamma.points:
-        status = kobayashi.ball_membership(spec, x, r, p, sandwich=sandwich)
-        if status != OUTSIDE:
-            count += 1
-            if status == UNCERTAIN:
-                uncertain += 1
-    return BallCount(count=count, uncertain=uncertain)
+    inside, maybe = kobayashi.ball_relation(spec, gamma.points, x[None, :], r)
+    return BallCount(count=int(maybe.sum()), uncertain=int((maybe & ~inside).sum()))
 
 
 def max_count_in_ball(spec: DomainSpec, r: float, gamma: SequenceSet) -> int:
     """max over x in Gamma of M(x, r, Gamma)."""
-    return max((count_in_ball(spec, p, r, gamma).count for p in gamma.points), default=0)
+    if gamma.count == 0:
+        return 0
+    maybe = kobayashi.ball_relation(spec, gamma.points, gamma.points, r)[1]
+    return int(maybe.sum(axis=0).max())
 
 
 # ---------------------------------------------------------------------------
 # greedy coloring decomposition
-
-
-def _within_matrix(spec: DomainSpec, pts: np.ndarray, r: float) -> np.ndarray:
-    """within[i, j]: point i fails to be certified outside the r-ball at j.
-    Same-part points are therefore certified >= r apart."""
-    if spec.kind in ("disk", "ball"):
-        rho = pseudo_distance_matrix(pts, pts)
-        return rho < r
-    frames = [geometry.minimal_frame(spec, p) for p in pts]
-    outer = np.array([(2.0 * r / (1.0 - r)) * f.sigma for f in frames])
-    bases = np.array([f.basis for f in frames])
-    diff = pts[:, None, :] - pts[None, :, :]
-    coords = np.abs(np.einsum("ikj,kmj->ikm", diff, np.conj(bases)))
-    outside = (coords > outer[None, :, :]).any(axis=2)
-    return ~outside
 
 
 def greedy_decompose(spec: DomainSpec, gamma: SequenceSet, r: float) -> list[SequenceSet]:
@@ -148,10 +105,13 @@ def greedy_decompose(spec: DomainSpec, gamma: SequenceSet, r: float) -> list[Seq
     pts = gamma.points
     if gamma.count == 0:
         return []
-    within = _within_matrix(spec, pts, r)
+    # point i fails to be certified outside the r-ball at j, or the reverse;
+    # same-part points are therefore certified >= r apart
+    within = kobayashi.ball_relation(spec, pts, pts, r)[1]
+    within |= within.T
     colors = np.full(gamma.count, -1, dtype=int)
     for i in range(gamma.count):
-        used = {int(colors[j]) for j in range(i) if within[i, j] or within[j, i]}
+        used = set(colors[:i][within[i, :i]].tolist())
         c = 0
         while c in used:
             c += 1
@@ -196,41 +156,18 @@ def greedy_packing(
     """Greedy separated subset of a quasi-random stream on {r <= -level_floor}.
 
     A candidate is accepted when its tanh-distance to every accepted point is
-    certified >= delta_sep (exact on the models).  The result is uniformly
-    discrete with separation >= delta_sep by construction.
+    certified >= delta_sep (kobayashi.greedy_separated; exact on the disk, the
+    ball and the (1, m) ellipsoid).  The result is uniformly discrete with
+    separation >= delta_sep by construction.
     """
     if not 0.0 < delta_sep < 1.0:
         raise InputError(f"delta_sep must lie in (0,1), got {delta_sep}")
     pts = domains.quasi_interior(spec, candidates, seed=seed, level_floor=level_floor)
-    exact = spec.kind in ("disk", "ball")
-    accepted: list[np.ndarray] = []
-    frames: list[geometry.MinimalFrame] = []
-    outer: list[np.ndarray] = []
-    last_accept = -1
-    for idx, z in enumerate(pts):
-        ok = True
-        if accepted:
-            if exact:
-                rho = pseudo_distance_matrix(z[None, :], np.array(accepted))[0]
-                ok = bool((rho >= delta_sep).all())
-            else:
-                diff = z[None, :] - np.array(accepted)
-                bases = np.array([f.basis for f in frames])
-                coords = np.abs(np.einsum("kj,kmj->km", diff, np.conj(bases)))
-                ok = bool((coords > np.array(outer)).any(axis=1).all())
-        if ok:
-            accepted.append(z)
-            last_accept = idx
-            if not exact:
-                fr = geometry.minimal_frame(spec, z)
-                frames.append(fr)
-                outer.append((2.0 * delta_sep / (1.0 - delta_sep)) * fr.sigma)
-    seq = SequenceSet(
-        points=np.array(accepted), label=f"pack(sep={delta_sep:g},seed={seed})"
-    )
+    kept = kobayashi.greedy_separated(spec, pts, delta_sep)
+    seq = SequenceSet(points=pts[kept], label=f"pack(sep={delta_sep:g},seed={seed})")
     # acceptances in the last tenth of the stream mean the region had not
     # saturated when the candidates ran out
-    exhausted = last_accept >= candidates - max(1, candidates // 10)
+    exhausted = len(kept) > 0 and bool(kept[-1] >= candidates - max(1, candidates // 10))
     return PackingResult(sequence=seq, exhausted=exhausted, candidates_used=candidates)
 
 
@@ -322,12 +259,7 @@ def thm42_pipeline(
         row = kernel_row(model, gp.point, gamma.points)
         norm = np.sqrt(float(np.real(kernel_row(model, gp.point, gp.point[None, :])[0])))
         kernel_sup = max(kernel_sup, float(np.sum(mu.weights * np.abs(row / norm) ** 2)))
-    if model.variant == "series" and model.table.degree >= config.polynomial_degree:
-        table = model.table
-    else:
-        import carleson_lab.bergman as _bergman
-
-        table = _bergman.moments(spec, config.polynomial_degree)
+    table = dictionary_table(spec, model, config)
     poly_sup = 0.0
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(202,)))
     for _ in range(config.dictionary_polynomials):
@@ -436,11 +368,8 @@ def sequence_from_csv(spec: DomainSpec, path, label: str = "") -> SequenceSet:
         raise InputError(
             f"sequence file has {len(header)} columns, expected {2 * spec.dim}"
         )
-    rows = []
-    for line in lines[1:]:
-        vals = [float(tok) for tok in line.split(",")]
-        rows.append([complex(vals[2 * i], vals[2 * i + 1]) for i in range(spec.dim)])
-    return sequence_set(spec, np.array(rows), label=label or str(path))
+    vals = measures.csv_floats([line.split(",") for line in lines[1:]], len(header), path)
+    return sequence_set(spec, vals[:, 0::2] + 1j * vals[:, 1::2], label=label or str(path))
 
 
 def decomposition_to_csv(gamma: SequenceSet, parts: list[SequenceSet], path) -> None:

@@ -312,11 +312,15 @@ def test_criterion_10_cli_byte_determinism(tmp_path):
     domains.save_spec(DISK, disk_spec)
     domains.save_spec(ELL12, ell_spec)
 
-    # a fixed input sequence shared by both decompose runs
+    # fixed input sequences shared by both decompose runs
     prep = tmp_path / "prep"
     assert cli.main(["pack", "--domain", str(disk_spec), "--r", "0.6",
                      "--samples", "512", "--level", "0.1", "--out", str(prep)]) == 0
     points_csv = str(prep / "pack.csv")
+    prep_ell = tmp_path / "prep-ell"
+    assert cli.main(["pack", "--domain", str(ell_spec), "--r", "0.3",
+                     "--samples", "512", "--level", "0.1", "--out", str(prep_ell)]) == 0
+    points_csv_ell = str(prep_ell / "pack.csv")
 
     commands = {
         "domain-info": ["domain-info", "--domain", str(disk_spec)],
@@ -328,6 +332,9 @@ def test_criterion_10_cli_byte_determinism(tmp_path):
         "pack": ["pack", "--domain", str(disk_spec), "--r", "0.6", "--samples", "512"],
         "decompose": ["decompose", "--domain", str(disk_spec), "--points", points_csv, "--r", "0.3"],
         "thm42": ["thm42", "--domain", str(disk_spec), "--samples", "4096", "--degree", "4"],
+        "pack-ell": ["pack", "--domain", str(ell_spec), "--r", "0.5", "--samples", "1024"],
+        "decompose-ell": ["decompose", "--domain", str(ell_spec), "--points", points_csv_ell,
+                          "--r", "0.6"],
     }
     mismatches = []
     artifact_count = 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from carleson_lab import bergman, carleson, domains, geometry, kobayashi, measures
+from carleson_lab import bergman, domains, geometry, kobayashi, measures
 from carleson_lab.carleson import (
     BOUNDED,
     DIVERGING,
@@ -104,17 +104,6 @@ class TestConfigAndGrid:
                 assert abs(gp.delta - expected) < 1e-9
 
 
-class TestParallelMap:
-    def test_threaded_map_preserves_order(self, monkeypatch):
-        monkeypatch.setenv("CARLESON_LAB_THREADS", "4")
-        got = carleson._parallel_map(lambda i: i * i, list(range(50)))
-        assert got == [i * i for i in range(50)]
-
-    def test_thread_count_fallback(self, monkeypatch):
-        monkeypatch.setenv("CARLESON_LAB_THREADS", "junk")
-        assert carleson._thread_count() == 1
-
-
 class TestCarlesonLebesgue:
     def test_disk_lebesgue_report(self):
         model = bergman.kernel_model(DISK)
@@ -183,7 +172,7 @@ class TestCover:
         assert res.coverage.total == 1000
         assert res.coverage.certified == 1000
         assert res.coverage.uncovered == 0
-        assert res.frames is None and not res.external_sample
+        assert not res.external_sample
         assert overlap_count(DISK, res.centers, 0.75, 0.2) == 30
 
     def test_disk_centers_separated(self):
@@ -199,19 +188,20 @@ class TestCover:
 
     def test_ellipsoid_cover_coverage(self):
         # the (1,2) ellipsoid has the exact distance oracle: coverage is
-        # certified point by point and no minimal frames are needed
+        # certified point by point
         res = kobayashi_cover(ELL12, 0.5, seed=1, candidates=3000, test_count=1000)
         assert res.coverage.uncovered == 0
         assert res.coverage.certified == 1000
-        assert res.frames is None
 
     def test_polydisk_cover_path(self):
         # without the distance oracle, coverage comes from the polydisk
         # sandwich of each center's minimal frame
-        res = kobayashi_cover(
-            complex_ellipsoid((2, 2), (1.0, 1.0)), 0.5, seed=0, candidates=300, test_count=100
-        )
-        assert res.frames is not None and len(res.frames) == len(res.centers)
+        ell22 = complex_ellipsoid((2, 2), (1.0, 1.0))
+        res = kobayashi_cover(ell22, 0.5, seed=0, candidates=300, test_count=100)
+        # centers are pairwise certified apart in each other's frames
+        r_star = math.tanh(2.0 * math.atanh(0.5 / 3.0))
+        maybe = kobayashi.ball_relation(ell22, res.centers, res.centers, r_star)[1]
+        assert len(res.centers) > 1 and not np.any(maybe & ~np.eye(len(res.centers), dtype=bool))
         assert res.coverage.uncovered == 0
         assert res.coverage.certified + res.coverage.heuristic == 100
 

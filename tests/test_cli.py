@@ -201,6 +201,28 @@ def test_validation_errors_exit_1(paths, capsys, argv, fragment):
     assert fragment in err
 
 
+def test_non_numeric_sequence_cell_exit_1(paths, capsys):
+    bad = paths["tmp"] / "bad_points.csv"
+    bad.write_text("x1,y1\n0.1,0.2\n0.3,abc\n")
+    code = cli.main(
+        ["decompose", "--domain", paths["disk"], "--points", str(bad),
+         "--out", str(paths["tmp"] / "junk")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "abc" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_non_numeric_spec_field_exit_1(paths, capsys):
+    bad = paths["tmp"] / "bad_ball.json"
+    bad.write_text('{"kind": "ball", "dimension": "x"}')
+    assert cli.main(["domain-info", "--domain", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'x'" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_unknown_command_exit_1(capsys):
     assert cli.main(["frobnicate"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -120,6 +120,15 @@ class TestMinimalFrame:
             fr = minimal_frame(spec, np.asarray(q, dtype=complex))
             _axis_sharpness_oracle(spec, fr.center, fr.basis, fr.sigma, 0.0)
 
+    def test_frame_near_the_slice_z2_zero(self):
+        # the first frame direction is within 1e-7 of e_1 here, so one
+        # projected basis row nearly vanishes
+        for q in ((0.5, 0.003), (0.9, 0.001)):
+            fr = minimal_frame(ELL12, q)
+            _assert_orthonormal(fr.basis)
+            assert abs(fr.sigma[0] - domains.boundary_distance(ELL12, q)) < 1e-7
+            _axis_sharpness_oracle(ELL12, fr.center, fr.basis, fr.sigma, 0.0)
+
     def test_exterior_point_rejected(self):
         with pytest.raises(InputError):
             minimal_frame(DISK, 1.2)
@@ -210,6 +219,20 @@ class TestPolydisks:
             frame_polydisk(fr, 0.0)
         with pytest.raises(InputError):
             scale_polydisk(P, -1.0)
+
+    def test_stacked_polydisks(self):
+        # a stack of K polydisks answers (..., K) at once, like K single calls
+        frames = [minimal_frame(ELL12, q) for q in ((0.0, 0.5), (0.3j, -0.2), (0.6, 0.1))]
+        stack = geometry.Polydisk(
+            center=np.array([f.center for f in frames]),
+            basis=np.array([f.basis for f in frames]),
+            radii=np.array([2.0 * f.sigma for f in frames]),
+        )
+        pts = domains.quasi_interior(ELL12, 200, seed=9)
+        got = polydisk_contains(stack, pts)
+        assert got.shape == (200, 3) and got.any() and not got.all()
+        for k, f in enumerate(frames):
+            np.testing.assert_array_equal(got[:, k], polydisk_contains(frame_polydisk(f, 2.0), pts))
 
     def test_contains_boundary_closed(self):
         basis = np.eye(2, dtype=complex)

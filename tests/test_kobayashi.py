@@ -22,6 +22,7 @@ from carleson_lab.kobayashi import (
     exact_metric_model,
     has_exact_distance,
     metric_bounds,
+    min_tanh_distance,
     mobius_translation,
     tanh_distance_bracket,
     tanh_distance_model,
@@ -31,6 +32,7 @@ from carleson_lab.kobayashi import (
 DISK = unit_disk()
 BALL2 = unit_ball(2)
 ELL12 = complex_ellipsoid((1, 2), (1.0, 1.0))
+ELL22 = complex_ellipsoid((2, 2), (1.0, 1.0))
 
 
 def _random_disk_points(rng, count, rmax=0.95):
@@ -228,22 +230,23 @@ class TestBallMembership:
         assert ball_membership(DISK, 0.0, 0.5, 0.9 * np.exp(1.3j)) == OUTSIDE
 
     def test_generic_trichotomy(self):
+        # without the oracle the polydisk sandwich decides: between the
+        # inner and the outer polydisk the answer is Uncertain
         z0 = np.array([0.0, 0.5])
-        sw = ball_sandwich(ELL12, z0, 0.4)
-        assert ball_membership(ELL12, z0, 0.4, z0, sandwich=sw) == INSIDE
+        sw = ball_sandwich(ELL22, z0, 0.4)
+        assert ball_membership(ELL22, z0, 0.4, z0) == INSIDE
         far = np.array([0.0, -0.9])
-        assert ball_membership(ELL12, z0, 0.4, far, sandwich=sw) == OUTSIDE
-        # between the polydisks with the path upgrade disabled
+        assert ball_membership(ELL22, z0, 0.4, far) == OUTSIDE
         edge = z0 + 1.5 * sw.inner.radii[0] * sw.inner.basis[0]
-        got = ball_membership(ELL12, z0, 0.4, edge, sandwich=sw, use_path=False)
-        assert got in (INSIDE, UNCERTAIN)
+        assert ball_membership(ELL22, z0, 0.4, edge) == UNCERTAIN
 
-    def test_path_upgrade_certifies_inside(self):
+    def test_ellipsoid_membership_exact(self):
+        # tanh k(0, z) is the Minkowski functional h(z) on the (1,2) ellipsoid
         z0 = np.array([0.0, 0.0])
         z = np.array([0.05, 0.05])
-        sw = ball_sandwich(ELL12, z0, 0.3)
-        if not geometry.polydisk_contains(sw.inner, z):
-            assert ball_membership(ELL12, z0, 0.3, z, sandwich=sw) == INSIDE
+        h = float(_h12(z))
+        assert ball_membership(ELL12, z0, h + 1e-9, z) == INSIDE
+        assert ball_membership(ELL12, z0, h - 1e-9, z) == OUTSIDE
 
     def test_radius_validation(self):
         with pytest.raises(InputError):
@@ -257,12 +260,15 @@ class TestBracket:
         assert low == high == rho
 
     def test_ellipsoid_frozen_pair(self):
+        # without the oracle: the frame bound below, the straight-segment
+        # path length above
         x = np.array([0.0, 0.5])
         y = np.array([0.2, 0.5])
-        low, high = bracket_tanh_distance(ELL12, x, y, with_upper=True)
-        assert abs(low - 0.11056220469139558) < 1e-9
-        assert abs(high - 0.22733387184894205) < 1e-6
+        low, high = bracket_tanh_distance(ELL22, x, y, with_upper=True)
+        assert abs(low - 0.11300556870134239) < 1e-9
+        assert abs(high - 0.22338703197464416) < 1e-6
         assert low < high
+        assert bracket_tanh_distance(ELL22, x, y) == (low, 1.0)
 
     def test_lower_bound_sound_on_models_in_disguise(self):
         # evaluate the generic frame bound on ball geometry where the exact
@@ -316,8 +322,8 @@ class TestEllipsoidOracle:
         low, high = tanh_distance_bracket(ELL12, x, y)
         exact = 0.2 / math.sqrt(0.9375)
         assert abs(low[0] - exact) < 1e-12 and abs(high[0] - exact) < 1e-12
-        frame_low, frame_high = bracket_tanh_distance(ELL12, x, y, with_upper=True)
-        assert frame_low <= exact <= frame_high
+        # the one-point bracket is the same oracle, with no path bound
+        assert bracket_tanh_distance(ELL12, x, y, with_upper=True) == (low[0], high[0])
 
     def test_z1_zero_slice_is_the_disc(self):
         # (z1, z2) -> z2 retracts E onto the slice {z1 = 0}, the unit disc
@@ -432,10 +438,46 @@ class TestEllipsoidOracle:
 
     def test_capability(self):
         assert has_exact_distance(ELL12) and has_exact_distance(DISK)
-        ell22 = complex_ellipsoid((2, 2), (1.0, 1.0))
-        assert not has_exact_distance(ell22)
+        assert not has_exact_distance(ELL22)
         with pytest.raises(CapabilityError):
-            tanh_distance_bracket(ell22, (0.0, 0.0), (0.0, 0.5))
+            tanh_distance_bracket(ELL22, (0.0, 0.0), (0.0, 0.5))
+
+    def test_model_bracket_is_exact(self):
+        rng = np.random.default_rng(69)
+        z = _random_ball_points(rng, 200)
+        w = _random_ball_points(rng, 200)
+        low, high = tanh_distance_bracket(BALL2, z, w)
+        exact = np.array([tanh_distance_model(BALL2, p, q) for p, q in zip(z, w)])
+        np.testing.assert_allclose(low, exact, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(low, high)
+
+
+class TestFrameRelation:
+    """Domains without the oracle answer from the polydisk sandwich."""
+
+    def test_matches_ball_sandwich(self):
+        rng = np.random.default_rng(71)
+        centers = domains.random_interior(ELL22, 12, rng, level_floor=0.05)
+        near = [geometry.sample_polydisk(ball_sandwich(ELL22, c, 0.3).inner, 10, rng) for c in centers]
+        pts = np.vstack([domains.random_interior(ELL22, 400, rng)] + near)
+        for r in (0.3, 0.7):
+            inside, maybe = ball_relation(ELL22, pts, centers, r)
+            for k, c in enumerate(centers):
+                sw = ball_sandwich(ELL22, c, r)
+                np.testing.assert_array_equal(inside[:, k], geometry.polydisk_contains(sw.inner, pts))
+                np.testing.assert_array_equal(maybe[:, k], geometry.polydisk_contains(sw.outer, pts))
+            assert inside.any() and (maybe & ~inside).any() and not maybe.all()
+
+    def test_min_distance_is_the_pair_bound(self):
+        rng = np.random.default_rng(73)
+        pts = domains.random_interior(ELL22, 6, rng, level_floor=0.05)
+        pairs = [
+            bracket_tanh_distance(ELL22, pts[i], pts[j])[0]
+            for i in range(6)
+            for j in range(i + 1, 6)
+        ]
+        assert min_tanh_distance(ELL22, pts) == pytest.approx(min(pairs), rel=1e-12)
+        assert min_tanh_distance(ELL22, pts[:1]) == math.inf
 
 
 class TestLogEnvelope:

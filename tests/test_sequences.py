@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carleson_lab import bergman, domains, measures, sequences
+from carleson_lab import bergman, domains, kobayashi, measures, sequences
 from carleson_lab.carleson import CarlesonConfig
 from carleson_lab.domains import complex_ellipsoid, unit_ball, unit_disk
 from carleson_lab.errors import InputError
@@ -211,6 +211,66 @@ class TestGreedyPacking:
 
 
 # ---------------------------------------------------------------------------
+# the (1,2) ellipsoid: packings, separations and counts from the oracle
+
+
+@pytest.fixture(scope="module")
+def ell_packing():
+    pack = sequences.greedy_packing(ELL12, 0.5, level_floor=0.02, seed=0, candidates=2048)
+    return pack, domains.quasi_interior(ELL12, 2048, seed=0, level_floor=0.02)
+
+
+class TestEllipsoidExact:
+    def test_separation_is_the_exact_pair_minimum(self, ell_packing):
+        pack, _ = ell_packing
+        pts = pack.sequence.points
+        assert pack.sequence.count > 500
+        i, j = np.triu_indices(len(pts), 1)
+        low, _ = kobayashi.tanh_distance_bracket(ELL12, pts[i], pts[j])
+        sep = sequences.separation(ELL12, pack.sequence)
+        assert abs(sep - float(low.min())) <= 1e-9
+        assert sep >= 0.5 - 1e-12
+
+    def test_packing_is_maximal(self, ell_packing):
+        # every rejected candidate may lie within 0.5 of an accepted point
+        pack, candidates = ell_packing
+        kept = (candidates[:, None, :] == pack.sequence.points[None, :, :]).all(axis=2).any(axis=1)
+        assert kept.sum() == pack.sequence.count
+        maybe = kobayashi.ball_relation(ELL12, candidates[~kept], pack.sequence.points, 0.5)[1]
+        assert maybe.any(axis=1).all()
+
+    def test_max_count_matches_brute_force(self, ell_packing):
+        pack, _ = ell_packing
+        pts = pack.sequence.points[:300]
+        gamma = sequences.SequenceSet(points=pts)
+        r = 0.8
+        n = len(pts)
+        low, high = kobayashi.tanh_distance_bracket(
+            ELL12, np.repeat(pts, n, axis=0), np.tile(pts, (n, 1))
+        )
+        within = ((low < r) | (high < r)).reshape(n, n)  # [point, center]
+        counts = within.sum(axis=0)
+        assert counts.max() > 1
+        assert sequences.max_count_in_ball(ELL12, r, gamma) == counts.max()
+        got = sequences.count_in_ball(ELL12, pts[7], r, gamma)
+        assert got.count == counts[7]
+
+    def test_no_path_bound_in_counts(self, ell_packing, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("distance_upper called")
+
+        monkeypatch.setattr(kobayashi, "distance_upper", refuse)
+        pack, _ = ell_packing
+        gamma = sequences.SequenceSet(points=pack.sequence.points[:200])
+        got = sequences.count_in_ball(ELL12, gamma.points[0], 0.8, gamma)
+        assert got.count >= 1 and got.uncertain == 0
+        parts = sequences.greedy_decompose(ELL12, gamma, 0.8)
+        assert 1 < len(parts) <= sequences.max_count_in_ball(ELL12, 0.8, gamma)
+        for part in parts:
+            assert sequences.separation(ELL12, part) >= 0.8 - 1e-12
+
+
+# ---------------------------------------------------------------------------
 # sequence measures and boundary generators
 
 
@@ -226,6 +286,13 @@ class TestSequenceMeasure:
         mu = sequences.sequence_measure(ELL12, seq)
         # sigma = (0.1, sqrt(1 - 0.9^4)), weight = prod sigma^2
         assert mu.weights[0] == pytest.approx(0.01 * (1.0 - 0.9**4), rel=1e-6)
+
+    def test_ellipsoid_packing_weights(self):
+        # the packing keeps two candidates within 1e-2 of the slice z2 = 0,
+        # where the first frame direction is within about 1e-6 of e_1
+        pack = sequences.greedy_packing(ELL12, 0.3, level_floor=0.02, seed=11)
+        mu = sequences.sequence_measure(ELL12, pack.sequence)
+        assert np.all(np.isfinite(mu.weights)) and np.all(mu.weights > 0)
 
     def test_weights_positive_and_bounded(self):
         pack = sequences.greedy_packing(DISK, 0.4, level_floor=0.02, seed=5, candidates=1024)
