@@ -4,9 +4,10 @@ Everything is expressed in the tanh convention: the ball of radius r in (0,1)
 around z0 is {z : tanh d_K(z0, z) < r}.  Exact distances exist for the disk
 and the ball, and a batched bracket that closes to rounding for the complex
 ellipsoids {|z1/a1|^2 + |z2/a2|^(2m) < 1}; elsewhere the module provides
-certified two-sided infinitesimal bounds, certified upper bounds on distances
-(shortest piecewise-linear path measured in the upper metric), and the
-polydisk sandwich of Kobayashi balls coming from the minimal frame.
+two-sided infinitesimal bounds, upper estimates of distances (the shortest
+piecewise-linear path measured in the upper metric, by quadrature; an
+estimate, not a bound), and the polydisk sandwich of Kobayashi balls coming
+from the minimal frame.
 
 This module alone decides how a distance question is answered on a domain:
 ball_relation (is w within tanh-radius r of z), ball_counts, the greedy loop
@@ -93,22 +94,114 @@ def tanh_distance_model_batch(spec: DomainSpec, z, pts: np.ndarray) -> np.ndarra
 
 
 def pseudo_distance_matrix(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Unit-ball pseudo-distances tanh d_B, pts (B,n) x centers (K,n)."""
-    inner = pts @ np.conj(centers).T
-    p2 = (pts.real**2 + pts.imag**2).sum(axis=1)
-    c2 = (centers.real**2 + centers.imag**2).sum(axis=1)
-    num = (1.0 - p2)[:, None] * (1.0 - c2)[None, :]
-    rho2 = 1.0 - num / np.abs(1.0 - inner) ** 2
-    return np.sqrt(np.clip(rho2, 0.0, None))
+    """Unit-ball pseudo-distances tanh d_B, pts (B,n) x centers (K,n), from
+    1 - rho^2 = (1-|p|^2)(1-|c|^2) / |1-<p,c>|^2.  For small rho this form
+    carries an absolute error of about sqrt(eps); _ball_pd does not."""
+    out = np.empty((len(pts), len(centers)))
+    for rows, cols, num, den in _pair_tiles(pts, centers):
+        rho2 = 1.0 - num / den
+        out[rows, cols] = np.sqrt(np.clip(rho2, 0.0, None, out=rho2), out=rho2)
+    return out
 
 
 def _pair_pd(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Unit-ball pseudo-distances of paired batches z, w (k, n), elementwise."""
+    """Unit-ball pseudo-distances of paired batches z, w (k, n), elementwise,
+    in the quotient form of pseudo_distance_matrix (the disk and ball values)."""
     inner = np.sum(z * np.conj(w), axis=-1)
     z2 = (z.real**2 + z.imag**2).sum(axis=-1)
     w2 = (w.real**2 + w.imag**2).sum(axis=-1)
     rho2 = 1.0 - (1.0 - z2) * (1.0 - w2) / np.abs(1.0 - inner) ** 2
     return np.sqrt(np.clip(rho2, 0.0, None))
+
+
+def _ball_pd(p, q) -> np.ndarray:
+    """Unit-ball pseudo-distances of paired batches given by coordinates,
+    p = (p_1, ..., p_n) and q alike, elementwise, in the cancellation-free
+    form (|p-q|^2 - |p ^ q|^2) / |1 - <p,q>|^2 with |p ^ q|^2 =
+    sum_{i<j} |p_i q_j - p_j q_i|^2 (Lagrange identity); accurate to
+    rounding also at distances far below sqrt(eps)."""
+    n = len(p)
+    diff = sum(np.abs(p[i] - q[i]) ** 2 for i in range(n))
+    wedge = sum(np.abs(p[i] * q[j] - p[j] * q[i]) ** 2 for i in range(n) for j in range(i + 1, n))
+    den = 1.0
+    for i in range(n):
+        den = den - p[i] * np.conj(q[i])
+    rho2 = (diff - wedge) / np.abs(den) ** 2
+    return np.sqrt(np.clip(rho2, 0.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# the unit-ball threshold test rho_B(p, c) < r, tile by tile
+#
+# Each tile of b x k pairs comes from one real matrix product,
+#   [Re p, Im p, 1] (b, 2n+1) @ t [[-Re c, -Im c, 1], [Im c, -Re c, 0]]^T (2, 2n+1, k)
+#     = t [1 - Re <p,c>, -Im <p,c>]  (2, b, k),
+# whose squares sum to t^2 |1-<p,c>|^2; with t^2 = 1 - r^2 the test
+# (1-|p|^2)(1-|c|^2) > (1-r^2) |1-<p,c>|^2 needs no square root.  For |p|,
+# |c| < 1 the difference of the two sides (the margin) is computed with an
+# absolute error below (24n + 58) eps, whatever the order of the sums, and a
+# pair within twice that of the threshold is decided by _ball_pd instead.
+# So the answer never depends on how the pairs are blocked, and it stays
+# right at radii far below sqrt(eps), where the quotient form fails.
+#
+# A tile holds about _PRODUCT / (2n+1) pairs, so each half of a product has
+# at most _PRODUCT multiply-adds: its width is capped so that min(B, 16) rows
+# fit, and its height fills the rest (16 rows against many centers, 349
+# against 250 centers on the disk, 52428 against one center in the 2-ball).
+# On 2 cores
+# OpenBLAS ran halves of 2^20 on two threads, which doubled the CPU time of
+# the tile loop and raised its wall time 1.3-4x (the elementwise work after
+# each product competes with the spinning BLAS worker); 2^18 stays clear of
+# that at about 5% more wall time than 2^19.
+_PRODUCT = 1 << 18
+
+
+def _pair_tiles(pts: np.ndarray, centers: np.ndarray, scale: float = 1.0):
+    """Yield (rows, cols, num, den) over tiles of pts[rows] x centers[cols]:
+    num = (1-|p|^2)(1-|c|^2) and den = scale^2 |1-<p,c>|^2."""
+    count, k_all = len(pts), len(centers)
+    if not count or not k_all:
+        return
+    depth = 2 * pts.shape[1] + 1
+    pairs = max(1, _PRODUCT // depth)
+    width = max(1, min(k_all, pairs // min(count, 16)))
+    height = max(1, pairs // width)
+    prow = np.concatenate([pts.real, pts.imag, np.ones((count, 1))], axis=1)
+    re_c, im_c = scale * centers.real.T, scale * centers.imag.T
+    p_room = 1.0 - (pts.real**2 + pts.imag**2).sum(axis=1)
+    c_room = 1.0 - (centers.real**2 + centers.imag**2).sum(axis=1)
+    for j in range(0, k_all, width):
+        cols = slice(j, j + width)
+        k = min(width, k_all - j)
+        ccol = np.stack([
+            np.vstack([-re_c[:, cols], -im_c[:, cols], np.full((1, k), scale)]),
+            np.vstack([im_c[:, cols], -re_c[:, cols], np.zeros((1, k))]),
+        ])
+        for i in range(0, count, height):
+            rows = slice(i, i + height)
+            x, y = prow[rows] @ ccol
+            x *= x
+            y *= y
+            x += y
+            yield rows, cols, np.multiply.outer(p_room[rows], c_room[cols]), x
+
+
+def _within(pts: np.ndarray, centers: np.ndarray, r: float) -> np.ndarray:
+    """(B, K) bool: unit-ball pseudo-distance rho_B(p, c) < r, for points
+    and centers in the unit ball."""
+    out = np.zeros((len(pts), len(centers)), dtype=bool)
+    slack = 2.0 * (24 * pts.shape[-1] + 58) * np.finfo(float).eps
+    for rows, cols, num, den in _pair_tiles(pts, centers, math.sqrt(1.0 - r * r)):
+        num -= den  # the margin |1-<p,c>|^2 (r^2 - rho^2)
+        block = out[rows, cols]
+        np.greater(num, slack, out=block)
+        loose = num >= -slack
+        if np.count_nonzero(loose) > np.count_nonzero(block):  # some |margin| <= slack
+            i, j = np.nonzero(loose & ~block)
+            i += rows.start
+            j += cols.start
+            out[i, j] = _ball_pd(pts[i].T, centers[j].T) < r
+    return out
 
 
 def mobius_translation(spec: DomainSpec, a, w) -> np.ndarray:
@@ -169,15 +262,6 @@ def _normalize_1m(spec: DomainSpec, pts) -> tuple[np.ndarray, int]:
 
 def _disc_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b) / np.abs(1.0 - np.conj(a) * b)
-
-
-def _ball2_pd(p1, p2, q1, q2) -> np.ndarray:
-    """Pseudo-distance in the 2-ball, elementwise, in the cancellation-free
-    form (|p-q|^2 - |p ^ q|^2) / |1 - <p,q>|^2."""
-    diff = np.abs(p1 - q1) ** 2 + np.abs(p2 - q2) ** 2
-    wedge = np.abs(p1 * q2 - p2 * q1) ** 2
-    rho2 = (diff - wedge) / np.abs(1.0 - p1 * np.conj(q1) - p2 * np.conj(q2)) ** 2
-    return np.sqrt(np.clip(rho2, 0.0, 1.0))
 
 
 def _minkowski_1m(x1: np.ndarray, x2: np.ndarray, m: int) -> np.ndarray:
@@ -305,7 +389,7 @@ def _bracket_1m(
     z, w of shape (k, 2); with r, refinement stops once r is decided."""
     z1, z2, w1, w2 = z[:, 0], z[:, 1], w[:, 0], w[:, 1]
     p2, q2 = z2**m, w2**m
-    low = _ball2_pd(z1, p2, w1, q2)
+    low = _ball_pd((z1, p2), (w1, q2))
     if m == 1:
         return low, low.copy()
     high = np.ones_like(low)
@@ -327,7 +411,15 @@ def _bracket_1m(
             o1, o2 = _phi_b(a[on_axis, 0], other[on_axis, 0], other[on_axis, 1], m)
             low[on_axis] = high[on_axis] = _minkowski_1m(o1, o2, m)
 
-    cross = np.flatnonzero(off_axis & ~lift)
+    cross = off_axis & ~lift
+    if r is not None:
+        # pairs that r already puts outside skip Newton: (z1, z2) -> z2 maps
+        # E into the unit disc, so tanh k_E >= rho_D(z2, w2)
+        disc = _disc_pd(z2, w2)
+        far = cross & (disc >= r)
+        low[far] = np.maximum(low[far], disc[far])
+        cross &= ~far
+    cross = np.flatnonzero(cross)
     if len(cross):
         c1, c2, d1, d2 = z1[cross], z2[cross], w1[cross], w2[cross]
         e2, f2 = p2[cross], q2[cross]
@@ -351,6 +443,11 @@ def _bracket_1m(
             hi[k] = np.minimum(hi[k], hi2)
         low[cross] = lo
         high[cross] = hi
+    # E contains the unit ball B, so tanh k_E <= rho_B on B x B
+    k = np.flatnonzero(high - low > _CLOSED)
+    a, b = z[k], w[k]
+    in_ball = ((a.real**2 + a.imag**2).sum(axis=1) < 1.0) & ((b.real**2 + b.imag**2).sum(axis=1) < 1.0)
+    high[k[in_ball]] = np.minimum(high[k[in_ball]], _ball_pd(a[in_ball].T, b[in_ball].T))
     return low, high
 
 
@@ -447,11 +544,12 @@ def ball_relation(
     tanh-radius r around centers (K,n): inside is certified tanh d < r, maybe
     is "not certified >= r" (inside or Uncertain).
 
-    Disk and ball answer exactly.  On the (1, m) ellipsoid the ball distance
-    of the Phi-images prefilters the pairs and only those below r go through
-    the oracle.  Other domains use the polydisk sandwich in each center's
-    minimal frame.  Every step runs in blocks of about _PAIR_CHUNK pairs to
-    bound the temporaries.
+    Disk and ball answer exactly, from the threshold test _within (the same
+    array is returned twice).  On the (1, m) ellipsoid that test on the
+    Phi-images prefilters the pairs and only those below r go through the
+    oracle, in blocks of _PAIR_CHUNK pairs.  Other domains use the polydisk
+    sandwich in each center's minimal frame.  The answer for a pair does not
+    depend on the other pairs of the call.
     """
     if not 0.0 < r < 1.0:
         raise InputError(f"tanh radius must lie in (0, 1), got {r}")
@@ -461,20 +559,18 @@ def ball_relation(
         return _relate(spec, pts, centers, r, _frame_stack(spec, centers))
     pn, phi_p, m = _images(spec, pts)
     cn, phi_c, _ = _images(spec, centers)
-    maybe = np.zeros((len(pts), len(centers)), dtype=bool)
-    step = max(1, _PAIR_CHUNK // max(1, len(centers)))
-    for start in range(0, len(pts), step):
-        maybe[start : start + step] = pseudo_distance_matrix(phi_p[start : start + step], phi_c) < r
+    maybe = _within(phi_p, phi_c, r)
     if spec.kind in ("disk", "ball"):
         return maybe, maybe
     inside = np.zeros_like(maybe)
-    rows, cols = np.nonzero(maybe)
-    for start in range(0, len(rows), _PAIR_CHUNK):
-        i = rows[start : start + _PAIR_CHUNK]
-        j = cols[start : start + _PAIR_CHUNK]
+    inside_flat, maybe_flat = inside.reshape(-1), maybe.reshape(-1)  # views
+    pairs = np.flatnonzero(maybe_flat)
+    for start in range(0, len(pairs), _PAIR_CHUNK):
+        k = pairs[start : start + _PAIR_CHUNK]
+        i, j = np.divmod(k, len(centers))
         low, high = _bracket_1m(pn[i], cn[j], m, r)
-        inside[i, j] = high < r
-        maybe[i, j] = (low < r) | (high < r)
+        inside_flat[k] = high < r
+        maybe_flat[k] = (low < r) | (high < r)
     return inside, maybe
 
 
@@ -504,27 +600,32 @@ def greedy_separated(spec: DomainSpec, pts: np.ndarray, r: float) -> np.ndarray:
     ball of every point kept before it, so kept points are pairwise certified
     >= r apart, and every other point may lie within r of a kept one.  Points
     go in chunks of _GREEDY_CHUNK: a chunk is tested against the points kept
-    before it in one call, then each survivor against those kept inside the
-    chunk.  Without the oracle each kept point's minimal frame is computed once.
+    before it in one call, and its survivors against each other in a second;
+    the accept loop then reads that survivors x survivors relation.  The
+    relation is elementwise, so the kept points are those of one call per
+    point.  Without the oracle the minimal frame of each survivor is computed
+    once and kept with the point.
     """
     frames: list[MinimalFrame] | None = None if has_exact_distance(spec) else []
     kept: list[int] = []
 
-    def near(batch: np.ndarray, first: int) -> np.ndarray:
-        centers = pts[kept[first:]]
-        stack = None if frames is None else _stack(centers, frames[first:])
-        return _relate(spec, batch, centers, r, stack)[1].any(axis=1)
+    def relation(batch: np.ndarray, centers: np.ndarray, own: list[MinimalFrame] | None) -> np.ndarray:
+        stack = None if own is None else _stack(centers, own)
+        return _relate(spec, batch, centers, r, stack)[1]
 
     for start in range(0, len(pts), _GREEDY_CHUNK):
         batch = pts[start : start + _GREEDY_CHUNK]
-        free = ~near(batch, 0) if kept else np.ones(len(batch), dtype=bool)
-        first_new = len(kept)
-        for local in np.flatnonzero(free):
-            if len(kept) > first_new and near(batch[local : local + 1], first_new)[0]:
-                continue  # within r of a point kept inside this chunk
-            kept.append(start + local)
-            if frames is not None:
-                frames.append(minimal_frame(spec, pts[start + local]))
+        free = np.flatnonzero(~relation(batch, pts[kept], frames).any(axis=1))
+        survivors = batch[free]
+        own = None if frames is None else [minimal_frame(spec, p) for p in survivors]
+        within = relation(survivors, survivors, own)
+        taken: list[int] = []
+        for k in range(len(free)):
+            if not within[k, taken].any():
+                taken.append(k)
+        kept.extend((start + free[taken]).tolist())
+        if frames is not None:
+            frames.extend(own[k] for k in taken)
     return np.array(kept, dtype=int)
 
 
@@ -686,7 +787,10 @@ def distance_upper(
     refinement: int = 2,
     nodes: int = _GAUSS_NODES,
 ) -> float:
-    """Certified (within quadrature tolerance) upper bound on d_K(z, w).
+    """Estimate of an upper bound on d_K(z, w): the upper-metric length of a
+    short piecewise-linear path.  It is not a certified bound: the phase-grid
+    line distance can overestimate delta, and the Gauss quadrature of 1/delta
+    carries no error bound, so the value can fall below the true distance.
 
     Minimizes the upper-metric length over piecewise-linear paths; level L has
     2^L - 1 movable interior knots, warm-started by subdividing the previous
@@ -788,10 +892,11 @@ def ball_membership(spec: DomainSpec, z0, r: float, z) -> str:
 
 
 def bracket_tanh_distance(spec: DomainSpec, x, y, with_upper: bool = False) -> tuple[float, float]:
-    """Certified bracket [low, high] for tanh d_K(x, y): tanh_distance_bracket
-    on the domains with the oracle, min_tanh_distance of the pair (with
-    high = 1) elsewhere.  With ``with_upper`` an open high end is replaced by
-    the straight-segment length of distance_upper.
+    """Bracket [low, high] for tanh d_K(x, y): tanh_distance_bracket on the
+    domains with the oracle, min_tanh_distance of the pair (with high = 1)
+    elsewhere.  With ``with_upper`` an open high end is replaced by the
+    straight-segment estimate of distance_upper, which is not a certified
+    bound.
     """
     x = as_point(spec, x)
     y = as_point(spec, y)
@@ -850,8 +955,8 @@ def calibrate_log_envelope(spec: DomainSpec, z0, points) -> LogEnvelope:
     """Residuals d_K(z0, z) + 0.5 log delta_D(z) over boundary-approaching samples.
 
     Returns the empirical envelope (C1, C2) = (min, max) of the residuals.  On
-    the disk/ball d_K is exact; elsewhere the path upper bound is used, so only
-    C2 is certified there.
+    the disk/ball d_K is exact; elsewhere the distance_upper path estimate is
+    used, so neither end is certified there.
     """
     z0 = as_point(spec, z0)
     pts = np.atleast_2d(np.asarray(points, dtype=complex))

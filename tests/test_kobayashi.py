@@ -480,6 +480,120 @@ class TestFrameRelation:
         assert min_tanh_distance(ELL22, pts[:1]) == math.inf
 
 
+class TestRelationLayer:
+    """ball_relation, greedy_separated and ball_counts against references
+    that answer every pair, one point at a time, or from the dense relation."""
+
+    @pytest.mark.parametrize("r", [0.3, 0.65])
+    def test_relation_matches_all_pairs_reference(self, r):
+        rng = np.random.default_rng(81)
+        samplers = {
+            DISK: lambda k: _random_disk_points(rng, k),
+            BALL2: lambda k: _random_ball_points(rng, k),
+            ELL12: lambda k: domains.random_interior(ELL12, k, rng),
+        }
+        for spec, sample in samplers.items():
+            pts, centers = sample(300), sample(300)
+            p_all, c_all = np.repeat(pts, 300, axis=0), np.tile(centers, (300, 1))
+            inside, maybe = ball_relation(spec, pts, centers, r)
+            if spec is ELL12:
+                zn, m = kobayashi._normalize_1m(spec, p_all)
+                cn, _ = kobayashi._normalize_1m(spec, c_all)
+                low, high = kobayashi._bracket_1m(zn, cn, m, r)  # no prefilter
+                ref_inside, ref_maybe = high < r, (low < r) | (high < r)
+            else:
+                assert inside is maybe
+                ref_inside = ref_maybe = kobayashi._pair_pd(p_all, c_all) < r
+            np.testing.assert_array_equal(inside, ref_inside.reshape(300, 300))
+            np.testing.assert_array_equal(maybe, ref_maybe.reshape(300, 300))
+            assert 0 < maybe.sum() < maybe.size
+
+    @pytest.mark.parametrize("spec", [BALL2, ELL12, ELL22], ids=["BALL2", "ELL12", "ELL22"])
+    def test_greedy_matches_one_point_loop(self, spec):
+        # ELL22 has no oracle: there the relation comes from the frames of
+        # the kept points, each computed once
+        pts = domains.quasi_interior(spec, 2000, seed=13, level_floor=0.02)
+        r = 0.4
+        exact = kobayashi.has_exact_distance(spec)
+        kept: list[int] = []
+        frames: list[geometry.MinimalFrame] = []
+        for k, p in enumerate(pts):
+            stack = None if exact else kobayashi._stack(pts[kept], frames)
+            if not kept or not kobayashi._relate(spec, p[None, :], pts[kept], r, stack)[1].any():
+                kept.append(k)
+                if not exact:
+                    frames.append(geometry.minimal_frame(spec, p))
+        got = kobayashi.greedy_separated(spec, pts, r)
+        np.testing.assert_array_equal(got, kept)
+        assert 50 < len(kept) < 2000
+
+    @pytest.mark.parametrize("spec", [BALL2, ELL12], ids=["BALL2", "ELL12"])
+    def test_counts_are_row_sums(self, spec):
+        rng = np.random.default_rng(83)
+        pts = domains.random_interior(spec, 2 * kobayashi._COUNT_CHUNK + 300, rng)
+        centers = domains.random_interior(spec, 250, rng)
+        inside, maybe = ball_relation(spec, pts, centers, 0.65)
+        inside_n, maybe_n = kobayashi.ball_counts(spec, pts, centers, 0.65)
+        np.testing.assert_array_equal(inside_n, inside.sum(axis=1))
+        np.testing.assert_array_equal(maybe_n, maybe.sum(axis=1))
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision"
+    )
+    def test_margin_error_within_slack(self):
+        # the threshold test trusts its margin (1-|p|^2)(1-|c|^2) - t^2 |1-<p,c>|^2
+        # to (24n + 58) eps; check against extended precision, also near the sphere
+        rng = np.random.default_rng(87)
+        ld = np.longdouble
+        for n in (1, 2, 3):
+            for near_sphere, r in ((False, 0.3), (True, 0.65), (True, 1e-6), (False, 0.999)):
+                pts, centers = (_random_ball_points(rng, 200, dim=n, rmax=1.0) for _ in range(2))
+                if near_sphere:
+                    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+                    pts *= (1.0 - 10.0 ** rng.uniform(-12, 0, 200))[:, None]
+                t = math.sqrt(1.0 - r * r)
+                got = np.empty((200, 200))
+                for rows, cols, num, den in kobayashi._pair_tiles(pts, centers, t):
+                    got[rows, cols] = num - den
+                pr, pi, cr, ci = (a.astype(ld) for a in (pts.real, pts.imag, centers.real, centers.imag))
+                re, im = pr @ cr.T + pi @ ci.T, pi @ cr.T - pr @ ci.T
+                num = np.multiply.outer(1 - (pr**2 + pi**2).sum(1), 1 - (cr**2 + ci**2).sum(1))
+                ref = num - (1 - ld(r) * ld(r)) * ((1 - re) ** 2 + im**2)
+                err = np.abs(got - ref.astype(float)).max()
+                assert err <= (24 * n + 58) * np.finfo(float).eps
+
+    def test_tiny_radius_is_sound(self):
+        # the quotient form 1 - num/|1-<p,c>|^2 has an absolute error of about
+        # 1e-8 in rho here, far above the radii tested
+        rng = np.random.default_rng(85)
+        for spec in (DISK, BALL2, ELL12):
+            z = np.array([0.6 + 0.1j, 0.3 - 0.2j])[: spec.dim]
+            v = rng.normal(size=(2000, spec.dim)) + 1j * rng.normal(size=(2000, spec.dim))
+            w = z + 3e-9 * v / np.linalg.norm(v, axis=1, keepdims=True)
+            if spec is ELL12:
+                # the prefilter tests the ball distance of the Phi-images
+                _, phi_w, _ = kobayashi._images(spec, w)
+                _, phi_z, _ = kobayashi._images(spec, z[None, :])
+                lower = kobayashi._ball_pd(phi_w.T, phi_z.T)
+                for k in range(len(w)):
+                    assert kobayashi._within(phi_w[k : k + 1], phi_z, 1.05 * lower[k])[0, 0]
+                    assert not kobayashi._within(phi_w[k : k + 1], phi_z, 0.95 * lower[k])[0, 0]
+                exact = tanh_distance_bracket(spec, w, z)[1]
+            else:
+                # cancellation-free: |w-z|^2 - |w ^ z|^2 over |1 - <w,z>|^2
+                wedge = np.abs(w[:, 0] * z[-1] - w[:, -1] * z[0]) ** 2
+                diff = (np.abs(w - z) ** 2).sum(axis=1)
+                exact = np.sqrt(diff - wedge) / np.abs(1.0 - w @ np.conj(z))
+            assert np.all((exact > 2e-9) & (exact < 1e-8))
+            for k in range(len(w)):
+                inside, maybe = ball_relation(spec, w[k : k + 1], z[None, :], 1.05 * exact[k])
+                assert maybe[0, 0]
+                if spec is not ELL12:
+                    assert inside[0, 0]
+                    inside, maybe = ball_relation(spec, w[k : k + 1], z[None, :], 0.95 * exact[k])
+                    assert not maybe[0, 0]
+
+
 class TestLogEnvelope:
     def test_disk_radial_envelope(self):
         # residual atanh(1-delta) + 0.5 log delta = 0.5 log(2 - delta)
@@ -546,3 +660,35 @@ def test_bracket_sound_on_ellipsoid_property(seed):
     pts = domains.random_interior(ELL12, 2, rng, level_floor=0.1)
     low, high = bracket_tanh_distance(ELL12, pts[0], pts[1], with_upper=True)
     assert 0.0 <= low <= high <= 1.0
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from([2, 4]))
+@settings(max_examples=20, deadline=None)
+def test_shortcut_bounds_sound_on_ellipsoid_property(seed, m):
+    # the normalized (1, m) ellipsoid contains the unit ball, so on B x B the
+    # ball distance bounds tanh k_E from above: it must never undercut a
+    # closed bracket; with a threshold r the oracle also skips Newton on the
+    # disc distance of the second coordinates (a lower bound), and its ends
+    # must still hold the closed value
+    rng = np.random.default_rng(seed)
+    z = _random_ball_points(rng, 300, rmax=0.99)
+    w = _random_ball_points(rng, 300, rmax=0.99)
+    low, high = kobayashi._bracket_1m(z, w, m)
+    closed = high - low <= 1e-12
+    assert closed.mean() > 0.9
+    rho_b = kobayashi._ball_pd(z.T, w.T)
+    assert np.all(rho_b[closed] >= low[closed] - 1e-12)
+    # the oracle takes that bound only where Newton left the bracket open;
+    # with every bracket counted open, its high end must still hold
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kobayashi, "_CLOSED", -1.0)
+        _, high_all = kobayashi._bracket_1m(z, w, m)
+    assert np.all(high_all[closed] >= low[closed] - 1e-12)
+    for r in (0.3, 0.65):
+        low_r, high_r = kobayashi._bracket_1m(z, w, m, r)
+        assert np.all(high_r[closed] >= low[closed] - 1e-12)
+        assert np.all(low_r[closed] <= high[closed] + 1e-12)
+        # and they decide every closed pair clear of r as the full bracket does
+        clear = closed & (np.abs(low - r) > 1e-9)
+        np.testing.assert_array_equal((high_r < r)[clear], (high < r)[clear])
+        np.testing.assert_array_equal((low_r < r)[clear], (low < r)[clear])
