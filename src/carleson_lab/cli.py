@@ -95,6 +95,8 @@ def _validate(args) -> None:
     sep = getattr(args, "sep", None)
     if sep is not None and not 0.0 < sep < 1.0:
         raise InputError(f"--sep must lie in (0,1), got {sep}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     samples = getattr(args, "samples", None)
     if samples is not None and not 0 < samples <= _MAX_SAMPLES:
         raise InputError(f"--samples must lie in [1, {_MAX_SAMPLES}], got {samples}")

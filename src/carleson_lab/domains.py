@@ -659,6 +659,16 @@ def quasi_interior(
     raise NumericError("quasi-random interior sampling stalled", {"got": got})
 
 
+def _gamma_quantile(a: float, u: np.ndarray) -> np.ndarray:
+    """Quantile of Gamma(a, 1): closed forms at a = 1 and a = 1/2, where
+    P(1, x) = 1 - exp(-x) and P(1/2, x) = erf(sqrt(x)); gammaincinv elsewhere."""
+    if a == 1.0:
+        return -np.log1p(-u)
+    if a == 0.5:
+        return special.erfinv(u) ** 2
+    return special.gammaincinv(a, u)
+
+
 def quasi_uniform(spec: DomainSpec, count: int, seed: int) -> np.ndarray:
     """Exactly nu-uniform low-discrepancy sample on a Reinhardt domain.
 
@@ -667,19 +677,19 @@ def quasi_uniform(spec: DomainSpec, count: int, seed: int) -> np.ndarray:
     scrambled Halton points through gamma quantiles gives uniform points with
     no rejection and no boundary indicator; integrands stay smooth in the
     sample cube, which is what quasi-Monte Carlo needs for fast convergence.
+    The quantiles are closed forms for m_i = 1 (-log1p(-u)) and m_i = 2
+    (erfinv(u)^2); other exponents use scipy's gammaincinv.
     """
     if spec.kind not in ("disk", "ball", "ellipsoid"):
         raise CapabilityError(f"no smooth uniform sampler for kind {spec.kind!r}")
     n = spec.dim
     exponents = spec.exponents if spec.exponents else (1,) * n
     axes = spec.semi_axes if spec.semi_axes else (1.0,) * n
-    alphas = np.array([1.0 / m for m in exponents])
+    # the last shape is the unit-exponential tail coordinate of the Dirichlet law
+    shapes = [1.0 / m for m in exponents] + [1.0]
     sampler = qmc.Halton(d=2 * n + 1, scramble=True, seed=seed)
     u = sampler.random(count)
-    gammas = np.empty((count, n + 1))
-    for i in range(n):
-        gammas[:, i] = special.gammaincinv(alphas[i], u[:, i])
-    gammas[:, n] = -np.log1p(-u[:, n])  # unit-exponential tail coordinate
+    gammas = np.stack([_gamma_quantile(a, u[:, i]) for i, a in enumerate(shapes)], axis=1)
     t = gammas[:, :n] / gammas.sum(axis=1, keepdims=True)
     radii = np.asarray(axes) * t ** (0.5 / np.asarray(exponents, dtype=float))
     angles = np.exp(2j * np.pi * u[:, n + 1 :])

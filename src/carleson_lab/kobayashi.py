@@ -78,7 +78,7 @@ def tanh_distance_model(spec: DomainSpec, z, w) -> float:
     """Pseudohyperbolic distance tanh d_K on the disk/ball."""
     if spec.kind not in ("disk", "ball"):
         raise CapabilityError(f"no exact Kobayashi distance for kind {spec.kind!r}")
-    return float(_pair_pd(as_point(spec, z), as_point(spec, w)))
+    return float(_ball_pd(as_point(spec, z), as_point(spec, w)))
 
 
 def exact_distance_model(spec: DomainSpec, z, w) -> float:
@@ -104,25 +104,16 @@ def pseudo_distance_matrix(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_pd(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Unit-ball pseudo-distances of paired batches z, w (k, n), elementwise,
-    in the quotient form of pseudo_distance_matrix (the disk and ball values)."""
-    inner = np.sum(z * np.conj(w), axis=-1)
-    z2 = (z.real**2 + z.imag**2).sum(axis=-1)
-    w2 = (w.real**2 + w.imag**2).sum(axis=-1)
-    rho2 = 1.0 - (1.0 - z2) * (1.0 - w2) / np.abs(1.0 - inner) ** 2
-    return np.sqrt(np.clip(rho2, 0.0, None))
-
-
 def _ball_pd(p, q) -> np.ndarray:
     """Unit-ball pseudo-distances of paired batches given by coordinates,
     p = (p_1, ..., p_n) and q alike, elementwise, in the cancellation-free
-    form (|p-q|^2 - |p ^ q|^2) / |1 - <p,q>|^2 with |p ^ q|^2 =
-    sum_{i<j} |p_i q_j - p_j q_i|^2 (Lagrange identity); accurate to
-    rounding also at distances far below sqrt(eps)."""
+    form (|d|^2 - |p ^ d|^2) / |1 - <p,q>|^2 with d = q - p and |p ^ d|^2 =
+    sum_{i<j} |p_i d_j - p_j d_i|^2 (Lagrange identity; p ^ q = p ^ d);
+    accurate to rounding also at distances far below sqrt(eps)."""
     n = len(p)
-    diff = sum(np.abs(p[i] - q[i]) ** 2 for i in range(n))
-    wedge = sum(np.abs(p[i] * q[j] - p[j] * q[i]) ** 2 for i in range(n) for j in range(i + 1, n))
+    d = [q[i] - p[i] for i in range(n)]
+    diff = sum(np.abs(d[i]) ** 2 for i in range(n))
+    wedge = sum(np.abs(p[i] * d[j] - p[j] * d[i]) ** 2 for i in range(n) for j in range(i + 1, n))
     den = 1.0
     for i in range(n):
         den = den - p[i] * np.conj(q[i])
@@ -478,7 +469,7 @@ def tanh_distance_bracket(spec: DomainSpec, z, w) -> tuple[np.ndarray, np.ndarra
         np.atleast_2d(np.asarray(z, dtype=complex)), np.atleast_2d(np.asarray(w, dtype=complex))
     )
     if spec.kind in ("disk", "ball"):
-        rho = _pair_pd(z, w)
+        rho = _ball_pd(z.T, w.T)
         return rho, rho.copy()
     zn, m = _normalize_1m(spec, z)
     wn, _ = _normalize_1m(spec, w)

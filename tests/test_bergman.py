@@ -15,8 +15,6 @@ from carleson_lab.bergman import (
     kernel_row,
     moment,
     moments,
-    moments_from_csv,
-    moments_to_csv,
     norm_sq,
     normalized_kernel,
     offdiagonal_lowerbound_check,
@@ -38,7 +36,8 @@ def _gamma_moment(exponents, axes, alpha):
 
     Reducing each coordinate to polar form turns the integral into a Dirichlet
     integral over the standard simplex, giving a pure Gamma-function product.
-    Independent of the quadrature backend used by ``moments``.
+    One multi-index at a time through math.lgamma, apart from the vectorized
+    table of ``moments``.
     """
     n = len(exponents)
     s = [(alpha[i] + 1.0) / exponents[i] for i in range(n)]
@@ -112,17 +111,6 @@ class TestMoments:
         p = HoloPolynomial(dim=1, coeffs={(0,): 2.0, (1,): 1j})
         assert abs(norm_sq(p, tab) - (4.0 + 0.5)) < 1e-12
 
-    def test_csv_roundtrip(self, tmp_path):
-        tab = moments(BALL2, 3)
-        path = tmp_path / "moments.csv"
-        moments_to_csv(tab, path)
-        back = moments_from_csv(BALL2, 3, path)
-        np.testing.assert_array_equal(
-            np.nan_to_num(back.values, nan=-1.0), np.nan_to_num(tab.values, nan=-1.0)
-        )
-        with pytest.raises(InputError):
-            moments_from_csv(BALL2, 5, path)  # file does not cover degree 5
-
 
 class TestKernelModels:
     def test_disk_closed_diag(self):
@@ -192,6 +180,73 @@ class TestKernelModels:
         z0 = np.array([0.5])
         vals = normalized_kernel(model, z0, z0[None, :])
         assert abs(vals[0] - math.sqrt(16.0 / 9.0)) < 1e-12
+
+
+def _dangelo_kernel(m, axes, z, w):
+    """D'Angelo's closed Bergman kernel of {|z1/a1|^2 + |z2/a2|^(2m) < 1}, with
+    nu(unit ball) = 1; the semi-axes enter by scaling z -> z/a."""
+    x = z[:, 0] * np.conj(w[0]) / axes[0] ** 2
+    y = z[:, 1] * np.conj(w[1]) / axes[1] ** 2
+    u = y * (1.0 - x) ** (-1.0 / m)
+    k = 0.5 * m * (1.0 - x) ** (-2.0 - 1.0 / m)
+    k = k * ((1.0 + u) / (m**2 * (1.0 - u) ** 3) + 1.0 / (m * (1.0 - u) ** 2))
+    return k / (axes[0] * axes[1]) ** 2
+
+
+class TestSeriesEvaluation:
+    """The chunked power-table evaluation against closed kernels."""
+
+    @pytest.mark.parametrize(
+        "m, axes, scale",
+        [(2, (0.8, 1.3), 0.2), (3, (1.2, 0.7), 0.2), (2, (1.0, 1.0), 0.5)],
+        ids=["ELL12-scaled", "ELL13-scaled", "ELL12"],
+    )
+    def test_matches_dangelo_closed_form(self, m, axes, scale):
+        spec = complex_ellipsoid((1, m), axes)
+        model = reinhardt_series_model(spec, degree=60)
+        chunk = bergman._EVAL_ENTRIES // 61
+        pts = domains.quasi_uniform(spec, 2 * chunk + 17, seed=4)  # three chunks
+        rng = np.random.default_rng(21)
+        # the tail estimate works in unscaled coordinates, so with semi-axes
+        # other than 1 it refuses centers at half the domain
+        for z0 in scale * domains.random_interior(spec, 3, rng):
+            row = kernel_row(model, z0, pts)
+            exact = _dangelo_kernel(m, axes, pts, z0)
+            assert np.max(np.abs(row - exact) / np.abs(exact)) < 1e-10
+            for i in (0, chunk - 1, chunk, len(pts) - 1):  # one-point batches
+                one = kernel_row(model, z0, pts[i : i + 1])
+                assert one.shape == (1,)
+                assert abs(one[0] - row[i]) <= 1e-13 * abs(row[i])
+
+    def test_three_ball_fold(self):
+        ball3 = unit_ball(3)
+        series = reinhardt_series_model(ball3, degree=40)
+        closed = closed_ball_model(ball3)
+        assert len(series.coeffs) ** 2 * 600 > 2 * bergman._EVAL_ENTRIES  # several chunks
+        rng = np.random.default_rng(23)
+        pts = 0.6 * domains.random_interior(ball3, 600, rng)
+        for z0 in 0.6 * domains.random_interior(ball3, 3, rng):
+            exact = kernel_row(closed, z0, pts)
+            row = kernel_row(series, z0, pts)
+            assert np.max(np.abs(row - exact) / np.abs(exact)) < 1e-10
+            one = kernel_row(series, z0, pts[:1])
+            assert abs(one[0] - exact[0]) < 1e-10 * abs(exact[0])
+
+    def test_disk_one_coordinate(self):
+        series = reinhardt_series_model(DISK, degree=60)
+        pts = 0.7 * domains.random_interior(DISK, 9000, np.random.default_rng(29))
+        z0 = np.array([0.4 - 0.3j])
+        exact = (1.0 - pts[:, 0] * np.conj(z0[0])) ** -2.0
+        row = kernel_row(series, z0, pts)
+        assert np.max(np.abs(row - exact) / np.abs(exact)) < 1e-10
+
+    def test_power_table(self):
+        p = np.array([[0.5 + 0.5j, -0.9], [0.3j, 1.1]])
+        for d in (1, 2, 3, 7, 8, 9, 61):
+            v = bergman._power_table(p, d)
+            assert v.shape == (2, d, 2) and v[1].flags.c_contiguous
+            ref = p.T[:, None, :] ** np.arange(d)[None, :, None]
+            np.testing.assert_allclose(v, ref, rtol=1e-14, atol=0)
 
 
 class TestReproduce:

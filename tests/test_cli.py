@@ -1,11 +1,14 @@
 """End-to-end tests of the batch driver: exit codes, artifact layout, and
 byte-level reproducibility of re-runs."""
 
+import contextlib
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carleson_lab import cli, domains, measures, sequences
 from carleson_lab.domains import complex_ellipsoid, unit_disk
@@ -190,6 +193,7 @@ def test_thm42_generated_sequence(paths, capsys):
         (["frame", "--domain", "DISK", "--point", "0.1"], "--point needs"),
         (["frame", "--domain", "DISK", "--point", "zero,0"], "comma-separated"),
         (["decompose", "--domain", "DISK", "--points", "/nonexistent.csv"], ""),
+        (["kernel-check", "--domain", "DISK", "--seed", "-1"], "--seed must be"),
     ],
 )
 def test_validation_errors_exit_1(paths, capsys, argv, fragment):
@@ -274,3 +278,120 @@ def test_low_degree_series_tail_exit_2(paths, capsys):
     )
     assert code == 2
     assert "series tail" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: any spec, CSV or flag gives exit 0, 1 or 2 and a one-line message
+
+_VALID_SPECS = [
+    {"kind": "disk"},
+    {"kind": "ball", "dimension": 2},
+    {"kind": "ellipsoid", "exponents": [1, 2], "semi_axes": [1.0, 0.8]},
+    {"kind": "polynomial", "dimension": 1, "box": [1.01], "anchor": [0.0, 0.0],
+     "terms": [{"coeff": 1.0, "powers": [2, 0]}, {"coeff": 1.0, "powers": [0, 2]},
+               {"coeff": -1.0, "powers": [0, 0]}]},
+]
+_SPEC_KEYS = [
+    "kind", "dimension", "exponents", "semi_axes", "terms", "box", "anchor", "collar", "bogus",
+]
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 3),
+    st.floats(-2.0, 2.0), st.sampled_from([float("nan"), float("inf"), 1e308]),
+    st.text(max_size=4),
+)
+_values = st.one_of(
+    _scalars,
+    st.lists(_scalars, max_size=3),
+    st.dictionaries(st.text(max_size=3), _scalars, max_size=2),
+)
+
+
+@st.composite
+def _spec_text(draw):
+    choice = draw(st.integers(0, 9))
+    if choice == 0:
+        return draw(st.text(max_size=20))
+    if choice == 1:
+        return json.dumps(draw(_values))
+    spec = dict(draw(st.sampled_from(_VALID_SPECS)))
+    for key in draw(st.lists(st.sampled_from(_SPEC_KEYS), max_size=2)):
+        if draw(st.booleans()):
+            spec.pop(key, None)
+        else:
+            spec[key] = draw(_values)
+    return json.dumps(spec)
+
+
+_cells = st.one_of(
+    st.floats(-1.0, 1.0).map(repr), st.integers(-2, 2).map(str),
+    st.sampled_from(["", "nan", "inf", "-0", "1e400", "abc", " 0.1"]),
+)
+
+
+@st.composite
+def _csv_text(draw):
+    width = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_cells, min_size=width, max_size=width), max_size=4))
+    header = ",".join(f"c{i}" for i in range(width))
+    lines = ([header] if draw(st.booleans()) else []) + [",".join(r) for r in rows]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+_FLAGS = {
+    "--r": st.one_of(st.floats(-0.5, 1.5).map(repr), st.sampled_from(["nan", "x"])),
+    "--samples": st.integers(-2, 48).map(str),
+    "--degree": st.one_of(st.integers(-1, 8), st.just(500)).map(str),
+    "--seed": st.integers(-3, 3).map(str),
+    "--point": st.lists(st.floats(-1.0, 1.0).map(repr), max_size=5).map(",".join),
+    "--measure": st.sampled_from(
+        ["lebesgue", "atom", "ray+", "packing0.5", "nope", "ATOMS", "missing.csv"]
+    ),
+    "--level": st.floats(-0.5, 1.5).map(repr),
+    "--sep": st.floats(-0.5, 1.5).map(repr),
+}
+
+
+# the options each command takes besides --domain, --out and --seed
+_TAKES = {
+    "domain-info": (), "frame": ("--point",), "kernel-check": ("--degree", "--samples"),
+    "berezin": ("--measure", "--r", "--samples"),
+    "carleson": ("--measure", "--r", "--degree", "--samples"),
+    "cover": ("--r", "--samples"), "decompose": ("--r",),
+    "pack": ("--r", "--samples", "--level"), "thm42": ("--r", "--degree", "--samples", "--sep"),
+    "bogus": (),
+}
+
+
+@st.composite
+def _command_line(draw):
+    command = draw(st.sampled_from(sorted(_TAKES)))
+    names = list(_TAKES[command]) + ["--seed"]
+    if draw(st.integers(0, 9)) == 0:  # now and then an option the command does not take
+        names.append(draw(st.sampled_from(sorted(_FLAGS))))
+    chosen = draw(st.lists(st.sampled_from(names), max_size=4, unique=True))
+    return command, [(name, draw(_FLAGS[name])) for name in chosen]
+
+
+@given(spec=_spec_text(), atoms=_csv_text(), points=_csv_text(), line=_command_line())
+@settings(max_examples=60, deadline=None)
+def test_cli_fuzz_exit_codes(tmp_path_factory, spec, atoms, points, line):
+    command, flags = line
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "spec.json").write_text(spec, encoding="utf-8")
+    (tmp / "atoms.csv").write_text(atoms, encoding="utf-8")
+    (tmp / "points.csv").write_text(points, encoding="utf-8")
+    argv = [command, "--domain", str(tmp / "spec.json"), "--out", str(tmp / "out")]
+    if command in ("decompose", "thm42"):  # thm42 would otherwise pack a sequence
+        argv += ["--points", str(tmp / "points.csv")]
+    if "--samples" in _TAKES[command]:  # small by default; a drawn value comes later and wins
+        argv += ["--samples", "16"]
+    for name, value in flags:
+        argv += [name, str(tmp / "atoms.csv") if value == "ATOMS" else value]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), argv
+    text = err.getvalue()
+    assert "Traceback" not in text, argv
+    if code:
+        assert len(text.strip().splitlines()) == 1, (argv, text)

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
+from scipy.stats import qmc
 
-from carleson_lab import domains
+from carleson_lab import bergman, domains
 from carleson_lab.domains import (
     DomainSpec,
     anchor_point,
@@ -199,6 +201,29 @@ class TestSampling:
 
     def test_counts(self):
         assert quasi_interior(DISK, 17, seed=0).shape == (17, 1)
+
+    def test_closed_gamma_quantiles(self):
+        u = np.concatenate([
+            qmc.Halton(d=1, scramble=True, seed=0).random(1 << 14)[:, 0],
+            np.geomspace(1e-12, 0.5, 50),
+            1.0 - np.geomspace(1e-12, 0.5, 50),
+        ])
+        for a in (1.0, 0.5):
+            ref = special.gammaincinv(a, u)
+            np.testing.assert_allclose(domains._gamma_quantile(a, u), ref, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(
+            domains._gamma_quantile(0.25, u), special.gammaincinv(0.25, u)
+        )
+
+    def test_quasi_uniform_second_moments(self):
+        # E|z_i|^2 = m_{e_i} / m_0 under the normalized volume
+        spec = complex_ellipsoid((1, 2), (0.8, 1.3))
+        tab = bergman.moments(spec, 1)
+        pts = domains.quasi_uniform(spec, 1 << 16, seed=2)
+        assert contains(spec, pts).all()
+        for i, e in enumerate([(1, 0), (0, 1)]):
+            expected = bergman.moment(tab, e) / bergman.moment(tab, (0, 0))
+            assert abs(np.mean(np.abs(pts[:, i]) ** 2) - expected) < 2e-4 * expected
 
 
 class TestIO:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -130,6 +131,31 @@ class TestExactDistances:
     def test_rejects_generic(self):
         with pytest.raises(CapabilityError):
             tanh_distance_model(ELL12, (0.0, 0.0), (0.0, 0.5))
+
+    def test_tiny_distances_to_rounding(self):
+        # reference: rho^2 = 1 - (1-|z|^2)(1-|w|^2)/|1-<z,w>|^2 in exact
+        # rational arithmetic on the double inputs, one rounding at the end
+        def exact(p, q):
+            p = [(Fraction(c.real), Fraction(c.imag)) for c in p]
+            q = [(Fraction(c.real), Fraction(c.imag)) for c in q]
+            pp = sum(a * a + b * b for a, b in p)
+            qq = sum(a * a + b * b for a, b in q)
+            re = sum(a * c + b * d for (a, b), (c, d) in zip(p, q))
+            im = sum(b * c - a * d for (a, b), (c, d) in zip(p, q))
+            return math.sqrt(1 - (1 - pp) * (1 - qq) / ((1 - re) ** 2 + im**2))
+
+        rng = np.random.default_rng(85)
+        for spec in (DISK, BALL2):
+            z = np.array([0.6 + 0.1j, 0.3 - 0.2j])[: spec.dim]
+            v = rng.normal(size=(2000, spec.dim)) + 1j * rng.normal(size=(2000, spec.dim))
+            w = z + 3e-9 * v / np.linalg.norm(v, axis=1, keepdims=True)
+            ref = np.array([exact(wk, z) for wk in w])
+            low, high = tanh_distance_bracket(spec, w, z)
+            np.testing.assert_array_equal(low, high)
+            assert np.all(low > 0.0)
+            np.testing.assert_allclose(low, ref, rtol=1e-14, atol=0)
+            for k in range(0, 2000, 400):
+                assert abs(tanh_distance_model(spec, w[k], z) - ref[k]) <= 1e-14 * ref[k]
 
 
 class TestMobius:
@@ -503,7 +529,7 @@ class TestRelationLayer:
                 ref_inside, ref_maybe = high < r, (low < r) | (high < r)
             else:
                 assert inside is maybe
-                ref_inside = ref_maybe = kobayashi._pair_pd(p_all, c_all) < r
+                ref_inside = ref_maybe = kobayashi._ball_pd(p_all.T, c_all.T) < r
             np.testing.assert_array_equal(inside, ref_inside.reshape(300, 300))
             np.testing.assert_array_equal(maybe, ref_maybe.reshape(300, 300))
             assert 0 < maybe.sum() < maybe.size
