@@ -29,7 +29,7 @@ from .errors import (
     TruncationError,
 )
 from .geometry import MinimalFrame, Polydisk, minimal_frame
-from .kobayashi import ball_sandwich, bracket_tanh_distance, distance_upper
+from .kobayashi import ball_sandwich, bracket_tanh_distance
 from .polynomials import HoloPolynomial, random_polynomial
 from .measures import AtomicMeasure, DensityMeasure, atomic_measure, lebesgue_measure
 from .bergman import KernelModel, berezin, kernel_model, moments, reproduce_check
@@ -50,7 +50,6 @@ __all__ = [
     "minimal_frame",
     "ball_sandwich",
     "bracket_tanh_distance",
-    "distance_upper",
     "HoloPolynomial",
     "random_polynomial",
     "AtomicMeasure",

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.stats import qmc
 
-from . import domains, geometry, kobayashi, measures
+from . import domains, geometry, kobayashi
 from .domains import DomainSpec, as_point
 from .errors import CapabilityError, InputError, NumericError, TruncationError
 from .measures import AtomicMeasure, DensityMeasure
@@ -103,7 +102,7 @@ class KernelModel:
     degree: int
     table: MomentTable | None
     coeffs: np.ndarray | None  # 1/m_alpha cube, zeros beyond total degree
-    tail_w: np.ndarray | None  # W_k = max_{|alpha|=k} alpha!/(k! m_alpha)
+    tail_w: np.ndarray | None  # W_k = max_{|alpha|=k} alpha! a^(2 alpha)/(k! m_alpha)
     tail_ratio: float
 
 
@@ -122,12 +121,15 @@ def reinhardt_series_model(spec: DomainSpec, degree: int = 60, table: MomentTabl
         raise InputError(f"moment table degree {table.degree} < requested {degree}")
     cube = table.values
     coeffs = np.where(np.isnan(cube), 0.0, 1.0 / np.where(np.isnan(cube), 1.0, cube))
-    # degree-k slice bound: sum_{|a|=k} |p^a|/m_a <= W_k (sum_i |p_i|)^k with
-    # W_k = max_{|a|=k} a!/(k! m_a), by the multinomial theorem
+    # degree-k slice bound in the scaled variables p_i / a_i^2 (p = z conj w):
+    # sum_{|a|=k} |p^a|/m_a <= W_k (sum_i |p_i|/a_i^2)^k with
+    # W_k = max_{|a|=k} a! a^(2a)/(k! m_a), by the multinomial theorem
     alpha = np.indices(cube.shape)
     k = alpha.sum(axis=0)
     inside = k <= degree
     lw = special.gammaln(alpha + 1.0).sum(axis=0) - special.gammaln(k + 1.0) - np.log(cube)
+    log_a = np.log(np.asarray(table.semi_axes)).reshape((-1,) + (1,) * table.dim)
+    lw += (2.0 * alpha * log_a).sum(axis=0)
     logw = np.full(degree + 1, -np.inf)
     np.maximum.at(logw, k[inside], lw[inside])
     w = np.exp(logw)
@@ -198,7 +200,8 @@ def _eval_cube(cube: np.ndarray, pts: np.ndarray) -> np.ndarray:
 def _series_tail(model: KernelModel, s: float) -> float:
     """Estimated truncation remainder sum_{k>N} W_k s^k via ratio extrapolation.
 
-    Here s is the l1 norm sum_i |z_i w_i| <= |z||w| by Cauchy-Schwarz.
+    Here s is the l1 norm sum_i |z_i w_i| / a_i^2 of the pair in the scaled
+    variables z_i / a_i, in which the domain has unit semi-axes.
     """
     if s <= 0.0:
         return 0.0
@@ -219,7 +222,7 @@ def kernel_row(model: KernelModel, z0, pts, tol: float = 1e-6) -> np.ndarray:
         return (1.0 - inner) ** (-(n + 1.0))
     p = pts * np.conj(z0)[None, :]
     values = _eval_cube(model.coeffs, p)
-    s = float(np.abs(p).sum(axis=1).max(initial=0.0))
+    s = float((np.abs(p) / np.square(model.table.semi_axes)).sum(axis=1).max(initial=0.0))
     tail = _series_tail(model, s)
     floor = 1.0 / float(model.table.values[(0,) * n])
     scale = max(float(np.abs(values).min(initial=0.0)), floor)
@@ -270,39 +273,20 @@ def reproduce_check(
 ) -> ReproduceReport:
     """Quasi-Monte Carlo residual |integral K(z,.)f dnu - f(z)|.
 
-    Reinhardt domains use the exact smooth uniform sampler (no boundary
-    indicator, so the integrand stays QMC-friendly); other domains fall back
-    to box-uniform points with the indicator.  Pass ``points`` (box-uniform)
-    to share one point set across several checks.
+    The points are nu-uniform in D (the exact smooth sampler quasi_uniform, no
+    boundary indicator, so the integrand stays QMC-friendly); pass ``points``
+    from quasi_uniform to share one point set across several checks.
     """
     spec = model.spec
     z = as_point(spec, z)
-    if points is None and spec.kind in ("disk", "ball", "ellipsoid"):
-        pts = domains.quasi_uniform(spec, samples, seed=seed)
-        # K(z, zeta) = conj K(zeta, z); the row is anti-holomorphic in its second slot
-        vals = np.conj(kernel_row(model, z, pts)) * poly_eval(poly, pts)
-        nu_d = 1.0 if model.variant == "closed" else moment(model.table, (0,) * spec.dim)
-        estimate = nu_d * complex(vals.mean())
-        exact = complex(poly_eval(poly, z))
-        return ReproduceReport(
-            estimate=estimate, exact=exact, residual=abs(estimate - exact), samples=samples
-        )
-    if points is None:
-        halton = qmc.Halton(d=2 * spec.dim, scramble=True, seed=seed)
-        u = halton.random(samples)
-        half = np.repeat(np.asarray(spec.box), 2)
-        coords = (2.0 * u - 1.0) * half[None, :]
-        points = coords[:, 0::2] + 1j * coords[:, 1::2]
-    total = len(points)
-    inside = domains.contains(spec, points)
-    kern = np.zeros(total, dtype=complex)
+    pts = domains.quasi_uniform(spec, samples, seed=seed) if points is None else points
     # K(z, zeta) = conj K(zeta, z); the row is anti-holomorphic in its second slot
-    kern[inside] = np.conj(kernel_row(model, z, points[inside]))
-    vals = kern * poly_eval(poly, points) * inside
-    estimate = domains.box_nu_volume(spec) * complex(vals.mean())
+    vals = np.conj(kernel_row(model, z, pts)) * poly_eval(poly, pts)
+    nu_d = 1.0 if model.variant == "closed" else moment(model.table, (0,) * spec.dim)
+    estimate = nu_d * complex(vals.mean())
     exact = complex(poly_eval(poly, z))
     return ReproduceReport(
-        estimate=estimate, exact=exact, residual=abs(estimate - exact), samples=total
+        estimate=estimate, exact=exact, residual=abs(estimate - exact), samples=len(pts)
     )
 
 

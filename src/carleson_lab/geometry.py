@@ -17,9 +17,6 @@ from . import domains
 from .domains import DomainSpec, as_point, defining_value, project_to_level
 from .errors import InputError, NumericError
 
-_ENTRY_TOL = 1e-8
-
-
 @dataclass(frozen=True)
 class MinimalFrame:
     """Orthonormal frame e_1..e_n (rows of ``basis``) with slice distances sigma.
@@ -177,12 +174,6 @@ def polydisk_contains(P: Polydisk, z) -> bool | np.ndarray:
     return bool(inside) if inside.ndim == 0 else inside
 
 
-def scale_polydisk(P: Polydisk, factor: float) -> Polydisk:
-    if not factor > 0.0:
-        raise InputError(f"scale factor must be positive, got {factor}")
-    return Polydisk(center=P.center, basis=P.basis, radii=factor * P.radii)
-
-
 def polydisk_nu_volume(P: Polydisk) -> float:
     """Exact nu-volume n! * prod(radii^2) (nu is Lebesgue with nu(B_1) = 1)."""
     n = P.n
@@ -195,53 +186,3 @@ def sample_polydisk(P: Polydisk, count: int, rng: np.random.Generator) -> np.nda
     phase = np.exp(2j * math.pi * rng.uniform(0.0, 1.0, size=(count, P.n)))
     coords = u * phase * P.radii
     return P.center + coords @ P.basis
-
-
-def entry_scale(spec: DomainSpec, z, w, tol: float = _ENTRY_TOL, check: bool = True) -> float:
-    """Smallest eps with w inside the polydisk P(z, eps), by bisection.
-
-    The membership predicate is monotone in eps for the model domains; a
-    detected flip raises a numeric error carrying the bracket.
-    """
-    z = as_point(spec, z)
-    w = as_point(spec, w)
-    if float(np.linalg.norm(w - z)) < 1e-14:
-        return 0.0
-
-    def pred(eps: float) -> bool:
-        return bool(polydisk_contains(mcneal_radii(spec, z, eps), w))
-
-    cap = domains.level_cap(spec) - float(defining_value(spec, z))
-    hi = min(max(float(np.linalg.norm(w - z)), 16.0 * tol), 0.9 * cap)
-    while not pred(hi):
-        hi *= 2.0
-        if hi >= cap:
-            raise NumericError(
-                "entry scale would push the level set out of the box",
-                {"cap": cap, "hi": hi},
-            )
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= 0.0:
-            break
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    eps = hi
-    if check:
-        for frac in (0.45, 0.8):
-            probe = frac * lo
-            if probe > 0.0 and pred(probe):
-                raise NumericError(
-                    "entry-scale predicate is not monotone (frame flip)",
-                    {"lo": lo, "hi": hi, "flip_at": probe},
-                )
-        for fac in (1.6, 3.0):
-            if eps * fac < cap and not pred(eps * fac):
-                raise NumericError(
-                    "entry-scale predicate is not monotone (frame flip)",
-                    {"lo": lo, "hi": hi, "flip_at": eps * fac},
-                )
-    return eps

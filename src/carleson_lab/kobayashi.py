@@ -4,10 +4,9 @@ Everything is expressed in the tanh convention: the ball of radius r in (0,1)
 around z0 is {z : tanh d_K(z0, z) < r}.  Exact distances exist for the disk
 and the ball, and a batched bracket that closes to rounding for the complex
 ellipsoids {|z1/a1|^2 + |z2/a2|^(2m) < 1}; elsewhere the module provides
-two-sided infinitesimal bounds, upper estimates of distances (the shortest
-piecewise-linear path measured in the upper metric, by quadrature; an
-estimate, not a bound), and the polydisk sandwich of Kobayashi balls coming
-from the minimal frame.
+two-sided infinitesimal bounds, the frame lower bound on distances, and the
+polydisk sandwich of Kobayashi balls coming from the minimal frame.  The
+boundary log envelope is calibrated only where the exact bracket exists.
 
 This module alone decides how a distance question is answered on a domain:
 ball_relation (is w within tanh-radius r of z), ball_counts, the greedy loop
@@ -21,16 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy import optimize
 
 from . import domains, geometry
-from .domains import DomainSpec, as_point, defining_value
+from .domains import DomainSpec, as_point
 from .errors import CapabilityError, ConfigError, InputError
 from .geometry import MinimalFrame, Polydisk, minimal_frame
-
-_GAUSS_NODES = 16
-_BATCH_PHASES = 48
 
 INSIDE = "inside"
 OUTSIDE = "outside"
@@ -657,190 +651,6 @@ def min_tanh_distance(spec: DomainSpec, pts: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched line distances (quadrature backend)
-
-
-def _line_distance_batch(
-    spec: DomainSpec,
-    pts: np.ndarray,
-    direction: np.ndarray,
-    phases: int = _BATCH_PHASES,
-) -> np.ndarray:
-    """Distance to the boundary within z + C*direction for each z in pts.
-
-    Vectorized phase-grid bisection plus one parabolic phase refinement pass;
-    relative accuracy around 1e-6, adequate for path quadrature.
-    """
-    pts = np.asarray(pts, dtype=complex)
-    v = np.asarray(direction, dtype=complex)
-    v = v / np.linalg.norm(v)
-
-    if spec.kind in ("disk", "ball"):
-        b = pts @ np.conj(v)  # <z, v>
-        sq = (pts.real**2 + pts.imag**2).sum(axis=-1)
-        return np.sqrt(np.abs(b) ** 2 + 1.0 - sq) - np.abs(b)
-
-    m = pts.shape[0]
-    theta = np.linspace(0.0, 2.0 * math.pi, phases, endpoint=False)
-    dirs = np.exp(1j * theta)[None, :, None] * v[None, None, :]  # (1, phases, n)
-
-    def g(t: np.ndarray) -> np.ndarray:  # t: (m, phases)
-        probe = pts[:, None, :] + t[..., None] * dirs
-        return domains._value_batch(spec, probe)
-
-    tmax = 2.0 * float(np.sum(2.0 * np.asarray(spec.box))) + 1.0
-    hi = np.full((m, phases), tmax)
-    for _ in range(8):
-        bad = g(hi) <= 0.0
-        if not bad.any():
-            break
-        hi[bad] *= 2.0
-    lo = np.zeros((m, phases))
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        pos = g(mid) > 0.0
-        hi = np.where(pos, mid, hi)
-        lo = np.where(pos, lo, mid)
-    roots = 0.5 * (lo + hi)
-
-    # parabolic refinement of the best phase per point
-    jbest = np.argmin(roots, axis=1)
-    rows = np.arange(m)
-    r0 = roots[rows, (jbest - 1) % phases]
-    r1 = roots[rows, jbest]
-    r2 = roots[rows, (jbest + 1) % phases]
-    denom = r0 - 2.0 * r1 + r2
-    shift = np.where(np.abs(denom) > 1e-30, 0.5 * (r0 - r2) / np.where(denom == 0, 1, denom), 0.0)
-    shift = np.clip(shift, -1.0, 1.0)
-    span = 2.0 * math.pi / phases
-    theta_ref = theta[jbest] + shift * span
-    dirs_ref = np.exp(1j * theta_ref)[:, None] * v[None, :]
-
-    hi1 = np.maximum(r1 * 1.5, 1e-12)
-    vals = domains._value_batch(spec, pts + hi1[:, None] * dirs_ref)
-    for _ in range(8):
-        bad = vals <= 0.0
-        if not bad.any():
-            break
-        hi1[bad] *= 2.0
-        vals = domains._value_batch(spec, pts + hi1[:, None] * dirs_ref)
-    lo1 = np.zeros(m)
-    for _ in range(48):
-        mid = 0.5 * (lo1 + hi1)
-        pos = domains._value_batch(spec, pts + mid[:, None] * dirs_ref) > 0.0
-        hi1 = np.where(pos, mid, hi1)
-        lo1 = np.where(pos, lo1, mid)
-    refined = 0.5 * (lo1 + hi1)
-    return np.minimum(roots.min(axis=1), refined)
-
-
-# ---------------------------------------------------------------------------
-# distance upper bounds via piecewise-linear paths
-
-
-_gauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    if nodes not in _gauss_cache:
-        x, w = leggauss(nodes)
-        _gauss_cache[nodes] = (0.5 * (x + 1.0), 0.5 * w)
-    return _gauss_cache[nodes]
-
-
-def _segment_upper_length(spec: DomainSpec, a: np.ndarray, b: np.ndarray, nodes: int) -> float:
-    """Integral of the upper metric |gamma'| / delta(gamma; gamma') along [a,b]."""
-    delta_vec = b - a
-    length = float(np.linalg.norm(delta_vec))
-    if length == 0.0:
-        return 0.0
-    t, w = _gauss01(nodes)
-    probe = a[None, :] + t[:, None] * delta_vec[None, :]
-    if np.any(domains._value_batch(spec, probe) >= 0.0):
-        return math.inf
-    dists = _line_distance_batch(spec, probe, delta_vec)
-    return float(np.sum(w * length / dists))
-
-
-def _path_upper_length(spec: DomainSpec, knots: np.ndarray, nodes: int) -> float:
-    total = 0.0
-    for i in range(len(knots) - 1):
-        total += _segment_upper_length(spec, knots[i], knots[i + 1], nodes)
-        if not math.isfinite(total):
-            return math.inf
-    return total
-
-
-def distance_upper(
-    spec: DomainSpec,
-    z,
-    w,
-    refinement: int = 2,
-    nodes: int = _GAUSS_NODES,
-) -> float:
-    """Estimate of an upper bound on d_K(z, w): the upper-metric length of a
-    short piecewise-linear path.  It is not a certified bound: the phase-grid
-    line distance can overestimate delta, and the Gauss quadrature of 1/delta
-    carries no error bound, so the value can fall below the true distance.
-
-    Minimizes the upper-metric length over piecewise-linear paths; level L has
-    2^L - 1 movable interior knots, warm-started by subdividing the previous
-    level, so the bound is nonincreasing in ``refinement``.
-    """
-    z = as_point(spec, z)
-    w = as_point(spec, w)
-    for p in (z, w):
-        if not float(defining_value(spec, p)) < 0.0:
-            raise InputError("distance_upper expects interior endpoints")
-    if refinement < 0:
-        raise ConfigError(f"refinement must be >= 0, got {refinement}")
-
-    knots = np.array([z, w])
-    best = _path_upper_length(spec, knots, nodes)
-    for _ in range(refinement):
-        mid = 0.5 * (knots[:-1] + knots[1:])
-        knots = np.concatenate([np.stack([knots[i], mid[i]]) for i in range(len(mid))] + [knots[-1:]])
-        knots, value = _descend_knots(spec, knots, nodes)
-        best = min(best, value)
-    return best
-
-
-def _descend_knots(spec: DomainSpec, knots: np.ndarray, nodes: int) -> tuple[np.ndarray, float]:
-    """Coordinate descent over interior knots until improvement < 1e-6."""
-    knots = knots.copy()
-    current = _path_upper_length(spec, knots, nodes)
-    for _ in range(8):
-        improved = 0.0
-        for i in range(1, len(knots) - 1):
-            a, b = knots[i - 1], knots[i + 1]
-            local = _segment_upper_length(spec, a, knots[i], nodes) + _segment_upper_length(
-                spec, knots[i], b, nodes
-            )
-
-            def objective(x: np.ndarray) -> float:
-                p = domains.to_complex(x)
-                value = _segment_upper_length(spec, a, p, nodes) + _segment_upper_length(
-                    spec, p, b, nodes
-                )
-                # finite penalty keeps Powell's parabolic steps well defined
-                return value if math.isfinite(value) else 1e12
-
-            res = optimize.minimize(
-                objective,
-                domains.to_real(knots[i]),
-                method="Powell",
-                options={"maxfev": 80 * knots.shape[1], "xtol": 1e-8, "ftol": 1e-9},
-            )
-            if res.fun < local:
-                improved += local - res.fun
-                knots[i] = domains.to_complex(res.x)
-        current = _path_upper_length(spec, knots, nodes)
-        if improved < 1e-6:
-            break
-    return knots, current
-
-
-# ---------------------------------------------------------------------------
 # Kobayashi balls: polydisk sandwich and membership
 
 
@@ -882,23 +692,17 @@ def ball_membership(spec: DomainSpec, z0, r: float, z) -> str:
     return UNCERTAIN if maybe[0, 0] else OUTSIDE
 
 
-def bracket_tanh_distance(spec: DomainSpec, x, y, with_upper: bool = False) -> tuple[float, float]:
+def bracket_tanh_distance(spec: DomainSpec, x, y) -> tuple[float, float]:
     """Bracket [low, high] for tanh d_K(x, y): tanh_distance_bracket on the
-    domains with the oracle, min_tanh_distance of the pair (with high = 1)
-    elsewhere.  With ``with_upper`` an open high end is replaced by the
-    straight-segment estimate of distance_upper, which is not a certified
-    bound.
+    domains with the oracle; elsewhere the frame bound of min_tanh_distance
+    below and 1 above, the only certified upper end there.
     """
     x = as_point(spec, x)
     y = as_point(spec, y)
     if has_exact_distance(spec):
         low, high = (float(end[0]) for end in tanh_distance_bracket(spec, x, y))
-        low = min(low, high)  # a closed bracket may cross by a rounding error
-    else:
-        low, high = min_tanh_distance(spec, np.array([x, y])), 1.0
-    if with_upper and high >= 1.0:
-        high = max(low, math.tanh(distance_upper(spec, x, y, refinement=0)))
-    return low, high
+        return min(low, high), high  # a closed bracket may cross by a rounding error
+    return min_tanh_distance(spec, np.array([x, y])), 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -907,9 +711,13 @@ def bracket_tanh_distance(spec: DomainSpec, x, y, with_upper: bool = False) -> t
 
 @dataclass(frozen=True)
 class LogEnvelope:
+    """Residuals d_K(z0, z) + 0.5 log delta(z) from the low and high ends of
+    the distance brackets, and the envelope c1 = min low, c2 = max high."""
+
     c1: float
     c2: float
-    residuals: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
     deltas: np.ndarray
 
 
@@ -945,10 +753,14 @@ def boundary_ray_samples(
 def calibrate_log_envelope(spec: DomainSpec, z0, points) -> LogEnvelope:
     """Residuals d_K(z0, z) + 0.5 log delta_D(z) over boundary-approaching samples.
 
-    Returns the empirical envelope (C1, C2) = (min, max) of the residuals.  On
-    the disk/ball d_K is exact; elsewhere the distance_upper path estimate is
-    used, so neither end is certified there.
+    One batched tanh_distance_bracket from z0 to all points gives a low and a
+    high residual per point; c1 is the least low residual and c2 the largest
+    high one, so every residual lies in [c1, c2] (up to the accuracy of
+    delta).  An open bracket makes c2 = +inf.  Only the disk, the ball and the
+    (1, m) ellipsoid have the bracket; other domains raise CapabilityError.
     """
+    if not has_exact_distance(spec):
+        raise CapabilityError(f"no certified log envelope for {spec.kind!r} {spec.exponents}")
     z0 = as_point(spec, z0)
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     if len(pts) < 10:
@@ -959,11 +771,8 @@ def calibrate_log_envelope(spec: DomainSpec, z0, points) -> LogEnvelope:
             f"calibration samples must span >= 4 decades of delta, got "
             f"[{deltas.min():.3g}, {deltas.max():.3g}]"
         )
-    res = np.empty(len(pts))
-    for i, p in enumerate(pts):
-        if spec.kind in ("disk", "ball"):
-            d = exact_distance_model(spec, z0, p)
-        else:
-            d = distance_upper(spec, z0, p, refinement=1)
-        res[i] = d + 0.5 * math.log(deltas[i])
-    return LogEnvelope(c1=float(res.min()), c2=float(res.max()), residuals=res, deltas=deltas)
+    low, high = tanh_distance_bracket(spec, z0, pts)
+    low = np.minimum(low, high)  # a closed bracket may cross by a rounding error
+    with np.errstate(divide="ignore"):  # an open high end of 1 gives +inf
+        low, high = (np.arctanh(end) + 0.5 * np.log(deltas) for end in (low, high))
+    return LogEnvelope(c1=float(low.min()), c2=float(high.max()), low=low, high=high, deltas=deltas)

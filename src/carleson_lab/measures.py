@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import domains, geometry
-from .domains import DomainSpec, as_point
+from .domains import DomainSpec
 from .errors import InputError
 from .geometry import Polydisk
 
@@ -40,7 +40,6 @@ class DensityMeasure:
 
     density: Callable[[np.ndarray], np.ndarray]
     label: str = "density"
-    total_mass_hint: float | None = None
 
 
 def atomic_measure(spec: DomainSpec, points, weights, label: str = "atomic") -> AtomicMeasure:
@@ -63,7 +62,7 @@ def atomic_measure(spec: DomainSpec, points, weights, label: str = "atomic") -> 
 
 
 def lebesgue_measure(label: str = "lebesgue") -> DensityMeasure:
-    return DensityMeasure(density=lambda pts: np.ones(len(pts)), label=label, total_mass_hint=None)
+    return DensityMeasure(density=lambda pts: np.ones(len(pts)), label=label)
 
 
 def restricted_lebesgue(predicate: Callable[[np.ndarray], np.ndarray], label: str = "restricted") -> DensityMeasure:
@@ -138,23 +137,6 @@ def mass(spec: DomainSpec, mu, region, samples: int = 1 << 14, seed: int = 0):
         stderr = vol * float(vals.std(ddof=1)) / np.sqrt(samples)
         return MassEstimate(value, stderr, samples, exact=False)
 
-    raise InputError(f"unsupported measure type {type(mu).__name__}")
-
-
-def total_mass(spec: DomainSpec, mu, samples: int = 1 << 16, seed: int = 0) -> MassEstimate:
-    if isinstance(mu, AtomicMeasure):
-        return MassEstimate(float(mu.weights.sum()), 0.0, 0, exact=True)
-    if isinstance(mu, DensityMeasure):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        half = np.asarray(spec.box)
-        re = rng.uniform(-half, half, size=(samples, spec.dim))
-        im = rng.uniform(-half, half, size=(samples, spec.dim))
-        pts = re + 1j * im
-        vals = mu.density(pts) * domains.contains(spec, pts)
-        vol = domains.box_nu_volume(spec)
-        value = vol * float(vals.mean())
-        stderr = vol * float(vals.std(ddof=1)) / np.sqrt(samples)
-        return MassEstimate(value, stderr, samples, exact=False)
     raise InputError(f"unsupported measure type {type(mu).__name__}")
 
 

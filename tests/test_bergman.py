@@ -163,6 +163,17 @@ class TestKernelModels:
         a, b = kernel_diag(m60, z), kernel_diag(m80, z)
         assert abs(a - b) <= 1e-12 * abs(b)
 
+    def test_tail_constants_in_scaled_variables(self):
+        # unit axes: the values of the unscaled bound, to the bit
+        unit = reinhardt_series_model(ELL12, degree=60)
+        assert unit.tail_ratio == 1.0907880133185142
+        # other axes: the same ratio, and W_k up to the factor 1/prod a_i^2
+        axes = (0.8, 1.3)
+        scaled = reinhardt_series_model(complex_ellipsoid((1, 2), axes), degree=60)
+        assert abs(scaled.tail_ratio - unit.tail_ratio) < 1e-12
+        rel = scaled.tail_w * np.prod(np.square(axes)) / unit.tail_w - 1.0
+        assert np.max(np.abs(rel)) < 1e-12
+
     def test_truncation_guard(self):
         m20 = reinhardt_series_model(ELL12, degree=20)
         with pytest.raises(TruncationError):
@@ -198,8 +209,14 @@ class TestSeriesEvaluation:
 
     @pytest.mark.parametrize(
         "m, axes, scale",
-        [(2, (0.8, 1.3), 0.2), (3, (1.2, 0.7), 0.2), (2, (1.0, 1.0), 0.5)],
-        ids=["ELL12-scaled", "ELL13-scaled", "ELL12"],
+        [
+            (2, (0.8, 1.3), 0.2),
+            (3, (1.2, 0.7), 0.2),
+            (2, (1.0, 1.0), 0.5),
+            (2, (0.8, 1.3), 0.5),
+            (3, (1.2, 0.7), 0.5),
+        ],
+        ids=["ELL12-scaled", "ELL13-scaled", "ELL12", "ELL12-scaled-half", "ELL13-scaled-half"],
     )
     def test_matches_dangelo_closed_form(self, m, axes, scale):
         spec = complex_ellipsoid((1, m), axes)
@@ -207,8 +224,8 @@ class TestSeriesEvaluation:
         chunk = bergman._EVAL_ENTRIES // 61
         pts = domains.quasi_uniform(spec, 2 * chunk + 17, seed=4)  # three chunks
         rng = np.random.default_rng(21)
-        # the tail estimate works in unscaled coordinates, so with semi-axes
-        # other than 1 it refuses centers at half the domain
+        # the tail estimate works in the scaled variables z_i / a_i, so it
+        # accepts centers at half the domain whatever the semi-axes
         for z0 in scale * domains.random_interior(spec, 3, rng):
             row = kernel_row(model, z0, pts)
             exact = _dangelo_kernel(m, axes, pts, z0)
@@ -217,6 +234,24 @@ class TestSeriesEvaluation:
                 one = kernel_row(model, z0, pts[i : i + 1])
                 assert one.shape == (1,)
                 assert abs(one[0] - row[i]) <= 1e-13 * abs(row[i])
+
+    @pytest.mark.parametrize("m, axes", [(2, (0.8, 1.3)), (3, (1.2, 0.7))])
+    def test_tail_covers_truncation_error(self, m, axes):
+        # at degree 20 the truncation error is visible; the tail estimate
+        # kernel_row reports for a one-point batch must not fall below it
+        spec = complex_ellipsoid((1, m), axes)
+        model = reinhardt_series_model(spec, degree=20)
+        pts = domains.quasi_uniform(spec, 512, seed=4)
+        checked = 0
+        for z0 in 0.6 * domains.random_interior(spec, 3, np.random.default_rng(5)):
+            exact = _dangelo_kernel(m, axes, pts, z0)
+            err = np.abs(bergman._eval_cube(model.coeffs, pts * np.conj(z0)) - exact)
+            for i in np.flatnonzero(err > 1e-11 * np.abs(exact)):
+                with pytest.raises(TruncationError) as refused:
+                    kernel_row(model, z0, pts[i : i + 1], tol=0.0)
+                assert refused.value.payload["tail"] >= err[i]
+                checked += 1
+        assert checked > 100
 
     def test_three_ball_fold(self):
         ball3 = unit_ball(3)
@@ -265,12 +300,12 @@ class TestReproduce:
 
     def test_shared_points(self):
         model = kernel_model(DISK)
-        rng = np.random.default_rng(7)
-        pts = (rng.uniform(-1, 1, (1 << 16, 1)) + 1j * rng.uniform(-1, 1, (1 << 16, 1)))
+        pts = domains.quasi_uniform(DISK, 1 << 16, seed=7)
         p = monomial(1, (1,))
         a = reproduce_check(model, p, 0.3, points=pts)
-        b = reproduce_check(model, p, 0.3, points=pts)
-        assert a.estimate == b.estimate
+        b = reproduce_check(model, p, 0.3, samples=1 << 16, seed=7)
+        assert a == b
+        assert a.residual < 1e-3
 
 
 class TestBerezin:

@@ -14,7 +14,6 @@ from carleson_lab.domains import (
 )
 from carleson_lab.errors import InputError, NumericError
 from carleson_lab.geometry import (
-    entry_scale,
     frame_polydisk,
     mcneal_radii,
     minimal_frame,
@@ -22,7 +21,6 @@ from carleson_lab.geometry import (
     polydisk_coordinates,
     polydisk_nu_volume,
     sample_polydisk,
-    scale_polydisk,
 )
 
 DISK = unit_disk()
@@ -184,7 +182,7 @@ class TestPolydisks:
         # nu-volume of the polydisk relative to a bounding polydisk equals
         # the containment fraction of a uniform sample
         P = self._sample_polydisk()
-        big = scale_polydisk(P, 2.0)
+        big = geometry.Polydisk(center=P.center, basis=P.basis, radii=2.0 * P.radii)
         rng = np.random.default_rng(7)
         pts = sample_polydisk(big, 1 << 16, rng)
         frac = float(np.mean(polydisk_contains(P, pts)))
@@ -213,12 +211,8 @@ class TestPolydisks:
         fr = minimal_frame(BALL2, (0.6, 0.0))
         P = frame_polydisk(fr, 0.5)
         np.testing.assert_allclose(P.radii, 0.5 * fr.sigma)
-        Q = scale_polydisk(P, 3.0)
-        np.testing.assert_allclose(Q.radii, 1.5 * fr.sigma)
         with pytest.raises(InputError):
             frame_polydisk(fr, 0.0)
-        with pytest.raises(InputError):
-            scale_polydisk(P, -1.0)
 
     def test_stacked_polydisks(self):
         # a stack of K polydisks answers (..., K) at once, like K single calls
@@ -242,35 +236,6 @@ class TestPolydisks:
         edge = P.center + P.radii[0] * P.basis[0]
         assert polydisk_contains(P, edge)
         assert not polydisk_contains(P, P.center + 1.0001 * P.radii[0] * P.basis[0])
-
-
-class TestEntryScale:
-    def test_disk_frozen_value(self):
-        # smallest eps with 0.6 inside P(0.5, eps): sqrt(0.25 + eps) - 0.5 = 0.1
-        assert abs(entry_scale(DISK, 0.5, 0.6) - 0.11) < 1e-6
-
-    def test_ball_tangential_frozen_value(self):
-        # tangential radius sqrt(eps) must reach 0.3
-        got = entry_scale(BALL2, (0.5, 0.0), (0.5, 0.3))
-        assert abs(got - 0.09) < 1e-6
-
-    def test_coincident_points(self):
-        assert entry_scale(DISK, 0.2, 0.2) == 0.0
-
-    def test_membership_at_reported_scale(self):
-        q = np.array([0.2, 0.3j])
-        w = np.array([0.4, 0.1 + 0.2j])
-        eps = entry_scale(ELL12, q, w)
-        assert polydisk_contains(mcneal_radii(ELL12, q, eps), w)
-        assert not polydisk_contains(mcneal_radii(ELL12, q, 0.9 * eps), w)
-
-    def test_symmetry_within_constant(self):
-        # entry scales in the two directions agree within a bounded factor
-        q = np.array([0.1, 0.5j])
-        w = np.array([0.14, 0.02 + 0.46j])
-        a = entry_scale(ELL12, q, w)
-        b = entry_scale(ELL12, w, q)
-        assert 0.2 < a / b < 5.0
 
 
 @given(

@@ -18,7 +18,6 @@ from carleson_lab.kobayashi import (
     ball_relation,
     bracket_tanh_distance,
     calibrate_log_envelope,
-    distance_upper,
     exact_distance_model,
     exact_metric_model,
     has_exact_distance,
@@ -180,42 +179,6 @@ class TestMobius:
             assert abs(lhs - tanh_distance_model(BALL2, z, w)) < 1e-10
 
 
-class TestDistanceUpper:
-    def test_disk_straight_segment_value(self):
-        # upper metric along [0, 0.5] integrates to log 2, above the true
-        # Poincare distance atanh(0.5)
-        got = distance_upper(DISK, 0.0, 0.5, refinement=0)
-        assert abs(got - math.log(2.0)) < 1e-10
-        assert got >= math.atanh(0.5)
-
-    def test_coincident_points(self):
-        assert distance_upper(DISK, 0.3, 0.3) == 0.0
-
-    def test_refinement_monotone(self):
-        r0 = distance_upper(DISK, 0.0, 0.5, refinement=0)
-        r2 = distance_upper(DISK, 0.0, 0.5, refinement=2)
-        assert r2 <= r0 + 1e-12
-        assert r2 >= math.atanh(0.5)
-
-    def test_ball_slice_matches_disk(self):
-        d1 = distance_upper(DISK, 0.0, 0.5, refinement=1)
-        d2 = distance_upper(BALL2, (0.0, 0.0), (0.5, 0.0), refinement=1)
-        assert abs(d1 - d2) < 1e-9
-
-    def test_ellipsoid_axis_value(self):
-        # straight segment along the z2 axis: integral of dt/(1-t) on [0, 0.8]
-        got = distance_upper(ELL12, (0.0, 0.0), (0.0, 0.8), refinement=0)
-        assert abs(got - math.log(5.0)) < 1e-5
-
-    def test_exterior_endpoint_rejected(self):
-        with pytest.raises(InputError):
-            distance_upper(DISK, 0.0, 1.5)
-
-    def test_negative_refinement_rejected(self):
-        with pytest.raises(ConfigError):
-            distance_upper(DISK, 0.0, 0.5, refinement=-1)
-
-
 class TestBallSandwich:
     def test_disk_center(self):
         sw = ball_sandwich(DISK, 0.0, 0.5)
@@ -286,15 +249,12 @@ class TestBracket:
         assert low == high == rho
 
     def test_ellipsoid_frozen_pair(self):
-        # without the oracle: the frame bound below, the straight-segment
-        # path length above
+        # without the oracle: the frame bound below, nothing certified above
         x = np.array([0.0, 0.5])
         y = np.array([0.2, 0.5])
-        low, high = bracket_tanh_distance(ELL22, x, y, with_upper=True)
+        low, high = bracket_tanh_distance(ELL22, x, y)
         assert abs(low - 0.11300556870134239) < 1e-9
-        assert abs(high - 0.22338703197464416) < 1e-6
-        assert low < high
-        assert bracket_tanh_distance(ELL22, x, y) == (low, 1.0)
+        assert high == 1.0
 
     def test_lower_bound_sound_on_models_in_disguise(self):
         # evaluate the generic frame bound on ball geometry where the exact
@@ -348,8 +308,8 @@ class TestEllipsoidOracle:
         low, high = tanh_distance_bracket(ELL12, x, y)
         exact = 0.2 / math.sqrt(0.9375)
         assert abs(low[0] - exact) < 1e-12 and abs(high[0] - exact) < 1e-12
-        # the one-point bracket is the same oracle, with no path bound
-        assert bracket_tanh_distance(ELL12, x, y, with_upper=True) == (low[0], high[0])
+        # the one-point bracket is the same oracle
+        assert bracket_tanh_distance(ELL12, x, y) == (low[0], high[0])
 
     def test_z1_zero_slice_is_the_disc(self):
         # (z1, z2) -> z2 retracts E onto the slice {z1 = 0}, the unit disc
@@ -661,6 +621,33 @@ class TestLogEnvelope:
         with pytest.raises(ConfigError):
             calibrate_log_envelope(DISK, 0.0, narrow)
 
+    @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0)])
+    def test_ellipsoid_axes_match_disk(self, direction):
+        # both coordinate discs of the (1,2) ellipsoid are holomorphic
+        # retracts isometric to the unit disc, so the envelope along an axis
+        # is the disk's (test_disk_acceptance_band)
+        deltas = np.geomspace(1e-6, 1e-1, 40)
+        pts = boundary_ray_samples(ELL12, direction, deltas)
+        env = calibrate_log_envelope(ELL12, (0.0, 0.0), pts)
+        assert abs(env.c1 - 0.3209269430861974) < 1e-9
+        assert abs(env.c2 - 0.34657334027991027) < 1e-9
+
+    def test_ellipsoid_oblique_ray_certified(self):
+        deltas = np.geomspace(1e-6, 1e-1, 40)
+        pts = boundary_ray_samples(ELL12, (0.6, 0.8), deltas)
+        low, high = tanh_distance_bracket(ELL12, np.zeros(2), pts)
+        assert np.all(high - low <= 1e-12)  # every bracket closed
+        env = calibrate_log_envelope(ELL12, (0.0, 0.0), pts)
+        assert np.all(env.low <= env.high)
+        assert env.c1 == env.low.min() and env.c2 == env.high.max()
+        assert math.isfinite(env.c2)
+
+    def test_no_envelope_without_oracle(self):
+        deltas = np.geomspace(1e-5, 1e-1, 12)
+        pts = boundary_ray_samples(ELL22, (0.0, 1.0), deltas)
+        with pytest.raises(CapabilityError):
+            calibrate_log_envelope(ELL22, (0.0, 0.0), pts)
+
     def test_boundary_ray_samples_hit_deltas(self):
         deltas = np.array([0.3, 0.05, 1e-3])
         pts = boundary_ray_samples(ELL12, (0.0, 1.0), deltas)
@@ -684,7 +671,7 @@ def test_membership_consistent_with_exact_disk(x, y, r):
 def test_bracket_sound_on_ellipsoid_property(seed):
     rng = np.random.default_rng(seed)
     pts = domains.random_interior(ELL12, 2, rng, level_floor=0.1)
-    low, high = bracket_tanh_distance(ELL12, pts[0], pts[1], with_upper=True)
+    low, high = bracket_tanh_distance(ELL12, pts[0], pts[1])
     assert 0.0 <= low <= high <= 1.0
 
 

@@ -17,7 +17,6 @@ from carleson_lab.measures import (
     lebesgue_measure,
     mass,
     restricted_lebesgue,
-    total_mass,
 )
 
 DISK = unit_disk()
@@ -74,8 +73,10 @@ class TestAtomicMass:
         assert est.value == 0.0 and est.exact
 
     def test_total_mass_atoms(self):
+        # a polydisk holding every atom carries the whole mass, exactly
         mu = atomic_measure(DISK, [0.1, 0.2], [1.5, 2.5])
-        assert total_mass(DISK, mu).value == 4.0
+        est = mass(DISK, mu, _centered_polydisk(1, [1.0]))
+        assert est.value == 4.0 and est.exact
 
 
 class TestDensityMass:
@@ -111,10 +112,12 @@ class TestDensityMass:
         assert abs(est.value - 0.125) < 4.0 * est.stderr
 
     def test_ball_total_mass(self):
-        # nu is normalized so nu(unit ball) = 1 in every dimension
-        est = total_mass(BALL2, lebesgue_measure(), samples=1 << 18, seed=1)
+        # nu is normalized so nu(unit ball) = 1 in every dimension; the mass
+        # of a polydisk holding the whole domain is its total mass
+        bidisk = _centered_polydisk(2, [1.0, 1.0])
+        est = mass(BALL2, lebesgue_measure(), bidisk, samples=1 << 18, seed=1)
         assert abs(est.value - 1.0) < 4.0 * est.stderr
-        est1 = total_mass(DISK, lebesgue_measure(), samples=1 << 18, seed=2)
+        est1 = mass(DISK, lebesgue_measure(), _centered_polydisk(1, [1.2]), samples=1 << 18, seed=2)
         assert abs(est1.value - 1.0) < 4.0 * est1.stderr
 
     def test_seeded_determinism(self):
