@@ -402,6 +402,12 @@ def kobayashi_cover(
     exact distance oracle (disk, ball, (1, m) ellipsoid) heuristic points are
     those whose bracket stays open.
     By default the test sample is the leading slice of the candidate stream.
+    Then most of it is settled by the greedy itself: greedy_separated marks
+    every candidate certified within r* < r of an accepted center (accepted
+    ones included), and Inside at r* is Inside at r, in the frame gauge
+    (r*/n < r/n) as on the oracle.  Only the unmarked sample points are
+    counted against the centers; caller-supplied test_points are all counted.
+    The report is the one a full count would give.
     Any uncovered point raises ResourceError.
     """
     if not 0.0 < r < 1.0:
@@ -428,11 +434,19 @@ def kobayashi_cover(
     # removes the run-to-run freedom in the first accepted ball, which
     # otherwise shifts the whole boundary crust of the packing.
     depth = domains._value_batch(spec, pts)
-    stream = np.vstack([anchor[None, :], pts[np.argsort(depth, kind="stable")]])
-    zs = stream[kobayashi.greedy_separated(spec, stream, r_star)]
+    order = np.argsort(depth, kind="stable")
+    stream = np.vstack([anchor[None, :], pts[order]])
+    kept, covered = kobayashi.greedy_separated(spec, stream, r_star)
+    zs = stream[kept]
 
-    inside_n, maybe_n = kobayashi.ball_counts(spec, sample, zs, r)
-    certified = int((inside_n > 0).sum())
+    if sample_is_prefix:
+        witnessed = np.empty(len(pts), dtype=bool)
+        witnessed[order] = covered[1:]  # stream[1 + k] is pts[order[k]]
+        witnessed = witnessed[:test_count]
+    else:
+        witnessed = np.zeros(len(sample), dtype=bool)
+    inside_n, maybe_n = kobayashi.ball_counts(spec, sample[~witnessed], zs, r)
+    certified = int(witnessed.sum()) + int((inside_n > 0).sum())
     uncovered = int((maybe_n == 0).sum())
     coverage = CoverageReport(
         total=len(sample),

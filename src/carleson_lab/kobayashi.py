@@ -75,10 +75,6 @@ def tanh_distance_model(spec: DomainSpec, z, w) -> float:
     return float(_ball_pd(as_point(spec, z), as_point(spec, w)))
 
 
-def exact_distance_model(spec: DomainSpec, z, w) -> float:
-    return math.atanh(min(tanh_distance_model(spec, z, w), 1.0 - 1e-16))
-
-
 def tanh_distance_model_batch(spec: DomainSpec, z, pts: np.ndarray) -> np.ndarray:
     """Vectorized pseudohyperbolic distance from one point to a batch."""
     if spec.kind not in ("disk", "ball"):
@@ -221,6 +217,10 @@ _NEWTON_STEPS = 60
 _EARLY_CHECKS = 2
 _EDGE = 1e-6
 _CLOSED = 1e-12
+# Pairs per oracle block in ball_relation, and the block size of _gauge and
+# min_tanh_distance.  On the (1,2) ellipsoid overlap counts of 10^4 queries
+# (2 cores), 2^16 cut their time by about 5% but raised the peak RSS from
+# 130 to 148 MB; 2^15 saved nothing measurable.
 _PAIR_CHUNK = 1 << 14
 
 
@@ -371,7 +371,42 @@ def _bracket_1m(
     z: np.ndarray, w: np.ndarray, m: int, r: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise bracket [low, high] on tanh k_E(z, w) for normalized pairs
-    z, w of shape (k, 2); with r, refinement stops once r is decided."""
+    z, w of shape (k, 2).
+
+    With a threshold r only membership in the r-ball is asked for, and every
+    r-dependent shortcut is taken here, cheapest first.  (z1, z2) -> z2 maps E
+    into the unit disc, so rho_D(z2, w2) >= r settles Outside; E contains the
+    unit ball B, so on B x B rho_B(z, w) < r settles Inside.  The ends of a
+    settled pair are those bounds, with 1 or the disc bound on the other
+    side.  Only the pairs left open go through _oracle_1m (lift detection,
+    the axis formula and Newton), which also stops Newton once r is decided.
+    """
+    if r is None:
+        low, high = _oracle_1m(z, w, m)
+        # E contains the unit ball B, so tanh k_E <= rho_B on B x B
+        k = np.flatnonzero(high - low > _CLOSED)
+        k = k[_in_ball(z[k]) & _in_ball(w[k])]
+        high[k] = np.minimum(high[k], _ball_pd(z[k].T, w[k].T))
+        return low, high
+    low = _disc_pd(z[:, 1], w[:, 1])
+    high = np.ones_like(low)
+    k = np.flatnonzero(low < r)
+    k = k[_in_ball(z[k]) & _in_ball(w[k])]
+    high[k] = _ball_pd(z[k].T, w[k].T)
+    rest = np.flatnonzero((low < r) & (high >= r))
+    low[rest], high[rest] = _oracle_1m(z[rest], w[rest], m, r)
+    return low, high
+
+
+def _in_ball(z: np.ndarray) -> np.ndarray:
+    return (z.real**2 + z.imag**2).sum(axis=1) < 1.0
+
+
+def _oracle_1m(
+    z: np.ndarray, w: np.ndarray, m: int, r: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The geodesic bracket of _bracket_1m: exact for lifts and axis points,
+    from Newton on the axis crossing otherwise (stopped once r is decided)."""
     z1, z2, w1, w2 = z[:, 0], z[:, 1], w[:, 0], w[:, 1]
     p2, q2 = z2**m, w2**m
     low = _ball_pd((z1, p2), (w1, q2))
@@ -396,15 +431,7 @@ def _bracket_1m(
             o1, o2 = _phi_b(a[on_axis, 0], other[on_axis, 0], other[on_axis, 1], m)
             low[on_axis] = high[on_axis] = _minkowski_1m(o1, o2, m)
 
-    cross = off_axis & ~lift
-    if r is not None:
-        # pairs that r already puts outside skip Newton: (z1, z2) -> z2 maps
-        # E into the unit disc, so tanh k_E >= rho_D(z2, w2)
-        disc = _disc_pd(z2, w2)
-        far = cross & (disc >= r)
-        low[far] = np.maximum(low[far], disc[far])
-        cross &= ~far
-    cross = np.flatnonzero(cross)
+    cross = np.flatnonzero(off_axis & ~lift)
     if len(cross):
         c1, c2, d1, d2 = z1[cross], z2[cross], w1[cross], w2[cross]
         e2, f2 = p2[cross], q2[cross]
@@ -428,11 +455,6 @@ def _bracket_1m(
             hi[k] = np.minimum(hi[k], hi2)
         low[cross] = lo
         high[cross] = hi
-    # E contains the unit ball B, so tanh k_E <= rho_B on B x B
-    k = np.flatnonzero(high - low > _CLOSED)
-    a, b = z[k], w[k]
-    in_ball = ((a.real**2 + a.imag**2).sum(axis=1) < 1.0) & ((b.real**2 + b.imag**2).sum(axis=1) < 1.0)
-    high[k[in_ball]] = np.minimum(high[k[in_ball]], _ball_pd(a[in_ball].T, b[in_ball].T))
     return low, high
 
 
@@ -531,10 +553,12 @@ def ball_relation(
 
     Disk and ball answer exactly, from the threshold test _within (the same
     array is returned twice).  On the (1, m) ellipsoid that test on the
-    Phi-images prefilters the pairs and only those below r go through the
-    oracle, in blocks of _PAIR_CHUNK pairs.  Other domains use the polydisk
-    sandwich in each center's minimal frame.  The answer for a pair does not
-    depend on the other pairs of the call.
+    Phi-images prefilters the pairs, and those below r go to _bracket_1m in
+    blocks of _PAIR_CHUNK pairs: there the disc bound settles Outside and the
+    unit-ball bound on B x B settles Inside before any pair reaches the
+    geodesic oracle.  Other domains use the polydisk sandwich in each
+    center's minimal frame.  The answer for a pair does not depend on the
+    other pairs of the call.
     """
     if not 0.0 < r < 1.0:
         raise InputError(f"tanh radius must lie in (0, 1), got {r}")
@@ -578,8 +602,10 @@ def ball_counts(
     return inside_n, maybe_n
 
 
-def greedy_separated(spec: DomainSpec, pts: np.ndarray, r: float) -> np.ndarray:
-    """Indices of the greedy maximal r-separated subset of pts, taken in order.
+def greedy_separated(spec: DomainSpec, pts: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the greedy maximal r-separated subset of pts, taken in
+    order, and a (len(pts),) mask of the points certified within tanh-radius
+    r of a kept point.
 
     A point is kept when ball_relation certifies it outside the tanh-radius-r
     ball of every point kept before it, so kept points are pairwise certified
@@ -590,28 +616,42 @@ def greedy_separated(spec: DomainSpec, pts: np.ndarray, r: float) -> np.ndarray:
     relation is elementwise, so the kept points are those of one call per
     point.  Without the oracle the minimal frame of each survivor is computed
     once and kept with the point.
+
+    The mask is read from the inside halves of the same two relations, with
+    the point as the query and the kept point as the center, as
+    ball_relation(spec, pts, pts[kept], r) would put it.  It holds every kept
+    point and every point that read Inside against a kept point it was tested
+    with; a point rejected before some later kept point may be within r of
+    that one and still be unmarked.
     """
     frames: list[MinimalFrame] | None = None if has_exact_distance(spec) else []
     kept: list[int] = []
+    covered = np.zeros(len(pts), dtype=bool)
 
-    def relation(batch: np.ndarray, centers: np.ndarray, own: list[MinimalFrame] | None) -> np.ndarray:
+    def relation(
+        batch: np.ndarray, centers: np.ndarray, own: list[MinimalFrame] | None
+    ) -> tuple[np.ndarray, np.ndarray]:
         stack = None if own is None else _stack(centers, own)
-        return _relate(spec, batch, centers, r, stack)[1]
+        return _relate(spec, batch, centers, r, stack)
 
     for start in range(0, len(pts), _GREEDY_CHUNK):
         batch = pts[start : start + _GREEDY_CHUNK]
-        free = np.flatnonzero(~relation(batch, pts[kept], frames).any(axis=1))
+        inside, maybe = relation(batch, pts[kept], frames)
+        covered[start : start + len(batch)] = inside.any(axis=1)
+        free = np.flatnonzero(~maybe.any(axis=1))
         survivors = batch[free]
         own = None if frames is None else [minimal_frame(spec, p) for p in survivors]
-        within = relation(survivors, survivors, own)
+        inside, within = relation(survivors, survivors, own)
         taken: list[int] = []
         for k in range(len(free)):
             if not within[k, taken].any():
                 taken.append(k)
+        covered[start + free] = inside[:, taken].any(axis=1)
+        covered[start + free[taken]] = True
         kept.extend((start + free[taken]).tolist())
         if frames is not None:
             frames.extend(own[k] for k in taken)
-    return np.array(kept, dtype=int)
+    return np.array(kept, dtype=int), covered
 
 
 def min_tanh_distance(spec: DomainSpec, pts: np.ndarray) -> float:
@@ -727,26 +767,45 @@ def boundary_ray_samples(
     deltas,
     anchor=None,
 ) -> np.ndarray:
-    """Points along the chord anchor -> boundary with prescribed boundary distances."""
+    """Points along the chord anchor -> boundary with prescribed boundary distances.
+
+    The point at s is b + e^s (anchor - b), with b the boundary point of the
+    chord.  Near b the distance delta is nearly proportional to e^s, so
+    log delta is nearly linear in s; on the models it is exact (the anchor is
+    the origin), elsewhere each sample is placed by a bracketed secant
+    (Illinois) on log delta(s) - log d over s in [log 1e-12, 0].
+    """
     anchor = as_point(spec, anchor if anchor is not None else domains.anchor_point(spec))
     v = np.asarray(direction, dtype=complex)
     v = v / np.linalg.norm(v)
     t_b = domains._ray_root(spec, anchor, v, 0.0)
     bpt = anchor + t_b * v
+    deltas = np.asarray(deltas, dtype=float)
+    if spec.kind in ("disk", "ball"):
+        return bpt * (1.0 - deltas)[:, None]  # anchor is the origin for the models
+    chord = anchor - bpt
+    point = lambda s: bpt + math.exp(s) * chord
+    log_delta = lambda s: math.log(domains.boundary_distance(spec, point(s)))
+    ends = (math.log(1e-12), 0.0)
+    end_values = [log_delta(s) for s in ends]
     out = np.empty((len(deltas), spec.dim), dtype=complex)
     for i, d in enumerate(deltas):
-        if spec.kind in ("disk", "ball"):
-            out[i] = bpt * (1.0 - d)  # anchor is the origin for the models
+        log_d = math.log(d)
+        (a, b), (fa, fb) = ends, (value - log_d for value in end_values)
+        if fa >= 0.0 or fb <= 0.0:  # d outside the chord's range: nearest end
+            out[i] = point(a if fa >= 0.0 else b)
             continue
-        lo, hi = 0.0, 1.0 - 1e-12
         for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            pt = anchor + mid * (bpt - anchor)
-            if domains.boundary_distance(spec, pt) > d:
-                lo = mid
+            s = b - fb * (b - a) / (fb - fa)
+            fs = log_delta(s) - log_d
+            if fs == 0.0 or abs(s - b) <= 1e-13:  # delta settled to 1e-13 relative
+                break
+            if (fs > 0.0) != (fb > 0.0):
+                a, fa = b, fb
             else:
-                hi = mid
-        out[i] = anchor + 0.5 * (lo + hi) * (bpt - anchor)
+                fa *= 0.5  # Illinois: keep the stale end from stalling the secant
+            b, fb = s, fs
+        out[i] = point(s)
     return out
 
 

@@ -163,7 +163,7 @@ def greedy_packing(
     if not 0.0 < delta_sep < 1.0:
         raise InputError(f"delta_sep must lie in (0,1), got {delta_sep}")
     pts = domains.quasi_interior(spec, candidates, seed=seed, level_floor=level_floor)
-    kept = kobayashi.greedy_separated(spec, pts, delta_sep)
+    kept, _ = kobayashi.greedy_separated(spec, pts, delta_sep)
     seq = SequenceSet(points=pts[kept], label=f"pack(sep={delta_sep:g},seed={seed})")
     # acceptances in the last tenth of the stream mean the region had not
     # saturated when the candidates ran out

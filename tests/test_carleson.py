@@ -9,6 +9,7 @@ from carleson_lab.carleson import (
     DIVERGING,
     INCONCLUSIVE,
     CarlesonConfig,
+    CoverageReport,
     build_grid,
     carleson_test,
     grid_levels,
@@ -204,6 +205,30 @@ class TestCover:
         assert len(res.centers) > 1 and not np.any(maybe & ~np.eye(len(res.centers), dtype=bool))
         assert res.coverage.uncovered == 0
         assert res.coverage.certified + res.coverage.heuristic == 100
+
+    @pytest.mark.parametrize(
+        "spec, r, candidates",
+        [
+            (DISK, 0.5, 2000),
+            (domains.unit_ball(2), 0.5, 2000),
+            (ELL12, 0.5, 2000),
+            (complex_ellipsoid((2, 2), (1.0, 1.0)), 0.5, 300),
+        ],
+        ids=["DISK", "BALL2", "ELL12", "ELL22"],
+    )
+    def test_report_is_the_full_count(self, spec, r, candidates):
+        # the greedy's witnesses settle most of the prefix sample; the report
+        # must be the one counting every test point against every center gives
+        res = kobayashi_cover(spec, r, seed=2, candidates=candidates, test_count=candidates // 2)
+        pts = domains.quasi_interior(spec, candidates, seed=2, level_floor=res.level)
+        for sample, got in (
+            (pts[: candidates // 2], res.coverage),
+            (pts[::3], kobayashi_cover(spec, r, seed=2, candidates=candidates, test_points=pts[::3]).coverage),
+        ):
+            inside_n, maybe_n = kobayashi.ball_counts(spec, sample, res.centers, r)
+            certified = int((inside_n > 0).sum())
+            uncovered = int((maybe_n == 0).sum())
+            assert got == CoverageReport(len(sample), certified, len(sample) - certified - uncovered, uncovered)
 
     def test_input_validation(self):
         with pytest.raises(InputError):

@@ -18,7 +18,6 @@ from carleson_lab.kobayashi import (
     ball_relation,
     bracket_tanh_distance,
     calibrate_log_envelope,
-    exact_distance_model,
     exact_metric_model,
     has_exact_distance,
     metric_bounds,
@@ -88,6 +87,11 @@ class TestMetricBounds:
     def test_exact_metric_rejects_generic(self):
         with pytest.raises(CapabilityError):
             exact_metric_model(ELL12, (0.0, 0.0), (1.0, 0.0))
+
+
+def exact_distance_model(spec, z, w):
+    """Kobayashi distance d_K on the disk/ball from the tanh distance."""
+    return math.atanh(tanh_distance_model(spec, z, w))
 
 
 class TestExactDistances:
@@ -473,20 +477,29 @@ class TestRelationLayer:
     @pytest.mark.parametrize("r", [0.3, 0.65])
     def test_relation_matches_all_pairs_reference(self, r):
         rng = np.random.default_rng(81)
+        scaled = complex_ellipsoid((1, 2), (1.2, 0.7))
         samplers = {
             DISK: lambda k: _random_disk_points(rng, k),
             BALL2: lambda k: _random_ball_points(rng, k),
             ELL12: lambda k: domains.random_interior(ELL12, k, rng),
+            scaled: lambda k: domains.random_interior(scaled, k, rng),
         }
         for spec, sample in samplers.items():
             pts, centers = sample(300), sample(300)
             p_all, c_all = np.repeat(pts, 300, axis=0), np.tile(centers, (300, 1))
             inside, maybe = ball_relation(spec, pts, centers, r)
-            if spec is ELL12:
+            if spec.kind == "ellipsoid":
                 zn, m = kobayashi._normalize_1m(spec, p_all)
                 cn, _ = kobayashi._normalize_1m(spec, c_all)
                 low, high = kobayashi._bracket_1m(zn, cn, m, r)  # no prefilter
                 ref_inside, ref_maybe = high < r, (low < r) | (high < r)
+                # and the full bracket, without the shortcuts of a threshold,
+                # decides every pair it closes clear of r the same way
+                low, high = kobayashi._bracket_1m(zn, cn, m)
+                clear = ((high - low <= 1e-12) & (np.abs(low - r) > 1e-9)).reshape(300, 300)
+                assert clear.mean() > 0.99
+                np.testing.assert_array_equal(inside[clear], (high < r).reshape(300, 300)[clear])
+                np.testing.assert_array_equal(maybe[clear], (low < r).reshape(300, 300)[clear])
             else:
                 assert inside is maybe
                 ref_inside = ref_maybe = kobayashi._ball_pd(p_all.T, c_all.T) < r
@@ -509,9 +522,15 @@ class TestRelationLayer:
                 kept.append(k)
                 if not exact:
                     frames.append(geometry.minimal_frame(spec, p))
-        got = kobayashi.greedy_separated(spec, pts, r)
+        got, covered = kobayashi.greedy_separated(spec, pts, r)
         np.testing.assert_array_equal(got, kept)
         assert 50 < len(kept) < 2000
+        # the coverage mask reads Inside only where the relation to the kept
+        # points does; it holds every kept point and, here, most of the others
+        inside, _ = ball_relation(spec, pts, pts[kept], r)
+        assert np.all(inside.any(axis=1)[covered])
+        assert covered[kept].all()
+        assert covered.mean() > (0.5 if exact else 0.02)
 
     @pytest.mark.parametrize("spec", [BALL2, ELL12], ids=["BALL2", "ELL12"])
     def test_counts_are_row_sums(self, spec):
@@ -648,6 +667,22 @@ class TestLogEnvelope:
         with pytest.raises(CapabilityError):
             calibrate_log_envelope(ELL22, (0.0, 0.0), pts)
 
+    def test_ray_placement_error(self):
+        # worst relative error of delta over the rays of the tests above
+        # (8.2e-11, set by the rounding of the point near the boundary, when
+        # each sample was placed by bisection in t)
+        worst = 0.0
+        for spec, direction, deltas in (
+            (ELL12, (1.0, 0.0), np.geomspace(1e-6, 1e-1, 40)),
+            (ELL12, (0.0, 1.0), np.geomspace(1e-6, 1e-1, 40)),
+            (ELL12, (0.6, 0.8), np.geomspace(1e-6, 1e-1, 40)),
+            (ELL22, (0.0, 1.0), np.geomspace(1e-5, 1e-1, 12)),
+        ):
+            pts = boundary_ray_samples(spec, direction, deltas)
+            got = np.array([domains.boundary_distance(spec, p) for p in pts])
+            worst = max(worst, float(np.max(np.abs(got - deltas) / deltas)))
+        assert worst < 1e-10
+
     def test_boundary_ray_samples_hit_deltas(self):
         deltas = np.array([0.3, 0.05, 1e-3])
         pts = boundary_ray_samples(ELL12, (0.0, 1.0), deltas)
@@ -705,3 +740,28 @@ def test_shortcut_bounds_sound_on_ellipsoid_property(seed, m):
         clear = closed & (np.abs(low - r) > 1e-9)
         np.testing.assert_array_equal((high_r < r)[clear], (high < r)[clear])
         np.testing.assert_array_equal((low_r < r)[clear], (low < r)[clear])
+
+
+@given(st.integers(0, 2**31 - 1), st.sampled_from([2, 4]))
+@settings(max_examples=20, deadline=None)
+def test_certificates_hold_on_closed_brackets(seed, m):
+    # the certificates _bracket_1m takes before the oracle when given a
+    # threshold: (z1, z2) -> z2 maps E into the disc, so the disc distance of
+    # the second coordinates is a lower bound; E contains the unit ball B, so
+    # on B x B the ball distance is an upper bound
+    spec = complex_ellipsoid((1, m), (1.0, 1.0))
+    rng = np.random.default_rng(seed)
+    z = domains.random_interior(spec, 400, rng)
+    w = domains.random_interior(spec, 400, rng)
+    near = z + 0.05 * _random_ball_points(rng, 400, rmax=1.0)  # half the pairs close
+    near[:200] = w[:200]
+    w = np.where(domains.contains(spec, near)[:, None], near, w)
+    low, high = kobayashi._bracket_1m(z, w, m)
+    closed = high - low <= 1e-12
+    assert closed.mean() > 0.9
+    disc = kobayashi._disc_pd(z[:, 1], w[:, 1])
+    assert np.all(disc[closed] <= low[closed] + 1e-12)
+    both = closed & kobayashi._in_ball(z) & kobayashi._in_ball(w)
+    assert both.any() and (closed & ~both).any()
+    rho_b = kobayashi._ball_pd(z[both].T, w[both].T)
+    assert np.all(rho_b >= high[both] - 1e-12)
