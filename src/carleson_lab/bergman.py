@@ -296,10 +296,13 @@ def reproduce_check(
 
 @dataclass(frozen=True)
 class BerezinEstimate:
+    """One Berezin value; stderr is the iid formula std/sqrt(samples), which
+    overstates the error of the quasi-Monte Carlo ("qmc") estimate."""
+
     value: float
     stderr: float
     samples: int
-    method: str
+    method: str  # "atomic" | "mobius" | "qmc"
 
 
 def berezin_many(
@@ -308,27 +311,17 @@ def berezin_many(
     zs,
     samples: int = 1 << 16,
     seed: int = 0,
-    method: str = "auto",
 ) -> list[BerezinEstimate]:
-    """Berezin transform at several points sharing one sample stream.
+    """Berezin transform at several points sharing one sample set.
 
-    Methods: "atomic" (exact sum), "mobius" (density pulled back through the
-    disk/ball automorphism, variance-free for the Lebesgue density), "plain"
-    (box Monte Carlo with the domain indicator).
+    Atoms give the exact sum.  On the disk and ball a density is pulled back
+    through the automorphism ("mobius", variance-free for the Lebesgue
+    density).  On other domains the integral of the density times |k_z|^2
+    runs over one quasi_uniform set weighted by nu(D) = m_0 ("qmc").
     """
     spec = model.spec
     zs = np.atleast_2d(np.asarray(zs, dtype=complex))
-    if method == "auto":
-        if isinstance(mu, AtomicMeasure):
-            method = "atomic"
-        elif spec.kind in ("disk", "ball"):
-            method = "mobius"
-        else:
-            method = "plain"
-
-    if method == "atomic":
-        if not isinstance(mu, AtomicMeasure):
-            raise InputError("atomic method requires an atomic measure")
+    if isinstance(mu, AtomicMeasure):
         out = []
         for z in zs:
             if mu.count == 0:
@@ -342,39 +335,30 @@ def berezin_many(
     if not isinstance(mu, DensityMeasure):
         raise CapabilityError(f"no density sampler for measure type {type(mu).__name__}")
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if method == "mobius":
-        if spec.kind not in ("disk", "ball"):
-            raise CapabilityError("mobius estimator requires the disk/ball")
+    if spec.kind in ("disk", "ball"):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
         base = domains.random_interior(spec, samples, rng)
         out = []
         for z in zs:
+            # pulled and vals stay bound until the next point replaces them:
+            # freed at once, their pages went back to the system and were
+            # faulted in again, which doubled the loop's time on the disk
             pulled = kobayashi.mobius_translation(spec, z, base)
             vals = mu.density(pulled)
-            value = float(vals.mean())
-            stderr = float(vals.std(ddof=1)) / math.sqrt(samples)
-            out.append(BerezinEstimate(value, stderr, samples, "mobius"))
+            out.append(_mean_estimate(vals, "mobius"))
         return out
 
-    if method == "plain":
-        half = np.asarray(spec.box)
-        re = rng.uniform(-half, half, size=(samples, spec.dim))
-        im = rng.uniform(-half, half, size=(samples, spec.dim))
-        pts = re + 1j * im
-        inside = domains.contains(spec, pts)
-        dens = mu.density(pts) * inside
-        vol = domains.box_nu_volume(spec)
-        out = []
-        for z in zs:
-            k2 = np.zeros(samples)
-            k2[inside] = np.abs(normalized_kernel(model, z, pts[inside])) ** 2
-            vals = vol * dens * k2
-            value = float(vals.mean())
-            stderr = float(vals.std(ddof=1)) / math.sqrt(samples)
-            out.append(BerezinEstimate(value, stderr, samples, "plain"))
-        return out
+    pts = domains.quasi_uniform(spec, samples, seed=seed)
+    dens = moment(model.table, (0,) * spec.dim) * mu.density(pts)
+    return [
+        _mean_estimate(dens * np.abs(normalized_kernel(model, z, pts)) ** 2, "qmc") for z in zs
+    ]
 
-    raise InputError(f"unknown berezin method {method!r}")
+
+def _mean_estimate(vals: np.ndarray, method: str) -> BerezinEstimate:
+    """Sample mean of the integrand values with its iid standard error."""
+    stderr = float(vals.std(ddof=1)) / math.sqrt(len(vals))
+    return BerezinEstimate(float(vals.mean()), stderr, len(vals), method)
 
 
 def berezin(
@@ -383,9 +367,8 @@ def berezin(
     z,
     samples: int = 1 << 16,
     seed: int = 0,
-    method: str = "auto",
 ) -> BerezinEstimate:
-    return berezin_many(model, mu, as_point(model.spec, z)[None, :], samples, seed, method)[0]
+    return berezin_many(model, mu, as_point(model.spec, z)[None, :], samples, seed)[0]
 
 
 # ---------------------------------------------------------------------------

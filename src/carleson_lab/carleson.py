@@ -239,24 +239,6 @@ def criterion_geometric(
 # criterion (1): embedding quotients over a test dictionary
 
 
-def _mu_integral_sq(spec: DomainSpec, mu, poly: HoloPolynomial, samples: int, seed: int) -> float:
-    """integral |f|^2 dmu; exact for atoms, box MC for densities."""
-    if isinstance(mu, AtomicMeasure):
-        if mu.count == 0:
-            return 0.0
-        return float(np.sum(mu.weights * np.abs(poly_eval(poly, mu.points)) ** 2))
-    if isinstance(mu, DensityMeasure):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        half = np.asarray(spec.box)
-        re = rng.uniform(-half, half, size=(samples, spec.dim))
-        im = rng.uniform(-half, half, size=(samples, spec.dim))
-        pts = re + 1j * im
-        inside = domains.contains(spec, pts)
-        vals = mu.density(pts) * inside * np.abs(poly_eval(poly, pts)) ** 2
-        return domains.box_nu_volume(spec) * float(vals.mean())
-    raise InputError(f"unsupported measure type {type(mu).__name__}")
-
-
 @dataclass(frozen=True)
 class DictionaryEntry:
     label: str
@@ -265,32 +247,42 @@ class DictionaryEntry:
 
 def criterion_operator(
     spec: DomainSpec,
-    model: KernelModel,
     mu,
     grid: list[GridPoint],
     config: CarlesonConfig,
     table: bergman.MomentTable,
-    berezin_trace: CriterionTrace | None = None,
+    berezin_trace: CriterionTrace,
 ) -> tuple[CriterionTrace, list[DictionaryEntry]]:
     """Sup of integral |f|^2 dmu / ||f||^2 over normalized kernels at the grid
     points and random polynomials.
 
     For f = k_{z0} the quotient IS the Berezin transform (||k_{z0}|| = 1 by the
-    reproducing identity), so kernel-dictionary values are evaluated by the
-    same estimator and coincide with criterion (2) exactly.
+    reproducing identity), so the kernel-dictionary values are criterion (2)'s
+    own values.  For the polynomials, atoms give the exact sum; a density is
+    integrated over one quasi_uniform set of config.berezin_samples points,
+    shared by all polynomials and weighted by nu(D) = m_0 from the table.
     """
-    if berezin_trace is None:
-        berezin_trace = criterion_berezin(spec, model, mu, grid, config)
     kernel_values = berezin_trace.values.copy()
+
+    if isinstance(mu, AtomicMeasure):
+        def integral_sq(poly: HoloPolynomial) -> float:
+            if mu.count == 0:
+                return 0.0
+            return float(np.sum(mu.weights * np.abs(poly_eval(poly, mu.points)) ** 2))
+    elif isinstance(mu, DensityMeasure):
+        pts = domains.quasi_uniform(spec, config.berezin_samples, seed=config.seed)
+        weight = bergman.moment(table, (0,) * spec.dim) * mu.density(pts)
+
+        def integral_sq(poly: HoloPolynomial) -> float:
+            return float(np.mean(weight * np.abs(poly_eval(poly, pts)) ** 2))
+    else:
+        raise InputError(f"unsupported measure type {type(mu).__name__}")
 
     entries: list[DictionaryEntry] = []
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(202,)))
     for p_idx in range(config.dictionary_polynomials):
         poly = random_polynomial(spec.dim, config.polynomial_degree, rng)
-        num = _mu_integral_sq(
-            spec, mu, poly, config.berezin_samples, seed=config.seed + 977 + p_idx
-        )
-        quotient = num / bergman.norm_sq(poly, table)
+        quotient = integral_sq(poly) / bergman.norm_sq(poly, table)
         entries.append(DictionaryEntry(label=f"poly{p_idx}", quotient=quotient))
 
     poly_sup = max((e.quotient for e in entries), default=0.0)
@@ -338,7 +330,7 @@ def carleson_test(spec: DomainSpec, model: KernelModel, mu, config: CarlesonConf
     c2 = criterion_berezin(spec, model, mu, grid, config)
     c3 = criterion_geometric(spec, mu, grid, config)
     table = dictionary_table(spec, model, config)
-    c1, entries = criterion_operator(spec, model, mu, grid, config, table, berezin_trace=c2)
+    c1, entries = criterion_operator(spec, mu, grid, config, table, c2)
     label = getattr(mu, "label", type(mu).__name__)
     return CarlesonReport(
         grid=grid,
@@ -515,20 +507,16 @@ def submean_check(
     The unknown Kobayashi ball is replaced by the outer polydisk in the
     integral and the inner polydisk in the normalizing volume, which can only
     increase the right-hand sides, so a failure would falsify the inequality
-    itself (up to MC error on the integral).
+    itself (up to MC error on the integral).  The integrals are
+    measures.mass of the density |f|^2 on the outer polydisks, with seeds
+    seed and seed + 1.
     """
     if not 0.0 < r < 1.0:
         raise InputError(f"r must lie in (0,1), got {r}")
     z0 = as_point(spec, z0)
     n = spec.dim
     phi0 = float(abs(poly_eval(f, z0)) ** 2)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-
-    def outer_integral(radius: float, sandwich) -> float:
-        pts = geometry.sample_polydisk(sandwich.outer, samples, rng)
-        keep = domains.contains(spec, pts)
-        vals = np.abs(poly_eval(f, pts)) ** 2 * keep
-        return geometry.polydisk_nu_volume(sandwich.outer) * float(vals.mean())
+    f_sq = DensityMeasure(density=lambda pts: np.abs(poly_eval(f, pts)) ** 2, label="|f|^2")
 
     frame = geometry.minimal_frame(spec, z0)
     sw_r = kobayashi.ball_sandwich(spec, z0, r, frame=frame)
@@ -536,8 +524,8 @@ def submean_check(
     sw_big = kobayashi.ball_sandwich(spec, z0, big_r, frame=frame)
     vol_inner = geometry.polydisk_nu_volume(sw_r.inner)
 
-    integral_r = outer_integral(r, sw_r)
-    integral_big = outer_integral(big_r, sw_big)
+    integral_r = measures.mass(spec, f_sq, sw_r.outer, samples, seed).value
+    integral_big = measures.mass(spec, f_sq, sw_big.outer, samples, seed + 1).value
     bound_mean = (2.0 * n / (1.0 - r)) * integral_r / vol_inner
     bound_shifted = (8.0 * n**2 * r / (1.0 - r) ** 3) * integral_big / vol_inner
     return SubmeanReport(

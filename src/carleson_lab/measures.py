@@ -132,7 +132,11 @@ def mass(spec: DomainSpec, mu, region, samples: int = 1 << 14, seed: int = 0):
             return MassEstimate(0.0, 0.0, 0, exact=True)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         pts = geometry.sample_polydisk(region, samples, rng)
-        vals = mu.density(pts) * domains.contains(spec, pts)
+        # the density is only defined on D, and the polydisk may reach outside;
+        # compress/place cost less than boolean indexing here
+        inside = domains.contains(spec, pts)
+        vals = np.zeros(samples)
+        np.place(vals, inside, mu.density(np.compress(inside, pts, axis=0)))
         value = vol * float(vals.mean())
         stderr = vol * float(vals.std(ddof=1)) / np.sqrt(samples)
         return MassEstimate(value, stderr, samples, exact=False)

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import domains, geometry, kobayashi, measures
-from .carleson import CarlesonConfig, CarlesonReport, carleson_test, dictionary_table
-from .bergman import KernelModel, kernel_row, norm_sq
+from .carleson import CarlesonConfig, CarlesonReport, carleson_test
+from .bergman import KernelModel
 from .domains import DomainSpec
 from .errors import InputError
 from .measures import AtomicMeasure
-from .polynomials import poly_eval, random_polynomial
 
 
 @dataclass(frozen=True)
@@ -247,25 +246,15 @@ class Thm42Report:
 def thm42_pipeline(
     spec: DomainSpec, model: KernelModel, gamma: SequenceSet, config: CarlesonConfig
 ) -> Thm42Report:
-    """Weighted-measure Carleson test plus the direct sequence-side statement:
-    sup_f sum_k w_k |f(z_k)|^2 / ||f||^2 over the same dictionary, evaluated
-    from the atoms independently of the measure plumbing."""
+    """Weighted-measure Carleson test plus the sequence-side statement (3):
+    sup_f sum_k w_k |f(z_k)|^2 / ||f||^2 over the same dictionary.  For the
+    atomic sequence measure these sums are the operator criterion's exact
+    quotients, so the kernel sup is the largest operator value and the
+    polynomial sup the largest dictionary quotient."""
     mu = sequence_measure(spec, gamma)
     report = carleson_test(spec, model, mu, config)
-
-    # statement (3) recomputed from the raw atoms
-    kernel_sup = 0.0
-    for gp in report.grid:
-        row = kernel_row(model, gp.point, gamma.points)
-        norm = np.sqrt(float(np.real(kernel_row(model, gp.point, gp.point[None, :])[0])))
-        kernel_sup = max(kernel_sup, float(np.sum(mu.weights * np.abs(row / norm) ** 2)))
-    table = dictionary_table(spec, model, config)
-    poly_sup = 0.0
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(202,)))
-    for _ in range(config.dictionary_polynomials):
-        poly = random_polynomial(spec.dim, config.polynomial_degree, rng)
-        num = float(np.sum(mu.weights * np.abs(poly_eval(poly, gamma.points)) ** 2))
-        poly_sup = max(poly_sup, num / norm_sq(poly, table))
+    kernel_sup = float(report.operator.values.max())
+    poly_sup = max((e.quotient for e in report.dictionary), default=0.0)
 
     parts = greedy_decompose(spec, gamma, config.r)
     m_max = max_count_in_ball(spec, config.r, gamma)

@@ -23,7 +23,7 @@ from carleson_lab.bergman import (
 )
 from carleson_lab.domains import complex_ellipsoid, convex_polynomial, unit_ball, unit_disk
 from carleson_lab.errors import CapabilityError, InputError, TruncationError
-from carleson_lab.measures import atomic_measure, lebesgue_measure
+from carleson_lab.measures import DensityMeasure, atomic_measure, density_catalog, lebesgue_measure
 from carleson_lab.polynomials import HoloPolynomial, monomial
 
 DISK = unit_disk()
@@ -333,34 +333,57 @@ class TestBerezin:
             assert est.method == "mobius"
             assert est.value == 1.0 and est.stderr == 0.0
 
-    def test_plain_agrees_with_mobius(self):
-        model = kernel_model(DISK)
-        est = berezin(
-            model, lebesgue_measure(), 0.3, samples=1 << 16, seed=11, method="plain"
-        )
-        assert abs(est.value - 1.0) < 4.0 * est.stderr
+    def test_qmc_agrees_with_mobius(self):
+        # the 2-ball written as the (1,1) ellipsoid takes the quasi-uniform
+        # path with the series kernel; the ball itself takes the Mobius path
+        mu = DensityMeasure(lambda p: np.abs(p[:, 0]) ** 2 + 0.5, label="smooth")
+        z = np.array([0.3, 0.2j])
+        mob = berezin(kernel_model(BALL2), mu, z, samples=1 << 16, seed=11)
+        qmc = berezin(kernel_model(complex_ellipsoid((1, 1))), mu, z, samples=1 << 16, seed=11)
+        assert (mob.method, qmc.method) == ("mobius", "qmc")
+        # the quasi-uniform error is far below the Mobius path's iid stderr
+        assert abs(qmc.value - mob.value) < 4.0 * mob.stderr
 
     def test_ellipsoid_lebesgue_near_one(self):
         model = kernel_model(ELL12)
         est = berezin(model, lebesgue_measure(), np.array([0.1, 0.3]), samples=1 << 16, seed=2)
-        assert est.method == "plain"
+        assert est.method == "qmc"
         assert abs(est.value - 1.0) < 4.0 * est.stderr
 
+    def test_ellipsoid_lebesgue_qmc_accuracy(self):
+        # B(nu) = 1 exactly; quasi-uniform points keep the error far below
+        # the iid stderr
+        model = kernel_model(ELL12)
+        zs = np.array([[0.1, 0.3], [0.3, 0.2], [0.0, 0.4], [0.4, 0.0]])
+        for est in berezin_many(model, lebesgue_measure(), zs, samples=1 << 16, seed=0):
+            assert abs(est.value - 1.0) <= 1e-3
+
+    def test_ellipsoid_density_evaluated_inside(self):
+        # 1 - delta is defined on D only; the estimator must not evaluate it
+        # outside (boundary_distance raises there)
+        mu = density_catalog(ELL12)["one_minus_delta"]
+        est = berezin(kernel_model(ELL12), mu, (0.1, 0.3), samples=1 << 9, seed=0)
+        assert est.method == "qmc"
+        assert 0.0 < est.value < 1.0
+
     def test_shared_stream_across_points(self):
-        model = kernel_model(DISK)
-        zs = np.array([[0.1], [0.5], [0.8j]])
-        ests = berezin_many(model, lebesgue_measure(), zs, samples=1 << 12, seed=9, method="plain")
-        repeat = berezin_many(model, lebesgue_measure(), zs, samples=1 << 12, seed=9, method="plain")
-        assert [e.value for e in ests] == [e.value for e in repeat]
+        # one point set serves every z: a batch equals the one-point calls
+        model = kernel_model(ELL12)
+        mu = lebesgue_measure()
+        zs = np.array([[0.1, 0.0], [0.5, 0.2], [0.0, 0.6j]])
+        ests = berezin_many(model, mu, zs, samples=1 << 12, seed=9)
+        singles = [berezin(model, mu, z, samples=1 << 12, seed=9) for z in zs]
+        assert ests == singles
 
     def test_method_validation(self):
-        model = kernel_model(DISK)
-        with pytest.raises(InputError):
-            berezin(model, lebesgue_measure(), 0.1, method="atomic")
+        # dispatch is automatic: atoms exact, disk/ball Mobius, else qmc
+        disk_atoms = atomic_measure(DISK, [0.5], [1.0])
+        assert berezin(kernel_model(DISK), disk_atoms, 0.1).method == "atomic"
+        assert berezin(kernel_model(DISK), lebesgue_measure(), 0.1, samples=64).method == "mobius"
+        est = berezin(kernel_model(ELL12), lebesgue_measure(), (0.0, 0.0), samples=64)
+        assert est.method == "qmc"
         with pytest.raises(CapabilityError):
-            berezin(kernel_model(ELL12), lebesgue_measure(), (0.0, 0.0), method="mobius")
-        with pytest.raises(InputError):
-            berezin(model, lebesgue_measure(), 0.1, method="bogus")
+            berezin(kernel_model(DISK), object(), 0.1)
 
 
 class TestKernelFloors:

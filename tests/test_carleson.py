@@ -10,8 +10,12 @@ from carleson_lab.carleson import (
     INCONCLUSIVE,
     CarlesonConfig,
     CoverageReport,
+    GridPoint,
     build_grid,
     carleson_test,
+    criterion_berezin,
+    criterion_operator,
+    dictionary_table,
     grid_levels,
     kobayashi_cover,
     overlap_count,
@@ -141,6 +145,27 @@ class TestCarlesonLebesgue:
         assert len(report.dictionary) == FAST.dictionary_polynomials
         for entry in report.dictionary:
             assert abs(entry.quotient - 1.0) < 0.15
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize(
+        "spec", [DISK, domains.unit_ball(2), ELL12], ids=["DISK", "BALL2", "ELL12"]
+    )
+    def test_dictionary_quotients_for_lebesgue_are_accurate(self, spec, seed):
+        # integral |f|^2 dnu = ||f||^2, so every quotient is exactly 1 for
+        # mu = nu; at the default sample count the quasi-uniform estimate is
+        # within 2e-3
+        config = CarlesonConfig(seed=seed)
+        model = bergman.kernel_model(spec)
+        anchor = domains.anchor_point(spec)
+        delta = float(domains.boundary_distance(spec, anchor))
+        grid = [GridPoint(anchor, "interior", -1, 0.0, delta, -1)]
+        nu = lebesgue_measure()
+        trace = criterion_berezin(spec, model, nu, grid, config)
+        table = dictionary_table(spec, model, config)
+        _, entries = criterion_operator(spec, nu, grid, config, table, trace)
+        assert len(entries) == config.dictionary_polynomials
+        for entry in entries:
+            assert abs(entry.quotient - 1.0) <= 2e-3
 
 
 class TestCarlesonVerdictCases:

@@ -142,6 +142,15 @@ class TestSandwichBracket:
         # disk: inner polydisk is exactly B(0.2, 0.4) cap-scaled; both positive
         assert br.inner.value > 0.0
 
+    def test_density_evaluated_inside_only(self):
+        # the outer polydisk at (0, 0.9) reaches outside the (1,2) ellipsoid,
+        # where boundary_distance (hence 1 - delta) is undefined
+        ell = domains.complex_ellipsoid((1, 2))
+        mu = density_catalog(ell)["one_minus_delta"]
+        sw = kobayashi.ball_sandwich(ell, (0.0, 0.9), 0.3)
+        br = mass(ell, mu, sw, samples=1 << 8, seed=0)
+        assert 0.0 < br.inner.value <= br.outer.value
+
     def test_atomic_bracket_exact(self):
         mu = atomic_measure(DISK, [0.2, 0.9], [1.0, 5.0])
         sw = kobayashi.ball_sandwich(DISK, 0.2, 0.3)

@@ -12,6 +12,7 @@ from carleson_lab import bergman, domains, kobayashi, measures, sequences
 from carleson_lab.carleson import CarlesonConfig
 from carleson_lab.domains import complex_ellipsoid, unit_ball, unit_disk
 from carleson_lab.errors import InputError
+from carleson_lab.polynomials import poly_eval, random_polynomial
 
 DISK = unit_disk()
 BALL2 = unit_ball(2)
@@ -354,8 +355,23 @@ class TestThm42Pipeline:
         assert rep.separation >= 0.5
         assert rep.part_count == 1
         assert rep.part_count <= rep.max_ball_count == 1
-        # sup over normalized kernels recomputed from atoms equals the
-        # measure-side Berezin sup on the same grid
+        # statement (3) recomputed from the raw atoms: the kernel sums at the
+        # grid points and the sums over the dictionary polynomials
+        pts, w = pack.sequence.points, rep.measure.weights
+        kernel_sup = 0.0
+        for gp in rep.carleson.grid:
+            row = bergman.kernel_row(disk_model, gp.point, pts)
+            norm = math.sqrt(bergman.kernel_row(disk_model, gp.point, gp.point[None, :])[0].real)
+            kernel_sup = max(kernel_sup, float(np.sum(w * np.abs(row / norm) ** 2)))
+        table = bergman.moments(DISK, FAST.polynomial_degree)
+        rng = np.random.default_rng(np.random.SeedSequence(FAST.seed, spawn_key=(202,)))
+        poly_sup = 0.0
+        for _ in range(FAST.dictionary_polynomials):
+            poly = random_polynomial(1, FAST.polynomial_degree, rng)
+            num = float(np.sum(w * np.abs(poly_eval(poly, pts)) ** 2))
+            poly_sup = max(poly_sup, num / bergman.norm_sq(poly, table))
+        assert rep.statement3_kernel_sup == pytest.approx(kernel_sup, rel=1e-12)
+        assert rep.statement3_poly_sup == pytest.approx(poly_sup, rel=1e-12)
         assert rep.statement3_kernel_sup == pytest.approx(
             rep.carleson.berezin.sup, rel=1e-12
         )
