@@ -15,11 +15,11 @@ direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import bergman, domains, geometry, kobayashi, measures
+from . import bergman, domains, geometry, kobayashi, measures, tables
 from .bergman import KernelModel
 from .domains import DomainSpec, as_point
 from .errors import ConfigError, InputError, ResourceError
@@ -57,7 +57,6 @@ class CarlesonConfig:
     mass_samples: int = 1 << 14
     dictionary_polynomials: int = 8
     polynomial_degree: int = 6
-    series_degree: int = 60
 
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
@@ -311,8 +310,6 @@ class CarlesonReport:
     geometric: CriterionTrace
     operator: CriterionTrace
     dictionary: list[DictionaryEntry]
-    constant_c: float  # fitted Berezin bound
-    constant_cr: float  # fitted geometric ratio bound
     config: CarlesonConfig
     measure_label: str
 
@@ -338,8 +335,6 @@ def carleson_test(spec: DomainSpec, model: KernelModel, mu, config: CarlesonConf
         geometric=c3,
         operator=c1,
         dictionary=entries,
-        constant_c=c2.sup,
-        constant_cr=c3.sup,
         config=config,
         measure_label=label,
     )
@@ -543,75 +538,39 @@ def submean_check(
 # artifact emission (deterministic byte-for-byte given the same report)
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
-def report_point_rows(report: CarlesonReport) -> tuple[list[str], list[list[str]]]:
-    """One row per grid point per criterion."""
+def report_point_rows(report: CarlesonReport) -> tuple[list[str], list[list]]:
+    """One row per grid point per criterion (a tables.write table)."""
     n = report.grid[0].point.shape[0] if report.grid else 0
     header = ["criterion", "index", "kind", "level_index", "level_value", "delta"]
-    for i in range(n):
-        header += [f"x{i+1}", f"y{i+1}"]
-    header += ["value", "stderr", "lower"]
-    rows: list[list[str]] = []
+    header += tables.coord_header(n) + ["value", "stderr", "lower"]
+    rows: list[list] = []
     for trace in (report.berezin, report.geometric, report.operator):
         for idx, gp in enumerate(report.grid):
-            row = [
-                trace.name,
-                str(idx),
-                gp.kind,
-                str(gp.level_index),
-                _fmt(gp.level_value),
-                _fmt(gp.delta),
-            ]
-            for i in range(n):
-                row += [_fmt(gp.point[i].real), _fmt(gp.point[i].imag)]
             lower = trace.lower[idx] if trace.lower is not None else float("nan")
-            row += [_fmt(trace.values[idx]), _fmt(trace.stderr[idx]), _fmt(lower)]
-            rows.append(row)
+            rows.append(
+                [trace.name, idx, gp.kind, gp.level_index, gp.level_value, gp.delta,
+                 *domains.to_real(gp.point), trace.values[idx], trace.stderr[idx], lower]
+            )
     return header, rows
 
 
-def report_level_rows(report: CarlesonReport) -> tuple[list[str], list[list[str]]]:
+def report_level_rows(report: CarlesonReport) -> tuple[list[str], list[list]]:
     """Dyadic level against the per-criterion sup curves (plot data)."""
     header = ["level_index", "level_value", "berezin_sup", "geometric_sup", "operator_sup"]
     lams = [abs(gp.level_value) for gp in report.grid if gp.kind == "ray"]
     uniq = sorted(set(lams), reverse=True)
-    rows = []
-    for j, lam in enumerate(uniq):
-        rows.append(
-            [
-                str(j),
-                _fmt(lam),
-                _fmt(report.berezin.per_level[j]),
-                _fmt(report.geometric.per_level[j]),
-                _fmt(report.operator.per_level[j]),
-            ]
-        )
+    traces = (report.berezin, report.geometric, report.operator)
+    rows = [[j, lam, *(t.per_level[j] for t in traces)] for j, lam in enumerate(uniq)]
     return header, rows
 
 
 def report_summary(report: CarlesonReport) -> dict:
     from . import __version__
 
-    cfg = report.config
     return {
         "version": __version__,
         "measure": report.measure_label,
-        "config": {
-            "r": cfg.r,
-            "levels": cfg.levels,
-            "level0": cfg.level0,
-            "extra_rays": cfg.extra_rays,
-            "interior_points": cfg.interior_points,
-            "seed": cfg.seed,
-            "berezin_samples": cfg.berezin_samples,
-            "mass_samples": cfg.mass_samples,
-            "dictionary_polynomials": cfg.dictionary_polynomials,
-            "polynomial_degree": cfg.polynomial_degree,
-            "series_degree": cfg.series_degree,
-        },
+        "config": asdict(report.config),
         "verdicts": {
             "berezin": report.berezin.verdict,
             "geometric": report.geometric.verdict,
@@ -622,16 +581,9 @@ def report_summary(report: CarlesonReport) -> dict:
             "geometric": float(report.geometric.sup),
             "operator": float(report.operator.sup),
         },
-        "constants": {"C": float(report.constant_c), "C_r": float(report.constant_cr)},
+        "constants": {"C": float(report.berezin.sup), "C_r": float(report.geometric.sup)},
         "dictionary": [
             {"label": e.label, "quotient": float(e.quotient)} for e in report.dictionary
         ],
         "grid_points": len(report.grid),
     }
-
-
-def write_csv(path, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")

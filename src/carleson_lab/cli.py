@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, bergman, carleson, domains, geometry, measures, sequences
+from . import __version__, bergman, carleson, domains, geometry, measures, sequences, tables
 from .errors import (
     CapabilityError,
     CarlesonLabError,
@@ -135,26 +135,15 @@ def _write_json(path, payload: dict) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _fmt(v) -> str:
-    return f"{float(v):.17g}"
-
-
 def _echo(args, skip=("command", "out")) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
-def _outdir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
 
 
 # ---------------------------------------------------------------------------
 # command bodies
 
 
-def _cmd_domain_info(args) -> int:
-    spec = domains.load_spec(args.domain)
-    out = _outdir(args)
+def _cmd_domain_info(args, spec, out) -> int:
     anchor = domains.anchor_point(spec)
     info = {
         "config": _echo(args),
@@ -174,22 +163,16 @@ def _cmd_domain_info(args) -> int:
     return 0
 
 
-def _cmd_frame(args) -> int:
-    spec = domains.load_spec(args.domain)
-    out = _outdir(args)
+def _cmd_frame(args, spec, out) -> int:
     q = _parse_point(spec, args.point)
     frame = geometry.minimal_frame(spec, q)
     header = ["i", "sigma"] + [f"e_x{j+1}" for j in range(spec.dim)] + [
         f"e_y{j+1}" for j in range(spec.dim)
     ]
-    rows = []
-    for i in range(spec.dim):
-        rows.append(
-            [str(i), _fmt(frame.sigma[i])]
-            + [_fmt(frame.basis[i, j].real) for j in range(spec.dim)]
-            + [_fmt(frame.basis[i, j].imag) for j in range(spec.dim)]
-        )
-    carleson.write_csv(os.path.join(out, "frame.csv"), header, rows)
+    rows = [
+        [i, frame.sigma[i], *frame.basis[i].real, *frame.basis[i].imag] for i in range(spec.dim)
+    ]
+    tables.write(os.path.join(out, "frame.csv"), header, rows)
     _write_json(
         os.path.join(out, "frame_summary.json"),
         {
@@ -202,9 +185,7 @@ def _cmd_frame(args) -> int:
     return 0
 
 
-def _cmd_kernel_check(args) -> int:
-    spec = domains.load_spec(args.domain)
-    out = _outdir(args)
+def _cmd_kernel_check(args, spec, out) -> int:
     model = bergman.kernel_model(spec, degree=args.degree)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     results = {"config": _echo(args), "variant": model.variant}
@@ -233,26 +214,19 @@ def _cmd_kernel_check(args) -> int:
     return 0
 
 
-def _cmd_berezin(args) -> int:
-    spec = domains.load_spec(args.domain)
-    out = _outdir(args)
+def _cmd_berezin(args, spec, out) -> int:
     mu = _resolve_measure(spec, args.measure, seed=args.seed)
     model = bergman.kernel_model(spec)
     config = carleson.CarlesonConfig(r=args.r, seed=args.seed, berezin_samples=args.samples)
     grid = carleson.build_grid(spec, config)
     zs = np.array([gp.point for gp in grid])
     estimates = bergman.berezin_many(model, mu, zs, samples=args.samples, seed=args.seed)
-    header = ["index", "kind", "delta"] + [
-        t for i in range(spec.dim) for t in (f"x{i+1}", f"y{i+1}")
-    ] + ["value", "stderr"]
-    rows = []
-    for idx, (gp, est) in enumerate(zip(grid, estimates)):
-        row = [str(idx), gp.kind, _fmt(gp.delta)]
-        for i in range(spec.dim):
-            row += [_fmt(gp.point[i].real), _fmt(gp.point[i].imag)]
-        row += [_fmt(est.value), _fmt(est.stderr)]
-        rows.append(row)
-    carleson.write_csv(os.path.join(out, "berezin.csv"), header, rows)
+    header = ["index", "kind", "delta", *tables.coord_header(spec.dim), "value", "stderr"]
+    rows = [
+        [idx, gp.kind, gp.delta, *domains.to_real(gp.point), est.value, est.stderr]
+        for idx, (gp, est) in enumerate(zip(grid, estimates))
+    ]
+    tables.write(os.path.join(out, "berezin.csv"), header, rows)
     sup = float(max(e.value for e in estimates))
     _write_json(
         os.path.join(out, "berezin_summary.json"),
@@ -262,9 +236,7 @@ def _cmd_berezin(args) -> int:
     return 0
 
 
-def _cmd_carleson(args) -> int:
-    spec = domains.load_spec(args.domain)
-    out = _outdir(args)
+def _cmd_carleson(args, spec, out) -> int:
     mu = _resolve_measure(spec, args.measure, seed=args.seed)
     model = bergman.kernel_model(spec)
     config = carleson.CarlesonConfig(
@@ -275,34 +247,30 @@ def _cmd_carleson(args) -> int:
     )
     report = carleson.carleson_test(spec, model, mu, config)
     header, rows = carleson.report_point_rows(report)
-    carleson.write_csv(os.path.join(out, "carleson_points.csv"), header, rows)
+    tables.write(os.path.join(out, "carleson_points.csv"), header, rows)
     header, rows = carleson.report_level_rows(report)
-    carleson.write_csv(os.path.join(out, "carleson_levels.csv"), header, rows)
+    tables.write(os.path.join(out, "carleson_levels.csv"), header, rows)
     summary = carleson.report_summary(report)
     summary["config_cli"] = _echo(args)
     _write_json(os.path.join(out, "carleson_summary.json"), summary)
     print(
         f"verdicts: berezin={report.berezin.verdict} geometric={report.geometric.verdict} "
-        f"operator={report.operator.verdict}; C={report.constant_c:.6g} C_r={report.constant_cr:.6g}"
+        f"operator={report.operator.verdict}; "
+        f"C={report.berezin.sup:.6g} C_r={report.geometric.sup:.6g}"
     )
     return 0
 
 
-def _cmd_cover(args) -> int:
-    spec = domains.load_spec(args.domain)
-    out = _outdir(args)
+def _cmd_cover(args, spec, out) -> int:
     result = carleson.kobayashi_cover(
         spec, args.r, seed=args.seed, candidates=args.samples,
         test_count=min(10000, args.samples),
     )
-    header = [t for i in range(spec.dim) for t in (f"x{i+1}", f"y{i+1}")]
-    rows = []
-    for c in result.centers:
-        row = []
-        for i in range(spec.dim):
-            row += [_fmt(c[i].real), _fmt(c[i].imag)]
-        rows.append(row)
-    carleson.write_csv(os.path.join(out, "cover_centers.csv"), header, rows)
+    tables.write(
+        os.path.join(out, "cover_centers.csv"),
+        tables.coord_header(spec.dim),
+        domains.to_real(result.centers),
+    )
     _write_json(
         os.path.join(out, "cover_summary.json"),
         {
@@ -324,9 +292,7 @@ def _cmd_cover(args) -> int:
     return 0
 
 
-def _cmd_decompose(args) -> int:
-    spec = domains.load_spec(args.domain)
-    out = _outdir(args)
+def _cmd_decompose(args, spec, out) -> int:
     gamma = sequences.sequence_from_csv(spec, args.points)
     parts = sequences.greedy_decompose(spec, gamma, args.r)
     sequences.decomposition_to_csv(gamma, parts, os.path.join(out, "decompose.csv"))
@@ -345,9 +311,7 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _cmd_pack(args) -> int:
-    spec = domains.load_spec(args.domain)
-    out = _outdir(args)
+def _cmd_pack(args, spec, out) -> int:
     result = sequences.greedy_packing(
         spec, args.r, level_floor=args.level, seed=args.seed, candidates=args.samples
     )
@@ -366,9 +330,7 @@ def _cmd_pack(args) -> int:
     return 0
 
 
-def _cmd_thm42(args) -> int:
-    spec = domains.load_spec(args.domain)
-    out = _outdir(args)
+def _cmd_thm42(args, spec, out) -> int:
     if args.points:
         gamma = sequences.sequence_from_csv(spec, args.points, label="loaded")
     else:
@@ -396,7 +358,7 @@ def _cmd_thm42(args) -> int:
     summary["verdicts_agree"] = report.verdicts_agree
     _write_json(os.path.join(out, "thm42_summary.json"), summary)
     header, rows = carleson.report_level_rows(report.carleson)
-    carleson.write_csv(os.path.join(out, "thm42_levels.csv"), header, rows)
+    tables.write(os.path.join(out, "thm42_levels.csv"), header, rows)
     print(
         f"|Gamma|={gamma.count} sep={report.separation:.4g} parts={report.part_count}; "
         f"verdict (2) {report.carleson.berezin.verdict}, (3) {report.carleson.geometric.verdict}"
@@ -422,7 +384,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _validate(args)
-        return _COMMANDS[args.command](args)
+        spec = domains.load_spec(args.domain)
+        os.makedirs(args.out, exist_ok=True)
+        return _COMMANDS[args.command](args, spec, args.out)
     except (InputError, ConfigError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -137,6 +137,19 @@ def as_point(spec: DomainSpec, z) -> np.ndarray:
     return arr
 
 
+def as_points(spec: DomainSpec, points) -> np.ndarray:
+    """Coerce a batch to a complex (m, n) array; flat input is a list of
+    scalars on a 1-dim domain, else a single point."""
+    pts = np.asarray(points, dtype=complex)
+    if pts.ndim == 0:
+        pts = pts.reshape(1, 1)
+    elif pts.ndim == 1:
+        pts = pts.reshape(-1, 1) if spec.dim == 1 else pts.reshape(1, -1)
+    if pts.ndim != 2 or (len(pts) and pts.shape[1] != spec.dim):
+        raise InputError(f"point array of shape {pts.shape} does not match dimension {spec.dim}")
+    return pts
+
+
 def to_real(z: np.ndarray) -> np.ndarray:
     """Interleave (..., n) complex into (..., 2n) reals (x1, y1, x2, y2, ...)."""
     z = np.asarray(z, dtype=complex)

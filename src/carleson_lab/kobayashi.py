@@ -85,12 +85,19 @@ def tanh_distance_model_batch(spec: DomainSpec, z, pts: np.ndarray) -> np.ndarra
 
 def pseudo_distance_matrix(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Unit-ball pseudo-distances tanh d_B, pts (B,n) x centers (K,n), from
-    1 - rho^2 = (1-|p|^2)(1-|c|^2) / |1-<p,c>|^2.  For small rho this form
-    carries an absolute error of about sqrt(eps); _ball_pd does not."""
+    rho^2 = m / |1-<p,c>|^2, where the margin m = |1-<p,c>|^2 -
+    (1-|p|^2)(1-|c|^2) of each tile is off by less than _margin_error(n).
+    Where m >= _PD_GUARD, rho is therefore off by less than
+    _margin_error(n) / _PD_GUARD, rounding included.  Below the guard, where
+    this form loses up to sqrt(eps), entries are recomputed by _ball_pd."""
     out = np.empty((len(pts), len(centers)))
     for rows, cols, num, den in _pair_tiles(pts, centers):
-        rho2 = 1.0 - num / den
-        out[rows, cols] = np.sqrt(np.clip(rho2, 0.0, None, out=rho2), out=rho2)
+        margin = np.subtract(den, num, out=num)
+        i, j = np.nonzero(margin < _PD_GUARD)
+        block = out[rows, cols]  # a view
+        np.divide(margin, den, out=margin)
+        np.sqrt(np.clip(margin, 0.0, None, out=margin), out=block)
+        block[i, j] = _ball_pd(pts[i + rows.start].T, centers[j + cols.start].T)
     return out
 
 
@@ -124,6 +131,8 @@ def _ball_pd(p, q) -> np.ndarray:
 # pair within twice that of the threshold is decided by _ball_pd instead.
 # So the answer never depends on how the pairs are blocked, and it stays
 # right at radii far below sqrt(eps), where the quotient form fails.
+# pseudo_distance_matrix reads the same margin at t = 1 and hands the pairs
+# with margin below _PD_GUARD to _ball_pd.
 #
 # A tile holds about _PRODUCT / (2n+1) pairs, so each half of a product has
 # at most _PRODUCT multiply-adds: its width is capped so that min(B, 16) rows
@@ -135,6 +144,12 @@ def _ball_pd(p, q) -> np.ndarray:
 # each product competes with the spinning BLAS worker); 2^18 stays clear of
 # that at about 5% more wall time than 2^19.
 _PRODUCT = 1 << 18
+_PD_GUARD = 2.0**-10
+
+
+def _margin_error(n: int) -> float:
+    """Bound on the absolute rounding error of a tile's margin in C^n."""
+    return (24 * n + 58) * np.finfo(float).eps
 
 
 def _pair_tiles(pts: np.ndarray, centers: np.ndarray, scale: float = 1.0):
@@ -171,7 +186,7 @@ def _within(pts: np.ndarray, centers: np.ndarray, r: float) -> np.ndarray:
     """(B, K) bool: unit-ball pseudo-distance rho_B(p, c) < r, for points
     and centers in the unit ball."""
     out = np.zeros((len(pts), len(centers)), dtype=bool)
-    slack = 2.0 * (24 * pts.shape[-1] + 58) * np.finfo(float).eps
+    slack = 2.0 * _margin_error(pts.shape[-1])
     for rows, cols, num, den in _pair_tiles(pts, centers, math.sqrt(1.0 - r * r)):
         num -= den  # the margin |1-<p,c>|^2 (r^2 - rho^2)
         block = out[rows, cols]
@@ -502,9 +517,6 @@ def tanh_distance_bracket(spec: DomainSpec, z, w) -> tuple[np.ndarray, np.ndarra
 
 _GREEDY_CHUNK = 256
 _COUNT_CHUNK = 1024
-# the pseudo_distance_matrix form of a small distance rho carries an absolute
-# rounding error up to about sqrt(eps); a lower bound is trusted only above it
-_LOWER_SLACK = 1e-7
 
 
 def _sandwich_scales(r: float, n: int) -> tuple[float, float]:
@@ -674,15 +686,18 @@ def min_tanh_distance(spec: DomainSpec, pts: np.ndarray) -> float:
         g = float(gauge.min())
         return g / (2.0 + g)
     _, images, _ = _images(spec, pts)
+    # the rounding error that pseudo_distance_matrix's guarded values still
+    # carry (2.4e-11 in C^2); a lower bound is trusted only above it
+    slack = _margin_error(spec.dim) / _PD_GUARD
     best = math.inf
     step = max(1, _PAIR_CHUNK // count)
     for start in range(0, count - 1, step):
         lower = pseudo_distance_matrix(images[start : start + step], images)
-        i, j = np.nonzero(np.triu(lower <= best + _LOWER_SLACK, start + 1))  # pairs i < j
+        i, j = np.nonzero(np.triu(lower <= best + slack, start + 1))  # pairs i < j
         order = np.argsort(lower[i, j], kind="stable")
         i, j, bound = i[order], j[order], lower[i[order], j[order]]
         for first in range(0, len(i), _PAIR_CHUNK):
-            if bound[first] > best + _LOWER_SLACK:
+            if bound[first] > best + slack:
                 break
             k = slice(first, first + _PAIR_CHUNK)
             low, _ = tanh_distance_bracket(spec, pts[start + i[k]], pts[j[k]])

@@ -9,13 +9,12 @@ Monte Carlo with a standard error for densities.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import domains, geometry
+from . import domains, geometry, tables
 from .domains import DomainSpec
 from .errors import InputError
 from .geometry import Polydisk
@@ -43,14 +42,7 @@ class DensityMeasure:
 
 
 def atomic_measure(spec: DomainSpec, points, weights, label: str = "atomic") -> AtomicMeasure:
-    pts = np.asarray(points, dtype=complex)
-    if pts.ndim == 0:
-        pts = pts.reshape(1, 1)
-    elif pts.ndim == 1:
-        # flat input: a list of scalars on a 1-dim domain, else a single point
-        pts = pts.reshape(-1, 1) if spec.dim == 1 else pts.reshape(1, -1)
-    if pts.ndim != 2 or (len(pts) and pts.shape[1] != spec.dim):
-        raise InputError(f"atom array of shape {pts.shape} does not match dimension {spec.dim}")
+    pts = domains.as_points(spec, points)
     w = np.asarray(weights, dtype=float)
     if len(pts) != len(w):
         raise InputError(f"{len(pts)} atoms but {len(w)} weights")
@@ -145,51 +137,15 @@ def mass(spec: DomainSpec, mu, region, samples: int = 1 << 14, seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange (2n coordinate columns + weight)
+# atom tables: coordinate columns and a weight column (tables)
 
 
 def atoms_to_csv(mu: AtomicMeasure, path) -> None:
-    n = mu.points.shape[1] if mu.count else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [c for i in range(n) for c in (f"x{i + 1}", f"y{i + 1}")] + ["weight"]
-        writer.writerow(header)
-        for pt, w in zip(mu.points, mu.weights):
-            row = []
-            for i in range(n):
-                row += [f"{pt[i].real:.17g}", f"{pt[i].imag:.17g}"]
-            writer.writerow(row + [f"{w:.17g}"])
-
-
-def csv_floats(rows: list[list[str]], width: int, path) -> np.ndarray:
-    """CSV data rows (after the header) as floats, shape (len(rows), width);
-    a row of another width or a non-numeric cell raises InputError."""
-    out = np.empty((len(rows), width))
-    for number, row in enumerate(rows):
-        try:
-            if len(row) != width:
-                raise ValueError(f"{len(row)} cells, expected {width}")
-            out[number] = [float(cell) for cell in row]
-        except ValueError as exc:
-            raise InputError(f"{path}, row {number + 2}: {exc}") from None
-    return out
+    rows = np.column_stack([domains.to_real(mu.points), mu.weights])
+    tables.write(path, tables.coord_header(mu.points.shape[1]) + ["weight"], rows)
 
 
 def atoms_from_csv(spec: DomainSpec, path, label: str | None = None) -> AtomicMeasure:
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except FileNotFoundError as exc:
-        raise InputError(f"atom file not found: {path}") from exc
-    if not rows:
-        raise InputError(f"empty atom file {path}")
-    header, body = rows[0], rows[1:]
-    if len(header) != 2 * spec.dim + 1:
-        raise InputError(
-            f"atom file has {len(header)} columns, expected {2 * spec.dim + 1} "
-            f"for dimension {spec.dim}"
-        )
-    vals = csv_floats(body, len(header), path)
-    pts = vals[:, 0:-1:2] + 1j * vals[:, 1:-1:2]
+    vals = tables.read(path, "atom", 2 * spec.dim + 1, f" for dimension {spec.dim}")
     name = label if label is not None else str(path)
-    return atomic_measure(spec, pts, vals[:, -1], label=name)
+    return atomic_measure(spec, domains.to_complex(vals[:, :-1]), vals[:, -1], label=name)

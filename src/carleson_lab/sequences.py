@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import domains, geometry, kobayashi, measures
+from . import domains, geometry, kobayashi, measures, tables
 from .carleson import CarlesonConfig, CarlesonReport, carleson_test
 from .bergman import KernelModel
 from .domains import DomainSpec
@@ -36,14 +36,7 @@ class SequenceSet:
 
 
 def sequence_set(spec: DomainSpec, points, label: str = "") -> SequenceSet:
-    pts = np.asarray(points, dtype=complex)
-    if pts.ndim == 0:
-        pts = pts.reshape(1, 1)
-    elif pts.ndim == 1:
-        # flat input: a list of scalars on a 1-dim domain, else a single point
-        pts = pts.reshape(-1, 1) if spec.dim == 1 else pts.reshape(1, -1)
-    if pts.ndim != 2 or (pts.shape[0] and pts.shape[1] != spec.dim):
-        raise InputError(f"points have dimension {pts.shape[1]}, domain has {spec.dim}")
+    pts = domains.as_points(spec, points)
     inside = domains.contains(spec, pts)
     if not np.all(inside):
         raise InputError(f"{int((~inside).sum())} sequence points are not interior")
@@ -330,45 +323,19 @@ def standard_measure_suite(spec: DomainSpec, seed: int = 0) -> list[tuple[str, o
 
 
 # ---------------------------------------------------------------------------
-# CSV plumbing
+# sequence tables: coordinate columns, and a color column for decompositions
 
 
 def sequence_to_csv(seq: SequenceSet, path) -> None:
-    pts = seq.points
-    n = pts.shape[1] if len(pts) else 0
-    header = ",".join(f"x{i+1},y{i+1}" for i in range(n))
-    lines = [header]
-    for p in pts:
-        lines.append(",".join(f"{v:.17g}" for pair in zip(p.real, p.imag) for v in pair))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tables.write(path, tables.coord_header(seq.points.shape[1]), domains.to_real(seq.points))
 
 
 def sequence_from_csv(spec: DomainSpec, path, label: str = "") -> SequenceSet:
-    try:
-        with open(path) as fh:
-            lines = [line.strip() for line in fh if line.strip()]
-    except FileNotFoundError as exc:
-        raise InputError(f"sequence file not found: {path}") from exc
-    if not lines:
-        raise InputError(f"empty sequence file {path}")
-    header = lines[0].split(",")
-    if len(header) != 2 * spec.dim:
-        raise InputError(
-            f"sequence file has {len(header)} columns, expected {2 * spec.dim}"
-        )
-    vals = measures.csv_floats([line.split(",") for line in lines[1:]], len(header), path)
-    return sequence_set(spec, vals[:, 0::2] + 1j * vals[:, 1::2], label=label or str(path))
+    vals = tables.read(path, "sequence", 2 * spec.dim)
+    return sequence_set(spec, domains.to_complex(vals), label=label or str(path))
 
 
 def decomposition_to_csv(gamma: SequenceSet, parts: list[SequenceSet], path) -> None:
     colors = decomposition_colors(gamma, parts)
-    pts = gamma.points
-    n = pts.shape[1]
-    header = ",".join(f"x{i+1},y{i+1}" for i in range(n)) + ",color"
-    lines = [header]
-    for p, c in zip(pts, colors):
-        coord = ",".join(f"{v:.17g}" for pair in zip(p.real, p.imag) for v in pair)
-        lines.append(f"{coord},{int(c)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = ([*coords, color] for coords, color in zip(domains.to_real(gamma.points), colors))
+    tables.write(path, tables.coord_header(gamma.points.shape[1]) + ["color"], rows)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from carleson_lab import bergman, domains, geometry, kobayashi, measures
+from carleson_lab import bergman, domains, geometry, kobayashi, measures, tables
 from carleson_lab.carleson import (
     BOUNDED,
     DIVERGING,
@@ -25,7 +25,6 @@ from carleson_lab.carleson import (
     report_summary,
     submean_check,
     verdict_from_levels,
-    write_csv,
 )
 from carleson_lab.domains import complex_ellipsoid, unit_disk
 from carleson_lab.errors import ConfigError, InputError, ResourceError
@@ -356,7 +355,7 @@ class TestEmitters:
     def test_csv_bytes_deterministic(self, report, tmp_path):
         header, rows = report_point_rows(report)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(p1, header, rows)
+        tables.write(p1, header, rows)
         header2, rows2 = report_point_rows(report)
-        write_csv(p2, header2, rows2)
+        tables.write(p2, header2, rows2)
         assert p1.read_bytes() == p2.read_bytes()

@@ -218,6 +218,22 @@ def test_non_numeric_sequence_cell_exit_1(paths, capsys):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, header, extra",
+    [(["decompose", "--points"], "x1,y1", ""),
+     (["berezin", "--samples", "64", "--measure"], "x1,y1,weight", ",1")],
+    ids=["points", "atoms"],
+)
+def test_non_numeric_cell_names_file_and_line(paths, capsys, argv, header, extra):
+    # a blank line before the bad row: the message names the file's own line 4
+    bad = paths["tmp"] / f"bad_{argv[0]}.csv"
+    bad.write_text(f"{header}\n0.1,0.2{extra}\n\n0.3,abc{extra}\n")
+    argv = argv + [str(bad), "--domain", paths["disk"], "--out", str(paths["tmp"] / "junk")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}, row 4: could not convert string to float: 'abc'\n"
+
+
 def test_non_numeric_spec_field_exit_1(paths, capsys):
     bad = paths["tmp"] / "bad_ball.json"
     bad.write_text('{"kind": "ball", "dimension": "x"}')

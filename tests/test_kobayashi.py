@@ -157,6 +157,9 @@ class TestExactDistances:
             np.testing.assert_array_equal(low, high)
             assert np.all(low > 0.0)
             np.testing.assert_allclose(low, ref, rtol=1e-14, atol=0)
+            # the tiled quotient form hands these pairs to _ball_pd
+            batch = tanh_distance_model_batch(spec, z, w)
+            np.testing.assert_allclose(batch, ref, rtol=1e-14, atol=0)
             for k in range(0, 2000, 400):
                 assert abs(tanh_distance_model(spec, w[k], z) - ref[k]) <= 1e-14 * ref[k]
 

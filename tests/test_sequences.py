@@ -437,7 +437,7 @@ class TestSequenceCsv:
         path = tmp_path / "seq.csv"
         sequences.sequence_to_csv(pack.sequence, path)
         back = sequences.sequence_from_csv(DISK, path)
-        assert np.allclose(back.points, pack.sequence.points)
+        assert np.all(back.points == pack.sequence.points)
         assert back.label == str(path)
 
     def test_roundtrip_ball(self, tmp_path):
@@ -445,7 +445,7 @@ class TestSequenceCsv:
         path = tmp_path / "seq2.csv"
         sequences.sequence_to_csv(seq, path)
         back = sequences.sequence_from_csv(BALL2, path, label="named")
-        assert np.allclose(back.points, seq.points)
+        assert np.all(back.points == seq.points)
         assert back.label == "named"
 
     def test_empty_file_rejected(self, tmp_path):
