@@ -367,18 +367,21 @@ class CoverResult:
     external_sample: bool  # coverage was checked on caller-supplied points
 
 
+_CORE_LEVEL = 0.1  # core level of kobayashi_cover, as a fraction of |r(anchor)|
+
+
 def kobayashi_cover(
     spec: DomainSpec,
     r: float,
     seed: int = 0,
     candidates: int = 30000,
     test_count: int = 10000,
-    level: float | None = None,
     test_points: np.ndarray | None = None,
 ) -> CoverResult:
     """Greedy maximal family of disjoint radius-r/3 Kobayashi balls on the core
-    {defining function <= -level}, with a coverage report for the radius-r
-    balls around the returned centers on a test sample.
+    {defining function <= -level}, level = _CORE_LEVEL * |r(anchor)|, with a
+    coverage report for the radius-r balls around the returned centers on a
+    test sample.
 
     A candidate is rejected when its r/3 ball may meet an accepted one, i.e.
     its center distance is not certified >= tanh(2 atanh(r/3)).  Coverage is
@@ -400,8 +403,7 @@ def kobayashi_cover(
     if not 0.0 < r < 1.0:
         raise InputError(f"tanh radius must lie in (0,1), got {r}")
     anchor = domains.anchor_point(spec)
-    if level is None:
-        level = 0.1 * abs(float(domains.defining_value(spec, anchor)))
+    level = _CORE_LEVEL * abs(float(domains.defining_value(spec, anchor)))
     third = math.atanh(r / 3.0)
     r_star = math.tanh(2.0 * third)  # centers closer than this have meeting r/3 balls
 
@@ -457,18 +459,10 @@ def kobayashi_cover(
     )
 
 
-def overlap_count(spec: DomainSpec, centers: np.ndarray, big_r: float, query) -> int:
-    """Number of radius-big_r Kobayashi balls containing the query point;
-    Uncertain memberships count, so the count may overcount but never
-    undercounts."""
-    query = as_point(spec, query)
-    counts = overlap_count_many(spec, centers, big_r, query[None, :])
-    return int(counts[0])
-
-
 def overlap_count_many(spec: DomainSpec, centers: np.ndarray, big_r: float, queries) -> np.ndarray:
-    """overlap_count for a batch of queries: the balls whose ball_relation is
-    maybe (inside or Uncertain) count."""
+    """Per query point, the number of radius-big_r Kobayashi balls around
+    centers that contain it.  The balls whose ball_relation is maybe (inside
+    or Uncertain) count, so a count may overcount but never undercounts."""
     queries = np.atleast_2d(np.asarray(queries, dtype=complex))
     centers = np.atleast_2d(np.asarray(centers, dtype=complex))
     return kobayashi.ball_counts(spec, queries, centers, big_r)[1]

@@ -385,7 +385,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _validate(args)
         spec = domains.load_spec(args.domain)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {args.out}: {exc}") from None
         return _COMMANDS[args.command](args, spec, args.out)
     except (InputError, ConfigError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

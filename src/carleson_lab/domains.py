@@ -36,6 +36,7 @@ _VALIDATION_SEED = 742001
 _CONVEXITY_TRIPLES = 1000
 _FACE_SAMPLES = 512
 _PROJECTION_STARTS = 8
+_LINE_PHASES = 64
 _REL_TOL = 1e-8
 
 # ---------------------------------------------------------------------------
@@ -323,14 +324,9 @@ class ProjectionResult:
     unique: bool
 
 
-def project_to_level(
-    spec: DomainSpec,
-    q,
-    level: float = 0.0,
-    basis: np.ndarray | None = None,
-) -> ProjectionResult:
-    """Nearest point to q on {r = level}, optionally restricted to the affine
-    slice q + span_C(basis rows).
+def project_to_level(spec: DomainSpec, q, basis: np.ndarray | None = None) -> ProjectionResult:
+    """Nearest point to q on the boundary {r = 0}, optionally restricted to
+    the affine slice q + span_C(basis rows).
 
     Multi-start constrained minimization (slice axes first, then fixed
     quasi-random directions); each converged candidate is polished by a 1-d
@@ -340,36 +336,29 @@ def project_to_level(
     """
     q = as_point(spec, q)
     rq = float(defining_value(spec, q))
-    if not rq < level:
-        raise InputError(f"point must satisfy r < level: r(q) = {rq}, level = {level}")
-    if level >= level_cap(spec):
-        raise NumericError(
-            "level set escapes the validation box; use a smaller offset",
-            {"level": level, "cap": level_cap(spec)},
-        )
+    if not rq < 0.0:
+        raise InputError(f"point must be interior: r(q) = {rq}")
     if basis is None:
         basis = np.eye(spec.dim, dtype=complex)
     basis = np.atleast_2d(np.asarray(basis, dtype=complex))
     k = basis.shape[0]
 
     if spec.kind in ("disk", "ball") and k == spec.dim:
-        radius = math.sqrt(1.0 + level)
-        dist = radius - float(np.linalg.norm(q))
         nq = float(np.linalg.norm(q))
         if nq < 1e-12:
             e = np.zeros(spec.dim, dtype=complex)
             e[0] = 1.0
-            return ProjectionResult(point=radius * e, distance=radius, unique=False)
-        return ProjectionResult(point=q / nq * radius, distance=dist, unique=True)
+            return ProjectionResult(point=e, distance=1.0, unique=False)
+        return ProjectionResult(point=q / nq, distance=1.0 - nq, unique=True)
 
     if spec.kind == "ellipsoid" and spec.dim == 2 and k == spec.dim:
-        return _ellipsoid_project2(spec, q, level)
+        return _ellipsoid_project2(spec, q)
 
     directions = _start_directions(k)
     candidates: list[tuple[float, np.ndarray]] = []
     for d in directions:
         u_dir = d @ basis  # unit vector in C^n
-        t = _ray_root(spec, q, u_dir, level)
+        t = _ray_root(spec, q, u_dir, 0.0)
         candidates.append((t, d * t))
 
     def objective(w: np.ndarray) -> float:
@@ -381,7 +370,7 @@ def project_to_level(
     def constraint(w: np.ndarray) -> float:
         u = to_complex(w)
         xi = q + u @ basis
-        return float(_value_batch(spec, xi[None, :])[0]) - level
+        return float(_value_batch(spec, xi[None, :])[0])
 
     def constraint_grad(w: np.ndarray) -> np.ndarray:
         u = to_complex(w)
@@ -410,7 +399,7 @@ def project_to_level(
         if norm < 1e-14:
             continue
         u_dir = (u / norm) @ basis
-        t = _ray_root(spec, q, u_dir, level)  # polish back onto the level set
+        t = _ray_root(spec, q, u_dir, 0.0)  # polish back onto the boundary
         refined.append((t, (u / norm) * t))
 
     # stable sort on a rounded key: exact symmetric ties resolve to the
@@ -430,22 +419,21 @@ def project_to_level(
     return ProjectionResult(point=point, distance=best_t, unique=unique)
 
 
-def _ellipsoid_project2(spec: DomainSpec, q: np.ndarray, level: float) -> ProjectionResult:
+def _ellipsoid_project2(spec: DomainSpec, q: np.ndarray) -> ProjectionResult:
     """Full-space projection for two-coordinate ellipsoids.
 
     The constraint only sees moduli, and aligning phases with q never
     increases the distance, so the problem reduces to the plane curve
-    (|z_1|^2/a_1^2)^{m_1} + (|z_2|^2/a_2^2)^{m_2} = 1 + level in the closed
+    (|z_1|^2/a_1^2)^{m_1} + (|z_2|^2/a_2^2)^{m_2} = 1 in the closed
     positive quadrant, minimized by a grid multistart plus bounded refinement.
     """
     a = np.asarray(spec.semi_axes, dtype=float)
     m = np.asarray(spec.exponents, dtype=float)
-    c = 1.0 + level
     qm = np.abs(q)
-    x2max = a[1] * c ** (1.0 / (2.0 * m[1]))
+    x2max = a[1]
 
     def x1_of(x2):
-        rem = c - (np.square(x2) / a[1] ** 2) ** m[1]
+        rem = 1.0 - (np.square(x2) / a[1] ** 2) ** m[1]
         return a[0] * np.clip(rem, 0.0, None) ** (1.0 / (2.0 * m[0]))
 
     def dist2(x2):
@@ -510,7 +498,7 @@ def boundary_distance(spec: DomainSpec, z) -> float:
         raise InputError("boundary_distance expects an interior point")
     if spec.kind in ("disk", "ball"):
         return 1.0 - float(np.linalg.norm(z))
-    return project_to_level(spec, z, 0.0).distance
+    return project_to_level(spec, z).distance
 
 
 def boundary_distance_batch(spec: DomainSpec, pts: np.ndarray) -> np.ndarray:
@@ -521,22 +509,12 @@ def boundary_distance_batch(spec: DomainSpec, pts: np.ndarray) -> np.ndarray:
     return np.array([boundary_distance(spec, p) for p in pts])
 
 
-def boundary_projection(spec: DomainSpec, z) -> ProjectionResult:
-    return project_to_level(spec, as_point(spec, z), 0.0)
+def line_level_distance(spec: DomainSpec, z, v) -> float:
+    """Distance from z to the boundary {r = 0} inside the complex line z + C v.
 
-
-def line_level_distance(
-    spec: DomainSpec,
-    z,
-    v,
-    level: float = 0.0,
-    phases: int = 64,
-) -> float:
-    """Distance from z to {r = level} inside the complex line z + C v.
-
-    The positive root t(theta) of r(z + t e^{i theta} v) = level is found by a
-    vectorized bisection over a phase grid (the section is convex in t), then
-    the best phase is refined by bounded scalar minimization.
+    The positive root t(theta) of r(z + t e^{i theta} v) = 0 is found by a
+    vectorized bisection over _LINE_PHASES phases (the section is convex in
+    t), then the best phase is refined by bounded scalar minimization.
     """
     z = as_point(spec, z)
     v = np.asarray(v, dtype=complex)
@@ -545,31 +523,29 @@ def line_level_distance(
         raise InputError("direction vector must be finite and nonzero")
     v = v / nv
     rz = float(defining_value(spec, z))
-    if not rz < level:
-        raise InputError(f"point must satisfy r < level along the line: r(z) = {rz}")
+    if not rz < 0.0:
+        raise InputError(f"point must be interior: r(z) = {rz}")
 
     if spec.kind in ("disk", "ball"):
-        radius_sq = 1.0 + level
         b = complex(np.sum(z * np.conj(v)))  # <z, v>
-        return math.sqrt(abs(b) ** 2 + radius_sq - float(np.vdot(z, z).real)) - abs(b)
+        return math.sqrt(abs(b) ** 2 + 1.0 - float(np.vdot(z, z).real)) - abs(b)
 
-    theta = np.linspace(0.0, 2.0 * math.pi, phases, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, _LINE_PHASES, endpoint=False)
     dirs = np.exp(1j * theta)[:, None] * v[None, :]  # (phases, n)
 
     def g(t: np.ndarray) -> np.ndarray:
-        pts = z[None, :] + t[:, None] * dirs
-        return _value_batch(spec, pts) - level
+        return _value_batch(spec, z[None, :] + t[:, None] * dirs)
 
     tmax = 2.0 * float(np.sum(2.0 * np.asarray(spec.box))) + 1.0
-    hi = np.full(phases, tmax)
+    hi = np.full(_LINE_PHASES, tmax)
     for _ in range(8):
         bad = g(hi) <= 0.0
         if not bad.any():
             break
         hi[bad] *= 2.0
     else:
-        raise NumericError("line never crosses the level set", {"level": level})
-    lo = np.zeros(phases)
+        raise NumericError("line never crosses the boundary", {"t_max": tmax})
+    lo = np.zeros(_LINE_PHASES)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         pos = g(mid) > 0.0
@@ -581,13 +557,13 @@ def line_level_distance(
 
     def root_of(th: float) -> float:
         d = np.exp(1j * th) * v
-        f = lambda t: float(_value_batch(spec, (z + t * d)[None, :])[0]) - level
+        f = lambda t: float(_value_batch(spec, (z + t * d)[None, :])[0])
         hi1 = best * 2.0 + 1e-3
         while f(hi1) <= 0.0:
             hi1 *= 2.0
         return float(optimize.brentq(f, 0.0, hi1, xtol=1e-14, rtol=1e-15))
 
-    span = 2.0 * math.pi / phases
+    span = 2.0 * math.pi / _LINE_PHASES
     res = optimize.minimize_scalar(
         root_of,
         bounds=(theta[jbest] - span, theta[jbest] + span),
@@ -595,11 +571,6 @@ def line_level_distance(
         options={"xatol": 1e-10},
     )
     return min(best, float(res.fun))
-
-
-def line_boundary_distance(spec: DomainSpec, z, v) -> float:
-    """Distance from z to the boundary within the complex line spanned by v."""
-    return line_level_distance(spec, z, v, level=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +742,8 @@ def load_spec(path) -> DomainSpec:
         raise ConfigError(f"domain spec file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"domain spec file {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read domain spec file {path}: {exc}") from exc
 
 
 def save_spec(spec: DomainSpec, path) -> None:

@@ -1,9 +1,8 @@
-"""Minimal orthogonal frames and level-set polydisks.
+"""Minimal orthogonal frames and the polydisks built on them.
 
-The greedy construction: project q to the nearest point of a level set of r,
-record the direction and distance, restrict to the complex-orthogonal slice
-through q, repeat.  Level 0 gives the minimal frame (sigma radii); the level
-r(q) + eps gives the anisotropic polydisk radii tau(q, eps).
+The greedy construction: project q to the nearest boundary point, record the
+direction and distance, restrict to the complex-orthogonal slice through q,
+repeat.  The distances are the frame's radii sigma.
 """
 
 from __future__ import annotations
@@ -62,17 +61,16 @@ def _orthonormal_complement(basis: np.ndarray, direction: np.ndarray) -> np.ndar
     return vh[:keep]
 
 
-def _level_frame(spec: DomainSpec, q: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray, bool]:
+def _frame(spec: DomainSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     n = spec.dim
     if spec.kind in ("disk", "ball"):
-        radius = math.sqrt(1.0 + level)
         nq = float(np.linalg.norm(q))
         sigma = np.empty(n)
-        sigma[0] = radius - nq
+        sigma[0] = 1.0 - nq
         if n > 1:
-            sigma[1:] = math.sqrt(max(radius**2 - nq**2, 0.0))
+            sigma[1:] = math.sqrt(max(1.0 - nq**2, 0.0))
         if nq < 1e-12:
-            return np.eye(n, dtype=complex), np.full(n, radius), False
+            return np.eye(n, dtype=complex), np.ones(n), False
         basis = np.zeros((n, n), dtype=complex)
         basis[0] = q / nq
         # canonical completion: Gram-Schmidt of coordinate axes against e_1
@@ -102,9 +100,9 @@ def _level_frame(spec: DomainSpec, q: np.ndarray, level: float) -> tuple[np.ndar
             # final slice is one complex line; the phase of the frame vector
             # does not affect any polydisk built on it
             frame[i] = slice_basis[0]
-            sigma[i] = domains.line_level_distance(spec, q, slice_basis[0], level)
+            sigma[i] = domains.line_level_distance(spec, q, slice_basis[0])
             break
-        proj = project_to_level(spec, q, level, basis=slice_basis)
+        proj = project_to_level(spec, q, basis=slice_basis)
         if i == 0:
             unique = proj.unique
         diff = proj.point - q
@@ -123,27 +121,12 @@ def _level_frame(spec: DomainSpec, q: np.ndarray, level: float) -> tuple[np.ndar
 
 
 def minimal_frame(spec: DomainSpec, q) -> MinimalFrame:
-    """Greedy minimal frame of D at an interior point q (level 0)."""
+    """Greedy minimal frame of D at an interior point q."""
     q = as_point(spec, q)
     if not float(defining_value(spec, q)) < 0.0:
         raise InputError("minimal_frame expects an interior point")
-    basis, sigma, unique = _level_frame(spec, q, 0.0)
+    basis, sigma, unique = _frame(spec, q)
     return MinimalFrame(center=q, basis=basis, sigma=sigma, unique=unique)
-
-
-def mcneal_radii(spec: DomainSpec, q, eps: float) -> Polydisk:
-    """Polydisk P(q, eps) built against the level set {r = r(q) + eps}."""
-    q = as_point(spec, q)
-    if not eps > 0.0:
-        raise InputError(f"eps must be positive, got {eps}")
-    level = float(defining_value(spec, q)) + eps
-    if level >= domains.level_cap(spec):
-        raise NumericError(
-            "level set escapes the validation box; use a smaller eps",
-            {"eps": eps, "level": level, "cap": domains.level_cap(spec)},
-        )
-    basis, tau, _ = _level_frame(spec, q, level)
-    return Polydisk(center=q, basis=basis, radii=tau)
 
 
 def frame_polydisk(frame: MinimalFrame, scale: float) -> Polydisk:

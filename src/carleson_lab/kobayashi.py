@@ -26,10 +26,6 @@ from .domains import DomainSpec, as_point
 from .errors import CapabilityError, ConfigError, InputError
 from .geometry import MinimalFrame, Polydisk, minimal_frame
 
-INSIDE = "inside"
-OUTSIDE = "outside"
-UNCERTAIN = "uncertain"
-
 
 # ---------------------------------------------------------------------------
 # infinitesimal bounds
@@ -42,18 +38,22 @@ class MetricBound:
 
 
 def metric_bounds(spec: DomainSpec, z, v) -> MetricBound:
-    """Two-sided convexity estimate |v|/(2 delta(z;v)) <= k_D(z;v) <= |v|/delta(z;v)."""
+    """Two-sided convexity estimate |v|/(2 delta(z;v)) <= k_D(z;v) <= |v|/delta(z;v).
+
+    Backs acceptance criterion 5 (the metric bracket), checked there against
+    exact_metric_model."""
     z = as_point(spec, z)
     v = np.asarray(v, dtype=complex)
     nv = float(np.linalg.norm(v))
     if nv == 0.0:
         return MetricBound(0.0, 0.0)
-    delta = domains.line_boundary_distance(spec, z, v)
+    delta = domains.line_level_distance(spec, z, v)
     return MetricBound(lower=nv / (2.0 * delta), upper=nv / delta)
 
 
 def exact_metric_model(spec: DomainSpec, z, v) -> float:
-    """Kobayashi metric of the disk/ball (closed form); capability error elsewhere."""
+    """Kobayashi metric of the disk/ball (closed form); capability error
+    elsewhere.  The reference of acceptance criterion 5."""
     if spec.kind not in ("disk", "ball"):
         raise CapabilityError(f"no exact Kobayashi metric for kind {spec.kind!r}")
     z = as_point(spec, z)
@@ -65,22 +65,7 @@ def exact_metric_model(spec: DomainSpec, z, v) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact model distances (disk and ball)
-
-
-def tanh_distance_model(spec: DomainSpec, z, w) -> float:
-    """Pseudohyperbolic distance tanh d_K on the disk/ball."""
-    if spec.kind not in ("disk", "ball"):
-        raise CapabilityError(f"no exact Kobayashi distance for kind {spec.kind!r}")
-    return float(_ball_pd(as_point(spec, z), as_point(spec, w)))
-
-
-def tanh_distance_model_batch(spec: DomainSpec, z, pts: np.ndarray) -> np.ndarray:
-    """Vectorized pseudohyperbolic distance from one point to a batch."""
-    if spec.kind not in ("disk", "ball"):
-        raise CapabilityError(f"no exact Kobayashi distance for kind {spec.kind!r}")
-    z = as_point(spec, z)
-    return pseudo_distance_matrix(np.asarray(pts, dtype=complex), z[None, :])[:, 0]
+# unit-ball pseudo-distances (the exact distance of the disk and ball)
 
 
 def pseudo_distance_matrix(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -105,16 +90,32 @@ def _ball_pd(p, q) -> np.ndarray:
     """Unit-ball pseudo-distances of paired batches given by coordinates,
     p = (p_1, ..., p_n) and q alike, elementwise, in the cancellation-free
     form (|d|^2 - |p ^ d|^2) / |1 - <p,q>|^2 with d = q - p and |p ^ d|^2 =
-    sum_{i<j} |p_i d_j - p_j d_i|^2 (Lagrange identity; p ^ q = p ^ d);
-    accurate to rounding also at distances far below sqrt(eps)."""
+    sum_{i<j} |p_i d_j - p_j d_i|^2 (Lagrange identity; p ^ q = p ^ d).
+
+    The numerator is accurate to rounding also at distances far below
+    sqrt(eps).  The denominator 1 - <p,q> carries an absolute error of a few
+    eps, so the relative error of the result is about eps / |1 - <p,q>|,
+    which grows as both points approach the sphere.  Every product and sum
+    is a real one: numpy's complex multiply rounds differently in its vector
+    and scalar loops, so the value of a pair would otherwise depend on the
+    other pairs of the batch."""
     n = len(p)
-    d = [q[i] - p[i] for i in range(n)]
-    diff = sum(np.abs(d[i]) ** 2 for i in range(n))
-    wedge = sum(np.abs(p[i] * d[j] - p[j] * d[i]) ** 2 for i in range(n) for j in range(i + 1, n))
-    den = 1.0
+    a, b = [np.real(x) for x in p], [np.imag(x) for x in p]  # p = a + i b
+    c, h = [np.real(x) for x in q], [np.imag(x) for x in q]  # q = c + i h
+    e = [c[i] - a[i] for i in range(n)]  # d = e + i f
+    f = [h[i] - b[i] for i in range(n)]
+    diff = sum(e[i] * e[i] + f[i] * f[i] for i in range(n))
+    wedge = 0.0
     for i in range(n):
-        den = den - p[i] * np.conj(q[i])
-    rho2 = (diff - wedge) / np.abs(den) ** 2
+        for j in range(i + 1, n):
+            re = (a[i] * e[j] - b[i] * f[j]) - (a[j] * e[i] - b[j] * f[i])
+            im = (a[i] * f[j] + b[i] * e[j]) - (a[j] * f[i] + b[j] * e[i])
+            wedge = wedge + (re * re + im * im)
+    den_re, den_im = 1.0, 0.0  # 1 - <p,q>
+    for i in range(n):
+        den_re = den_re - (a[i] * c[i] + b[i] * h[i])
+        den_im = den_im - (b[i] * c[i] - a[i] * h[i])
+    rho2 = (diff - wedge) / (den_re * den_re + den_im * den_im)
     return np.sqrt(np.clip(rho2, 0.0, 1.0))
 
 
@@ -736,17 +737,6 @@ def ball_sandwich(spec: DomainSpec, z0, r: float, frame: MinimalFrame | None = N
     )
 
 
-def ball_membership(spec: DomainSpec, z0, r: float, z) -> str:
-    """Classify z against the Kobayashi ball B_D(z0, r): inside/outside/uncertain
-    (ball_relation for one point and one center)."""
-    z0 = as_point(spec, z0)
-    z = as_point(spec, z)
-    inside, maybe = ball_relation(spec, z[None, :], z0[None, :], r)
-    if inside[0, 0]:
-        return INSIDE
-    return UNCERTAIN if maybe[0, 0] else OUTSIDE
-
-
 def bracket_tanh_distance(spec: DomainSpec, x, y) -> tuple[float, float]:
     """Bracket [low, high] for tanh d_K(x, y): tanh_distance_bracket on the
     domains with the oracle; elsewhere the frame bound of min_tanh_distance
@@ -776,21 +766,17 @@ class LogEnvelope:
     deltas: np.ndarray
 
 
-def boundary_ray_samples(
-    spec: DomainSpec,
-    direction,
-    deltas,
-    anchor=None,
-) -> np.ndarray:
+def boundary_ray_samples(spec: DomainSpec, direction, deltas) -> np.ndarray:
     """Points along the chord anchor -> boundary with prescribed boundary distances.
 
     The point at s is b + e^s (anchor - b), with b the boundary point of the
     chord.  Near b the distance delta is nearly proportional to e^s, so
     log delta is nearly linear in s; on the models it is exact (the anchor is
     the origin), elsewhere each sample is placed by a bracketed secant
-    (Illinois) on log delta(s) - log d over s in [log 1e-12, 0].
+    (Illinois) on log delta(s) - log d over s in [log 1e-12, 0].  These are
+    the calibration rays of acceptance criterion 5.
     """
-    anchor = as_point(spec, anchor if anchor is not None else domains.anchor_point(spec))
+    anchor = domains.anchor_point(spec)
     v = np.asarray(direction, dtype=complex)
     v = v / np.linalg.norm(v)
     t_b = domains._ray_root(spec, anchor, v, 0.0)
@@ -832,6 +818,7 @@ def calibrate_log_envelope(spec: DomainSpec, z0, points) -> LogEnvelope:
     high one, so every residual lies in [c1, c2] (up to the accuracy of
     delta).  An open bracket makes c2 = +inf.  Only the disk, the ball and the
     (1, m) ellipsoid have the bracket; other domains raise CapabilityError.
+    The envelope is the one acceptance criterion 5 bounds.
     """
     if not has_exact_distance(spec):
         raise CapabilityError(f"no certified log envelope for {spec.kind!r} {spec.exponents}")

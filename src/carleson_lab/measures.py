@@ -57,11 +57,6 @@ def lebesgue_measure(label: str = "lebesgue") -> DensityMeasure:
     return DensityMeasure(density=lambda pts: np.ones(len(pts)), label=label)
 
 
-def restricted_lebesgue(predicate: Callable[[np.ndarray], np.ndarray], label: str = "restricted") -> DensityMeasure:
-    """nu restricted to {predicate}; the predicate maps point batches to booleans."""
-    return DensityMeasure(density=lambda pts: predicate(pts).astype(float), label=label)
-
-
 def density_catalog(spec: DomainSpec) -> dict[str, DensityMeasure]:
     """Named densities used by the experiment suites and the CLI."""
 
@@ -141,6 +136,8 @@ def mass(spec: DomainSpec, mu, region, samples: int = 1 << 14, seed: int = 0):
 
 
 def atoms_to_csv(mu: AtomicMeasure, path) -> None:
+    """Write the atom table that atoms_from_csv, and so the CLI's --measure,
+    reads back."""
     rows = np.column_stack([domains.to_real(mu.points), mu.weights])
     tables.write(path, tables.coord_header(mu.points.shape[1]) + ["weight"], rows)
 

@@ -56,7 +56,3 @@ def random_polynomial(dim: int, degree: int, rng: np.random.Generator, scale: fl
             re, im = rng.standard_normal(2)
             coeffs[tuple(int(a) for a in alpha)] = scale * complex(re, im) / np.sqrt(2.0)
     return HoloPolynomial(dim=dim, coeffs=coeffs)
-
-
-def monomial(dim: int, alpha: tuple[int, ...], coeff: complex = 1.0) -> HoloPolynomial:
-    return HoloPolynomial(dim=dim, coeffs={tuple(alpha): complex(coeff)})

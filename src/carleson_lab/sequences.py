@@ -40,12 +40,12 @@ def sequence_set(spec: DomainSpec, points, label: str = "") -> SequenceSet:
     inside = domains.contains(spec, pts)
     if not np.all(inside):
         raise InputError(f"{int((~inside).sum())} sequence points are not interior")
-    if len(pts) > 1:
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((np.abs(diff) ** 2).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
-        if float(dist.min()) <= 0.0:
-            raise InputError("sequence points must be pairwise distinct")
+    # equal points are equal rows of interleaved reals (== takes -0.0 for
+    # 0.0), adjacent once the rows are sorted
+    rows = domains.to_real(pts)
+    rows = rows[np.lexsort(rows.T)]
+    if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
+        raise InputError("sequence points must be pairwise distinct")
     return SequenceSet(points=pts, label=label)
 
 
@@ -60,24 +60,10 @@ def separation(spec: DomainSpec, gamma: SequenceSet) -> float:
     return kobayashi.min_tanh_distance(spec, gamma.points)
 
 
-@dataclass(frozen=True)
-class BallCount:
-    count: int
-    uncertain: int  # how many of the counted points were not certified Inside
-
-
-def count_in_ball(spec: DomainSpec, x, r: float, gamma: SequenceSet) -> BallCount:
-    """M(x, r, Gamma): points of Gamma in the tanh-radius-r ball around x.
-    Uncertain memberships count, so the result upper-bounds the true M."""
-    x = domains.as_point(spec, x)
-    if gamma.count == 0:
-        return BallCount(count=0, uncertain=0)
-    inside, maybe = kobayashi.ball_relation(spec, gamma.points, x[None, :], r)
-    return BallCount(count=int(maybe.sum()), uncertain=int((maybe & ~inside).sum()))
-
-
 def max_count_in_ball(spec: DomainSpec, r: float, gamma: SequenceSet) -> int:
-    """max over x in Gamma of M(x, r, Gamma)."""
+    """max over x in Gamma of M(x, r, Gamma), the number of points of Gamma
+    in the tanh-radius-r ball around x.  Uncertain memberships count, so the
+    result upper-bounds the true maximum."""
     if gamma.count == 0:
         return 0
     maybe = kobayashi.ball_relation(spec, gamma.points, gamma.points, r)[1]

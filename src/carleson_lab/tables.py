@@ -40,14 +40,17 @@ def write(path, header: list[str], rows) -> None:
 def read(path, noun: str, width: int, detail: str = "") -> np.ndarray:
     """The data rows of the table at path as floats, shape (rows, width).
 
-    A missing or empty file, a header of another width (the message ends in
-    detail), a row of another width and a non-numeric cell raise InputError;
-    a bad row is named by the file and its line number."""
+    A missing, unreadable (a directory, not UTF-8 text) or empty file, a
+    header of another width (the message ends in detail), a row of another
+    width and a non-numeric cell raise InputError; a bad row is named by the
+    file and its line number."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = [(number, line.strip()) for number, line in enumerate(fh, 1) if line.strip()]
     except FileNotFoundError:
         raise InputError(f"{noun} file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {noun} file {path}: {exc}") from None
     if not lines:
         raise InputError(f"empty {noun} file {path}")
     columns = len(lines[0][1].split(","))

@@ -117,11 +117,11 @@ def test_criterion_04_sandwich_soundness():
             r = rng.uniform(0.05, 0.95)
             sw = kobayashi.ball_sandwich(spec, z0, r)
             zin = geometry.sample_polydisk(sw.inner, 50, rng)
-            din = kobayashi.tanh_distance_model_batch(spec, z0, zin)
+            din = kobayashi.tanh_distance_bracket(spec, z0, zin)[0]
             viol_inner += int((din >= r).sum())
             zg = domains.random_interior(spec, 50, rng)
             outside = ~np.asarray(geometry.polydisk_contains(sw.outer, zg))
-            dg = kobayashi.tanh_distance_model_batch(spec, z0, zg)
+            dg = kobayashi.tanh_distance_bracket(spec, z0, zg)[0]
             viol_outer += int(((dg < r) & outside).sum())
             total += 100
     ok = viol_inner == 0 and viol_outer == 0

@@ -18,7 +18,6 @@ from carleson_lab.carleson import (
     dictionary_table,
     grid_levels,
     kobayashi_cover,
-    overlap_count,
     overlap_count_many,
     report_level_rows,
     report_point_rows,
@@ -198,7 +197,7 @@ class TestCover:
         assert res.coverage.certified == 1000
         assert res.coverage.uncovered == 0
         assert not res.external_sample
-        assert overlap_count(DISK, res.centers, 0.75, 0.2) == 30
+        assert overlap_count_many(DISK, res.centers, 0.75, [[0.2]])[0] == 30
 
     def test_disk_centers_separated(self):
         res = kobayashi_cover(DISK, 0.5, seed=0, candidates=3000, test_count=1000)
@@ -277,8 +276,8 @@ class TestCover:
 
     def test_overlap_count_basics(self):
         centers = np.array([[0.0]], dtype=complex)
-        assert overlap_count(DISK, centers, 0.3, 0.9) == 0
-        assert overlap_count(DISK, centers, 0.3, 0.0) == 1
+        assert overlap_count_many(DISK, centers, 0.3, [[0.9]])[0] == 0
+        assert overlap_count_many(DISK, centers, 0.3, [[0.0]])[0] == 1
         many = overlap_count_many(DISK, centers, 0.3, np.array([[0.9], [0.0], [0.2]]))
         np.testing.assert_array_equal(many, [0, 1, 1])
 

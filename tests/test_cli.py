@@ -194,15 +194,33 @@ def test_thm42_generated_sequence(paths, capsys):
         (["frame", "--domain", "DISK", "--point", "zero,0"], "comma-separated"),
         (["decompose", "--domain", "DISK", "--points", "/nonexistent.csv"], ""),
         (["kernel-check", "--domain", "DISK", "--seed", "-1"], "--seed must be"),
+        # unreadable input: a directory, a binary file, --out on a file
+        (["decompose", "--domain", "DISK", "--points", "DIR"], "Is a directory"),
+        (["berezin", "--domain", "DISK", "--measure", "DIR.csv"], "Is a directory"),
+        (["decompose", "--domain", "DISK", "--points", "BINARY"], "can't decode"),
+        (["domain-info", "--domain", "BINARY"], "can't decode"),
+        (["domain-info", "--domain", "DISK", "--out", "FILE"], "File exists"),
     ],
 )
 def test_validation_errors_exit_1(paths, capsys, argv, fragment):
-    argv = [tok if tok != "DISK" else paths["disk"] for tok in argv]
-    argv += ["--out", str(paths["tmp"] / "junk")]
+    (paths["tmp"] / "dir.csv").mkdir(exist_ok=True)
+    (paths["tmp"] / "binary.dat").write_bytes(b"\xff\xfe\x00\x81\x00binary")
+    (paths["tmp"] / "file").write_text("a file, not a directory\n")
+    names = {
+        "DISK": paths["disk"],
+        "DIR": str(paths["tmp"]),
+        "DIR.csv": str(paths["tmp"] / "dir.csv"),
+        "BINARY": str(paths["tmp"] / "binary.dat"),
+        "FILE": str(paths["tmp"] / "file"),
+    }
+    argv = [names.get(tok, tok) for tok in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(paths["tmp"] / "junk")]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert fragment in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def test_non_numeric_sequence_cell_exit_1(paths, capsys):

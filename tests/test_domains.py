@@ -12,13 +12,11 @@ from carleson_lab.domains import (
     DomainSpec,
     anchor_point,
     boundary_distance,
-    boundary_projection,
     complex_ellipsoid,
     contains,
     convex_polynomial,
     defining_gradient,
     defining_value,
-    line_boundary_distance,
     line_level_distance,
     load_spec,
     project_to_level,
@@ -161,24 +159,13 @@ class TestDistances:
     def test_line_distance_disk_closed_form(self):
         # line through z in direction v: sqrt(|<z,v>|^2 + 1 - |z|^2) - |<z,v>|
         z = np.array([0.5 + 0.0j])
-        got = line_boundary_distance(DISK, z, np.array([1.0 + 0.0j]))
+        got = line_level_distance(DISK, z, np.array([1.0 + 0.0j]))
         assert got == pytest.approx(0.5)
 
     def test_line_distance_ellipsoid_axis(self):
         # along e2 from (0, t): remaining quartic room is 1 - t
-        got = line_boundary_distance(ELL12, np.array([0.0, 0.3 + 0j]), np.array([0.0, 1.0 + 0j]))
+        got = line_level_distance(ELL12, np.array([0.0, 0.3 + 0j]), np.array([0.0, 1.0 + 0j]))
         assert got == pytest.approx(0.7, abs=1e-9)
-
-    def test_level_distance_monotone_in_level(self):
-        q = np.array([0.2 + 0.1j, 0.1 - 0.2j])
-        d0 = line_level_distance(ELL12, q, np.array([1.0, 1.0 + 0j]), level=0.0)
-        dm = line_level_distance(ELL12, q, np.array([1.0, 1.0 + 0j]), level=-0.3)
-        assert dm < d0
-
-    def test_projection_vs_boundary_projection(self):
-        q = np.array([0.4 + 0.2j])
-        p = boundary_projection(DISK, q)
-        assert abs(abs(p.point[0]) - 1.0) < 1e-12
 
 
 class TestSampling:

@@ -5,6 +5,9 @@ benchmark run."""
 
 import ast
 import importlib
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -62,3 +65,77 @@ def test_traced_function_exists(module, function):
 def test_workload_name_exists(module, name):
     mod = importlib.import_module(f"carleson_lab.{module}")
     assert callable(getattr(mod, name, None)), f"carleson_lab.{module}.{name}"
+
+
+# ---------------------------------------------------------------------------
+# no library surface that only tests reach
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "carleson_lab"
+USERS = ("src", "scripts", "perfbench")
+
+# public names that only tests call, each kept for what it backs
+TEST_ONLY = {
+    "metric_bounds": "acceptance criterion 5: the two-sided metric bracket",
+    "exact_metric_model": "acceptance criterion 5: the reference metric",
+    "boundary_ray_samples": "acceptance criterion 5: the calibration rays",
+    "calibrate_log_envelope": "acceptance criterion 5: the log envelope",
+    "diagonal_lowerbound_check": "Berezin => geometric: K(z,z) bounded below on the collar",
+    "offdiagonal_lowerbound_check": "Berezin => geometric: |k_z|^2 bounded below on small balls",
+    "atoms_to_csv": "writes the atom table that --measure reads",
+}
+
+
+def _public_definitions():
+    """(module path, name, first line, last line) of every public top-level
+    function, class and assignment in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("_"):
+                    yield path, name, node.lineno, node.end_lineno
+
+
+def _code_lines(text):
+    """The lines of a source file with its docstrings and comments blanked,
+    so a name mentioned only in prose does not count as used."""
+    lines = text.splitlines()
+    for node in ast.walk(ast.parse(text)):
+        body = getattr(node, "body", None)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and body:
+            first = body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                for k in range(first.lineno - 1, first.end_lineno):
+                    lines[k] = ""
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            row, col = tok.start
+            lines[row - 1] = lines[row - 1][:col]
+    return lines
+
+
+def _unused_names():
+    """Public names that no .py file under src/, scripts/ or perfbench/
+    uses outside the name's own definition (word match on the code)."""
+    paths = [path for d in USERS for path in sorted((ROOT / d).rglob("*.py"))]
+    code = {path: _code_lines(path.read_text()) for path in paths}
+    texts = {path: "\n".join(lines) for path, lines in code.items()}
+    unused = set()
+    for path, name, start, end in _public_definitions():
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = "\n".join(code[path][: start - 1] + code[path][end:])  # without the definition
+        if not any(word.search(own if p == path else text) for p, text in texts.items()):
+            unused.add(name)
+    return unused
+
+
+def test_every_public_name_has_a_user():
+    # a name only tests reach is deleted, or listed in TEST_ONLY with what it
+    # backs; a listed name that gains a user leaves the list
+    assert sorted(_unused_names() ^ set(TEST_ONLY)) == []

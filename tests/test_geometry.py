@@ -8,14 +8,12 @@ from carleson_lab import domains, geometry
 from carleson_lab.domains import (
     complex_ellipsoid,
     convex_polynomial,
-    defining_value,
     unit_ball,
     unit_disk,
 )
-from carleson_lab.errors import InputError, NumericError
+from carleson_lab.errors import InputError
 from carleson_lab.geometry import (
     frame_polydisk,
-    mcneal_radii,
     minimal_frame,
     polydisk_contains,
     polydisk_coordinates,
@@ -46,18 +44,18 @@ def _assert_orthonormal(basis):
     np.testing.assert_allclose(gram, np.eye(basis.shape[0]), atol=1e-10)
 
 
-def _axis_sharpness_oracle(spec, q, basis, radii, level, phases=64):
-    """Each radius is the slice distance to {r = level}: the open axis segment
-    stays strictly inside, and some phase at 1.001 * radius has left the
-    sublevel set."""
+def _axis_sharpness_oracle(spec, q, basis, radii, phases=64):
+    """Each radius is the slice distance to the boundary: the open axis
+    segment stays strictly inside, and some phase at 1.001 * radius has left
+    the domain."""
     grid = np.exp(2j * math.pi * np.arange(phases) / phases)
     for i in range(len(radii)):
         inside_pts = q[None, :] + (0.999 * radii[i]) * grid[:, None] * basis[i][None, :]
         vals = domains._value_batch(spec, inside_pts)
-        assert vals.max() < level + 1e-9, f"axis {i} exits the sublevel set early"
+        assert vals.max() < 1e-9, f"axis {i} exits the domain early"
         outside_pts = q[None, :] + (1.001 * radii[i]) * grid[:, None] * basis[i][None, :]
         vals = domains._value_batch(spec, outside_pts)
-        assert vals.max() > level - 1e-6, f"axis {i} never reaches the level set"
+        assert vals.max() > -1e-6, f"axis {i} never reaches the boundary"
 
 
 class TestMinimalFrame:
@@ -116,7 +114,7 @@ class TestMinimalFrame:
     def test_frame_axis_sharpness_generic(self):
         for spec, q in ((ELL12, (0.25 + 0.1j, 0.55)), (POLY, (0.35, 0.15 + 0.2j))):
             fr = minimal_frame(spec, np.asarray(q, dtype=complex))
-            _axis_sharpness_oracle(spec, fr.center, fr.basis, fr.sigma, 0.0)
+            _axis_sharpness_oracle(spec, fr.center, fr.basis, fr.sigma)
 
     def test_frame_near_the_slice_z2_zero(self):
         # the first frame direction is within 1e-7 of e_1 here, so one
@@ -125,46 +123,13 @@ class TestMinimalFrame:
             fr = minimal_frame(ELL12, q)
             _assert_orthonormal(fr.basis)
             assert abs(fr.sigma[0] - domains.boundary_distance(ELL12, q)) < 1e-7
-            _axis_sharpness_oracle(ELL12, fr.center, fr.basis, fr.sigma, 0.0)
+            _axis_sharpness_oracle(ELL12, fr.center, fr.basis, fr.sigma)
 
     def test_exterior_point_rejected(self):
         with pytest.raises(InputError):
             minimal_frame(DISK, 1.2)
         with pytest.raises(InputError):
             minimal_frame(ELL12, (0.0, 1.0))
-
-
-class TestMcNealRadii:
-    def test_disk_radius_closed_form(self):
-        # level set {|z|^2 = 0.25 + eps}; eps = 0.11 puts it at radius 0.6
-        P = mcneal_radii(DISK, 0.5, 0.11)
-        assert abs(P.radii[0] - 0.1) < 1e-12
-
-    def test_ball_radii_closed_form(self):
-        P = mcneal_radii(BALL2, (0.5, 0.0), 0.09)
-        # radial: sqrt(0.25 + 0.09) - 0.5; tangential: sqrt(eps)
-        assert abs(P.radii[0] - (math.sqrt(0.34) - 0.5)) < 1e-12
-        assert abs(P.radii[1] - 0.3) < 1e-12
-
-    def test_level_zero_limit_matches_minimal_frame(self):
-        q = np.array([0.0, 0.7], dtype=complex)
-        fr = minimal_frame(ELL12, q)
-        eps = -float(defining_value(ELL12, q))
-        P = mcneal_radii(ELL12, q, eps)
-        np.testing.assert_allclose(P.radii, fr.sigma, atol=1e-9)
-
-    def test_axis_sharpness_positive_level(self):
-        q = np.array([0.3, 0.4], dtype=complex)
-        eps = 0.2
-        P = mcneal_radii(ELL12, q, eps)
-        level = float(defining_value(ELL12, q)) + eps
-        _axis_sharpness_oracle(ELL12, q, P.basis, P.radii, level)
-
-    def test_eps_validation(self):
-        with pytest.raises(InputError):
-            mcneal_radii(DISK, 0.5, 0.0)
-        with pytest.raises(NumericError):
-            mcneal_radii(DISK, 0.5, 100.0)
 
 
 class TestPolydisks:

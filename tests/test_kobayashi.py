@@ -9,10 +9,6 @@ from carleson_lab import domains, geometry, kobayashi
 from carleson_lab.domains import complex_ellipsoid, unit_ball, unit_disk
 from carleson_lab.errors import CapabilityError, ConfigError, InputError
 from carleson_lab.kobayashi import (
-    INSIDE,
-    OUTSIDE,
-    UNCERTAIN,
-    ball_membership,
     ball_sandwich,
     boundary_ray_samples,
     ball_relation,
@@ -23,15 +19,35 @@ from carleson_lab.kobayashi import (
     metric_bounds,
     min_tanh_distance,
     mobius_translation,
+    pseudo_distance_matrix,
     tanh_distance_bracket,
-    tanh_distance_model,
-    tanh_distance_model_batch,
 )
 
 DISK = unit_disk()
 BALL2 = unit_ball(2)
 ELL12 = complex_ellipsoid((1, 2), (1.0, 1.0))
 ELL22 = complex_ellipsoid((2, 2), (1.0, 1.0))
+
+
+def tanh_distance(spec, z, w):
+    """tanh d_K of one pair on the disk/ball: the (closed) distance bracket."""
+    return float(tanh_distance_bracket(spec, z, w)[0][0])
+
+
+def tanh_distances(spec, z, pts):
+    """tanh d_K from one point z to a batch on the disk/ball."""
+    return tanh_distance_bracket(spec, z, pts)[0]
+
+
+def _membership(spec, z0, r, z):
+    """"inside", "outside" or "uncertain": z against B_D(z0, r), from
+    ball_relation for one point and one center."""
+    inside, maybe = ball_relation(
+        spec, domains.as_point(spec, z)[None, :], domains.as_point(spec, z0)[None, :], r
+    )
+    if inside[0, 0]:
+        return "inside"
+    return "uncertain" if maybe[0, 0] else "outside"
 
 
 def _random_disk_points(rng, count, rmax=0.95):
@@ -91,24 +107,24 @@ class TestMetricBounds:
 
 def exact_distance_model(spec, z, w):
     """Kobayashi distance d_K on the disk/ball from the tanh distance."""
-    return math.atanh(tanh_distance_model(spec, z, w))
+    return math.atanh(tanh_distance(spec, z, w))
 
 
 class TestExactDistances:
     def test_disk_values(self):
         assert abs(exact_distance_model(DISK, 0.0, 0.5) - math.atanh(0.5)) < 1e-12
-        assert abs(tanh_distance_model(DISK, 0.0, 0.5) - 0.5) < 1e-12
+        assert abs(tanh_distance(DISK, 0.0, 0.5) - 0.5) < 1e-12
         # pseudohyperbolic distance of (0.5, -0.5) is |z-w|/|1-conj(z)w| = 0.8
-        assert abs(tanh_distance_model(DISK, 0.5, -0.5) - 0.8) < 1e-12
+        assert abs(tanh_distance(DISK, 0.5, -0.5) - 0.8) < 1e-12
         assert abs(exact_distance_model(DISK, 0.5, -0.5) - math.atanh(0.8)) < 1e-12
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(2)
         pts = _random_ball_points(rng, 64)
         z = np.array([0.3, -0.2j])
-        batch = tanh_distance_model_batch(BALL2, z, pts)
+        batch = pseudo_distance_matrix(pts, z[None, :])[:, 0]
         for i, p in enumerate(pts):
-            assert abs(batch[i] - tanh_distance_model(BALL2, z, p)) < 1e-12
+            assert abs(batch[i] - tanh_distance(BALL2, z, p)) < 1e-12
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(23)
@@ -133,7 +149,7 @@ class TestExactDistances:
 
     def test_rejects_generic(self):
         with pytest.raises(CapabilityError):
-            tanh_distance_model(ELL12, (0.0, 0.0), (0.0, 0.5))
+            tanh_distance_bracket(ELL22, (0.0, 0.0), (0.0, 0.5))
 
     def test_tiny_distances_to_rounding(self):
         # reference: rho^2 = 1 - (1-|z|^2)(1-|w|^2)/|1-<z,w>|^2 in exact
@@ -158,10 +174,28 @@ class TestExactDistances:
             assert np.all(low > 0.0)
             np.testing.assert_allclose(low, ref, rtol=1e-14, atol=0)
             # the tiled quotient form hands these pairs to _ball_pd
-            batch = tanh_distance_model_batch(spec, z, w)
+            batch = pseudo_distance_matrix(w, z[None, :])[:, 0]
             np.testing.assert_allclose(batch, ref, rtol=1e-14, atol=0)
             for k in range(0, 2000, 400):
-                assert abs(tanh_distance_model(spec, w[k], z) - ref[k]) <= 1e-14 * ref[k]
+                assert abs(tanh_distance(spec, w[k], z) - ref[k]) <= 1e-14 * ref[k]
+
+    def test_pair_value_does_not_depend_on_the_batch(self):
+        # pairs within 1e-6 of the sphere, where the last bits of _ball_pd
+        # are the most sensitive: a one-pair call and the same pair inside a
+        # 400 x 300 batch (as the tile loops form it) agree bit for bit
+        rng = np.random.default_rng(11)
+        for dim in (1, 2):
+            def cloud(k):
+                g = rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))
+                g /= np.linalg.norm(g, axis=1, keepdims=True)
+                return g * (1.0 - 1e-6 * rng.uniform(0.0, 1.0, (k, 1)))
+
+            pts, centers = cloud(400), cloud(300)
+            i, j = np.divmod(np.arange(400 * 300), 300)
+            batch = kobayashi._ball_pd(pts[i].T, centers[j].T)
+            for k in rng.integers(0, 400 * 300, 3000):
+                one = kobayashi._ball_pd(pts[i[k] : i[k] + 1].T, centers[j[k] : j[k] + 1].T)
+                assert one[0] == batch[k], (dim, k)
 
 
 class TestMobius:
@@ -180,10 +214,10 @@ class TestMobius:
         np.testing.assert_allclose(back, pts, atol=1e-10)
         w = np.array([0.1 + 0.2j, 0.05])
         for z in pts[:50]:
-            lhs = tanh_distance_model(
+            lhs = tanh_distance(
                 BALL2, mobius_translation(BALL2, a, z), mobius_translation(BALL2, a, w)
             )
-            assert abs(lhs - tanh_distance_model(BALL2, z, w)) < 1e-10
+            assert abs(lhs - tanh_distance(BALL2, z, w)) < 1e-10
 
 
 class TestBallSandwich:
@@ -212,7 +246,7 @@ class TestBallSandwich:
             for z0 in centers:
                 r = float(rng.uniform(0.05, 0.95))
                 sw = ball_sandwich(spec, z0, r)
-                rho = tanh_distance_model_batch(spec, z0, queries)
+                rho = tanh_distances(spec, z0, queries)
                 in_inner = geometry.polydisk_contains(sw.inner, queries)
                 in_outer = geometry.polydisk_contains(sw.outer, queries)
                 assert not np.any(in_inner & (rho >= r)), "inner polydisk leaked"
@@ -221,38 +255,38 @@ class TestBallSandwich:
 
 class TestBallMembership:
     def test_model_exact(self):
-        assert ball_membership(DISK, 0.0, 0.5, 0.0) == INSIDE
-        assert ball_membership(DISK, 0.0, 0.5, 0.49) == INSIDE
-        assert ball_membership(DISK, 0.0, 0.5, 0.9 * np.exp(1.3j)) == OUTSIDE
+        assert _membership(DISK, 0.0, 0.5, 0.0) == "inside"
+        assert _membership(DISK, 0.0, 0.5, 0.49) == "inside"
+        assert _membership(DISK, 0.0, 0.5, 0.9 * np.exp(1.3j)) == "outside"
 
     def test_generic_trichotomy(self):
         # without the oracle the polydisk sandwich decides: between the
         # inner and the outer polydisk the answer is Uncertain
         z0 = np.array([0.0, 0.5])
         sw = ball_sandwich(ELL22, z0, 0.4)
-        assert ball_membership(ELL22, z0, 0.4, z0) == INSIDE
+        assert _membership(ELL22, z0, 0.4, z0) == "inside"
         far = np.array([0.0, -0.9])
-        assert ball_membership(ELL22, z0, 0.4, far) == OUTSIDE
+        assert _membership(ELL22, z0, 0.4, far) == "outside"
         edge = z0 + 1.5 * sw.inner.radii[0] * sw.inner.basis[0]
-        assert ball_membership(ELL22, z0, 0.4, edge) == UNCERTAIN
+        assert _membership(ELL22, z0, 0.4, edge) == "uncertain"
 
     def test_ellipsoid_membership_exact(self):
         # tanh k(0, z) is the Minkowski functional h(z) on the (1,2) ellipsoid
         z0 = np.array([0.0, 0.0])
         z = np.array([0.05, 0.05])
         h = float(_h12(z))
-        assert ball_membership(ELL12, z0, h + 1e-9, z) == INSIDE
-        assert ball_membership(ELL12, z0, h - 1e-9, z) == OUTSIDE
+        assert _membership(ELL12, z0, h + 1e-9, z) == "inside"
+        assert _membership(ELL12, z0, h - 1e-9, z) == "outside"
 
     def test_radius_validation(self):
         with pytest.raises(InputError):
-            ball_membership(DISK, 0.0, 0.0, 0.2)
+            ball_relation(DISK, np.array([[0.2]]), np.array([[0.0]]), 0.0)
 
 
 class TestBracket:
     def test_model_collapses_to_exact(self):
         low, high = bracket_tanh_distance(DISK, 0.1, 0.5)
-        rho = tanh_distance_model(DISK, 0.1, 0.5)
+        rho = tanh_distance(DISK, 0.1, 0.5)
         assert low == high == rho
 
     def test_ellipsoid_frozen_pair(self):
@@ -273,7 +307,7 @@ class TestBracket:
             frx = geometry.minimal_frame(BALL2, x)
             m = float((np.abs(np.conj(frx.basis) @ (y - x)) / frx.sigma).max())
             low = m / (2.0 + m)
-            assert low <= tanh_distance_model(BALL2, x, y) + 1e-10
+            assert low <= tanh_distance(BALL2, x, y) + 1e-10
 
     def test_delta_comparability_inside_balls(self):
         # boundary distances inside B(z0, r) vary by a bounded factor of 1/(1-r)
@@ -284,7 +318,7 @@ class TestBracket:
             z0 = _random_ball_points(rng, 1, dim=1, rmax=0.9)[0]
             d0 = domains.boundary_distance(DISK, z0)
             queries = _random_disk_points(rng, 400, rmax=0.999)
-            rho = tanh_distance_model_batch(DISK, z0, queries)
+            rho = tanh_distances(DISK, z0, queries)
             inside = queries[rho < r]
             for q in inside:
                 ratios.append(domains.boundary_distance(DISK, q) / d0)
@@ -353,7 +387,7 @@ class TestEllipsoidOracle:
         z = _random_ball_points(rng, 300, rmax=0.99)
         w = _random_ball_points(rng, 300, rmax=0.99)
         low, high = tanh_distance_bracket(ell11, z, w)
-        exact = np.array([tanh_distance_model(BALL2, p, q) for p, q in zip(z, w)])
+        exact = np.array([tanh_distance(BALL2, p, q) for p, q in zip(z, w)])
         np.testing.assert_allclose(low, exact, rtol=0, atol=1e-12)
         np.testing.assert_allclose(high, exact, rtol=0, atol=1e-12)
 
@@ -440,7 +474,7 @@ class TestEllipsoidOracle:
         z = _random_ball_points(rng, 200)
         w = _random_ball_points(rng, 200)
         low, high = tanh_distance_bracket(BALL2, z, w)
-        exact = np.array([tanh_distance_model(BALL2, p, q) for p, q in zip(z, w)])
+        exact = np.array([tanh_distance(BALL2, p, q) for p, q in zip(z, w)])
         np.testing.assert_allclose(low, exact, rtol=0, atol=1e-14)
         np.testing.assert_array_equal(low, high)
 
@@ -699,9 +733,9 @@ def test_membership_consistent_with_exact_disk(x, y, r):
     if x * x + y * y >= 0.98:
         return
     z = complex(x, y)
-    got = ball_membership(DISK, 0.1, r, z)
-    rho = tanh_distance_model(DISK, 0.1, z)
-    assert got == (INSIDE if rho < r else OUTSIDE)
+    got = _membership(DISK, 0.1, r, z)
+    rho = tanh_distance(DISK, 0.1, z)
+    assert got == ("inside" if rho < r else "outside")
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -16,7 +16,6 @@ from carleson_lab.measures import (
     density_catalog,
     lebesgue_measure,
     mass,
-    restricted_lebesgue,
 )
 
 DISK = unit_disk()
@@ -106,7 +105,7 @@ class TestDensityMass:
         assert abs(est.value - expected) < 4.0 * est.stderr + 1e-9
 
     def test_restricted_density(self):
-        mu = restricted_lebesgue(lambda pts: pts[:, 0].real > 0, label="halfplane")
+        mu = DensityMeasure(density=lambda pts: (pts[:, 0].real > 0).astype(float), label="halfplane")
         P = _centered_polydisk(1, [0.5])
         est = mass(DISK, mu, P, samples=1 << 16, seed=9)
         assert abs(est.value - 0.125) < 4.0 * est.stderr

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carleson_lab.errors import InputError
-from carleson_lab.polynomials import HoloPolynomial, monomial, poly_eval, random_polynomial
+from carleson_lab.polynomials import HoloPolynomial, poly_eval, random_polynomial
 
 
 class TestConstruction:
@@ -19,13 +19,13 @@ class TestConstruction:
             HoloPolynomial(dim=1, coeffs={(-1,): 1.0})
 
     def test_monomial(self):
-        m = monomial(2, (1, 2), coeff=3.0)
+        m = HoloPolynomial(dim=2, coeffs={(1, 2): 3.0})
         assert poly_eval(m, np.array([2.0, 1j])) == pytest.approx(3.0 * 2.0 * (1j) ** 2)
 
 
 class TestEval:
     def test_scalar_shape(self):
-        p = monomial(1, (2,))
+        p = HoloPolynomial(dim=1, coeffs={(2,): 1.0})
         out = poly_eval(p, np.array([0.5j]))
         assert np.ndim(out) == 0
         assert out == pytest.approx(-0.25)
@@ -37,7 +37,7 @@ class TestEval:
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            poly_eval(monomial(2, (1, 0)), np.array([1.0]))
+            poly_eval(HoloPolynomial(dim=2, coeffs={(1, 0): 1.0}), np.array([1.0]))
 
     def test_empty_polynomial_is_zero(self):
         p = HoloPolynomial(dim=3)

@@ -2,6 +2,7 @@
 sigma-weighted sequence measures, and the sequence-side Carleson pipeline."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,15 @@ ELL12 = complex_ellipsoid((1, 2), (1.0, 1.0))
 
 # the three-point reference family 0, +1/2, -1/2 on the disk
 TRI = sequences.sequence_set(DISK, [0.0, 0.5, -0.5], label="tri")
+
+def _count_in_ball(spec, x, r, gamma):
+    """M(x, r, Gamma) from ball_relation: count holds the points not
+    certified outside the tanh-radius-r ball around x, uncertain those of
+    them not certified inside."""
+    x = domains.as_point(spec, x)
+    inside, maybe = kobayashi.ball_relation(spec, gamma.points, x[None, :], r)
+    return SimpleNamespace(count=int(maybe.sum()), uncertain=int((maybe & ~inside).sum()))
+
 
 FAST = CarlesonConfig(
     r=0.3,
@@ -54,6 +64,17 @@ class TestSequenceSet:
     def test_rejects_duplicates(self):
         with pytest.raises(InputError, match="distinct"):
             sequences.sequence_set(DISK, [0.2, 0.2])
+        # equal up to the sign of a zero, and equal among many distinct rows
+        with pytest.raises(InputError, match="distinct"):
+            sequences.sequence_set(BALL2, [[0.0, 0.5j], [-0.0, 0.5j]])
+        pts = domains.quasi_interior(BALL2, 500, seed=3)
+        with pytest.raises(InputError, match="distinct"):
+            sequences.sequence_set(BALL2, np.vstack([pts, pts[417]]))
+
+    def test_accepts_points_whose_squared_difference_underflows(self):
+        # |0 - 1e-170|^2 is 0 in double precision; the points differ
+        assert sequences.sequence_set(DISK, [0.0, 1e-170]).count == 2
+        assert sequences.sequence_set(BALL2, [[0.1, 0.0], [0.1, 1e-170j]]).count == 2
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(InputError, match="dimension"):
@@ -81,19 +102,19 @@ class TestSeparationAndCounting:
         assert 0.0 < sep < 1.0
 
     def test_count_in_ball_center(self):
-        got = sequences.count_in_ball(DISK, 0.0, 0.6, TRI)
+        got = _count_in_ball(DISK, 0.0, 0.6, TRI)
         assert got.count == 3
         assert got.uncertain == 0
 
     def test_count_in_ball_offset(self):
         # around 1/2 only 0 is within 0.6; -1/2 sits at rho = 0.8
-        got = sequences.count_in_ball(DISK, 0.5, 0.6, TRI)
+        got = _count_in_ball(DISK, 0.5, 0.6, TRI)
         assert got.count == 2
         assert got.uncertain == 0
 
     def test_count_in_ball_empty(self):
         empty = sequences.SequenceSet(points=np.zeros((0, 1), dtype=complex))
-        assert sequences.count_in_ball(DISK, 0.0, 0.5, empty).count == 0
+        assert _count_in_ball(DISK, 0.0, 0.5, empty).count == 0
 
     def test_max_count_in_ball(self):
         assert sequences.max_count_in_ball(DISK, 0.6, TRI) == 3
@@ -103,7 +124,7 @@ class TestSeparationAndCounting:
     def test_ellipsoid_count_is_conservative(self):
         # the center of the ball is never certified outside its own ball
         seq = sequences.sequence_set(ELL12, [[0.0, 0.5], [0.0, -0.5]])
-        got = sequences.count_in_ball(ELL12, [0.0, 0.5], 0.3, seq)
+        got = _count_in_ball(ELL12, [0.0, 0.5], 0.3, seq)
         assert got.count >= 1
         assert 0 <= got.uncertain <= got.count
 
@@ -253,13 +274,13 @@ class TestEllipsoidExact:
         counts = within.sum(axis=0)
         assert counts.max() > 1
         assert sequences.max_count_in_ball(ELL12, r, gamma) == counts.max()
-        got = sequences.count_in_ball(ELL12, pts[7], r, gamma)
+        got = _count_in_ball(ELL12, pts[7], r, gamma)
         assert got.count == counts[7]
 
     def test_no_path_bound_in_counts(self, ell_packing):
         pack, _ = ell_packing
         gamma = sequences.SequenceSet(points=pack.sequence.points[:200])
-        got = sequences.count_in_ball(ELL12, gamma.points[0], 0.8, gamma)
+        got = _count_in_ball(ELL12, gamma.points[0], 0.8, gamma)
         assert got.count >= 1 and got.uncertain == 0
         parts = sequences.greedy_decompose(ELL12, gamma, 0.8)
         assert 1 < len(parts) <= sequences.max_count_in_ball(ELL12, 0.8, gamma)
