@@ -220,7 +220,7 @@ def kernel_row(model: KernelModel, z0, pts) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=complex))
     n = model.spec.dim
     if model.variant == "closed":
-        inner = pts @ np.conj(z0)
+        inner = domains.coordinate_sum(pts.T, np.conj(z0))
         return (1.0 - inner) ** (-(n + 1.0))
     p = pts * np.conj(z0)[None, :]
     values = _eval_cube(model.coeffs, p)
@@ -338,6 +338,8 @@ def berezin_many(
 
     if not isinstance(mu, DensityMeasure):
         raise CapabilityError(f"no density sampler for measure type {type(mu).__name__}")
+    if samples < 2:
+        raise InputError(f"a density needs samples >= 2 for a standard error, got {samples}")
 
     if spec.kind in ("disk", "ball"):
         rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -63,6 +63,11 @@ class CarlesonConfig:
             raise ConfigError(f"r must lie in (0,1), got {self.r}")
         if self.levels < 4:
             raise ConfigError(f"need at least 4 dyadic levels for a verdict, got {self.levels}")
+        for name in ("berezin_samples", "mass_samples"):
+            if getattr(self, name) < 2:
+                raise ConfigError(
+                    f"{name} must be >= 2 for a standard error, got {getattr(self, name)}"
+                )
 
 
 def _ray_directions(spec: DomainSpec, extra: int, seed: int) -> np.ndarray:

@@ -331,6 +331,10 @@ def _cmd_pack(args, spec, out) -> int:
 
 
 def _cmd_thm42(args, spec, out) -> int:
+    config = carleson.CarlesonConfig(
+        r=args.r, seed=args.seed, berezin_samples=args.samples,
+        polynomial_degree=args.degree,
+    )
     if args.points:
         gamma = sequences.sequence_from_csv(spec, args.points, label="loaded")
     else:
@@ -338,10 +342,6 @@ def _cmd_thm42(args, spec, out) -> int:
             spec, args.sep, level_floor=0.02, seed=args.seed
         ).sequence
     model = bergman.kernel_model(spec)
-    config = carleson.CarlesonConfig(
-        r=args.r, seed=args.seed, berezin_samples=args.samples,
-        polynomial_degree=args.degree,
-    )
     report = sequences.thm42_pipeline(spec, model, gamma, config)
     summary = carleson.report_summary(report.carleson)
     summary["config_cli"] = _echo(args)

@@ -165,6 +165,31 @@ def to_complex(x: np.ndarray) -> np.ndarray:
     return x[..., 0::2] + 1j * x[..., 1::2]
 
 
+def coordinate_sum(cols, weights) -> np.ndarray:
+    """sum_j weights[j] * cols[j] over the n coordinate arrays cols[j] (a
+    list, or an array whose first axis runs over the coordinates).
+
+    Products over the n <= 3 coordinates are taken one coordinate at a time,
+    with long 1-D operations in each pass: as a matrix product OpenBLAS
+    splits them across the cores and its worker spins for no gain, and a
+    broadcast over a last axis of length n costs numpy one inner-loop call
+    per point.
+    """
+    out = cols[0] * weights[0]
+    for j in range(1, len(weights)):
+        out += cols[j] * weights[j]
+    return out
+
+
+def squared_norm(z: np.ndarray) -> np.ndarray:
+    """|z|^2 over the last axis, one coordinate at a time (see coordinate_sum);
+    equal bit for bit to the sum over that axis."""
+    out = z[..., 0].real ** 2 + z[..., 0].imag ** 2
+    for j in range(1, z.shape[-1]):
+        out += z[..., j].real ** 2 + z[..., j].imag ** 2
+    return out
+
+
 def anchor_point(spec: DomainSpec) -> np.ndarray:
     return to_complex(np.asarray(spec.anchor, dtype=float))
 
@@ -182,9 +207,9 @@ def defining_value(spec: DomainSpec, z) -> float | np.ndarray:
 
 
 def _value_batch(spec: DomainSpec, z: np.ndarray) -> np.ndarray:
-    sq = z.real**2 + z.imag**2
     if spec.kind in ("disk", "ball"):
-        return sq.sum(axis=-1) - 1.0
+        return squared_norm(z) - 1.0
+    sq = z.real**2 + z.imag**2
     if spec.kind == "ellipsoid":
         a2 = np.asarray(spec.semi_axes) ** 2
         m = np.asarray(spec.exponents)
@@ -505,7 +530,7 @@ def boundary_distance_batch(spec: DomainSpec, pts: np.ndarray) -> np.ndarray:
     """Boundary distances for a batch of interior points (vectorized on models)."""
     pts = np.asarray(pts, dtype=complex)
     if spec.kind in ("disk", "ball"):
-        return 1.0 - np.sqrt((pts.real**2 + pts.imag**2).sum(axis=-1))
+        return 1.0 - np.sqrt(squared_norm(pts))
     return np.array([boundary_distance(spec, p) for p in pts])
 
 

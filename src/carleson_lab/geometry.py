@@ -141,14 +141,23 @@ def polydisk_coordinates(P: Polydisk, pts: np.ndarray) -> np.ndarray:
     polydisks (center (K,n), basis (K,n,n), radii (K,n)) shape (..., K, n)."""
     pts = np.asarray(pts, dtype=complex)
     if P.basis.ndim == 2:
-        return (pts - P.center) @ np.conj(P.basis).T
+        diff = [pts[..., j] - P.center[j] for j in range(P.n)]
+        out = np.empty(pts.shape, dtype=complex)
+        for i, row in enumerate(np.conj(P.basis)):
+            out[..., i] = domains.coordinate_sum(diff, row)
+        return out
     return np.einsum("...kj,kij->...ki", pts[..., None, :] - P.center, np.conj(P.basis))
 
 
 def polydisk_gauge(P: Polydisk, pts) -> np.ndarray:
     """max_i |<z - center, e_i>| / radii_i, so that P = {gauge <= 1}; shape
-    (...) for one polydisk, (..., K) for a stack of K."""
-    return np.max(np.abs(polydisk_coordinates(P, pts)) / P.radii, axis=-1)
+    (...) for one polydisk, (..., K) for a stack of K; the maximum is taken
+    one coordinate at a time (see domains.coordinate_sum)."""
+    coords = polydisk_coordinates(P, pts)
+    gauge = np.abs(coords[..., 0]) / P.radii[..., 0]
+    for i in range(1, coords.shape[-1]):
+        gauge = np.maximum(gauge, np.abs(coords[..., i]) / P.radii[..., i])
+    return gauge
 
 
 def polydisk_contains(P: Polydisk, z) -> bool | np.ndarray:
@@ -167,5 +176,9 @@ def sample_polydisk(P: Polydisk, count: int, rng: np.random.Generator) -> np.nda
     """Uniform (nu) sample of the polydisk, shape (count, n)."""
     u = np.sqrt(rng.uniform(0.0, 1.0, size=(count, P.n)))
     phase = np.exp(2j * math.pi * rng.uniform(0.0, 1.0, size=(count, P.n)))
-    coords = u * phase * P.radii
-    return P.center + coords @ P.basis
+    coords = u * phase
+    cols = [coords[:, j] * P.radii[j] for j in range(P.n)]
+    out = np.empty((count, P.n), dtype=complex)
+    for k, column in enumerate(P.basis.T):
+        out[:, k] = P.center[k] + domains.coordinate_sum(cols, column)
+    return out

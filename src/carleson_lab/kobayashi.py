@@ -211,10 +211,19 @@ def mobius_translation(spec: DomainSpec, a, w) -> np.ndarray:
     if aa < 1e-28:
         return -w
     s = math.sqrt(1.0 - aa)
-    wa = w @ np.conj(a)  # <w, a>
-    proj = (wa / aa)[..., None] * a
-    orth = w - proj
-    return (a - proj - s * orth) / (1.0 - wa)[..., None]
+    # phi_a(w) = (a - P w - s (w - P w)) / (1 - <w,a>) with P w = (<w,a>/|a|^2) a,
+    # that is (g a - s w) / (1 - <w,a>) with g = 1 - <w,a>/(1 + s); taken
+    # one coordinate at a time (see domains.coordinate_sum), on the columns of
+    # a 2-D array so that a single point takes the batch's arithmetic
+    cols = w.reshape(-1, spec.dim).T
+    wa = domains.coordinate_sum(cols, np.conj(a))  # <w, a>
+    inv = 1.0 / (1.0 - wa)
+    g = (1.0 - wa * (1.0 / (1.0 + s))) * inv
+    inv *= s
+    out = np.empty(cols.shape[::-1], dtype=complex)
+    for j, col in enumerate(cols):
+        out[:, j] = a[j] * g - col * inv
+    return out.reshape(w.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,8 @@ def mass(spec: DomainSpec, mu, region, samples: int = 1 << 14, seed: int = 0):
         return MassEstimate(float(mu.weights[inside].sum()), 0.0, 0, exact=True)
 
     if isinstance(mu, DensityMeasure):
+        if samples < 2:
+            raise InputError(f"a density needs samples >= 2 for a standard error, got {samples}")
         vol = geometry.polydisk_nu_volume(region)
         if vol == 0.0:
             return MassEstimate(0.0, 0.0, 0, exact=True)

@@ -21,13 +21,20 @@ from carleson_lab.bergman import (
     reinhardt_series_model,
     reproduce_check,
 )
-from carleson_lab.domains import complex_ellipsoid, convex_polynomial, unit_ball, unit_disk
+from carleson_lab.domains import (
+    anchor_point,
+    complex_ellipsoid,
+    convex_polynomial,
+    unit_ball,
+    unit_disk,
+)
 from carleson_lab.errors import CapabilityError, InputError, TruncationError
 from carleson_lab.measures import DensityMeasure, atomic_measure, density_catalog, lebesgue_measure
 from carleson_lab.polynomials import HoloPolynomial
 
 DISK = unit_disk()
 BALL2 = unit_ball(2)
+BALL3 = unit_ball(3)
 ELL12 = complex_ellipsoid((1, 2), (1.0, 1.0))
 
 
@@ -117,6 +124,17 @@ class TestKernelModels:
         model = closed_ball_model(DISK)
         assert abs(kernel_diag(model, 0.5) - 16.0 / 9.0) < 1e-12
         assert abs(kernel(model, 0.3, 0.0) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("spec", [DISK, BALL2, BALL3], ids=["disk", "ball2", "ball3"])
+    def test_closed_row_does_not_depend_on_the_batch(self, spec):
+        # K(p, z0) for one point p equals its entry in a batch bit for bit
+        rng = np.random.default_rng(70 + spec.dim)
+        model = closed_ball_model(spec)
+        z0 = 0.9 * domains.random_interior(spec, 1, rng)[0]
+        pts = (1.0 - 1e-6) * domains.random_interior(spec, 500, rng)
+        batch = kernel_row(model, z0, pts)
+        for k in rng.integers(0, 500, 60):
+            assert kernel_row(model, z0, pts[k : k + 1])[0] == batch[k]
 
     def test_ball_closed_diag(self):
         model = closed_ball_model(BALL2)
@@ -384,6 +402,14 @@ class TestBerezin:
         assert est.method == "qmc"
         with pytest.raises(CapabilityError):
             berezin(kernel_model(DISK), object(), 0.1)
+
+    def test_density_needs_two_samples(self):
+        # one sample has no standard error; atoms need no samples
+        for spec in (DISK, ELL12):
+            with pytest.raises(InputError, match="samples >= 2"):
+                berezin_many(kernel_model(spec), lebesgue_measure(), [anchor_point(spec)], samples=1)
+        atoms = atomic_measure(DISK, [0.5], [1.0])
+        assert berezin(kernel_model(DISK), atoms, 0.1, samples=1).method == "atomic"
 
 
 class TestKernelFloors:

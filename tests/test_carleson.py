@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from carleson_lab.carleson import (
     build_grid,
     carleson_test,
     criterion_berezin,
+    criterion_geometric,
     criterion_operator,
     dictionary_table,
     grid_levels,
@@ -25,9 +27,9 @@ from carleson_lab.carleson import (
     submean_check,
     verdict_from_levels,
 )
-from carleson_lab.domains import complex_ellipsoid, unit_disk
+from carleson_lab.domains import complex_ellipsoid, unit_ball, unit_disk
 from carleson_lab.errors import ConfigError, InputError, ResourceError
-from carleson_lab.measures import atomic_measure, lebesgue_measure
+from carleson_lab.measures import atomic_measure, density_catalog, lebesgue_measure
 from carleson_lab.polynomials import HoloPolynomial, random_polynomial
 
 DISK = unit_disk()
@@ -76,6 +78,10 @@ class TestConfigAndGrid:
             CarlesonConfig(r=0.0)
         with pytest.raises(ConfigError):
             CarlesonConfig(levels=3)
+        with pytest.raises(ConfigError, match="berezin_samples must be >= 2"):
+            CarlesonConfig(berezin_samples=1)
+        with pytest.raises(ConfigError, match="mass_samples must be >= 2"):
+            CarlesonConfig(mass_samples=1)
 
     def test_levels_are_dyadic(self):
         lams = grid_levels(DISK, CarlesonConfig(levels=5))
@@ -164,6 +170,26 @@ class TestCarlesonLebesgue:
         assert len(entries) == config.dictionary_polynomials
         for entry in entries:
             assert abs(entry.quotient - 1.0) <= 2e-3
+
+
+def test_ball_monte_carlo_runs_on_one_thread():
+    # The Mobius pull-back of berezin_many and the polydisk Monte Carlo of
+    # criterion_geometric's mass calls take their products over the n
+    # coordinates one coordinate at a time.  As matrix products, OpenBLAS
+    # split them across the cores and its spinning worker put the process
+    # time near twice the wall time.  Load on the machine lowers the ratio.
+    spec = unit_ball(2)
+    config = CarlesonConfig(seed=5)
+    grid = build_grid(spec, config)
+    model = bergman.kernel_model(spec)
+    mu = density_catalog(spec)["one_minus_delta"]
+    zs = np.array([gp.point for gp in grid[::4]])
+    time.sleep(0.5)  # BLAS workers left spinning by earlier tests go idle
+    wall, cpu = time.perf_counter(), time.process_time()
+    bergman.berezin_many(model, mu, zs, samples=config.berezin_samples, seed=config.seed)
+    criterion_geometric(spec, mu, grid, config)
+    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    assert cpu <= 1.25 * wall, (cpu, wall)
 
 
 class TestCarlesonVerdictCases:

@@ -200,6 +200,10 @@ def test_thm42_generated_sequence(paths, capsys):
         (["decompose", "--domain", "DISK", "--points", "BINARY"], "can't decode"),
         (["domain-info", "--domain", "BINARY"], "can't decode"),
         (["domain-info", "--domain", "DISK", "--out", "FILE"], "File exists"),
+        # one Monte Carlo sample has no standard error
+        (["berezin", "--domain", "DISK", "--samples", "1"], "must be >= 2"),
+        (["carleson", "--domain", "DISK", "--samples", "1"], "must be >= 2"),
+        (["thm42", "--domain", "DISK", "--samples", "1"], "must be >= 2"),
     ],
 )
 def test_validation_errors_exit_1(paths, capsys, argv, fragment):

@@ -34,6 +34,7 @@ from carleson_lab.errors import ConfigError, InputError
 
 DISK = unit_disk()
 BALL2 = unit_ball(2)
+BALL3 = unit_ball(3)
 ELL12 = complex_ellipsoid((1, 2), (1.0, 1.0))
 # |z1|^2 + |z2|^2 + (Re z1)^4/4 - 1: convex, finite type
 POLY = convex_polynomial(
@@ -155,6 +156,20 @@ class TestDistances:
         pts = np.array([[0.0], [0.5 + 0.0j], [0.0 + 0.8j]])
         got = domains.boundary_distance_batch(DISK, pts)
         assert got == pytest.approx([1.0, 0.5, 0.2])
+
+    @pytest.mark.parametrize("spec", [DISK, BALL2, BALL3], ids=["disk", "ball2", "ball3"])
+    def test_squared_norm_does_not_depend_on_the_batch(self, spec):
+        # r and the boundary distance of one point equal its entries in a
+        # batch bit for bit, and r equals the sum over the coordinate axis
+        rng = np.random.default_rng(80 + spec.dim)
+        pts = domains.random_interior(spec, 500, rng)
+        values = domains._value_batch(spec, pts)
+        dists = domains.boundary_distance_batch(spec, pts)
+        np.testing.assert_array_equal(values, (pts.real**2 + pts.imag**2).sum(axis=-1) - 1.0)
+        for k in rng.integers(0, 500, 60):
+            assert domains._value_batch(spec, pts[k : k + 1])[0] == values[k]
+            assert defining_value(spec, pts[k]) == values[k]
+            assert domains.boundary_distance_batch(spec, pts[k : k + 1])[0] == dists[k]
 
     def test_line_distance_disk_closed_form(self):
         # line through z in direction v: sqrt(|<z,v>|^2 + 1 - |z|^2) - |<z,v>|

@@ -172,6 +172,20 @@ class TestPolydisks:
         back = P.center + coords @ P.basis
         np.testing.assert_allclose(back, pts, atol=1e-12)
 
+    @pytest.mark.parametrize("spec", [DISK, BALL2, BALL3], ids=["disk", "ball2", "ball3"])
+    def test_sample_stream_matches_the_matrix_form(self, spec):
+        # the sampler draws the same numbers in the same order as
+        # center + (u phase radii) @ basis, and lands on the same points
+        rng = np.random.default_rng(90 + spec.dim)
+        P = frame_polydisk(minimal_frame(spec, 0.8 * domains.random_interior(spec, 1, rng)[0]), 0.7)
+        got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = sample_polydisk(P, 4096, got_rng)
+        u = np.sqrt(ref_rng.uniform(0.0, 1.0, size=(4096, spec.dim)))
+        phase = np.exp(2j * math.pi * ref_rng.uniform(0.0, 1.0, size=(4096, spec.dim)))
+        ref = P.center + (u * phase * P.radii) @ P.basis
+        assert np.max(np.abs(got - ref)) <= 1e-15
+        assert got_rng.uniform() == ref_rng.uniform()
+
     def test_frame_polydisk_and_scaling(self):
         fr = minimal_frame(BALL2, (0.6, 0.0))
         P = frame_polydisk(fr, 0.5)

@@ -25,6 +25,7 @@ from carleson_lab.kobayashi import (
 
 DISK = unit_disk()
 BALL2 = unit_ball(2)
+BALL3 = unit_ball(3)
 ELL12 = complex_ellipsoid((1, 2), (1.0, 1.0))
 ELL22 = complex_ellipsoid((2, 2), (1.0, 1.0))
 
@@ -218,6 +219,43 @@ class TestMobius:
                 BALL2, mobius_translation(BALL2, a, z), mobius_translation(BALL2, a, w)
             )
             assert abs(lhs - tanh_distance(BALL2, z, w)) < 1e-10
+
+    @pytest.mark.parametrize("spec", [DISK, BALL2, BALL3], ids=["disk", "ball2", "ball3"])
+    def test_identities_on_the_disk_and_balls(self, spec):
+        # phi_a swaps 0 and a, is an involution, keeps the pseudo-distance and
+        # satisfies 1 - |phi_a(w)|^2 = (1 - |a|^2)(1 - |w|^2) / |1 - <w,a>|^2
+        n = spec.dim
+        rng = np.random.default_rng(50 + n)
+        a = _random_ball_points(rng, 1, dim=n, rmax=0.8)[0]
+        pts = _random_ball_points(rng, 300, dim=n, rmax=0.9)
+        np.testing.assert_allclose(mobius_translation(spec, a, np.zeros(n)), a, atol=1e-15)
+        np.testing.assert_allclose(mobius_translation(spec, a, a), np.zeros(n), atol=1e-15)
+        img = mobius_translation(spec, a, pts)
+        np.testing.assert_allclose(mobius_translation(spec, a, img), pts, atol=1e-12)
+        room = (1.0 - np.sum(np.abs(a) ** 2)) * (1.0 - np.sum(np.abs(pts) ** 2, axis=1))
+        rhs = room / np.abs(1.0 - pts @ np.conj(a)) ** 2
+        np.testing.assert_allclose(1.0 - np.sum(np.abs(img) ** 2, axis=1), rhs, rtol=1e-13, atol=0)
+        for k in (0, 7, 299):
+            # a single point (n,) keeps the identity
+            one = mobius_translation(spec, a, pts[k])
+            assert one.shape == (n,)
+            assert abs(1.0 - np.sum(np.abs(one) ** 2) - rhs[k]) <= 1e-13 * rhs[k]
+        for z in pts[1:40]:
+            lhs = tanh_distance(spec, mobius_translation(spec, a, z), img[0])
+            assert abs(lhs - tanh_distance(spec, z, pts[0])) < 1e-10
+
+    @pytest.mark.parametrize("spec", [DISK, BALL2, BALL3], ids=["disk", "ball2", "ball3"])
+    def test_row_does_not_depend_on_the_batch(self, spec):
+        # a point mapped alone, as (n,) or (1, n), equals its row of a batch
+        # bit for bit, near the sphere too
+        n = spec.dim
+        rng = np.random.default_rng(60 + n)
+        a = _random_ball_points(rng, 1, dim=n, rmax=0.99)[0]
+        pts = _random_ball_points(rng, 500, dim=n, rmax=1.0 - 1e-9)
+        batch = mobius_translation(spec, a, pts)
+        for k in rng.integers(0, 500, 60):
+            np.testing.assert_array_equal(mobius_translation(spec, a, pts[k : k + 1])[0], batch[k])
+            np.testing.assert_array_equal(mobius_translation(spec, a, pts[k]), batch[k])
 
 
 class TestBallSandwich:

@@ -125,6 +125,13 @@ class TestDensityMass:
         b = mass(BALL2, lebesgue_measure(), P, samples=1 << 12, seed=7)
         assert a.value == b.value and a.stderr == b.stderr
 
+    def test_density_needs_two_samples(self):
+        # one sample has no standard error; atoms are summed exactly
+        P = _centered_polydisk(1, [0.5])
+        with pytest.raises(InputError, match="samples >= 2"):
+            mass(DISK, lebesgue_measure(), P, samples=1)
+        assert mass(DISK, atomic_measure(DISK, [0.1], [2.0]), P, samples=1).value == 2.0
+
     def test_unsupported_inputs(self):
         with pytest.raises(InputError):
             mass(DISK, lebesgue_measure(), "not a region")
