@@ -19,7 +19,7 @@ from scipy import special
 from . import domains, geometry, kobayashi
 from .domains import DomainSpec, as_point
 from .errors import CapabilityError, InputError, NumericError, TruncationError
-from .measures import AtomicMeasure, DensityMeasure
+from .measures import AtomicMeasure, DensityMeasure, Estimate, mean_estimate
 from .polynomials import HoloPolynomial, poly_eval
 
 _REINHARDT_KINDS = ("disk", "ball", "ellipsoid")
@@ -296,26 +296,13 @@ def reproduce_check(
 # Berezin transform
 
 
-@dataclass(frozen=True)
-class BerezinEstimate:
-    """One Berezin value; stderr is the iid formula std/sqrt(samples).  For
-    the quasi-Monte Carlo ("qmc") estimate it is no error bound: near the
-    boundary of the (1,2) ellipsoid |B(nu) - 1| reached 676 times it at
-    2^16 points."""
-
-    value: float
-    stderr: float
-    samples: int
-    method: str  # "atomic" | "mobius" | "qmc"
-
-
 def berezin_many(
     model: KernelModel,
     mu,
     zs,
     samples: int = 1 << 16,
     seed: int = 0,
-) -> list[BerezinEstimate]:
+) -> list[Estimate]:
     """Berezin transform at several points sharing one sample set.
 
     Atoms give the exact sum.  On the disk and ball a density is pulled back
@@ -328,18 +315,12 @@ def berezin_many(
     if isinstance(mu, AtomicMeasure):
         out = []
         for z in zs:
-            if mu.count == 0:
-                out.append(BerezinEstimate(0.0, 0.0, 0, "atomic"))
-                continue
             k = normalized_kernel(model, z, mu.points)
-            value = float(np.sum(mu.weights * np.abs(k) ** 2))
-            out.append(BerezinEstimate(value, 0.0, mu.count, "atomic"))
+            out.append(Estimate(float(np.sum(mu.weights * np.abs(k) ** 2)), 0.0, 0, "atomic"))
         return out
 
     if not isinstance(mu, DensityMeasure):
         raise CapabilityError(f"no density sampler for measure type {type(mu).__name__}")
-    if samples < 2:
-        raise InputError(f"a density needs samples >= 2 for a standard error, got {samples}")
 
     if spec.kind in ("disk", "ball"):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -351,20 +332,14 @@ def berezin_many(
             # faulted in again, which doubled the loop's time on the disk
             pulled = kobayashi.mobius_translation(spec, z, base)
             vals = mu.density(pulled)
-            out.append(_mean_estimate(vals, "mobius"))
+            out.append(mean_estimate(vals, "mobius"))
         return out
 
     pts = domains.quasi_uniform(spec, samples, seed=seed)
     dens = moment(model.table, (0,) * spec.dim) * mu.density(pts)
     return [
-        _mean_estimate(dens * np.abs(normalized_kernel(model, z, pts)) ** 2, "qmc") for z in zs
+        mean_estimate(dens * np.abs(normalized_kernel(model, z, pts)) ** 2, "qmc") for z in zs
     ]
-
-
-def _mean_estimate(vals: np.ndarray, method: str) -> BerezinEstimate:
-    """Sample mean of the integrand values with its iid standard error."""
-    stderr = float(vals.std(ddof=1)) / math.sqrt(len(vals))
-    return BerezinEstimate(float(vals.mean()), stderr, len(vals), method)
 
 
 def berezin(
@@ -373,7 +348,7 @@ def berezin(
     z,
     samples: int = 1 << 16,
     seed: int = 0,
-) -> BerezinEstimate:
+) -> Estimate:
     return berezin_many(model, mu, as_point(model.spec, z)[None, :], samples, seed)[0]
 
 

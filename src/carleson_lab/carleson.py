@@ -49,7 +49,6 @@ class GridPoint:
 class CarlesonConfig:
     r: float = 0.3
     levels: int = 7
-    level0: float | None = None  # lambda_0; default 0.5 |r(anchor)|
     extra_rays: int = 8  # seeded directions beyond the 4n canonical ones
     interior_points: int = 32
     seed: int = 0
@@ -88,10 +87,8 @@ def _ray_directions(spec: DomainSpec, extra: int, seed: int) -> np.ndarray:
 
 
 def grid_levels(spec: DomainSpec, config: CarlesonConfig) -> np.ndarray:
-    lam0 = config.level0
-    if lam0 is None:
-        anchor = domains.anchor_point(spec)
-        lam0 = 0.5 * abs(float(domains.defining_value(spec, anchor)))
+    """Dyadic levels lambda_j = lambda_0 2^-j with lambda_0 = 0.5 |r(anchor)|."""
+    lam0 = 0.5 * abs(float(domains.defining_value(spec, domains.anchor_point(spec))))
     return lam0 * 0.5 ** np.arange(config.levels)
 
 
@@ -213,15 +210,12 @@ def criterion_geometric(
     def one(point_index: int) -> tuple[float, float, float]:
         gp = grid[point_index]
         sandwich = kobayashi.ball_sandwich(spec, gp.point, r)
-        bracket = measures.mass(
-            spec, mu, sandwich, samples=config.mass_samples, seed=config.seed + 31 * point_index
-        )
+        seed = config.seed + 31 * point_index
+        inner = measures.mass(spec, mu, sandwich.inner, config.mass_samples, seed)
+        outer = measures.mass(spec, mu, sandwich.outer, config.mass_samples, seed + 1)
         vol_inner = geometry.polydisk_nu_volume(sandwich.inner)
         vol_outer = geometry.polydisk_nu_volume(sandwich.outer)
-        lower = bracket.inner.value / vol_outer
-        upper = bracket.outer.value / vol_inner
-        err = bracket.outer.stderr / vol_inner
-        return lower, upper, err
+        return inner.value / vol_outer, outer.value / vol_inner, outer.stderr / vol_inner
 
     rows = [one(i) for i in range(len(grid))]
     lower = np.array([row[0] for row in rows])
@@ -369,7 +363,6 @@ class CoverResult:
     coverage: CoverageReport
     candidate_count: int
     seed: int
-    external_sample: bool  # coverage was checked on caller-supplied points
 
 
 _CORE_LEVEL = 0.1  # core level of kobayashi_cover, as a fraction of |r(anchor)|
@@ -381,12 +374,11 @@ def kobayashi_cover(
     seed: int = 0,
     candidates: int = 30000,
     test_count: int = 10000,
-    test_points: np.ndarray | None = None,
 ) -> CoverResult:
     """Greedy maximal family of disjoint radius-r/3 Kobayashi balls on the core
     {defining function <= -level}, level = _CORE_LEVEL * |r(anchor)|, with a
-    coverage report for the radius-r balls around the returned centers on a
-    test sample.
+    coverage report for the radius-r balls around the returned centers on the
+    leading test_count candidates.
 
     A candidate is rejected when its r/3 ball may meet an accepted one, i.e.
     its center distance is not certified >= tanh(2 atanh(r/3)).  Coverage is
@@ -396,13 +388,12 @@ def kobayashi_cover(
     Both steps go through kobayashi.ball_relation, so on the domains with the
     exact distance oracle (disk, ball, (1, m) ellipsoid) heuristic points are
     those whose bracket stays open.
-    By default the test sample is the leading slice of the candidate stream.
-    Then most of it is settled by the greedy itself: greedy_separated marks
-    every candidate certified within r* < r of an accepted center (accepted
-    ones included), and Inside at r* is Inside at r, in the frame gauge
-    (r*/n < r/n) as on the oracle.  Only the unmarked sample points are
-    counted against the centers; caller-supplied test_points are all counted.
-    The report is the one a full count would give.
+    Most of the test sample is settled by the greedy itself:
+    greedy_separated marks every candidate certified within r* < r of an
+    accepted center (accepted ones included), and Inside at r* is Inside at
+    r, in the frame gauge (r*/n < r/n) as on the oracle.  Only the unmarked
+    sample points are counted against the centers.  The report is the one a
+    full count would give.
     Any uncovered point raises ResourceError.
     """
     if not 0.0 < r < 1.0:
@@ -412,15 +403,10 @@ def kobayashi_cover(
     third = math.atanh(r / 3.0)
     r_star = math.tanh(2.0 * third)  # centers closer than this have meeting r/3 balls
 
+    if test_count > candidates:
+        raise ConfigError(f"test_count {test_count} exceeds candidate count {candidates}")
     pts = domains.quasi_interior(spec, candidates, seed=seed, level_floor=level)
-    if test_points is None:
-        if test_count > candidates:
-            raise ConfigError(f"test_count {test_count} exceeds candidate count {candidates}")
-        sample = pts[:test_count]
-        sample_is_prefix = True
-    else:
-        sample = np.atleast_2d(np.asarray(test_points, dtype=complex))
-        sample_is_prefix = False
+    sample = pts[:test_count]
     # Deepest-first processing: the packing fills the domain in level shells,
     # which makes the overlap multiplicity reproducible across seeds.  Greedy
     # maximality (hence coverage of every candidate) holds in any order.
@@ -433,12 +419,9 @@ def kobayashi_cover(
     kept, covered = kobayashi.greedy_separated(spec, stream, r_star)
     zs = stream[kept]
 
-    if sample_is_prefix:
-        witnessed = np.empty(len(pts), dtype=bool)
-        witnessed[order] = covered[1:]  # stream[1 + k] is pts[order[k]]
-        witnessed = witnessed[:test_count]
-    else:
-        witnessed = np.zeros(len(sample), dtype=bool)
+    witnessed = np.empty(len(pts), dtype=bool)
+    witnessed[order] = covered[1:]  # stream[1 + k] is pts[order[k]]
+    witnessed = witnessed[:test_count]
     inside_n, maybe_n = kobayashi.ball_counts(spec, sample[~witnessed], zs, r)
     certified = int(witnessed.sum()) + int((inside_n > 0).sum())
     uncovered = int((maybe_n == 0).sum())
@@ -460,7 +443,6 @@ def kobayashi_cover(
         coverage=coverage,
         candidate_count=candidates,
         seed=seed,
-        external_sample=not sample_is_prefix,
     )
 
 

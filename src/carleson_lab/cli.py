@@ -219,20 +219,18 @@ def _cmd_berezin(args, spec, out) -> int:
     model = bergman.kernel_model(spec)
     config = carleson.CarlesonConfig(r=args.r, seed=args.seed, berezin_samples=args.samples)
     grid = carleson.build_grid(spec, config)
-    zs = np.array([gp.point for gp in grid])
-    estimates = bergman.berezin_many(model, mu, zs, samples=args.samples, seed=args.seed)
+    trace = carleson.criterion_berezin(spec, model, mu, grid, config)
     header = ["index", "kind", "delta", *tables.coord_header(spec.dim), "value", "stderr"]
     rows = [
-        [idx, gp.kind, gp.delta, *domains.to_real(gp.point), est.value, est.stderr]
-        for idx, (gp, est) in enumerate(zip(grid, estimates))
+        [idx, gp.kind, gp.delta, *domains.to_real(gp.point), value, stderr]
+        for idx, (gp, value, stderr) in enumerate(zip(grid, trace.values, trace.stderr))
     ]
     tables.write(os.path.join(out, "berezin.csv"), header, rows)
-    sup = float(max(e.value for e in estimates))
     _write_json(
         os.path.join(out, "berezin_summary.json"),
-        {"config": _echo(args), "sup": sup, "points": len(grid)},
+        {"config": _echo(args), "sup": trace.sup, "points": len(grid)},
     )
-    print(f"Berezin transform at {len(grid)} grid points: sup {sup:.6g}")
+    print(f"Berezin transform at {len(grid)} grid points: sup {trace.sup:.6g}")
     return 0
 
 

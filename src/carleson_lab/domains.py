@@ -64,10 +64,6 @@ class DomainSpec:
     def __post_init__(self):
         _validate(self)
 
-    @property
-    def n(self) -> int:
-        return self.dim
-
 
 def unit_disk(collar: float = 0.2) -> DomainSpec:
     return DomainSpec(kind="disk", dim=1, box=(1.05,), anchor=(0.0, 0.0), collar=collar)
@@ -522,7 +518,7 @@ def boundary_distance(spec: DomainSpec, z) -> float:
     if not float(defining_value(spec, z)) < 0.0:
         raise InputError("boundary_distance expects an interior point")
     if spec.kind in ("disk", "ball"):
-        return 1.0 - float(np.linalg.norm(z))
+        return float(boundary_distance_batch(spec, z[None, :])[0])
     return project_to_level(spec, z).distance
 
 
@@ -625,20 +621,30 @@ def unit_ball_volume(n: int) -> float:
 def random_interior(
     spec: DomainSpec,
     count: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | qmc.QMCEngine,
     level_floor: float = 0.0,
 ) -> np.ndarray:
-    """Uniform (w.r.t. Lebesgue) sample of {r <= -level_floor}, shape (count, n)."""
+    """The first count points of {r <= -level_floor} in a stream of box
+    points, shape (count, n): uniform (w.r.t. Lebesgue) from a numpy
+    Generator, low-discrepancy from a scipy QMC engine of dimension 2n.
+
+    A box point is 2u - 1 times the box half-widths; 2u - 1 equals
+    rng.uniform(-1, 1) bit for bit, and a scrambled Halton stream does not
+    depend on how it is split into draws."""
+    if not (math.isfinite(level_floor) and level_floor >= 0.0):
+        raise InputError(f"level_floor must be finite and >= 0, got {level_floor}")
+    quasi = isinstance(rng, qmc.QMCEngine)
     out = np.empty((count, spec.dim), dtype=complex)
     wide = np.repeat(np.asarray(spec.box, dtype=float), 2)
     got = 0
-    attempts = 0
+    draws = 0
     while got < count:
-        attempts += 1
-        if attempts > 4000:
+        draws += 1
+        if draws > 4000:
             raise NumericError("interior rejection sampling stalled", {"got": got})
-        batch = max(256, 2 * (count - got))
-        pts = to_complex(rng.uniform(-1.0, 1.0, size=(batch, 2 * spec.dim)) * wide)
+        k = max(256, 2 * (count - got))
+        u = rng.random(k) if quasi else rng.random((k, 2 * spec.dim))
+        pts = to_complex((2.0 * u - 1.0) * wide)
         keep = pts[_value_batch(spec, pts) <= -level_floor]
         take = min(len(keep), count - got)
         out[got : got + take] = keep[:take]
@@ -653,19 +659,8 @@ def quasi_interior(
     level_floor: float = 0.0,
 ) -> np.ndarray:
     """Low-discrepancy interior sample (scrambled Halton), shape (count, n)."""
-    sampler = qmc.Halton(d=2 * spec.dim, scramble=True, seed=seed)
-    wide = np.repeat(np.asarray(spec.box, dtype=float), 2)
-    out = np.empty((count, spec.dim), dtype=complex)
-    got = 0
-    for _ in range(4000):
-        pts = to_complex((2.0 * sampler.random(max(256, count)) - 1.0) * wide)
-        keep = pts[_value_batch(spec, pts) <= -level_floor]
-        take = min(len(keep), count - got)
-        out[got : got + take] = keep[:take]
-        got += take
-        if got == count:
-            return out
-    raise NumericError("quasi-random interior sampling stalled", {"got": got})
+    halton = qmc.Halton(d=2 * spec.dim, scramble=True, seed=seed)
+    return random_interior(spec, count, halton, level_floor)
 
 
 def _gamma_quantile(a: float, u: np.ndarray) -> np.ndarray:

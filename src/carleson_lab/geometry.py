@@ -29,10 +29,6 @@ class MinimalFrame:
     sigma: np.ndarray
     unique: bool
 
-    @property
-    def n(self) -> int:
-        return self.basis.shape[0]
-
 
 @dataclass(frozen=True)
 class Polydisk:

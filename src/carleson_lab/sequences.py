@@ -28,7 +28,6 @@ class SequenceSet:
 
     points: np.ndarray
     label: str = ""
-    separation_cache: float | None = None
 
     @property
     def count(self) -> int:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from carleson_lab import bergman, domains, measures
+from carleson_lab import bergman, domains, kobayashi, measures
 from carleson_lab.bergman import (
     berezin,
     berezin_many,
@@ -402,6 +402,42 @@ class TestBerezin:
         assert est.method == "qmc"
         with pytest.raises(CapabilityError):
             berezin(kernel_model(DISK), object(), 0.1)
+
+    def test_mobius_value_is_the_sample_mean(self):
+        # mean and std/sqrt(n) of the density on the pulled-back points, bit
+        # for bit; the base sample is drawn once for every point
+        mu = density_catalog(BALL2)["one_minus_delta"]
+        zs = np.array([[0.3, 0.2j], [0.0, -0.7]])
+        ests = berezin_many(kernel_model(BALL2), mu, zs, samples=2048, seed=5)
+        rng = np.random.default_rng(np.random.SeedSequence(5))
+        base = domains.random_interior(BALL2, 2048, rng)
+        for z, est in zip(zs, ests):
+            vals = mu.density(kobayashi.mobius_translation(BALL2, z, base))
+            assert est.value == float(vals.mean())
+            assert est.stderr == float(vals.std(ddof=1)) / math.sqrt(2048)
+            assert (est.samples, est.method) == (2048, "mobius")
+
+    def test_qmc_value_is_the_sample_mean(self):
+        # m_0 * density * |k_z|^2 on one quasi_uniform set, mean and
+        # std/sqrt(n), bit for bit
+        model = kernel_model(ELL12)
+        mu = DensityMeasure(lambda p: np.abs(p[:, 1]) ** 2 + 0.5, label="smooth")
+        z = np.array([0.1, 0.3j])
+        est = berezin(model, mu, z, samples=1024, seed=4)
+        pts = domains.quasi_uniform(ELL12, 1024, seed=4)
+        dens = moment(model.table, (0, 0)) * mu.density(pts)
+        vals = dens * np.abs(normalized_kernel(model, z, pts)) ** 2
+        assert est.value == float(vals.mean())
+        assert est.stderr == float(vals.std(ddof=1)) / math.sqrt(1024)
+        assert (est.samples, est.method) == (1024, "qmc")
+
+    def test_atomic_is_exact(self):
+        # an exact sum: no stderr and no Monte Carlo draws
+        mu = atomic_measure(DISK, [0.5, -0.2j], [1.0, 3.0])
+        est = berezin(kernel_model(DISK), mu, 0.1)
+        assert (est.stderr, est.samples, est.method) == (0.0, 0, "atomic")
+        empty = measures.AtomicMeasure(points=np.zeros((0, 1), dtype=complex), weights=np.zeros(0))
+        assert berezin(kernel_model(DISK), empty, 0.1).value == 0.0
 
     def test_density_needs_two_samples(self):
         # one sample has no standard error; atoms need no samples

@@ -222,7 +222,6 @@ class TestCover:
         assert res.coverage.total == 1000
         assert res.coverage.certified == 1000
         assert res.coverage.uncovered == 0
-        assert not res.external_sample
         assert overlap_count_many(DISK, res.centers, 0.75, [[0.2]])[0] == 30
 
     def test_disk_centers_separated(self):
@@ -270,14 +269,12 @@ class TestCover:
         # must be the one counting every test point against every center gives
         res = kobayashi_cover(spec, r, seed=2, candidates=candidates, test_count=candidates // 2)
         pts = domains.quasi_interior(spec, candidates, seed=2, level_floor=res.level)
-        for sample, got in (
-            (pts[: candidates // 2], res.coverage),
-            (pts[::3], kobayashi_cover(spec, r, seed=2, candidates=candidates, test_points=pts[::3]).coverage),
-        ):
-            inside_n, maybe_n = kobayashi.ball_counts(spec, sample, res.centers, r)
-            certified = int((inside_n > 0).sum())
-            uncovered = int((maybe_n == 0).sum())
-            assert got == CoverageReport(len(sample), certified, len(sample) - certified - uncovered, uncovered)
+        sample = pts[: candidates // 2]
+        inside_n, maybe_n = kobayashi.ball_counts(spec, sample, res.centers, r)
+        certified = int((inside_n > 0).sum())
+        uncovered = int((maybe_n == 0).sum())
+        total = len(sample)
+        assert res.coverage == CoverageReport(total, certified, total - certified - uncovered, uncovered)
 
     def test_input_validation(self):
         with pytest.raises(InputError):
@@ -285,20 +282,16 @@ class TestCover:
         with pytest.raises(ConfigError):
             kobayashi_cover(DISK, 0.3, candidates=100, test_count=200)
 
-    def test_uncovered_external_points_raise(self):
-        with pytest.raises(ResourceError):
-            kobayashi_cover(
-                DISK, 0.3, seed=0, candidates=50, test_count=10,
-                test_points=np.array([[0.995]]),
-            )
+    def test_uncovered_points_raise(self, monkeypatch):
+        # off the oracle the greedy leaves the test points unwitnessed; a
+        # count that certifies them outside every ball must raise
+        def no_ball_holds_them(spec, queries, centers, r):
+            return np.zeros(len(queries), dtype=int), np.zeros(len(queries), dtype=int)
 
-    def test_external_sample_flag(self):
-        res = kobayashi_cover(
-            DISK, 0.5, seed=0, candidates=2000, test_count=100,
-            test_points=np.array([[0.0], [0.1]]),
-        )
-        assert res.external_sample
-        assert res.coverage.total == 2
+        monkeypatch.setattr(kobayashi, "ball_counts", no_ball_holds_them)
+        ell22 = complex_ellipsoid((2, 2), (1.0, 1.0))
+        with pytest.raises(ResourceError, match="20 of 20 test points not covered"):
+            kobayashi_cover(ell22, 0.5, seed=0, candidates=100, test_count=20)
 
     def test_overlap_count_basics(self):
         centers = np.array([[0.0]], dtype=complex)

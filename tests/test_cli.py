@@ -204,6 +204,9 @@ def test_thm42_generated_sequence(paths, capsys):
         (["berezin", "--domain", "DISK", "--samples", "1"], "must be >= 2"),
         (["carleson", "--domain", "DISK", "--samples", "1"], "must be >= 2"),
         (["thm42", "--domain", "DISK", "--samples", "1"], "must be >= 2"),
+        # a core level below the boundary, or none at all, samples outside D
+        (["pack", "--domain", "DISK", "--level=-0.5", "--samples", "2000"], "level_floor must be"),
+        (["pack", "--domain", "DISK", "--level=nan", "--samples", "2000"], "level_floor must be"),
     ],
 )
 def test_validation_errors_exit_1(paths, capsys, argv, fragment):

@@ -171,6 +171,13 @@ class TestDistances:
             assert defining_value(spec, pts[k]) == values[k]
             assert domains.boundary_distance_batch(spec, pts[k : k + 1])[0] == dists[k]
 
+    @pytest.mark.parametrize("spec", [DISK, BALL2, BALL3], ids=["disk", "ball2", "ball3"])
+    def test_single_point_distance_is_the_batch_value(self, spec):
+        # a grid point's delta and the density 1 - delta at that point agree
+        pts = domains.random_interior(spec, 2000, np.random.default_rng(90 + spec.dim))
+        single = np.array([boundary_distance(spec, p) for p in pts])
+        np.testing.assert_array_equal(single, domains.boundary_distance_batch(spec, pts))
+
     def test_line_distance_disk_closed_form(self):
         # line through z in direction v: sqrt(|<z,v>|^2 + 1 - |z|^2) - |<z,v>|
         z = np.array([0.5 + 0.0j])
@@ -200,6 +207,14 @@ class TestSampling:
     def test_quasi_interior_level_floor(self):
         pts = quasi_interior(ELL12, 128, seed=0, level_floor=0.2)
         assert (defining_value(ELL12, pts) <= -0.2 + 1e-12).all()
+
+    @pytest.mark.parametrize("level", [-0.5, float("nan"), float("inf")])
+    def test_level_floor_must_be_finite_and_nonnegative(self, level):
+        # a negative floor admits points outside D; nan admits none
+        with pytest.raises(InputError, match="level_floor must be"):
+            quasi_interior(DISK, 5, seed=0, level_floor=level)
+        with pytest.raises(InputError, match="level_floor must be"):
+            random_interior(DISK, 5, np.random.default_rng(0), level_floor=level)
 
     def test_counts(self):
         assert quasi_interior(DISK, 17, seed=0).shape == (17, 1)

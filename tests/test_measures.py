@@ -9,7 +9,6 @@ from carleson_lab.errors import InputError
 from carleson_lab.measures import (
     AtomicMeasure,
     DensityMeasure,
-    MassBracket,
     atomic_measure,
     atoms_from_csv,
     atoms_to_csv,
@@ -63,19 +62,19 @@ class TestAtomicMass:
         mu = atomic_measure(DISK, [0.0, 0.5, -0.8], [1.0, 2.0, 4.0])
         P = _centered_polydisk(1, [0.6])
         est = mass(DISK, mu, P)
-        assert est.exact and est.stderr == 0.0
+        assert est.method == "atomic" and est.stderr == 0.0 and est.samples == 0
         assert est.value == 3.0  # atoms at 0 and 0.5
 
     def test_empty_measure(self):
         mu = AtomicMeasure(points=np.zeros((0, 1), dtype=complex), weights=np.zeros(0))
         est = mass(DISK, mu, _centered_polydisk(1, [0.5]))
-        assert est.value == 0.0 and est.exact
+        assert est.value == 0.0 and est.method == "atomic"
 
     def test_total_mass_atoms(self):
         # a polydisk holding every atom carries the whole mass, exactly
         mu = atomic_measure(DISK, [0.1, 0.2], [1.5, 2.5])
         est = mass(DISK, mu, _centered_polydisk(1, [1.0]))
-        assert est.value == 4.0 and est.exact
+        assert est.value == 4.0 and est.method == "atomic"
 
 
 class TestDensityMass:
@@ -83,7 +82,7 @@ class TestDensityMass:
         # nu(full polydisk inside D) equals the closed-form polydisk volume
         P = _centered_polydisk(1, [0.5])
         est = mass(DISK, lebesgue_measure(), P, samples=1 << 14, seed=3)
-        assert not est.exact
+        assert est.method == "polydisk" and est.samples == 1 << 14
         expected = geometry.polydisk_nu_volume(P)  # 0.25
         assert abs(est.value - expected) < 1e-12  # every sample lies inside D
         assert est.stderr == 0.0
@@ -125,28 +124,56 @@ class TestDensityMass:
         b = mass(BALL2, lebesgue_measure(), P, samples=1 << 12, seed=7)
         assert a.value == b.value and a.stderr == b.stderr
 
+    def test_value_and_stderr_are_the_sample_mean(self):
+        # vol * mean and (vol * std) / sqrt(n) of the same sample_polydisk
+        # draws, bit for bit
+        P = geometry.Polydisk(
+            center=np.array([0.3 + 0.1j, -0.2j]),
+            basis=np.eye(2, dtype=complex),
+            radii=np.array([0.6, 0.5]),
+        )
+        mu = density_catalog(BALL2)["one_minus_delta"]
+        est = mass(BALL2, mu, P, samples=3000, seed=21)
+        pts = geometry.sample_polydisk(P, 3000, np.random.default_rng(np.random.SeedSequence(21)))
+        inside = domains.contains(BALL2, pts)
+        vals = np.zeros(3000)
+        vals[inside] = mu.density(pts[inside])
+        vol = geometry.polydisk_nu_volume(P)
+        assert 0 < inside.sum() < 3000  # the polydisk reaches outside the ball
+        assert est.value == vol * float(vals.mean())
+        assert est.stderr == vol * float(vals.std(ddof=1)) / math.sqrt(3000)
+
     def test_density_needs_two_samples(self):
         # one sample has no standard error; atoms are summed exactly
         P = _centered_polydisk(1, [0.5])
-        with pytest.raises(InputError, match="samples >= 2"):
-            mass(DISK, lebesgue_measure(), P, samples=1)
+        for samples in (0, 1):
+            with pytest.raises(InputError, match="samples >= 2"):
+                mass(DISK, lebesgue_measure(), P, samples=samples)
         assert mass(DISK, atomic_measure(DISK, [0.1], [2.0]), P, samples=1).value == 2.0
 
     def test_unsupported_inputs(self):
         with pytest.raises(InputError):
             mass(DISK, lebesgue_measure(), "not a region")
+        # a Kobayashi-ball sandwich is two polydisks, each its own mass call
+        with pytest.raises(InputError, match="unsupported region"):
+            mass(DISK, lebesgue_measure(), kobayashi.ball_sandwich(DISK, 0.2, 0.3))
         with pytest.raises(InputError):
             mass(DISK, object(), _centered_polydisk(1, [0.5]))
 
 
 class TestSandwichBracket:
+    # the two polydisks of a Kobayashi-ball sandwich, each with its own mass
+    # call, as criterion_geometric takes them (seeds s and s + 1)
+    @staticmethod
+    def _masses(spec, mu, sw, samples=1 << 14, seed=0):
+        return mass(spec, mu, sw.inner, samples, seed), mass(spec, mu, sw.outer, samples, seed + 1)
+
     def test_bracket_orders_masses(self):
         sw = kobayashi.ball_sandwich(DISK, 0.2, 0.4)
-        br = mass(DISK, lebesgue_measure(), sw, samples=1 << 14, seed=11)
-        assert isinstance(br, MassBracket)
-        assert br.inner.value <= br.outer.value
+        inner, outer = self._masses(DISK, lebesgue_measure(), sw, seed=11)
+        assert inner.value <= outer.value
         # disk: inner polydisk is exactly B(0.2, 0.4) cap-scaled; both positive
-        assert br.inner.value > 0.0
+        assert inner.value > 0.0
 
     def test_density_evaluated_inside_only(self):
         # the outer polydisk at (0, 0.9) reaches outside the (1,2) ellipsoid,
@@ -154,16 +181,17 @@ class TestSandwichBracket:
         ell = domains.complex_ellipsoid((1, 2))
         mu = density_catalog(ell)["one_minus_delta"]
         sw = kobayashi.ball_sandwich(ell, (0.0, 0.9), 0.3)
-        br = mass(ell, mu, sw, samples=1 << 8, seed=0)
-        assert 0.0 < br.inner.value <= br.outer.value
+        inner, outer = self._masses(ell, mu, sw, samples=1 << 8)
+        assert 0.0 < inner.value <= outer.value
 
     def test_atomic_bracket_exact(self):
         mu = atomic_measure(DISK, [0.2, 0.9], [1.0, 5.0])
         sw = kobayashi.ball_sandwich(DISK, 0.2, 0.3)
-        br = mass(DISK, mu, sw)
-        assert br.inner.exact and br.outer.exact
-        assert br.inner.value >= 1.0  # center atom always inside
-        assert br.outer.value >= br.inner.value
+        inner, outer = self._masses(DISK, mu, sw)
+        assert inner.method == outer.method == "atomic"
+        assert inner.stderr == outer.stderr == 0.0
+        assert inner.value >= 1.0  # center atom always inside
+        assert outer.value >= inner.value
 
 
 class TestCsv:
