@@ -8,23 +8,62 @@ cluster, the two truncated density measures, and a single atom.  The dict(1)
 column is the largest polynomial quotient of criterion (1); for Lebesgue,
 where every quotient is exactly 1, it is max |q - 1| instead.
 
+With --seeds the gallery is built and tested once per seed (suite and
+config alike), and the table counts, per measure and criterion, how many
+seeds gave each verdict as Bounded/Diverging/Inconclusive.
+
 Usage:
     python3 scripts/measure_gallery.py [--domain disk|ball2|ellipsoid] [--seed 0]
+    python3 scripts/measure_gallery.py --domain ball2 --seeds 0 1 2
 """
 
 import argparse
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 
 from carleson_lab import bergman, carleson, domains, sequences
 
+CRITERIA = ("berezin", "geometric", "operator")
+VERDICTS = (carleson.BOUNDED, carleson.DIVERGING, carleson.INCONCLUSIVE)
+
+
+def gallery(spec, model, seed: int, r: float):
+    """(name, report) for every measure of the seed's gallery."""
+    config = carleson.CarlesonConfig(r=r, seed=seed)
+    for name, mu in sequences.standard_measure_suite(spec, seed=seed):
+        yield name, carleson.carleson_test(spec, model, mu, config)
+
+
+def verdict_counts(spec, model, seeds, r: float) -> int:
+    """Print how many seeds gave each verdict; 0 if (2) and (3) always agree."""
+    counts: dict[str, Counter] = {}
+    agree_all = True
+    t0 = time.monotonic()
+    for seed in seeds:
+        for name, rep in gallery(spec, model, seed, r):
+            tally = counts.setdefault(name, Counter())
+            for crit in CRITERIA:
+                tally[crit, getattr(rep, crit).verdict] += 1
+            agree_all &= rep.berezin.verdict == rep.geometric.verdict
+    print(f"{'measure':18s}" + "".join(f" {c + ' B/D/I':>17s}" for c in CRITERIA))
+    for name, tally in counts.items():
+        cells = ["/".join(str(tally[crit, v]) for v in VERDICTS) for crit in CRITERIA]
+        print(f"{name:18s}" + "".join(f" {cell:>17s}" for cell in cells))
+    print(f"\n{len(seeds)} seeds; B/D/I = Bounded/Diverging/Inconclusive")
+    print(f"(2) and (3) agree on every seed: {agree_all}   ({time.monotonic() - t0:.1f}s)")
+    return 0 if agree_all else 1
+
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     ap.add_argument("--domain", choices=("disk", "ball2", "ellipsoid"), default="disk")
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seeds", type=int, nargs="+", help="count verdicts over these seeds")
     ap.add_argument("--r", type=float, default=0.3)
     args = ap.parse_args(argv)
 
@@ -34,15 +73,14 @@ def main(argv=None) -> int:
         "ellipsoid": domains.complex_ellipsoid((1, 2), (1.0, 1.0)),
     }[args.domain]
     model = bergman.kernel_model(spec)
-    config = carleson.CarlesonConfig(r=args.r, seed=args.seed)
-    suite = sequences.standard_measure_suite(spec, seed=args.seed)
+    if args.seeds:
+        return verdict_counts(spec, model, args.seeds, args.r)
 
     print(f"{'measure':18s} {'berezin':13s} {'geometric':13s} {'operator':13s} "
           f"{'sup(2)':>10s} {'sup(3)':>10s} {'dict(1)':>10s}  agree")
     t0 = time.monotonic()
     agree_all = True
-    for name, mu in suite:
-        rep = carleson.carleson_test(spec, model, mu, config)
+    for name, rep in gallery(spec, model, args.seed, args.r):
         agree = rep.berezin.verdict == rep.geometric.verdict
         agree_all &= agree
         op_diff = float(np.max(np.abs(rep.operator.values - rep.berezin.values)))

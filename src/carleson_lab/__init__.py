@@ -3,7 +3,7 @@
 Subpackages by layer: domains (defining functions, projections, sampling),
 geometry (minimal frames and polydisks), kobayashi (invariant metric and
 distance brackets), bergman (moments, kernels, Berezin transforms), measures
-(atomic/density measures with bracketed masses), carleson (the three criteria,
+(atomic/density measures and their polydisk masses), carleson (the three criteria,
 covers, sub-mean checks), sequences (uniformly discrete sequences and their
 weighted measures), cli (batch driver).
 """

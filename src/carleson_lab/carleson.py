@@ -205,19 +205,22 @@ def criterion_geometric(
     grid: list[GridPoint],
     config: CarlesonConfig,
 ) -> CriterionTrace:
-    r = config.r
+    # one unit-polydisk sample, from a stream of its own, mapped into both
+    # polydisks of every grid point's sandwich
+    base = None
+    if isinstance(mu, DensityMeasure):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(303,)))
+        base = geometry.unit_polydisk_sample(spec.dim, config.mass_samples, rng)
 
-    def one(point_index: int) -> tuple[float, float, float]:
-        gp = grid[point_index]
-        sandwich = kobayashi.ball_sandwich(spec, gp.point, r)
-        seed = config.seed + 31 * point_index
-        inner = measures.mass(spec, mu, sandwich.inner, config.mass_samples, seed)
-        outer = measures.mass(spec, mu, sandwich.outer, config.mass_samples, seed + 1)
+    def one(gp: GridPoint) -> tuple[float, float, float]:
+        sandwich = kobayashi.ball_sandwich(spec, gp.point, config.r)
+        inner = measures.mass(spec, mu, sandwich.inner, base)
+        outer = measures.mass(spec, mu, sandwich.outer, base)
         vol_inner = geometry.polydisk_nu_volume(sandwich.inner)
         vol_outer = geometry.polydisk_nu_volume(sandwich.outer)
         return inner.value / vol_outer, outer.value / vol_inner, outer.stderr / vol_inner
 
-    rows = [one(i) for i in range(len(grid))]
+    rows = [one(gp) for gp in grid]
     lower = np.array([row[0] for row in rows])
     upper = np.array([row[1] for row in rows])
     stderr = np.array([row[2] for row in rows])
@@ -484,8 +487,8 @@ def submean_check(
     integral and the inner polydisk in the normalizing volume, which can only
     increase the right-hand sides, so a failure would falsify the inequality
     itself (up to MC error on the integral).  The integrals are
-    measures.mass of the density |f|^2 on the outer polydisks, with seeds
-    seed and seed + 1.
+    measures.mass of the density |f|^2 on the two outer polydisks, on one
+    unit-polydisk sample of ``samples`` points drawn from ``seed``.
     """
     if not 0.0 < r < 1.0:
         raise InputError(f"r must lie in (0,1), got {r}")
@@ -500,8 +503,10 @@ def submean_check(
     sw_big = kobayashi.ball_sandwich(spec, z0, big_r, frame=frame)
     vol_inner = geometry.polydisk_nu_volume(sw_r.inner)
 
-    integral_r = measures.mass(spec, f_sq, sw_r.outer, samples, seed).value
-    integral_big = measures.mass(spec, f_sq, sw_big.outer, samples, seed + 1).value
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    base = geometry.unit_polydisk_sample(n, samples, rng)
+    integral_r = measures.mass(spec, f_sq, sw_r.outer, base).value
+    integral_big = measures.mass(spec, f_sq, sw_big.outer, base).value
     bound_mean = (2.0 * n / (1.0 - r)) * integral_r / vol_inner
     bound_shifted = (8.0 * n**2 * r / (1.0 - r) ** 3) * integral_big / vol_inner
     return SubmeanReport(

@@ -633,6 +633,8 @@ def random_interior(
     depend on how it is split into draws."""
     if not (math.isfinite(level_floor) and level_floor >= 0.0):
         raise InputError(f"level_floor must be finite and >= 0, got {level_floor}")
+    if spec.kind in ("disk", "ball", "ellipsoid") and level_floor >= 1.0:
+        raise InputError(f"level_floor must be < 1 on the {spec.kind} (r >= -1), got {level_floor}")
     quasi = isinstance(rng, qmc.QMCEngine)
     out = np.empty((count, spec.dim), dtype=complex)
     wide = np.repeat(np.asarray(spec.box, dtype=float), 2)

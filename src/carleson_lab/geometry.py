@@ -168,13 +168,25 @@ def polydisk_nu_volume(P: Polydisk) -> float:
     return math.factorial(n) * float(np.prod(P.radii**2))
 
 
-def sample_polydisk(P: Polydisk, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform (nu) sample of the polydisk, shape (count, n)."""
-    u = np.sqrt(rng.uniform(0.0, 1.0, size=(count, P.n)))
-    phase = np.exp(2j * math.pi * rng.uniform(0.0, 1.0, size=(count, P.n)))
-    coords = u * phase
+def unit_polydisk_sample(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform sample of the unit polydisk in frame coordinates, sqrt(u) *
+    exp(2 pi i v), shape (count, n); polydisk_points maps it into any
+    polydisk of dimension n."""
+    u = np.sqrt(rng.uniform(0.0, 1.0, size=(count, n)))
+    return u * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, size=(count, n)))
+
+
+def polydisk_points(P: Polydisk, coords: np.ndarray) -> np.ndarray:
+    """center + (coords * radii) @ basis, one coordinate at a time (see
+    domains.coordinate_sum); a uniform sample of the unit polydisk lands on
+    a uniform (nu) sample of P."""
     cols = [coords[:, j] * P.radii[j] for j in range(P.n)]
-    out = np.empty((count, P.n), dtype=complex)
+    out = np.empty((len(coords), P.n), dtype=complex)
     for k, column in enumerate(P.basis.T):
         out[:, k] = P.center[k] + domains.coordinate_sum(cols, column)
     return out
+
+
+def sample_polydisk(P: Polydisk, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform (nu) sample of the polydisk, shape (count, n)."""
+    return polydisk_points(P, unit_polydisk_sample(P.n, count, rng))

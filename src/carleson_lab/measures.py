@@ -5,7 +5,8 @@ Densities are taken with respect to the normalized Lebesgue measure nu
 Lebesgue measure is the constant density 1.  An integral against a measure
 is an Estimate: exact for atomic measures, a seeded Monte Carlo mean with
 its standard error for densities (mean_estimate, shared with the Berezin
-transform).  mass evaluates the measure of a polydisk.
+transform).  mass evaluates the measure of a polydisk on a unit-polydisk
+base sample that the caller draws once and maps into every polydisk.
 """
 
 from __future__ import annotations
@@ -87,9 +88,13 @@ def density_catalog(spec: DomainSpec) -> dict[str, DensityMeasure]:
 class Estimate:
     """An integral against a measure.  An exact sum ("atomic") has stderr 0
     and samples 0; a Monte Carlo estimate ("mobius", "qmc" or "polydisk") is
-    a sample mean whose stderr is the iid formula std/sqrt(samples).  For the
-    quasi-Monte Carlo estimate that is no error bound: near the boundary of
-    the (1,2) ellipsoid |B(nu) - 1| reached 676 times it at 2^16 points."""
+    a sample mean whose stderr is the iid formula std/sqrt(samples).  The
+    estimates of one call share its base draws (the Berezin transform's
+    proposal, the geometric criterion's unit polydisk), so each is unbiased
+    with its own stderr but they are correlated across points.  For the
+    quasi-Monte Carlo estimate the stderr is no error bound: near the
+    boundary of the (1,2) ellipsoid |B(nu) - 1| reached 676 times it at 2^16
+    points."""
 
     value: float
     stderr: float
@@ -108,12 +113,12 @@ def mean_estimate(vals: np.ndarray, method: str, scale: float = 1.0) -> Estimate
     return Estimate(value, stderr, samples, method)
 
 
-def mass(
-    spec: DomainSpec, mu, region: Polydisk, samples: int = 1 << 14, seed: int = 0
-) -> Estimate:
+def mass(spec: DomainSpec, mu, region: Polydisk, base: np.ndarray | None = None) -> Estimate:
     """Measure of a polydisk intersected with D: the exact atom sum, or the
-    polydisk's nu-volume times the mean density over a seeded nu-uniform
-    sample of it."""
+    polydisk's nu-volume times the mean density over ``base`` mapped into it.
+    ``base`` is a uniform sample of the unit polydisk in frame coordinates,
+    geometry.unit_polydisk_sample(region.n, samples, rng), which can serve
+    many polydisks; atoms ignore it."""
     if not isinstance(region, Polydisk):
         raise InputError(f"unsupported region type {type(region).__name__}")
     if isinstance(mu, AtomicMeasure):
@@ -121,13 +126,14 @@ def mass(
         return Estimate(float(mu.weights[inside].sum()), 0.0, 0, "atomic")
     if not isinstance(mu, DensityMeasure):
         raise InputError(f"unsupported measure type {type(mu).__name__}")
+    if base is None or base.ndim != 2 or base.shape[1] != region.n:
+        raise InputError(f"a density needs a base sample of shape (samples, {region.n})")
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pts = geometry.sample_polydisk(region, samples, rng)
+    pts = geometry.polydisk_points(region, base)
     # the density is only defined on D, and the polydisk may reach outside;
     # compress/place cost less than boolean indexing here
     inside = domains.contains(spec, pts)
-    vals = np.zeros(samples)
+    vals = np.zeros(len(base))
     np.place(vals, inside, mu.density(np.compress(inside, pts, axis=0)))
     return mean_estimate(vals, "polydisk", geometry.polydisk_nu_volume(region))
 

@@ -172,10 +172,52 @@ class TestCarlesonLebesgue:
             assert abs(entry.quotient - 1.0) <= 2e-3
 
 
+class TestGeometricBase:
+    # criterion_geometric draws one unit-polydisk sample per call from the
+    # spawn key (303,) of config.seed and maps it into both polydisks of
+    # every grid point's sandwich
+    @staticmethod
+    def _base(spec, config, key):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(key,)))
+        return geometry.unit_polydisk_sample(spec.dim, config.mass_samples, rng)
+
+    def test_values_are_the_outer_mass_on_the_shared_base(self):
+        spec = unit_ball(2)
+        grid = build_grid(spec, FAST)
+        mu = density_catalog(spec)["one_minus_delta"]
+        trace = criterion_geometric(spec, mu, grid, FAST)
+        base = self._base(spec, FAST, 303)
+        for i, gp in enumerate(grid):
+            sw = kobayashi.ball_sandwich(spec, gp.point, FAST.r)
+            vol_inner = geometry.polydisk_nu_volume(sw.inner)
+            vol_outer = geometry.polydisk_nu_volume(sw.outer)
+            outer = measures.mass(spec, mu, sw.outer, base)
+            assert trace.values[i] == outer.value / vol_inner
+            assert trace.stderr[i] == outer.stderr / vol_inner
+            assert trace.lower[i] == measures.mass(spec, mu, sw.inner, base).value / vol_outer
+
+    @pytest.mark.parametrize("name", ["lebesgue", "one_minus_delta", "inv_one_minus_delta"])
+    def test_independent_base_agrees_within_stderr(self, name):
+        # sharing the base correlates the grid points but leaves each
+        # estimate unbiased: an independent base agrees at every point
+        spec = unit_ball(2)
+        config = CarlesonConfig()
+        grid = build_grid(spec, config)
+        mu = density_catalog(spec)[name]
+        trace = criterion_geometric(spec, mu, grid, config)
+        base = self._base(spec, config, 304)
+        for i, gp in enumerate(grid):
+            sw = kobayashi.ball_sandwich(spec, gp.point, config.r)
+            scale = geometry.polydisk_nu_volume(sw.inner)
+            other = measures.mass(spec, mu, sw.outer, base)
+            gap = abs(trace.values[i] - other.value / scale)
+            assert gap <= 4.5 * math.hypot(trace.stderr[i], other.stderr / scale), (i, gap)
+
+
 def test_ball_monte_carlo_runs_on_one_thread():
     # The Mobius pull-back of berezin_many and the polydisk Monte Carlo of
-    # criterion_geometric's mass calls take their products over the n
-    # coordinates one coordinate at a time.  As matrix products, OpenBLAS
+    # criterion_geometric (one base sample mapped into every polydisk) take
+    # their products over the n coordinates one coordinate at a time.  As matrix products, OpenBLAS
     # split them across the cores and its spinning worker put the process
     # time near twice the wall time.  Load on the machine lowers the ratio.
     spec = unit_ball(2)

@@ -207,6 +207,8 @@ def test_thm42_generated_sequence(paths, capsys):
         # a core level below the boundary, or none at all, samples outside D
         (["pack", "--domain", "DISK", "--level=-0.5", "--samples", "2000"], "level_floor must be"),
         (["pack", "--domain", "DISK", "--level=nan", "--samples", "2000"], "level_floor must be"),
+        # r >= -1 on the disk, so a floor of 1 or more leaves nothing to draw
+        (["pack", "--domain", "DISK", "--level", "1.5", "--samples", "4096"], "level_floor must be < 1"),
     ],
 )
 def test_validation_errors_exit_1(paths, capsys, argv, fragment):

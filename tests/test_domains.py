@@ -216,6 +216,18 @@ class TestSampling:
         with pytest.raises(InputError, match="level_floor must be"):
             random_interior(DISK, 5, np.random.default_rng(0), level_floor=level)
 
+    @pytest.mark.parametrize("spec", [DISK, BALL2, ELL12], ids=["disk", "ball2", "ell12"])
+    def test_level_floor_below_the_center_level(self, spec):
+        # r >= r(0) = -1 on the models: a floor of 1 or more is refused before
+        # any draw, a floor just under 1 still fills the count
+        rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+        for level in (1.0, 1.5):
+            with pytest.raises(InputError, match="level_floor must be < 1"):
+                random_interior(spec, 5, rng, level_floor=level)
+        assert rng.random() == ref.random()
+        pts = quasi_interior(spec, 3, seed=0, level_floor=0.99)
+        assert (defining_value(spec, pts) <= -0.99).all()
+
     def test_counts(self):
         assert quasi_interior(DISK, 17, seed=0).shape == (17, 1)
 

@@ -186,6 +186,17 @@ class TestPolydisks:
         assert np.max(np.abs(got - ref)) <= 1e-15
         assert got_rng.uniform() == ref_rng.uniform()
 
+    def test_one_base_maps_into_every_polydisk(self):
+        # sample_polydisk is the base mapped by polydisk_points, bit for bit;
+        # the frame coordinates of the mapped points are the base times radii
+        base = geometry.unit_polydisk_sample(2, 512, np.random.default_rng(4))
+        assert base.shape == (512, 2) and np.all(np.abs(base) <= 1.0)
+        for scale in (0.3, 0.9):
+            P = frame_polydisk(minimal_frame(BALL2, (0.5, 0.2j)), scale)
+            pts = geometry.polydisk_points(P, base)
+            np.testing.assert_array_equal(pts, sample_polydisk(P, 512, np.random.default_rng(4)))
+            np.testing.assert_allclose(polydisk_coordinates(P, pts), base * P.radii, atol=1e-15)
+
     def test_frame_polydisk_and_scaling(self):
         fr = minimal_frame(BALL2, (0.6, 0.0))
         P = frame_polydisk(fr, 0.5)

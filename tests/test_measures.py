@@ -21,6 +21,11 @@ DISK = unit_disk()
 BALL2 = unit_ball(2)
 
 
+def _base(dim, samples, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return geometry.unit_polydisk_sample(dim, samples, rng)
+
+
 def _centered_polydisk(dim, radii):
     return geometry.Polydisk(
         center=np.zeros(dim, dtype=complex),
@@ -81,7 +86,7 @@ class TestDensityMass:
     def test_lebesgue_polydisk_exact_volume(self):
         # nu(full polydisk inside D) equals the closed-form polydisk volume
         P = _centered_polydisk(1, [0.5])
-        est = mass(DISK, lebesgue_measure(), P, samples=1 << 14, seed=3)
+        est = mass(DISK, lebesgue_measure(), P, _base(1, 1 << 14, 3))
         assert est.method == "polydisk" and est.samples == 1 << 14
         expected = geometry.polydisk_nu_volume(P)  # 0.25
         assert abs(est.value - expected) < 1e-12  # every sample lies inside D
@@ -94,7 +99,7 @@ class TestDensityMass:
             basis=np.eye(1, dtype=complex),
             radii=np.array([0.4]),
         )
-        est = mass(DISK, lebesgue_measure(), P, samples=1 << 16, seed=5)
+        est = mass(DISK, lebesgue_measure(), P, _base(1, 1 << 16, 5))
         # oracle: area of intersection of disks |z|<1 and |z-0.8|<0.4, over pi
         d, r1, r2 = 0.8, 1.0, 0.4
         a1 = r1 * r1 * math.acos((d * d + r1 * r1 - r2 * r2) / (2 * d * r1))
@@ -106,22 +111,22 @@ class TestDensityMass:
     def test_restricted_density(self):
         mu = DensityMeasure(density=lambda pts: (pts[:, 0].real > 0).astype(float), label="halfplane")
         P = _centered_polydisk(1, [0.5])
-        est = mass(DISK, mu, P, samples=1 << 16, seed=9)
+        est = mass(DISK, mu, P, _base(1, 1 << 16, 9))
         assert abs(est.value - 0.125) < 4.0 * est.stderr
 
     def test_ball_total_mass(self):
         # nu is normalized so nu(unit ball) = 1 in every dimension; the mass
         # of a polydisk holding the whole domain is its total mass
         bidisk = _centered_polydisk(2, [1.0, 1.0])
-        est = mass(BALL2, lebesgue_measure(), bidisk, samples=1 << 18, seed=1)
+        est = mass(BALL2, lebesgue_measure(), bidisk, _base(2, 1 << 18, 1))
         assert abs(est.value - 1.0) < 4.0 * est.stderr
-        est1 = mass(DISK, lebesgue_measure(), _centered_polydisk(1, [1.2]), samples=1 << 18, seed=2)
+        est1 = mass(DISK, lebesgue_measure(), _centered_polydisk(1, [1.2]), _base(1, 1 << 18, 2))
         assert abs(est1.value - 1.0) < 4.0 * est1.stderr
 
     def test_seeded_determinism(self):
         P = _centered_polydisk(2, [0.3, 0.4])
-        a = mass(BALL2, lebesgue_measure(), P, samples=1 << 12, seed=7)
-        b = mass(BALL2, lebesgue_measure(), P, samples=1 << 12, seed=7)
+        a = mass(BALL2, lebesgue_measure(), P, _base(2, 1 << 12, 7))
+        b = mass(BALL2, lebesgue_measure(), P, _base(2, 1 << 12, 7))
         assert a.value == b.value and a.stderr == b.stderr
 
     def test_value_and_stderr_are_the_sample_mean(self):
@@ -133,7 +138,7 @@ class TestDensityMass:
             radii=np.array([0.6, 0.5]),
         )
         mu = density_catalog(BALL2)["one_minus_delta"]
-        est = mass(BALL2, mu, P, samples=3000, seed=21)
+        est = mass(BALL2, mu, P, _base(2, 3000, 21))
         pts = geometry.sample_polydisk(P, 3000, np.random.default_rng(np.random.SeedSequence(21)))
         inside = domains.contains(BALL2, pts)
         vals = np.zeros(3000)
@@ -148,8 +153,14 @@ class TestDensityMass:
         P = _centered_polydisk(1, [0.5])
         for samples in (0, 1):
             with pytest.raises(InputError, match="samples >= 2"):
-                mass(DISK, lebesgue_measure(), P, samples=samples)
-        assert mass(DISK, atomic_measure(DISK, [0.1], [2.0]), P, samples=1).value == 2.0
+                mass(DISK, lebesgue_measure(), P, _base(1, samples, 0))
+        assert mass(DISK, atomic_measure(DISK, [0.1], [2.0]), P).value == 2.0
+
+    def test_density_needs_a_base_of_the_polydisk_dimension(self):
+        P = _centered_polydisk(2, [0.3, 0.4])
+        for base in (None, _base(1, 64, 0), _base(3, 64, 0), _base(2, 64, 0)[:, 0]):
+            with pytest.raises(InputError, match="base sample of shape"):
+                mass(BALL2, lebesgue_measure(), P, base)
 
     def test_unsupported_inputs(self):
         with pytest.raises(InputError):
@@ -163,10 +174,11 @@ class TestDensityMass:
 
 class TestSandwichBracket:
     # the two polydisks of a Kobayashi-ball sandwich, each with its own mass
-    # call, as criterion_geometric takes them (seeds s and s + 1)
+    # call on one shared base sample, as criterion_geometric takes them
     @staticmethod
     def _masses(spec, mu, sw, samples=1 << 14, seed=0):
-        return mass(spec, mu, sw.inner, samples, seed), mass(spec, mu, sw.outer, samples, seed + 1)
+        base = _base(spec.dim, samples, seed)
+        return mass(spec, mu, sw.inner, base), mass(spec, mu, sw.outer, base)
 
     def test_bracket_orders_masses(self):
         sw = kobayashi.ball_sandwich(DISK, 0.2, 0.4)
