@@ -52,7 +52,8 @@ def main(argv=None) -> int:
     poly = random_polynomial(spec.dim, 5, rng)
     z0 = 0.5 * domains.random_interior(spec, 1, rng)[0]
     for logn in (12, 14, 16, 18, 20):
-        rep = bergman.reproduce_check(closed, poly, z0, samples=1 << logn, seed=args.seed)
+        pts = domains.quasi_uniform(spec, 1 << logn, seed=args.seed)
+        rep = bergman.reproduce_check(closed, poly, z0, pts)
         print(f"  2^{logn:2d} samples: residual {rep.residual:.3e}")
 
     if args.out:

@@ -265,30 +265,22 @@ class ReproduceReport:
     samples: int
 
 
-def reproduce_check(
-    model: KernelModel,
-    poly: HoloPolynomial,
-    z,
-    samples: int = 1 << 20,
-    seed: int = 0,
-    points: np.ndarray | None = None,
-) -> ReproduceReport:
-    """Quasi-Monte Carlo residual |integral K(z,.)f dnu - f(z)|.
+def reproduce_check(model: KernelModel, poly: HoloPolynomial, z, points: np.ndarray) -> ReproduceReport:
+    """Quasi-Monte Carlo residual |integral K(z,.)f dnu - f(z)| over ``points``.
 
-    The points are nu-uniform in D (the exact smooth sampler quasi_uniform, no
-    boundary indicator, so the integrand stays QMC-friendly); pass ``points``
-    from quasi_uniform to share one point set across several checks.
+    ``points`` is a nu-uniform sample of D that the caller draws, typically
+    quasi_uniform (the exact smooth sampler: no boundary indicator, so the
+    integrand stays QMC-friendly); one draw can serve several checks.
     """
     spec = model.spec
     z = as_point(spec, z)
-    pts = domains.quasi_uniform(spec, samples, seed=seed) if points is None else points
     # K(z, zeta) = conj K(zeta, z); the row is anti-holomorphic in its second slot
-    vals = np.conj(kernel_row(model, z, pts)) * poly_eval(poly, pts)
+    vals = np.conj(kernel_row(model, z, points)) * poly_eval(poly, points)
     nu_d = 1.0 if model.variant == "closed" else moment(model.table, (0,) * spec.dim)
     estimate = nu_d * complex(vals.mean())
     exact = complex(poly_eval(poly, z))
     return ReproduceReport(
-        estimate=estimate, exact=exact, residual=abs(estimate - exact), samples=len(pts)
+        estimate=estimate, exact=exact, residual=abs(estimate - exact), samples=len(points)
     )
 
 
@@ -296,19 +288,15 @@ def reproduce_check(
 # Berezin transform
 
 
-def berezin_many(
-    model: KernelModel,
-    mu,
-    zs,
-    samples: int = 1 << 16,
-    seed: int = 0,
-) -> list[Estimate]:
-    """Berezin transform at several points sharing one sample set.
+def berezin_many(model: KernelModel, mu, zs, base: np.ndarray | None = None) -> list[Estimate]:
+    """Berezin transform at several points sharing one base sample.
 
-    Atoms give the exact sum.  On the disk and ball a density is pulled back
-    through the automorphism ("mobius", variance-free for the Lebesgue
-    density).  On other domains the integral of the density times |k_z|^2
-    runs over one quasi_uniform set weighted by nu(D) = m_0 ("qmc").
+    ``base`` is a nu-uniform sample of D, shape (samples, n), that the caller
+    draws; atoms ignore it and give the exact sum.  On the disk and ball a
+    density is pulled back through the automorphism, base point by base
+    point ("mobius", variance-free for the Lebesgue density).  On other
+    domains the estimate is the mean of m_0 * density * |k_z|^2 over the
+    base, where m_0 = nu(D) ("qmc").
     """
     spec = model.spec
     zs = np.atleast_2d(np.asarray(zs, dtype=complex))
@@ -321,10 +309,10 @@ def berezin_many(
 
     if not isinstance(mu, DensityMeasure):
         raise CapabilityError(f"no density sampler for measure type {type(mu).__name__}")
+    if base is None or base.ndim != 2 or base.shape[1] != spec.dim:
+        raise InputError(f"a density needs a base sample of shape (samples, {spec.dim})")
 
     if spec.kind in ("disk", "ball"):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        base = domains.random_interior(spec, samples, rng)
         out = []
         for z in zs:
             # pulled and vals stay bound until the next point replaces them:
@@ -335,21 +323,14 @@ def berezin_many(
             out.append(mean_estimate(vals, "mobius"))
         return out
 
-    pts = domains.quasi_uniform(spec, samples, seed=seed)
-    dens = moment(model.table, (0,) * spec.dim) * mu.density(pts)
+    dens = moment(model.table, (0,) * spec.dim) * mu.density(base)
     return [
-        mean_estimate(dens * np.abs(normalized_kernel(model, z, pts)) ** 2, "qmc") for z in zs
+        mean_estimate(dens * np.abs(normalized_kernel(model, z, base)) ** 2, "qmc") for z in zs
     ]
 
 
-def berezin(
-    model: KernelModel,
-    mu,
-    z,
-    samples: int = 1 << 16,
-    seed: int = 0,
-) -> Estimate:
-    return berezin_many(model, mu, as_point(model.spec, z)[None, :], samples, seed)[0]
+def berezin(model: KernelModel, mu, z, base: np.ndarray | None = None) -> Estimate:
+    return berezin_many(model, mu, as_point(model.spec, z)[None, :], base)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +365,9 @@ class OffDiagonalCheck:
     k2_values: np.ndarray
 
 
+_OFFDIAG_R0 = 0.1  # offdiagonal_lowerbound_check probes only radii below this
+
+
 def offdiagonal_lowerbound_check(
     spec: DomainSpec,
     model: KernelModel,
@@ -391,9 +375,8 @@ def offdiagonal_lowerbound_check(
     points,
     samples_per_point: int = 32,
     seed: int = 0,
-    r0: float = 0.1,
 ) -> OffDiagonalCheck:
-    """Kernel positivity near the diagonal at Kobayashi scale r < r0.
+    """Kernel positivity near the diagonal at Kobayashi scale r < _OFFDIAG_R0.
 
     For each collar center z0, samples omega in the certified inner polydisk of
     B_D(z0, r) and records Re K(z0,omega)*prod sigma^2 and |k_{z0}(omega)|^2 *
@@ -401,8 +384,8 @@ def offdiagonal_lowerbound_check(
     |k_z|^2 on small Kobayashi balls that the Berezin => geometric step of
     the proof rests on.
     """
-    if not 0.0 < r < r0:
-        raise InputError(f"radius {r} outside (0, {r0})")
+    if not 0.0 < r < _OFFDIAG_R0:
+        raise InputError(f"radius {r} outside (0, {_OFFDIAG_R0})")
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     re_vals, k2_vals = [], []

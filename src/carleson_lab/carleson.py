@@ -171,17 +171,25 @@ def _level_sups(grid: list[GridPoint], values: np.ndarray, levels: int) -> np.nd
 # criterion (2): Berezin transform on the grid
 
 
+def nu_uniform_base(spec: DomainSpec, mu, config: CarlesonConfig) -> np.ndarray | None:
+    """The one nu-uniform sample of D that criteria (1) and (2) integrate a
+    density over: config.berezin_samples quasi_uniform points drawn from
+    config.seed.  Atoms need none."""
+    if not isinstance(mu, DensityMeasure):
+        return None
+    return domains.quasi_uniform(spec, config.berezin_samples, seed=config.seed)
+
+
 def criterion_berezin(
     spec: DomainSpec,
     model: KernelModel,
     mu,
     grid: list[GridPoint],
     config: CarlesonConfig,
+    base: np.ndarray | None,
 ) -> CriterionTrace:
     zs = np.array([gp.point for gp in grid])
-    estimates = bergman.berezin_many(
-        model, mu, zs, samples=config.berezin_samples, seed=config.seed
-    )
+    estimates = bergman.berezin_many(model, mu, zs, base)
     values = np.array([e.value for e in estimates])
     stderr = np.array([e.stderr for e in estimates])
     per_level = _level_sups(grid, values, config.levels)
@@ -253,6 +261,7 @@ def criterion_operator(
     config: CarlesonConfig,
     table: bergman.MomentTable,
     berezin_trace: CriterionTrace,
+    base: np.ndarray | None,
 ) -> tuple[CriterionTrace, list[DictionaryEntry]]:
     """Sup of integral |f|^2 dmu / ||f||^2 over normalized kernels at the grid
     points and random polynomials.
@@ -260,7 +269,7 @@ def criterion_operator(
     For f = k_{z0} the quotient IS the Berezin transform (||k_{z0}|| = 1 by the
     reproducing identity), so the kernel-dictionary values are criterion (2)'s
     own values.  For the polynomials, atoms give the exact sum; a density is
-    integrated over one quasi_uniform set of config.berezin_samples points,
+    integrated over the nu-uniform ``base`` of criterion (2) (nu_uniform_base),
     shared by all polynomials and weighted by nu(D) = m_0 from the table.
     """
     kernel_values = berezin_trace.values.copy()
@@ -271,11 +280,10 @@ def criterion_operator(
                 return 0.0
             return float(np.sum(mu.weights * np.abs(poly_eval(poly, mu.points)) ** 2))
     elif isinstance(mu, DensityMeasure):
-        pts = domains.quasi_uniform(spec, config.berezin_samples, seed=config.seed)
-        weight = bergman.moment(table, (0,) * spec.dim) * mu.density(pts)
+        weight = bergman.moment(table, (0,) * spec.dim) * mu.density(base)
 
         def integral_sq(poly: HoloPolynomial) -> float:
-            return float(np.mean(weight * np.abs(poly_eval(poly, pts)) ** 2))
+            return float(np.mean(weight * np.abs(poly_eval(poly, base)) ** 2))
     else:
         raise InputError(f"unsupported measure type {type(mu).__name__}")
 
@@ -326,10 +334,11 @@ def dictionary_table(spec: DomainSpec, model: KernelModel, config: CarlesonConfi
 
 def carleson_test(spec: DomainSpec, model: KernelModel, mu, config: CarlesonConfig) -> CarlesonReport:
     grid = build_grid(spec, config)
-    c2 = criterion_berezin(spec, model, mu, grid, config)
+    base = nu_uniform_base(spec, mu, config)
+    c2 = criterion_berezin(spec, model, mu, grid, config, base)
     c3 = criterion_geometric(spec, mu, grid, config)
     table = dictionary_table(spec, model, config)
-    c1, entries = criterion_operator(spec, mu, grid, config, table, c2)
+    c1, entries = criterion_operator(spec, mu, grid, config, table, c2, base)
     label = getattr(mu, "label", type(mu).__name__)
     return CarlesonReport(
         grid=grid,

@@ -219,7 +219,8 @@ def _cmd_berezin(args, spec, out) -> int:
     model = bergman.kernel_model(spec)
     config = carleson.CarlesonConfig(r=args.r, seed=args.seed, berezin_samples=args.samples)
     grid = carleson.build_grid(spec, config)
-    trace = carleson.criterion_berezin(spec, model, mu, grid, config)
+    base = carleson.nu_uniform_base(spec, mu, config)
+    trace = carleson.criterion_berezin(spec, model, mu, grid, config, base)
     header = ["index", "kind", "delta", *tables.coord_header(spec.dim), "value", "stderr"]
     rows = [
         [idx, gp.kind, gp.delta, *domains.to_real(gp.point), value, stderr]

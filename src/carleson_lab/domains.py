@@ -618,6 +618,22 @@ def unit_ball_volume(n: int) -> float:
     return math.pi**n / math.factorial(n)
 
 
+@lru_cache(maxsize=128)
+def depth(spec: DomainSpec) -> float:
+    """-min r, by BFGS on r and defining_gradient from the anchor.  r is
+    convex, so the local minimum is the global one; on the disk, ball and
+    ellipsoids the gradient vanishes at the anchor (the origin), so the depth
+    is 1 exactly."""
+    x0 = np.asarray(spec.anchor, dtype=float)
+    res = optimize.minimize(
+        lambda x: float(_value_batch(spec, to_complex(x)[None, :])[0]),
+        x0,
+        jac=lambda x: defining_gradient(spec, to_complex(x)),
+        method="BFGS",
+    )
+    return -float(res.fun)
+
+
 def random_interior(
     spec: DomainSpec,
     count: int,
@@ -633,8 +649,9 @@ def random_interior(
     depend on how it is split into draws."""
     if not (math.isfinite(level_floor) and level_floor >= 0.0):
         raise InputError(f"level_floor must be finite and >= 0, got {level_floor}")
-    if spec.kind in ("disk", "ball", "ellipsoid") and level_floor >= 1.0:
-        raise InputError(f"level_floor must be < 1 on the {spec.kind} (r >= -1), got {level_floor}")
+    d = depth(spec)
+    if level_floor >= d:
+        raise InputError(f"level_floor must be < {d:.6g} on the {spec.kind} (r >= -{d:.6g}), got {level_floor}")
     quasi = isinstance(rng, qmc.QMCEngine)
     out = np.empty((count, spec.dim), dtype=complex)
     wide = np.repeat(np.asarray(spec.box, dtype=float), 2)

@@ -46,7 +46,7 @@ def poly_eval(poly: HoloPolynomial, pts) -> np.ndarray:
     return out[0] if single else out
 
 
-def random_polynomial(dim: int, degree: int, rng: np.random.Generator, scale: float = 1.0) -> HoloPolynomial:
+def random_polynomial(dim: int, degree: int, rng: np.random.Generator) -> HoloPolynomial:
     """Standard complex Gaussian coefficients over all |alpha| <= degree."""
     if degree < 0:
         raise InputError(f"degree must be >= 0, got {degree}")
@@ -54,5 +54,5 @@ def random_polynomial(dim: int, degree: int, rng: np.random.Generator, scale: fl
     for alpha in np.ndindex(*([degree + 1] * dim)):
         if sum(alpha) <= degree:
             re, im = rng.standard_normal(2)
-            coeffs[tuple(int(a) for a in alpha)] = scale * complex(re, im) / np.sqrt(2.0)
+            coeffs[tuple(int(a) for a in alpha)] = complex(re, im) / np.sqrt(2.0)
     return HoloPolynomial(dim=dim, coeffs=coeffs)

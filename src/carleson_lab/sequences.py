@@ -168,7 +168,7 @@ def sequence_measure(spec: DomainSpec, gamma: SequenceSet) -> AtomicMeasure:
     )
 
 
-def dyadic_ray(spec: DomainSpec, direction, depth: int = 12, start: int = 1) -> SequenceSet:
+def dyadic_ray(spec: DomainSpec, direction, depth: int = 12) -> SequenceSet:
     """Points at defining-levels shrinking like 2^{-k} along a boundary ray
     from the anchor; with unit weights this is the standard non-Carleson
     boundary accumulation."""
@@ -177,7 +177,7 @@ def dyadic_ray(spec: DomainSpec, direction, depth: int = 12, start: int = 1) -> 
     d = d / np.linalg.norm(d)
     lam0 = abs(float(domains.defining_value(spec, anchor)))
     pts = []
-    for k in range(start, start + depth):
+    for k in range(1, 1 + depth):
         t = domains._ray_root(spec, anchor, d, -lam0 * 2.0 ** (-k))
         pts.append(anchor + t * d)
     return SequenceSet(points=np.array(pts), label=f"ray(depth={depth})")

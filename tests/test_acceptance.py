@@ -71,7 +71,8 @@ def test_criterion_02_reproducing_property():
         spec, model = specs[k % 3], models[k % 3]
         poly = random_polynomial(spec.dim, 5, rng)
         z0 = 0.5 * domains.random_interior(spec, 1, rng)[0]
-        rep = bergman.reproduce_check(model, poly, z0, samples=10**6, seed=1000 + k)
+        pts = domains.quasi_uniform(spec, 10**6, seed=1000 + k)
+        rep = bergman.reproduce_check(model, poly, z0, pts)
         worst = max(worst, rep.residual)
     elapsed = time.monotonic() - t0
     ok = worst < 1e-3 and elapsed < 120.0
@@ -93,7 +94,8 @@ def test_criterion_03_berezin_identity():
         grid = carleson.build_grid(spec, carleson.CarlesonConfig())
         zs = np.array([gp.point for gp in grid])[:50]
         assert len(zs) == 50
-        for est in bergman.berezin_many(model, nu, zs, samples=1 << 16, seed=0):
+        base = domains.quasi_uniform(spec, 1 << 16, seed=0)
+        for est in bergman.berezin_many(model, nu, zs, base):
             dev = abs(est.value - 1.0)
             worst_dev = max(worst_dev, dev)
             worst_sigma = max(worst_sigma, est.stderr)

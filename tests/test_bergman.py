@@ -30,7 +30,7 @@ from carleson_lab.domains import (
 )
 from carleson_lab.errors import CapabilityError, InputError, TruncationError
 from carleson_lab.measures import DensityMeasure, atomic_measure, density_catalog, lebesgue_measure
-from carleson_lab.polynomials import HoloPolynomial
+from carleson_lab.polynomials import HoloPolynomial, poly_eval
 
 DISK = unit_disk()
 BALL2 = unit_ball(2)
@@ -306,24 +306,29 @@ class TestReproduce:
     def test_disk_polynomial(self):
         model = kernel_model(DISK)
         p = HoloPolynomial(dim=1, coeffs={(0,): 1.0, (2,): 2.0 - 1j, (3,): 0.5})
-        rep = reproduce_check(model, p, 0.4 + 0.2j, samples=1 << 18, seed=3)
+        rep = reproduce_check(model, p, 0.4 + 0.2j, domains.quasi_uniform(DISK, 1 << 18, seed=3))
         assert rep.residual < 1e-3
         assert abs(rep.exact - (1.0 + (2 - 1j) * (0.4 + 0.2j) ** 2 + 0.5 * (0.4 + 0.2j) ** 3)) < 1e-12
 
     def test_ellipsoid_polynomial(self):
         model = kernel_model(ELL12)
         p = HoloPolynomial(dim=2, coeffs={(0, 0): 1.0, (1, 1): 1.0, (0, 2): -0.5j})
-        rep = reproduce_check(model, p, np.array([0.2, 0.3]), samples=1 << 18, seed=5)
+        pts = domains.quasi_uniform(ELL12, 1 << 18, seed=5)
+        rep = reproduce_check(model, p, np.array([0.2, 0.3]), pts)
         assert rep.residual < 2e-3
 
     def test_shared_points(self):
+        # one caller-drawn point set serves several checks; each estimate is
+        # the mean of conj K(z, .) f over it, bit for bit
         model = kernel_model(DISK)
         pts = domains.quasi_uniform(DISK, 1 << 16, seed=7)
-        p = HoloPolynomial(dim=1, coeffs={(1,): 1.0})
-        a = reproduce_check(model, p, 0.3, points=pts)
-        b = reproduce_check(model, p, 0.3, samples=1 << 16, seed=7)
-        assert a == b
-        assert a.residual < 1e-3
+        for coeffs in ({(1,): 1.0}, {(2,): 1j}):
+            p = HoloPolynomial(dim=1, coeffs=coeffs)
+            rep = reproduce_check(model, p, 0.3, pts)
+            vals = np.conj(kernel_row(model, 0.3, pts)) * poly_eval(p, pts)
+            assert rep.estimate == complex(vals.mean())
+            assert rep.samples == 1 << 16
+            assert rep.residual < 1e-3
 
 
 class TestBerezin:
@@ -346,8 +351,9 @@ class TestBerezin:
         # pulled back through the automorphism the density is constant, so the
         # estimator has zero variance and returns exactly 1
         model = kernel_model(DISK)
+        base = domains.quasi_uniform(DISK, 1 << 10, seed=1)
         for z in (0.0, 0.3, 0.9, 0.5j):
-            est = berezin(model, lebesgue_measure(), z, samples=1 << 10, seed=1)
+            est = berezin(model, lebesgue_measure(), z, base)
             assert est.method == "mobius"
             assert est.value == 1.0 and est.stderr == 0.0
 
@@ -356,15 +362,17 @@ class TestBerezin:
         # path with the series kernel; the ball itself takes the Mobius path
         mu = DensityMeasure(lambda p: np.abs(p[:, 0]) ** 2 + 0.5, label="smooth")
         z = np.array([0.3, 0.2j])
-        mob = berezin(kernel_model(BALL2), mu, z, samples=1 << 16, seed=11)
-        qmc = berezin(kernel_model(complex_ellipsoid((1, 1))), mu, z, samples=1 << 16, seed=11)
+        base = domains.quasi_uniform(BALL2, 1 << 16, seed=11)
+        mob = berezin(kernel_model(BALL2), mu, z, base)
+        qmc = berezin(kernel_model(complex_ellipsoid((1, 1))), mu, z, base)
         assert (mob.method, qmc.method) == ("mobius", "qmc")
         # the quasi-uniform error is far below the Mobius path's iid stderr
         assert abs(qmc.value - mob.value) < 4.0 * mob.stderr
 
     def test_ellipsoid_lebesgue_near_one(self):
         model = kernel_model(ELL12)
-        est = berezin(model, lebesgue_measure(), np.array([0.1, 0.3]), samples=1 << 16, seed=2)
+        base = domains.quasi_uniform(ELL12, 1 << 16, seed=2)
+        est = berezin(model, lebesgue_measure(), np.array([0.1, 0.3]), base)
         assert est.method == "qmc"
         assert abs(est.value - 1.0) < 4.0 * est.stderr
 
@@ -373,14 +381,16 @@ class TestBerezin:
         # the iid stderr
         model = kernel_model(ELL12)
         zs = np.array([[0.1, 0.3], [0.3, 0.2], [0.0, 0.4], [0.4, 0.0]])
-        for est in berezin_many(model, lebesgue_measure(), zs, samples=1 << 16, seed=0):
+        base = domains.quasi_uniform(ELL12, 1 << 16, seed=0)
+        for est in berezin_many(model, lebesgue_measure(), zs, base):
             assert abs(est.value - 1.0) <= 1e-3
 
     def test_ellipsoid_density_evaluated_inside(self):
         # 1 - delta is defined on D only; the estimator must not evaluate it
         # outside (boundary_distance raises there)
         mu = density_catalog(ELL12)["one_minus_delta"]
-        est = berezin(kernel_model(ELL12), mu, (0.1, 0.3), samples=1 << 9, seed=0)
+        base = domains.quasi_uniform(ELL12, 1 << 9, seed=0)
+        est = berezin(kernel_model(ELL12), mu, (0.1, 0.3), base)
         assert est.method == "qmc"
         assert 0.0 < est.value < 1.0
 
@@ -389,28 +399,38 @@ class TestBerezin:
         model = kernel_model(ELL12)
         mu = lebesgue_measure()
         zs = np.array([[0.1, 0.0], [0.5, 0.2], [0.0, 0.6j]])
-        ests = berezin_many(model, mu, zs, samples=1 << 12, seed=9)
-        singles = [berezin(model, mu, z, samples=1 << 12, seed=9) for z in zs]
+        base = domains.quasi_uniform(ELL12, 1 << 12, seed=9)
+        ests = berezin_many(model, mu, zs, base)
+        singles = [berezin(model, mu, z, base) for z in zs]
         assert ests == singles
 
     def test_method_validation(self):
         # dispatch is automatic: atoms exact, disk/ball Mobius, else qmc
         disk_atoms = atomic_measure(DISK, [0.5], [1.0])
         assert berezin(kernel_model(DISK), disk_atoms, 0.1).method == "atomic"
-        assert berezin(kernel_model(DISK), lebesgue_measure(), 0.1, samples=64).method == "mobius"
-        est = berezin(kernel_model(ELL12), lebesgue_measure(), (0.0, 0.0), samples=64)
+        disk_base = domains.quasi_uniform(DISK, 64, seed=0)
+        assert berezin(kernel_model(DISK), lebesgue_measure(), 0.1, disk_base).method == "mobius"
+        ell_base = domains.quasi_uniform(ELL12, 64, seed=0)
+        est = berezin(kernel_model(ELL12), lebesgue_measure(), (0.0, 0.0), ell_base)
         assert est.method == "qmc"
         with pytest.raises(CapabilityError):
             berezin(kernel_model(DISK), object(), 0.1)
 
+    @pytest.mark.parametrize("spec", [BALL2, ELL12], ids=["ball2", "ell12"])
+    def test_density_needs_a_base_of_the_domain_dimension(self, spec):
+        model = kernel_model(spec)
+        base = domains.quasi_uniform(spec, 64, seed=0)
+        for bad in (None, base[:, :1], np.hstack([base, base[:, :1]]), base[:, 0]):
+            with pytest.raises(InputError, match="base sample of shape"):
+                berezin(model, lebesgue_measure(), anchor_point(spec), bad)
+
     def test_mobius_value_is_the_sample_mean(self):
         # mean and std/sqrt(n) of the density on the pulled-back points, bit
-        # for bit; the base sample is drawn once for every point
+        # for bit; the caller's base sample serves every point
         mu = density_catalog(BALL2)["one_minus_delta"]
         zs = np.array([[0.3, 0.2j], [0.0, -0.7]])
-        ests = berezin_many(kernel_model(BALL2), mu, zs, samples=2048, seed=5)
-        rng = np.random.default_rng(np.random.SeedSequence(5))
-        base = domains.random_interior(BALL2, 2048, rng)
+        base = domains.quasi_uniform(BALL2, 2048, seed=5)
+        ests = berezin_many(kernel_model(BALL2), mu, zs, base)
         for z, est in zip(zs, ests):
             vals = mu.density(kobayashi.mobius_translation(BALL2, z, base))
             assert est.value == float(vals.mean())
@@ -418,13 +438,13 @@ class TestBerezin:
             assert (est.samples, est.method) == (2048, "mobius")
 
     def test_qmc_value_is_the_sample_mean(self):
-        # m_0 * density * |k_z|^2 on one quasi_uniform set, mean and
+        # m_0 * density * |k_z|^2 on the caller's quasi_uniform set, mean and
         # std/sqrt(n), bit for bit
         model = kernel_model(ELL12)
         mu = DensityMeasure(lambda p: np.abs(p[:, 1]) ** 2 + 0.5, label="smooth")
         z = np.array([0.1, 0.3j])
-        est = berezin(model, mu, z, samples=1024, seed=4)
         pts = domains.quasi_uniform(ELL12, 1024, seed=4)
+        est = berezin(model, mu, z, pts)
         dens = moment(model.table, (0, 0)) * mu.density(pts)
         vals = dens * np.abs(normalized_kernel(model, z, pts)) ** 2
         assert est.value == float(vals.mean())
@@ -440,12 +460,14 @@ class TestBerezin:
         assert berezin(kernel_model(DISK), empty, 0.1).value == 0.0
 
     def test_density_needs_two_samples(self):
-        # one sample has no standard error; atoms need no samples
+        # one sample has no standard error; atoms ignore the base
         for spec in (DISK, ELL12):
+            base = domains.quasi_uniform(spec, 1, seed=0)
             with pytest.raises(InputError, match="samples >= 2"):
-                berezin_many(kernel_model(spec), lebesgue_measure(), [anchor_point(spec)], samples=1)
+                berezin_many(kernel_model(spec), lebesgue_measure(), [anchor_point(spec)], base)
         atoms = atomic_measure(DISK, [0.5], [1.0])
-        assert berezin(kernel_model(DISK), atoms, 0.1, samples=1).method == "atomic"
+        base = domains.quasi_uniform(DISK, 1, seed=0)
+        assert berezin(kernel_model(DISK), atoms, 0.1, base).method == "atomic"
 
 
 class TestKernelFloors:

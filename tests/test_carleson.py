@@ -20,6 +20,7 @@ from carleson_lab.carleson import (
     dictionary_table,
     grid_levels,
     kobayashi_cover,
+    nu_uniform_base,
     overlap_count_many,
     report_level_rows,
     report_point_rows,
@@ -30,7 +31,7 @@ from carleson_lab.carleson import (
 from carleson_lab.domains import complex_ellipsoid, unit_ball, unit_disk
 from carleson_lab.errors import ConfigError, InputError, ResourceError
 from carleson_lab.measures import atomic_measure, density_catalog, lebesgue_measure
-from carleson_lab.polynomials import HoloPolynomial, random_polynomial
+from carleson_lab.polynomials import HoloPolynomial, poly_eval, random_polynomial
 
 DISK = unit_disk()
 ELL12 = complex_ellipsoid((1, 2), (1.0, 1.0))
@@ -164,12 +165,35 @@ class TestCarlesonLebesgue:
         delta = float(domains.boundary_distance(spec, anchor))
         grid = [GridPoint(anchor, "interior", -1, 0.0, delta, -1)]
         nu = lebesgue_measure()
-        trace = criterion_berezin(spec, model, nu, grid, config)
+        base = nu_uniform_base(spec, nu, config)
+        trace = criterion_berezin(spec, model, nu, grid, config, base)
         table = dictionary_table(spec, model, config)
-        _, entries = criterion_operator(spec, nu, grid, config, table, trace)
+        _, entries = criterion_operator(spec, nu, grid, config, table, trace, base)
         assert len(entries) == config.dictionary_polynomials
         for entry in entries:
             assert abs(entry.quotient - 1.0) <= 2e-3
+
+
+@pytest.mark.parametrize("spec", [DISK, unit_ball(2)], ids=["disk", "ball2"])
+def test_density_criteria_share_one_nu_uniform_base(spec):
+    # criteria (1) and (2) integrate a density over the one quasi_uniform
+    # draw of config.seed: the Berezin values are the Mobius means over it
+    # and the dictionary quotients are recomputed on it, bit for bit
+    mu = density_catalog(spec)["one_minus_delta"]
+    model = bergman.kernel_model(spec)
+    report = carleson_test(spec, model, mu, FAST)
+    base = domains.quasi_uniform(spec, FAST.berezin_samples, seed=FAST.seed)
+    for i, gp in enumerate(report.grid):
+        vals = mu.density(kobayashi.mobius_translation(spec, gp.point, base))
+        assert report.berezin.values[i] == float(vals.mean())
+        assert report.berezin.stderr[i] == float(vals.std(ddof=1)) / math.sqrt(len(base))
+    table = dictionary_table(spec, model, FAST)
+    weight = bergman.moment(table, (0,) * spec.dim) * mu.density(base)
+    rng = np.random.default_rng(np.random.SeedSequence(FAST.seed, spawn_key=(202,)))
+    for entry in report.dictionary:
+        poly = random_polynomial(spec.dim, FAST.polynomial_degree, rng)
+        integral = float(np.mean(weight * np.abs(poly_eval(poly, base)) ** 2))
+        assert entry.quotient == integral / bergman.norm_sq(poly, table)
 
 
 class TestGeometricBase:
@@ -228,7 +252,7 @@ def test_ball_monte_carlo_runs_on_one_thread():
     zs = np.array([gp.point for gp in grid[::4]])
     time.sleep(0.5)  # BLAS workers left spinning by earlier tests go idle
     wall, cpu = time.perf_counter(), time.process_time()
-    bergman.berezin_many(model, mu, zs, samples=config.berezin_samples, seed=config.seed)
+    bergman.berezin_many(model, mu, zs, nu_uniform_base(spec, mu, config))
     criterion_geometric(spec, mu, grid, config)
     wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
     assert cpu <= 1.25 * wall, (cpu, wall)

@@ -19,9 +19,14 @@ def paths(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli")
     disk = tmp / "disk.json"
     ell = tmp / "ell.json"
+    poly = tmp / "poly.json"
     domains.save_spec(unit_disk(), disk)
     domains.save_spec(complex_ellipsoid((1, 2), (1.0, 1.0)), ell)
-    return {"tmp": tmp, "disk": str(disk), "ell": str(ell)}
+    # |z1|^2 + |z2|^2 + (Re z1)^4/4 - 1, whose minimum is r(0) = -1
+    terms = [(1.0, p) for p in ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))]
+    terms += [(0.25, (4, 0, 0, 0)), (-1.0, (0, 0, 0, 0))]
+    domains.save_spec(domains.convex_polynomial(terms, dim=2, box=(1.01, 1.01)), poly)
+    return {"tmp": tmp, "disk": str(disk), "ell": str(ell), "poly": str(poly)}
 
 
 def _read_json(path):
@@ -107,6 +112,21 @@ def test_catalog_measure_names_resolve(paths):
     assert code == 0
     payload = _read_json(out2 / "berezin_summary.json")
     assert 0 < payload["sup"] < 50
+
+
+def test_berezin_and_carleson_write_the_same_berezin_columns(paths):
+    # both commands integrate a density over the one nu-uniform base drawn
+    # from --seed, so their Berezin value and stderr columns agree
+    common = ["--domain", paths["disk"], "--measure", "one_minus_delta",
+              "--samples", "4096", "--seed", "3"]
+    out_b, out_c = paths["tmp"] / "bz-base", paths["tmp"] / "c-base"
+    assert cli.main(["berezin", *common, "--out", str(out_b)]) == 0
+    assert cli.main(["carleson", *common, "--degree", "4", "--out", str(out_c)]) == 0
+    lines = (out_b / "berezin.csv").read_text().splitlines()[1:]
+    berezin_cols = [line.split(",")[-2:] for line in lines]
+    lines = (out_c / "carleson_points.csv").read_text().splitlines()[1:]
+    carleson_cols = [line.split(",")[-3:-1] for line in lines if line.startswith("berezin,")]
+    assert len(berezin_cols) > 0 and berezin_cols == carleson_cols
 
 
 def test_berezin_with_atom_csv(paths):
@@ -209,6 +229,8 @@ def test_thm42_generated_sequence(paths, capsys):
         (["pack", "--domain", "DISK", "--level=nan", "--samples", "2000"], "level_floor must be"),
         # r >= -1 on the disk, so a floor of 1 or more leaves nothing to draw
         (["pack", "--domain", "DISK", "--level", "1.5", "--samples", "4096"], "level_floor must be < 1"),
+        # the same rule off the models: the depth -min r is found numerically
+        (["pack", "--domain", "POLY", "--level", "1.5", "--samples", "4096"], "level_floor must be < 1 "),
     ],
 )
 def test_validation_errors_exit_1(paths, capsys, argv, fragment):
@@ -217,6 +239,7 @@ def test_validation_errors_exit_1(paths, capsys, argv, fragment):
     (paths["tmp"] / "file").write_text("a file, not a directory\n")
     names = {
         "DISK": paths["disk"],
+        "POLY": paths["poly"],
         "DIR": str(paths["tmp"]),
         "DIR.csv": str(paths["tmp"] / "dir.csv"),
         "BINARY": str(paths["tmp"] / "binary.dat"),

@@ -216,17 +216,32 @@ class TestSampling:
         with pytest.raises(InputError, match="level_floor must be"):
             random_interior(DISK, 5, np.random.default_rng(0), level_floor=level)
 
-    @pytest.mark.parametrize("spec", [DISK, BALL2, ELL12], ids=["disk", "ball2", "ell12"])
+    @pytest.mark.parametrize(
+        "spec", [DISK, BALL2, ELL12, POLY], ids=["disk", "ball2", "ell12", "poly"]
+    )
     def test_level_floor_below_the_center_level(self, spec):
-        # r >= r(0) = -1 on the models: a floor of 1 or more is refused before
-        # any draw, a floor just under 1 still fills the count
+        # r >= r(0) = -1 on the models and on POLY: a floor of 1 or more is
+        # refused before any draw, a floor just under 1 still fills the count
+        assert domains.depth(spec) == 1.0
         rng, ref = np.random.default_rng(0), np.random.default_rng(0)
         for level in (1.0, 1.5):
-            with pytest.raises(InputError, match="level_floor must be < 1"):
+            with pytest.raises(InputError, match="level_floor must be < 1 "):
                 random_interior(spec, 5, rng, level_floor=level)
         assert rng.random() == ref.random()
         pts = quasi_interior(spec, 3, seed=0, level_floor=0.99)
         assert (defining_value(spec, pts) <= -0.99).all()
+
+    def test_depth_is_the_minimum_of_r_off_the_anchor(self):
+        # POLY - x1/2 takes its minimum -1.0616 at x1 = 0.2425, not at the
+        # anchor: a floor of 1.05 is met there, 1.07 is refused
+        shifted = convex_polynomial(
+            list(POLY.terms) + [(-0.5, (1, 0, 0, 0))], dim=2, box=(1.2, 1.01)
+        )
+        assert domains.depth(shifted) == pytest.approx(1.06158, abs=1e-5)
+        pts = quasi_interior(shifted, 3, seed=0, level_floor=1.05)
+        assert (defining_value(shifted, pts) <= -1.05).all()
+        with pytest.raises(InputError, match="level_floor must be < 1.06158"):
+            quasi_interior(shifted, 3, seed=0, level_floor=1.07)
 
     def test_counts(self):
         assert quasi_interior(DISK, 17, seed=0).shape == (17, 1)

@@ -6,6 +6,7 @@ benchmark run."""
 import ast
 import importlib
 import io
+import math
 import re
 import tokenize
 from pathlib import Path
@@ -139,3 +140,75 @@ def test_every_public_name_has_a_user():
     # a name only tests reach is deleted, or listed in TEST_ONLY with what it
     # backs; a listed name that gains a user leaves the list
     assert sorted(_unused_names() ^ set(TEST_ONLY)) == []
+
+
+# ---------------------------------------------------------------------------
+# no defaulted parameter that only tests set
+
+# (function, parameter) pairs that no call outside the tests passes, each
+# kept for what it backs
+TEST_KNOBS = {
+    ("berezin", "base"): "the one-point Berezin transform: a density's nu-uniform base",
+    ("submean_check", "samples"): "acceptance criterion 7: the Monte Carlo size of the integrals",
+    ("submean_check", "seed"): "acceptance criterion 7: the seed of the integrals' base",
+    ("dyadic_ray", "depth"): "the ray's level structure checked at other depths than the gallery's",
+    ("boundary_cluster", "levels"): "acceptance criterion 9: a cluster that diverges on the grid",
+}
+
+
+def _defaulted_parameters():
+    """(function, parameter, position) of every defaulted parameter of a
+    public top-level function in the package; position is None for a
+    keyword-only parameter."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for k in range(first, len(positional)):
+                yield node.name, positional[k].arg, k
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def _passed_parameters():
+    """Per called name, the keywords and the largest number of positional
+    arguments any call under src/, scripts/ or perfbench/ passes it."""
+    keywords, positions = {}, {}
+    paths = [path for d in USERS for path in sorted((ROOT / d).rglob("*.py"))]
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            count = math.inf if starred else len(node.args)
+            positions[name] = max(positions.get(name, 0), count)
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    return keywords, positions
+
+
+def _unpassed_parameters():
+    keywords, positions = _passed_parameters()
+    unpassed = set()
+    for name, param, k in _defaulted_parameters():
+        if name in TEST_ONLY:
+            continue
+        named = param in keywords.get(name, ()) or None in keywords.get(name, ())
+        placed = k is not None and positions.get(name, 0) > k
+        if not (named or placed):
+            unpassed.add((name, param))
+    return unpassed
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # a default that no caller outside the tests overrides is a constant:
+    # the parameter is deleted, or listed in TEST_KNOBS with what it backs;
+    # a listed one that gains a caller leaves the list
+    assert sorted(_unpassed_parameters() ^ set(TEST_KNOBS)) == []

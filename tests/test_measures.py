@@ -216,10 +216,10 @@ class TestCsv:
         )
         path = tmp_path / "atoms.csv"
         atoms_to_csv(mu, path)
-        back = atoms_from_csv(BALL2, path, label="pair")
+        back = atoms_from_csv(BALL2, path)
         np.testing.assert_array_equal(back.points, mu.points)
         np.testing.assert_array_equal(back.weights, mu.weights)
-        assert back.label == "pair"
+        assert back.label == str(path)
 
     def test_column_mismatch(self, tmp_path):
         mu = atomic_measure(DISK, [0.1], [1.0])

@@ -52,11 +52,6 @@ class TestRandom:
         assert a.degree <= 3
         assert len(a.coeffs) == 10  # multi-indices with |alpha| <= 3 in dim 2
 
-    def test_scale(self):
-        rng = np.random.default_rng(4)
-        p = random_polynomial(1, 2, rng, scale=0.0)
-        assert all(c == 0 for c in p.coeffs.values())
-
     def test_negative_degree(self):
         with pytest.raises(InputError):
             random_polynomial(1, -1, np.random.default_rng(0))

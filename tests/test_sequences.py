@@ -326,11 +326,6 @@ class TestSequenceMeasure:
         assert np.allclose(vals.real, expected, atol=1e-12)
         assert np.all(domains.contains(DISK, ray.points))
 
-    def test_dyadic_ray_start_offset(self):
-        ray = sequences.dyadic_ray(DISK, np.array([1.0]), depth=3, start=4)
-        vals = domains.defining_value(DISK, ray.points)
-        assert np.allclose(vals.real, [-(2.0**-k) for k in (4, 5, 6)], atol=1e-12)
-
     def test_dyadic_ray_is_uniformly_discrete(self):
         ray = sequences.dyadic_ray(DISK, np.array([1.0]), depth=10)
         assert sequences.separation(DISK, ray) > 0.3
