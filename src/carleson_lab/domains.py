@@ -26,7 +26,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import optimize, special
-from scipy.stats import qmc
 
 from .errors import CapabilityError, ConfigError, InputError, NumericError
 
@@ -634,15 +633,62 @@ def depth(spec: DomainSpec) -> float:
     return -float(res.fun)
 
 
+class Halton:
+    """Scrambled Halton stream in [0, 1)^d (Owen, "A randomized Halton
+    algorithm in R", arXiv:1706.02808), equal bit for bit to scipy's
+    qmc.Halton(d, scramble=True, seed=seed).
+
+    Coordinate i is the van der Corput sequence in the i-th prime b with
+    its digits permuted: one random permutation of range(b) per digit, for
+    the ceil(54 / log2 b) - 1 digits that a double can resolve, shuffled in
+    turn by one default_rng(seed).  The stream keeps its index across draws,
+    so it does not depend on how it is split into them.
+    """
+
+    def __init__(self, d: int, seed: int):
+        rng = np.random.default_rng(seed)
+        self.bases: list[int] = []
+        k = 2
+        while len(self.bases) < d:
+            if all(k % b for b in self.bases):
+                self.bases.append(k)
+            k += 1
+        self.perms = []
+        for b in self.bases:
+            perm = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
+            for row in perm:
+                rng.shuffle(row)
+            self.perms.append(perm)
+        self.index = 0
+
+    def random(self, count: int) -> np.ndarray:
+        """The next count points, shape (count, d).  The digits are summed
+        lowest first, each rounded in turn, as in scipy's loop; once every
+        quotient is 0 the remaining digits are 0 and add perm[0] alone."""
+        out = np.zeros((len(self.bases), count))
+        index = np.arange(self.index, self.index + count, dtype=np.int64)
+        for seq, b, perm in zip(out, self.bases, self.perms):
+            q, b2r = index, 1.0 / b
+            for row in perm:
+                if q.any():
+                    q, rem = np.divmod(q, b)
+                    seq += row[rem] * b2r
+                else:
+                    seq += row[0] * b2r
+                b2r /= b
+        self.index += count
+        return out.T
+
+
 def random_interior(
     spec: DomainSpec,
     count: int,
-    rng: np.random.Generator | qmc.QMCEngine,
+    rng: np.random.Generator | Halton,
     level_floor: float = 0.0,
 ) -> np.ndarray:
     """The first count points of {r <= -level_floor} in a stream of box
     points, shape (count, n): uniform (w.r.t. Lebesgue) from a numpy
-    Generator, low-discrepancy from a scipy QMC engine of dimension 2n.
+    Generator, low-discrepancy from a Halton stream of dimension 2n.
 
     A box point is 2u - 1 times the box half-widths; 2u - 1 equals
     rng.uniform(-1, 1) bit for bit, and a scrambled Halton stream does not
@@ -652,7 +698,7 @@ def random_interior(
     d = depth(spec)
     if level_floor >= d:
         raise InputError(f"level_floor must be < {d:.6g} on the {spec.kind} (r >= -{d:.6g}), got {level_floor}")
-    quasi = isinstance(rng, qmc.QMCEngine)
+    quasi = isinstance(rng, Halton)
     out = np.empty((count, spec.dim), dtype=complex)
     wide = np.repeat(np.asarray(spec.box, dtype=float), 2)
     got = 0
@@ -678,8 +724,7 @@ def quasi_interior(
     level_floor: float = 0.0,
 ) -> np.ndarray:
     """Low-discrepancy interior sample (scrambled Halton), shape (count, n)."""
-    halton = qmc.Halton(d=2 * spec.dim, scramble=True, seed=seed)
-    return random_interior(spec, count, halton, level_floor)
+    return random_interior(spec, count, Halton(2 * spec.dim, seed), level_floor)
 
 
 def _gamma_quantile(a: float, u: np.ndarray) -> np.ndarray:
@@ -710,8 +755,7 @@ def quasi_uniform(spec: DomainSpec, count: int, seed: int) -> np.ndarray:
     axes = spec.semi_axes if spec.semi_axes else (1.0,) * n
     # the last shape is the unit-exponential tail coordinate of the Dirichlet law
     shapes = [1.0 / m for m in exponents] + [1.0]
-    sampler = qmc.Halton(d=2 * n + 1, scramble=True, seed=seed)
-    u = sampler.random(count)
+    u = Halton(2 * n + 1, seed).random(count)
     gammas = np.stack([_gamma_quantile(a, u[:, i]) for i, a in enumerate(shapes)], axis=1)
     t = gammas[:, :n] / gammas.sum(axis=1, keepdims=True)
     radii = np.asarray(axes) * t ** (0.5 / np.asarray(exponents, dtype=float))

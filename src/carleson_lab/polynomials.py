@@ -36,14 +36,28 @@ def poly_eval(poly: HoloPolynomial, pts) -> np.ndarray:
         pts = pts[None, :]
     if pts.shape[-1] != poly.dim:
         raise InputError(f"points have dimension {pts.shape[-1]}, polynomial {poly.dim}")
+    cols = [np.ascontiguousarray(pts[..., i]) for i in range(poly.dim)]
     out = np.zeros(pts.shape[:-1], dtype=complex)
-    for alpha, c in poly.coeffs.items():
-        term = np.full(pts.shape[:-1], c, dtype=complex)
-        for i, a in enumerate(alpha):
-            if a:
-                term = term * pts[..., i] ** a
-        out += term
+    out += _horner(poly.coeffs, cols)
     return out[0] if single else out
+
+
+def _horner(coeffs: dict, cols: list):
+    """sum_alpha c_alpha prod_i cols[i]^alpha_i by Horner's rule in the first
+    coordinate, each of its coefficients a polynomial in the others: no power
+    table, and a few arrays alive at a time.  A constant comes back a scalar."""
+    if not cols or not coeffs:
+        return sum(coeffs.values())
+    parts: dict[int, dict] = {}
+    for alpha, c in coeffs.items():
+        parts.setdefault(alpha[0], {})[alpha[1:]] = c
+    top = max(parts)
+    acc = _horner(parts[top], cols[1:])
+    for a in range(top - 1, -1, -1):
+        acc = acc * cols[0]
+        if a in parts:
+            acc = acc + _horner(parts[a], cols[1:])
+    return acc
 
 
 def random_polynomial(dim: int, degree: int, rng: np.random.Generator) -> HoloPolynomial:

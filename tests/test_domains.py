@@ -1,11 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
-from scipy.stats import qmc
 
 from carleson_lab import bergman, domains
 from carleson_lab.domains import (
@@ -248,7 +251,7 @@ class TestSampling:
 
     def test_closed_gamma_quantiles(self):
         u = np.concatenate([
-            qmc.Halton(d=1, scramble=True, seed=0).random(1 << 14)[:, 0],
+            domains.Halton(1, 0).random(1 << 14)[:, 0],
             np.geomspace(1e-12, 0.5, 50),
             1.0 - np.geomspace(1e-12, 0.5, 50),
         ])
@@ -268,6 +271,40 @@ class TestSampling:
         for i, e in enumerate([(1, 0), (0, 1)]):
             expected = bergman.moment(tab, e) / bergman.moment(tab, (0, 0))
             assert abs(np.mean(np.abs(pts[:, i]) ** 2) - expected) < 2e-4 * expected
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17)
+
+
+def _split_sizes(d: int, total: int) -> np.ndarray:
+    """Draw sizes whose running totals are b^k - 1, b^k and b^k + 1 for the
+    bases b of the first d coordinates, up to total: each draw then starts
+    just before, at or just after a new leading digit."""
+    ends = {b**k + e for b in PRIMES[:d] for k in range(1, 20) if b**k < total for e in (-1, 0, 1)}
+    return np.diff([0] + sorted(ends | {total}))
+
+
+class TestHalton:
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_equals_scipy_bit_for_bit(self, d):
+        from scipy.stats import qmc  # the reference, imported by this test only
+
+        for seed in (0, 7, 16020):
+            ref = qmc.Halton(d=d, scramble=True, seed=seed)
+            ours = domains.Halton(d, seed)
+            parts = [ours.random(int(n)) for n in _split_sizes(d, 5000)]
+            np.testing.assert_array_equal(np.concatenate(parts), ref.random(5000))
+            # past every split, one long draw reaches the deeper digits
+            np.testing.assert_array_equal(ours.random(1 << 16), ref.random(1 << 16))
+            assert ours.random(0).shape == (0, d)
+
+    def test_import_leaves_scipy_stats_out(self):
+        # scipy.stats alone took about 0.5 s of a command's start-up
+        src = Path(domains.__file__).resolve().parents[1]
+        code = "import sys, carleson_lab, carleson_lab.cli; print('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestIO:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from carleson_lab import domains, geometry, kobayashi
 from carleson_lab.domains import complex_ellipsoid, unit_ball, unit_disk
@@ -786,6 +786,7 @@ def test_bracket_sound_on_ellipsoid_property(seed):
 
 
 @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 4]))
+@example(11325, 4)  # pair 58 crosses the axis at |b| = 0.99998: its images lie near the sphere
 @settings(max_examples=20, deadline=None)
 def test_shortcut_bounds_sound_on_ellipsoid_property(seed, m):
     # the normalized (1, m) ellipsoid contains the unit ball, so on B x B the

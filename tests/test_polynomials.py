@@ -44,6 +44,24 @@ class TestEval:
         assert poly_eval(p, np.zeros((4, 3), dtype=complex)).tolist() == [0, 0, 0, 0]
 
 
+def _sum_of_monomials(poly, pts):
+    """sum_alpha c_alpha z^alpha term by term: the reference for poly_eval."""
+    terms = [c * np.prod(pts ** np.array(alpha), axis=1) for alpha, c in poly.coeffs.items()]
+    scale = sum(np.abs(t) for t in terms)
+    return sum(terms), scale
+
+
+@pytest.mark.parametrize("dim, degree", [(1, 12), (2, 6), (3, 4)])
+def test_eval_matches_the_sum_of_monomials(dim, degree):
+    # Horner's rule rounds in another order than the term-by-term sum; both
+    # err by a few eps times the sum of the terms' moduli
+    rng = np.random.default_rng(dim)
+    pts = 1.2 * (rng.uniform(-1, 1, (2000, dim)) + 1j * rng.uniform(-1, 1, (2000, dim)))
+    poly = random_polynomial(dim, degree, rng)
+    ref, scale = _sum_of_monomials(poly, pts)
+    assert np.all(np.abs(poly_eval(poly, pts) - ref) <= 1e-13 * scale)
+
+
 class TestRandom:
     def test_deterministic_and_degree(self):
         a = random_polynomial(2, 3, np.random.default_rng(9))
