@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .errors import CapabilityError, ConfigError, InputError, NumericError
 
@@ -83,8 +83,11 @@ def complex_ellipsoid(
     if not exps or any(m < 1 for m in exps):
         raise ConfigError(f"ellipsoid exponents must be positive integers, got {exponents}")
     axes = tuple(float(a) for a in (semi_axes if semi_axes is not None else (1.0,) * len(exps)))
-    if len(axes) != len(exps) or any(a <= 0 for a in axes):
-        raise ConfigError(f"semi_axes must match exponents and be positive, got {semi_axes}")
+    # r divides by a^2: an a whose square overflows or underflows leaves r inf or nan
+    if len(axes) != len(exps) or not all(a > 0.0 and 0.0 < a * a < math.inf for a in axes):
+        raise ConfigError(
+            f"semi_axes must match exponents, each a and a^2 finite and positive, got {semi_axes}"
+        )
     dim = len(exps)
     return DomainSpec(
         kind="ellipsoid",
@@ -321,7 +324,25 @@ def level_cap(spec: DomainSpec) -> float:
 
 
 def _ray_root(spec: DomainSpec, q: np.ndarray, direction: np.ndarray, level: float) -> float:
-    """Positive t with r(q + t*direction) = level; direction is unit length."""
+    """Positive t with r(q + t*direction) = level; direction is unit length.
+
+    On the disk and the ball this is the positive root of
+    t^2 + 2 b t + c = 0, with b = Re<q, direction> and c = |q|^2 - 1 - level
+    summed exactly (_exact_dot), taken as s - b or -c / (b + s),
+    s = sqrt(b^2 - c), whichever adds terms of one sign: the relative error is
+    a few eps for every q inside the level set.  Elsewhere brentq brackets the
+    crossing.  A q outside the level set raises ValueError on every kind.
+    """
+    if spec.kind in ("disk", "ball"):
+        x, e = to_real(q), to_real(np.broadcast_to(direction, q.shape))
+        c = _exact_dot(x, x, -1.0, -level)
+        if c > 0.0:
+            raise ValueError(f"q lies outside the level set: |q|^2 - 1 - level = {c}")
+        b = _exact_dot(x, e)
+        s = math.sqrt(b * b - c)
+        return -c / (b + s) if b > 0.0 else s - b
+    from scipy import optimize
+
     tmax = 2.0 * float(np.sum(2.0 * np.asarray(spec.box))) + 1.0
     f = lambda t: float(_value_batch(spec, (q + t * direction)[None, :])[0]) - level
     hi = tmax
@@ -335,6 +356,21 @@ def _ray_root(spec: DomainSpec, q: np.ndarray, direction: np.ndarray, level: flo
             {"level": level, "t_max": hi},
         )
     return float(optimize.brentq(f, 0.0, hi, xtol=1e-14, rtol=1e-15))
+
+
+def _exact_dot(x: np.ndarray, y: np.ndarray, *terms: float) -> float:
+    """sum_j x_j y_j + sum(terms) rounded once: each product is split into
+    two doubles that add up to it exactly (Dekker's product, through
+    Veltkamp's splitting of each factor into 26-bit halves), and math.fsum
+    adds the pieces."""
+    parts = list(terms)
+    for a, b in zip(x.tolist(), y.tolist()):
+        p = a * b
+        a_hi = 134217729.0 * a - (134217729.0 * a - a)
+        b_hi = 134217729.0 * b - (134217729.0 * b - b)
+        a_lo, b_lo = a - a_hi, b - b_hi
+        parts += [p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo]
+    return math.fsum(parts)
 
 
 @dataclass(frozen=True)
@@ -373,6 +409,7 @@ def project_to_level(spec: DomainSpec, q, basis: np.ndarray | None = None) -> Pr
 
     if spec.kind == "ellipsoid" and spec.dim == 2 and k == spec.dim:
         return _ellipsoid_project2(spec, q)
+    from scipy import optimize
 
     directions = _start_directions(k)
     candidates: list[tuple[float, np.ndarray]] = []
@@ -447,6 +484,8 @@ def _ellipsoid_project2(spec: DomainSpec, q: np.ndarray) -> ProjectionResult:
     (|z_1|^2/a_1^2)^{m_1} + (|z_2|^2/a_2^2)^{m_2} = 1 in the closed
     positive quadrant, minimized by a grid multistart plus bounded refinement.
     """
+    from scipy import optimize
+
     a = np.asarray(spec.semi_axes, dtype=float)
     m = np.asarray(spec.exponents, dtype=float)
     qm = np.abs(q)
@@ -549,6 +588,7 @@ def line_level_distance(spec: DomainSpec, z, v) -> float:
     if spec.kind in ("disk", "ball"):
         b = complex(np.sum(z * np.conj(v)))  # <z, v>
         return math.sqrt(abs(b) ** 2 + 1.0 - float(np.vdot(z, z).real)) - abs(b)
+    from scipy import optimize
 
     theta = np.linspace(0.0, 2.0 * math.pi, _LINE_PHASES, endpoint=False)
     dirs = np.exp(1j * theta)[:, None] * v[None, :]  # (phases, n)
@@ -608,7 +648,10 @@ def collar_width(spec: DomainSpec) -> float:
 
 def box_nu_volume(spec: DomainSpec) -> float:
     """Volume of the validation box under the normalization nu(B_1(0)) = 1."""
-    leb = float(np.prod([(2.0 * b) ** 2 for b in spec.box]))
+    try:
+        leb = math.prod((2.0 * b) ** 2 for b in spec.box)
+    except OverflowError:  # a half-width past 6.7e153
+        leb = math.inf
     return leb / unit_ball_volume(spec.dim)
 
 
@@ -619,10 +662,15 @@ def unit_ball_volume(n: int) -> float:
 
 @lru_cache(maxsize=128)
 def depth(spec: DomainSpec) -> float:
-    """-min r, by BFGS on r and defining_gradient from the anchor.  r is
-    convex, so the local minimum is the global one; on the disk, ball and
-    ellipsoids the gradient vanishes at the anchor (the origin), so the depth
-    is 1 exactly."""
+    """-min r.  On the disk, the ball and the ellipsoids r is a sum of
+    nonnegative terms minus 1, which vanish together at the origin, so the
+    depth is 1 exactly.  On polynomial domains BFGS runs on r and
+    defining_gradient from the anchor; r is convex, so its local minimum is
+    the global one."""
+    if spec.kind != "polynomial":
+        return 1.0
+    from scipy import optimize
+
     x0 = np.asarray(spec.anchor, dtype=float)
     res = optimize.minimize(
         lambda x: float(_value_batch(spec, to_complex(x)[None, :])[0]),

@@ -231,6 +231,11 @@ def test_thm42_generated_sequence(paths, capsys):
         (["pack", "--domain", "DISK", "--level", "1.5", "--samples", "4096"], "level_floor must be < 1"),
         # the same rule off the models: the depth -min r is found numerically
         (["pack", "--domain", "POLY", "--level", "1.5", "--samples", "4096"], "level_floor must be < 1 "),
+        # r divides by a^2: a semi-axis whose square is not finite and positive
+        (["domain-info", "--domain", "AXES_INF"], "semi_axes"),
+        (["domain-info", "--domain", "AXES_NAN"], "semi_axes"),
+        (["domain-info", "--domain", "AXES_1e300"], "semi_axes"),
+        (["domain-info", "--domain", "AXES_1e-300"], "semi_axes"),
     ],
 )
 def test_validation_errors_exit_1(paths, capsys, argv, fragment):
@@ -245,6 +250,10 @@ def test_validation_errors_exit_1(paths, capsys, argv, fragment):
         "BINARY": str(paths["tmp"] / "binary.dat"),
         "FILE": str(paths["tmp"] / "file"),
     }
+    for tag, axis in (("INF", '"inf"'), ("NAN", '"nan"'), ("1e300", "1e300"), ("1e-300", "1e-300")):
+        path = paths["tmp"] / f"axes_{tag}.json"
+        path.write_text(f'{{"kind": "ellipsoid", "exponents": [1, 2], "semi_axes": [1.0, {axis}]}}')
+        names[f"AXES_{tag}"] = str(path)
     argv = [names.get(tok, tok) for tok in argv]
     if "--out" not in argv:
         argv += ["--out", str(paths["tmp"] / "junk")]

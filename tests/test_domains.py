@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,6 +80,14 @@ class TestSpecs:
             complex_ellipsoid((0, 2), (1.0, 1.0))  # exponents must be >= 1
         with pytest.raises(ConfigError):
             complex_ellipsoid((1, 2), (1.0, -1.0))
+        # r divides by a^2, which must be finite and positive as well as a
+        for a in (math.inf, math.nan, 1e300, 1e-300):
+            with pytest.raises(ConfigError, match="semi_axes"):
+                complex_ellipsoid((1, 2), (1.0, a))
+        # a^2 is finite here, but (2 * 1.05 a)^2 is not: the volume reads inf
+        with np.errstate(over="ignore"):
+            wide = complex_ellipsoid((1, 2), (1.0, 1e154))
+        assert domains.box_nu_volume(wide) == math.inf
 
     def test_defining_values(self):
         assert defining_value(DISK, [0.0]) == -1.0
@@ -180,6 +189,39 @@ class TestDistances:
         pts = domains.random_interior(spec, 2000, np.random.default_rng(90 + spec.dim))
         single = np.array([boundary_distance(spec, p) for p in pts])
         np.testing.assert_array_equal(single, domains.boundary_distance_batch(spec, pts))
+
+    @pytest.mark.parametrize("spec", [DISK, BALL2, BALL3], ids=["disk", "ball2", "ball3"])
+    def test_ray_root_against_mpmath(self, spec):
+        # the closed-form root against the exact root of |q + t d|^2 - 1 = level
+        # for the float q, d and level as given, |d| = 1 + O(eps) included:
+        # from the anchor and from q near the sphere, whose outward rays are
+        # short and need b and c summed exactly
+        mpmath.mp.dps = 50
+        rng = np.random.default_rng(120 + spec.dim)
+        n, eps, worst = spec.dim, np.finfo(float).eps, 0.0
+        for i in range(400):
+            level = 0.0 if i % 4 == 0 else -(2.0 ** -int(rng.integers(1, 41)))
+            d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            d /= np.linalg.norm(d)
+            u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            shrink = 1.0 - 10.0 ** rng.uniform(-12.0, -0.1)
+            q = np.zeros(n, complex) if i % 7 == 0 else u / np.linalg.norm(u) * shrink * math.sqrt(1.0 + level)
+            x = [mpmath.mpf(v) for v in to_real(q)]
+            e = [mpmath.mpf(v) for v in to_real(d)]
+            a = mpmath.fsum(v * v for v in e)
+            b = mpmath.fsum(s * v for s, v in zip(x, e))
+            c = mpmath.fsum(v * v for v in x) - 1 - mpmath.mpf(level)
+            assert c < 0
+            exact = (-b + mpmath.sqrt(b * b - a * c)) / a
+            worst = max(worst, float(abs(domains._ray_root(spec, q, d, level) - exact) / exact))
+        assert worst <= 4.0 * eps
+
+    def test_ray_root_outside_the_level_set_raises(self):
+        # as brentq does off the models: no sign change, no root
+        d = np.array([1.0 + 0j, 0.0])
+        for spec, q in ((DISK, [0.9 + 0j]), (BALL2, [0.9 + 0j, 0.0]), (ELL12, [0.9 + 0j, 0.0])):
+            with pytest.raises(ValueError):
+                domains._ray_root(spec, np.asarray(q), d[: spec.dim], -0.5)
 
     def test_line_distance_disk_closed_form(self):
         # line through z in direction v: sqrt(|<z,v>|^2 + 1 - |z|^2) - |<z,v>|
@@ -299,12 +341,43 @@ class TestHalton:
             assert ours.random(0).shape == (0, d)
 
     def test_import_leaves_scipy_stats_out(self):
-        # scipy.stats alone took about 0.5 s of a command's start-up
-        src = Path(domains.__file__).resolve().parents[1]
-        code = "import sys, carleson_lab, carleson_lab.cli; print('scipy.stats' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        # scipy.stats alone took about 0.5 s of a command's start-up, and
+        # scipy.optimize, which pulls in scipy.linalg, about 0.4 s
+        code = "import sys, carleson_lab, carleson_lab.cli; print([m in sys.modules for m in ('scipy.stats', 'scipy.optimize')])"
+        assert _run_python(code) == "[False, False]"
+
+    def test_scipy_optimize_loads_only_where_a_solver_runs(self, tmp_path):
+        # closed-form depths and ray roots on the models and the oracle's
+        # covers on ELL12 run no solver; domain-info on ELL12 projects the
+        # anchor onto the boundary, which does
+        for name, spec in (("disk", DISK), ("ball2", BALL2), ("ell12", ELL12)):
+            save_spec(spec, tmp_path / f"{name}.json")
+        out = tmp_path / "out"
+        code = f"""
+import sys
+from carleson_lab import cli
+runs = [
+    ["carleson", "--domain", "disk.json", "--samples", "4096", "--degree", "4"],
+    ["thm42", "--domain", "ball2.json", "--samples", "4096", "--degree", "4"],
+    ["cover", "--domain", "ell12.json", "--samples", "500"],
+    ["domain-info", "--domain", "ell12.json"],
+]
+for argv in runs:
+    assert cli.main([*argv, "--out", {str(out)!r}]) == 0
+    print(argv[0], "scipy.optimize" in sys.modules, file=sys.stderr)
+"""
+        lines = _run_python(code, cwd=tmp_path, stream="stderr").splitlines()
+        assert lines == ["carleson False", "thm42 False", "cover False", "domain-info True"]
+
+
+def _run_python(code: str, cwd=None, stream: str = "stdout") -> str:
+    """One stream of a fresh interpreter running code on this source tree."""
+    src = Path(domains.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True, check=True
+    )
+    return getattr(out, stream).strip()
 
 
 class TestIO:
