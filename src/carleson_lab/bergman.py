@@ -167,31 +167,32 @@ def _power_table(p: np.ndarray, d: int) -> np.ndarray:
     return v
 
 
-# complex entries of the (d^(n-1), k) intermediate per chunk; on 2 cores, 16
-# rows of 2^16 points on the (1,2) ellipsoid at degree 60 took 0.70-0.75 s at
-# 2^18 and 1.4-1.5 s at 2^20; on the 3-ball at degree 40, 2^21 was the slowest
-_EVAL_ENTRIES = 1 << 18
+# complex entries of the (d^(n-1), k) intermediate per chunk of k points;
+# kernel_row forms p = pts * conj(z0) and the tail's l1 norms chunk by chunk
+# too.  Medians of 5 on 2 shared cores, 2^16 points per row:
+#   entries   16 ELL12 rows, degree 60   one 3-ball row, degree 40
+#   2^13      1.48 s                     2.41 s
+#   2^14      1.41 s                     2.10 s
+#   2^15      1.23-1.28 s                1.50-1.55 s
+#   2^16      0.96-1.16 s                0.95-1.31 s
+#   2^18      0.95-1.19 s                0.80-1.11 s
+# Below 2^16 BLAS gets too little work per call.  The ellipsoid-chain
+# benchmark peaked at 85 MB with 2^15 and 2^16, and at 108 MB with 2^18.
+_EVAL_ENTRIES = 1 << 16
 
 
-def _eval_cube(cube: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """sum_alpha cube[alpha] * prod_i pts[..,i]^alpha_i for pts of shape (m, n).
+def _eval_cube(cube: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_alpha cube[alpha] * prod_i p[..,i]^alpha_i for one chunk p of shape (k, n).
 
-    Per chunk, one real matrix product contracts the last coordinate: the cube
-    is real, so it acts on the interleaved real and imaginary parts of the
-    power table alike.  One einsum folds the other coordinates.
+    One real matrix product contracts the last coordinate: the cube is real,
+    so it acts on the interleaved real and imaginary parts of the power table
+    alike.  One einsum folds the other coordinates.
     """
-    m, n = pts.shape
-    d = cube.shape[0]
-    flat = cube.reshape(-1, d)
-    out = np.empty(m, dtype=complex)
-    chunk = max(1, _EVAL_ENTRIES // d ** max(n - 1, 1))
-    for start in range(0, m, chunk):
-        p = pts[start : start + chunk]
-        v = _power_table(p, d)
-        t = (flat @ v[-1].view(float)).view(complex).reshape(cube.shape[:-1] + (len(p),))
-        fold = [x for j in range(n - 1) for x in (v[j], [j, n - 1])]
-        out[start : start + chunk] = np.einsum(*fold, t, list(range(n)), [n - 1])
-    return out
+    n, d = p.shape[1], cube.shape[0]
+    v = _power_table(p, d)
+    t = (cube.reshape(-1, d) @ v[-1].view(float)).view(complex).reshape(cube.shape[:-1] + (len(p),))
+    fold = [x for j in range(n - 1) for x in (v[j], [j, n - 1])]
+    return np.einsum(*fold, t, list(range(n)), [n - 1])
 
 
 def _series_tail(model: KernelModel, s: float) -> float:
@@ -222,9 +223,15 @@ def kernel_row(model: KernelModel, z0, pts) -> np.ndarray:
     if model.variant == "closed":
         inner = domains.coordinate_sum(pts.T, np.conj(z0))
         return (1.0 - inner) ** (-(n + 1.0))
-    p = pts * np.conj(z0)[None, :]
-    values = _eval_cube(model.coeffs, p)
-    s = float((np.abs(p) / np.square(model.table.semi_axes)).sum(axis=1).max(initial=0.0))
+    w, a2 = np.conj(z0), np.square(model.table.semi_axes)
+    chunk = max(1, _EVAL_ENTRIES // model.coeffs.shape[0] ** max(n - 1, 1))
+    values = np.empty(len(pts), dtype=complex)
+    l1_max = []  # each chunk's largest l1 norm: a max is exact in any order
+    for start in range(0, len(pts), chunk):
+        p = pts[start : start + chunk] * w
+        values[start : start + chunk] = _eval_cube(model.coeffs, p)
+        l1_max.append((np.abs(p) / a2).sum(axis=1).max())
+    s = float(np.max(l1_max, initial=0.0))
     tail = _series_tail(model, s)
     floor = 1.0 / float(model.table.values[(0,) * n])
     scale = max(float(np.abs(values).min(initial=0.0)), floor)
@@ -274,8 +281,11 @@ def reproduce_check(model: KernelModel, poly: HoloPolynomial, z, points: np.ndar
     """
     spec = model.spec
     z = as_point(spec, z)
-    # K(z, zeta) = conj K(zeta, z); the row is anti-holomorphic in its second slot
-    vals = np.conj(kernel_row(model, z, points)) * poly_eval(poly, points)
+    # K(z, zeta) = conj K(zeta, z); the row is anti-holomorphic in its second
+    # slot.  The products overwrite the row block by block (domains._blocks)
+    vals = kernel_row(model, z, points)
+    for block in domains._blocks(len(vals)):
+        vals[block] = np.conj(vals[block]) * poly_eval(poly, points[block])
     nu_d = 1.0 if model.variant == "closed" else moment(model.table, (0,) * spec.dim)
     estimate = nu_d * complex(vals.mean())
     exact = complex(poly_eval(poly, z))
@@ -294,9 +304,12 @@ def berezin_many(model: KernelModel, mu, zs, base: np.ndarray | None = None) -> 
     ``base`` is a nu-uniform sample of D, shape (samples, n), that the caller
     draws; atoms ignore it and give the exact sum.  On the disk and ball a
     density is pulled back through the automorphism, base point by base
-    point ("mobius", variance-free for the Lebesgue density).  On other
-    domains the estimate is the mean of m_0 * density * |k_z|^2 over the
-    base, where m_0 = nu(D) ("qmc").
+    point ("mobius", variance-free for the Lebesgue density): per z, the
+    density of each block of _BLOCK pulled-back points (domains._blocks)
+    fills one array, whose mean and standard error are those of a
+    whole-base pass, bit for bit.  On other domains the estimate is the mean
+    of m_0 * density * |k_z|^2 over the base, where m_0 = nu(D) ("qmc"),
+    with kernel_row taking the whole base in its own chunks.
     """
     spec = model.spec
     zs = np.atleast_2d(np.asarray(zs, dtype=complex))
@@ -314,12 +327,11 @@ def berezin_many(model: KernelModel, mu, zs, base: np.ndarray | None = None) -> 
 
     if spec.kind in ("disk", "ball"):
         out = []
+        vals = np.empty(len(base))
         for z in zs:
-            # pulled and vals stay bound until the next point replaces them:
-            # freed at once, their pages went back to the system and were
-            # faulted in again, which doubled the loop's time on the disk
-            pulled = kobayashi.mobius_translation(spec, z, base)
-            vals = mu.density(pulled)
+            phi = kobayashi.mobius_translation(spec, z)
+            for block in domains._blocks(len(base)):
+                vals[block] = mu.density(phi(base[block]))
             out.append(mean_estimate(vals, "mobius"))
         return out
 

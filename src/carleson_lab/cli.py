@@ -130,9 +130,14 @@ def _parse_point(spec, text: str) -> np.ndarray:
 
 
 def _write_json(path, payload: dict) -> None:
+    """Write the payload as standard JSON, which has no inf or nan."""
     payload = {"version": __version__, **payload}
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{os.path.basename(path)} not written: {exc}") from None
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(text + "\n")
 
 
 def _echo(args, skip=("command", "out")) -> dict:

@@ -201,29 +201,35 @@ def _within(pts: np.ndarray, centers: np.ndarray, r: float) -> np.ndarray:
     return out
 
 
-def mobius_translation(spec: DomainSpec, a, w) -> np.ndarray:
-    """Automorphism of the disk/ball swapping 0 and a; acts on batches (..., n)."""
+def mobius_translation(spec: DomainSpec, a):
+    """The automorphism of the disk/ball swapping 0 and a, as a map on
+    batches (..., n); the work that depends on a alone is done here, once."""
     if spec.kind not in ("disk", "ball"):
         raise CapabilityError(f"no Mobius translation for kind {spec.kind!r}")
     a = as_point(spec, a)
-    w = np.asarray(w, dtype=complex)
     aa = float(np.vdot(a, a).real)
     if aa < 1e-28:
-        return -w
+        return lambda w: -np.asarray(w, dtype=complex)
     s = math.sqrt(1.0 - aa)
-    # phi_a(w) = (a - P w - s (w - P w)) / (1 - <w,a>) with P w = (<w,a>/|a|^2) a,
-    # that is (g a - s w) / (1 - <w,a>) with g = 1 - <w,a>/(1 + s); taken
-    # one coordinate at a time (see domains.coordinate_sum), on the columns of
-    # a 2-D array so that a single point takes the batch's arithmetic
-    cols = w.reshape(-1, spec.dim).T
-    wa = domains.coordinate_sum(cols, np.conj(a))  # <w, a>
-    inv = 1.0 / (1.0 - wa)
-    g = (1.0 - wa * (1.0 / (1.0 + s))) * inv
-    inv *= s
-    out = np.empty(cols.shape[::-1], dtype=complex)
-    for j, col in enumerate(cols):
-        out[:, j] = a[j] * g - col * inv
-    return out.reshape(w.shape)
+    conj_a, c = np.conj(a), 1.0 / (1.0 + s)
+
+    def phi(w):
+        # phi_a(w) = (a - P w - s (w - P w)) / (1 - <w,a>) with P w = (<w,a>/|a|^2) a,
+        # that is (g a - s w) / (1 - <w,a>) with g = 1 - <w,a>/(1 + s); taken
+        # one coordinate at a time (see domains.coordinate_sum), on the columns
+        # of a 2-D array so that a single point takes the batch's arithmetic
+        w = np.asarray(w, dtype=complex)
+        cols = w.reshape(-1, spec.dim).T
+        wa = domains.coordinate_sum(cols, conj_a)  # <w, a>
+        inv = 1.0 / (1.0 - wa)
+        g = (1.0 - wa * c) * inv
+        inv *= s
+        out = np.empty(cols.shape[::-1], dtype=complex)
+        for j, col in enumerate(cols):
+            out[:, j] = a[j] * g - col * inv
+        return out.reshape(w.shape)
+
+    return phi
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domains import _blocks
 from .errors import InputError
 
 
@@ -29,16 +30,23 @@ class HoloPolynomial:
 
 
 def poly_eval(poly: HoloPolynomial, pts) -> np.ndarray:
-    """Evaluate on a batch of points (..., dim); scalar input gives a scalar shape."""
+    """Evaluate on a batch of points (..., dim); scalar input gives a scalar shape.
+
+    Horner's rule runs on _BLOCK points at a time (see domains._blocks), so
+    its temporaries stay in cache; each value is that of a whole-batch pass.
+    """
     pts = np.asarray(pts, dtype=complex)
     single = pts.ndim == 1
     if single:
         pts = pts[None, :]
     if pts.shape[-1] != poly.dim:
         raise InputError(f"points have dimension {pts.shape[-1]}, polynomial {poly.dim}")
-    cols = [np.ascontiguousarray(pts[..., i]) for i in range(poly.dim)]
-    out = np.zeros(pts.shape[:-1], dtype=complex)
-    out += _horner(poly.coeffs, cols)
+    flat = pts.reshape(-1, poly.dim)
+    out = np.zeros(len(flat), dtype=complex)
+    for block in _blocks(len(flat)):
+        cols = [np.ascontiguousarray(flat[block, i]) for i in range(poly.dim)]
+        out[block] += _horner(poly.coeffs, cols)
+    out = out.reshape(pts.shape[:-1])
     return out[0] if single else out
 
 

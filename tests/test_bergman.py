@@ -197,6 +197,20 @@ class TestKernelModels:
         with pytest.raises(TruncationError):
             kernel_diag(m20, np.array([0.0, 0.985]))
 
+    def test_truncation_reads_the_whole_batch(self):
+        # the tail is taken at the largest l1 norm over all chunks: at degree
+        # 20 the points at 0 (s = 0) pass, and one point z0 = (0, 0.63)
+        # (s = 0.397, tail 1.09e-6) fails the batch, in its ragged last
+        # chunk as in its first
+        model = reinhardt_series_model(ELL12, degree=20)
+        chunk = bergman._EVAL_ENTRIES // 21
+        z0 = np.array([0.0, 0.63])
+        zeros = np.zeros((2 * chunk, 2))
+        kernel_row(model, z0, zeros)
+        for batch in (np.vstack([zeros, z0]), np.vstack([z0, zeros])):
+            with pytest.raises(TruncationError):
+                kernel_row(model, z0, batch)
+
     def test_kernel_row_batch(self):
         model = kernel_model(DISK)
         pts = np.array([[0.1], [0.2j], [-0.3]])
@@ -426,16 +440,21 @@ class TestBerezin:
 
     def test_mobius_value_is_the_sample_mean(self):
         # mean and std/sqrt(n) of the density on the pulled-back points, bit
-        # for bit; the caller's base sample serves every point
-        mu = density_catalog(BALL2)["one_minus_delta"]
-        zs = np.array([[0.3, 0.2j], [0.0, -0.7]])
-        base = domains.quasi_uniform(BALL2, 2048, seed=5)
-        ests = berezin_many(kernel_model(BALL2), mu, zs, base)
-        for z, est in zip(zs, ests):
-            vals = mu.density(kobayashi.mobius_translation(BALL2, z, base))
-            assert est.value == float(vals.mean())
-            assert est.stderr == float(vals.std(ddof=1)) / math.sqrt(2048)
-            assert (est.samples, est.method) == (2048, "mobius")
+        # for bit; the caller's base sample serves every point.  The pull-back
+        # runs block by block: a base of 3 blocks and a ragged 17 points
+        # gives the values of one whole-base pass
+        count = 3 * domains._BLOCK + 17
+        for spec in (DISK, BALL2, BALL3):
+            mu = density_catalog(spec)["one_minus_delta"]
+            rng = np.random.default_rng(spec.dim)
+            zs = np.vstack([0.7 * domains.random_interior(spec, 2, rng), np.zeros((1, spec.dim))])
+            base = domains.quasi_uniform(spec, count, seed=5)
+            ests = berezin_many(kernel_model(spec), mu, zs, base)
+            for z, est in zip(zs, ests):
+                vals = mu.density(kobayashi.mobius_translation(spec, z)(base))
+                assert est.value == float(vals.mean())
+                assert est.stderr == float(vals.std(ddof=1)) / math.sqrt(count)
+                assert (est.samples, est.method) == (count, "mobius")
 
     def test_qmc_value_is_the_sample_mean(self):
         # m_0 * density * |k_z|^2 on the caller's quasi_uniform set, mean and

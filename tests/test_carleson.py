@@ -184,7 +184,7 @@ def test_density_criteria_share_one_nu_uniform_base(spec):
     report = carleson_test(spec, model, mu, FAST)
     base = domains.quasi_uniform(spec, FAST.berezin_samples, seed=FAST.seed)
     for i, gp in enumerate(report.grid):
-        vals = mu.density(kobayashi.mobius_translation(spec, gp.point, base))
+        vals = mu.density(kobayashi.mobius_translation(spec, gp.point)(base))
         assert report.berezin.values[i] == float(vals.mean())
         assert report.berezin.stderr[i] == float(vals.std(ddof=1)) / math.sqrt(len(base))
     table = dictionary_table(spec, model, FAST)

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,30 @@ def test_domain_info(paths, capsys):
     assert payload["inradius"] == pytest.approx(1.0)
     assert payload["version"]
     assert "disk dim=1" in capsys.readouterr().out
+
+
+def _disk_polynomial(box: float) -> str:
+    """The unit disk as a polynomial domain, x^2 + y^2 - 1, in a box of half-width box."""
+    terms = [{"coeff": c, "powers": p} for c, p in ((1.0, [2, 0]), (1.0, [0, 2]), (-1.0, [0, 0]))]
+    return json.dumps({"kind": "polynomial", "dimension": 1, "terms": terms, "box": [box]})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [_disk_polynomial(b) for b in (1e10, 1e20, 1e60, 1e100)]
+    + ['{"kind": "ellipsoid", "exponents": [1, 2], "semi_axes": [1.0, 1e150]}'],
+    ids=["box1e10", "box1e20", "box1e60", "box1e100", "axes1e150"],
+)
+def test_wide_domains_give_the_unit_inradius(paths, text):
+    # the ray roots' bracket grows with the box and brentq's budget with the
+    # bracket; no numpy or scipy warning may reach the terminal
+    spec = paths["tmp"] / "wide.json"
+    spec.write_text(text)
+    out = paths["tmp"] / "wide"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["domain-info", "--domain", str(spec), "--out", str(out)]) == 0
+    assert _read_json(out / "domain_info.json")["inradius"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_frame_fixture(paths, capsys):
@@ -236,6 +261,9 @@ def test_thm42_generated_sequence(paths, capsys):
         (["domain-info", "--domain", "AXES_NAN"], "semi_axes"),
         (["domain-info", "--domain", "AXES_1e300"], "semi_axes"),
         (["domain-info", "--domain", "AXES_1e-300"], "semi_axes"),
+        # r overflows on the validation box, where boundedness and convexity would read nan
+        (["domain-info", "--domain", "AXES_1e154"], "r overflows on the validation box"),
+        (["domain-info", "--domain", "BOX_1e160"], "r overflows on the validation box"),
     ],
 )
 def test_validation_errors_exit_1(paths, capsys, argv, fragment):
@@ -250,10 +278,14 @@ def test_validation_errors_exit_1(paths, capsys, argv, fragment):
         "BINARY": str(paths["tmp"] / "binary.dat"),
         "FILE": str(paths["tmp"] / "file"),
     }
-    for tag, axis in (("INF", '"inf"'), ("NAN", '"nan"'), ("1e300", "1e300"), ("1e-300", "1e-300")):
+    for tag, axis in (
+        ("INF", '"inf"'), ("NAN", '"nan"'), ("1e300", "1e300"), ("1e-300", "1e-300"), ("1e154", "1e154")
+    ):
         path = paths["tmp"] / f"axes_{tag}.json"
         path.write_text(f'{{"kind": "ellipsoid", "exponents": [1, 2], "semi_axes": [1.0, {axis}]}}')
         names[f"AXES_{tag}"] = str(path)
+    (paths["tmp"] / "box_1e160.json").write_text(_disk_polynomial(1e160))
+    names["BOX_1e160"] = str(paths["tmp"] / "box_1e160.json")
     argv = [names.get(tok, tok) for tok in argv]
     if "--out" not in argv:
         argv += ["--out", str(paths["tmp"] / "junk")]
@@ -344,6 +376,19 @@ def test_truncation_exit_2(paths, capsys):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("numeric error:")
+
+
+def test_infinite_box_volume_exit_2(paths, capsys):
+    # r is finite on this box, but its volume (2b)^2 / pi is not, and
+    # standard JSON has no inf: domain-info writes nothing
+    spec = paths["tmp"] / "box_8e153.json"
+    spec.write_text(_disk_polynomial(8e153))
+    out = paths["tmp"] / "box_8e153"
+    assert cli.main(["domain-info", "--domain", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: domain_info.json not written")
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "domain_info.json").exists()
 
 
 def test_low_degree_series_tail_exit_2(paths, capsys):

@@ -84,10 +84,13 @@ class TestSpecs:
         for a in (math.inf, math.nan, 1e300, 1e-300):
             with pytest.raises(ConfigError, match="semi_axes"):
                 complex_ellipsoid((1, 2), (1.0, a))
-        # a^2 is finite here, but (2 * 1.05 a)^2 is not: the volume reads inf
-        with np.errstate(over="ignore"):
-            wide = complex_ellipsoid((1, 2), (1.0, 1e154))
-        assert domains.box_nu_volume(wide) == math.inf
+        # a^2 is finite here, but |z|^2 overflows on the box faces, which
+        # would leave boundedness and convexity unchecked
+        with pytest.raises(InputError, match="r overflows on the validation box"):
+            complex_ellipsoid((1, 2), (1.0, 1e154))
+        # r is finite on this box, but (2b)^2 is not: the volume reads inf
+        disk = [(1.0, (2, 0)), (1.0, (0, 2)), (-1.0, (0, 0))]
+        assert domains.box_nu_volume(convex_polynomial(disk, 1, (8e153,))) == math.inf
 
     def test_defining_values(self):
         assert defining_value(DISK, [0.0]) == -1.0
@@ -313,6 +316,27 @@ class TestSampling:
         for i, e in enumerate([(1, 0), (0, 1)]):
             expected = bergman.moment(tab, e) / bergman.moment(tab, (0, 0))
             assert abs(np.mean(np.abs(pts[:, i]) ** 2) - expected) < 2e-4 * expected
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_quasi_uniform_blocks_equal_one_draw(self, seed):
+        # the stream is drawn and mapped block by block into one output; the
+        # points are those of a single draw mapped in one pass, bit for bit,
+        # at counts around block multiples
+        block = domains._BLOCK
+        specs = [DISK, BALL2, BALL3, ELL12, complex_ellipsoid((1, 3)), complex_ellipsoid((2, 2))]
+        for spec in specs:
+            n = spec.dim
+            exponents = np.asarray(spec.exponents or (1,) * n, dtype=float)
+            shapes = [1.0 / m for m in exponents] + [1.0]
+            for count in (1, 17, block - 1, block, block + 1, 3 * block + 17):
+                u = domains.Halton(2 * n + 1, seed).random(count)
+                g = np.stack([domains._gamma_quantile(a, u[:, i]) for i, a in enumerate(shapes)], axis=1)
+                t = g[:, :n] / g.sum(axis=1, keepdims=True)
+                radii = np.asarray(spec.semi_axes or (1.0,) * n) * t ** (0.5 / exponents)
+                expected = radii * np.exp(2j * np.pi * u[:, n + 1 :])
+                got = domains.quasi_uniform(spec, count, seed)
+                assert got.shape == (count, n)
+                assert got.tobytes() == expected.tobytes(), (spec.kind, spec.exponents, count)
 
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17)

@@ -202,22 +202,20 @@ class TestExactDistances:
 class TestMobius:
     def test_swaps_base_points(self):
         a = np.array([0.3, 0.4j])
-        np.testing.assert_allclose(mobius_translation(BALL2, a, np.zeros(2)), a, atol=1e-12)
-        np.testing.assert_allclose(
-            mobius_translation(BALL2, a, a), np.zeros(2), atol=1e-12
-        )
+        phi = mobius_translation(BALL2, a)
+        np.testing.assert_allclose(phi(np.zeros(2)), a, atol=1e-12)
+        np.testing.assert_allclose(phi(a), np.zeros(2), atol=1e-12)
 
     def test_involution_and_invariance(self):
         rng = np.random.default_rng(41)
         a = np.array([0.2, -0.3 + 0.1j])
         pts = _random_ball_points(rng, 200)
-        back = mobius_translation(BALL2, a, mobius_translation(BALL2, a, pts))
+        phi = mobius_translation(BALL2, a)
+        back = phi(phi(pts))
         np.testing.assert_allclose(back, pts, atol=1e-10)
         w = np.array([0.1 + 0.2j, 0.05])
         for z in pts[:50]:
-            lhs = tanh_distance(
-                BALL2, mobius_translation(BALL2, a, z), mobius_translation(BALL2, a, w)
-            )
+            lhs = tanh_distance(BALL2, phi(z), phi(w))
             assert abs(lhs - tanh_distance(BALL2, z, w)) < 1e-10
 
     @pytest.mark.parametrize("spec", [DISK, BALL2, BALL3], ids=["disk", "ball2", "ball3"])
@@ -228,20 +226,21 @@ class TestMobius:
         rng = np.random.default_rng(50 + n)
         a = _random_ball_points(rng, 1, dim=n, rmax=0.8)[0]
         pts = _random_ball_points(rng, 300, dim=n, rmax=0.9)
-        np.testing.assert_allclose(mobius_translation(spec, a, np.zeros(n)), a, atol=1e-15)
-        np.testing.assert_allclose(mobius_translation(spec, a, a), np.zeros(n), atol=1e-15)
-        img = mobius_translation(spec, a, pts)
-        np.testing.assert_allclose(mobius_translation(spec, a, img), pts, atol=1e-12)
+        phi = mobius_translation(spec, a)
+        np.testing.assert_allclose(phi(np.zeros(n)), a, atol=1e-15)
+        np.testing.assert_allclose(phi(a), np.zeros(n), atol=1e-15)
+        img = phi(pts)
+        np.testing.assert_allclose(phi(img), pts, atol=1e-12)
         room = (1.0 - np.sum(np.abs(a) ** 2)) * (1.0 - np.sum(np.abs(pts) ** 2, axis=1))
         rhs = room / np.abs(1.0 - pts @ np.conj(a)) ** 2
         np.testing.assert_allclose(1.0 - np.sum(np.abs(img) ** 2, axis=1), rhs, rtol=1e-13, atol=0)
         for k in (0, 7, 299):
             # a single point (n,) keeps the identity
-            one = mobius_translation(spec, a, pts[k])
+            one = phi(pts[k])
             assert one.shape == (n,)
             assert abs(1.0 - np.sum(np.abs(one) ** 2) - rhs[k]) <= 1e-13 * rhs[k]
         for z in pts[1:40]:
-            lhs = tanh_distance(spec, mobius_translation(spec, a, z), img[0])
+            lhs = tanh_distance(spec, phi(z), img[0])
             assert abs(lhs - tanh_distance(spec, z, pts[0])) < 1e-10
 
     @pytest.mark.parametrize("spec", [DISK, BALL2, BALL3], ids=["disk", "ball2", "ball3"])
@@ -252,10 +251,11 @@ class TestMobius:
         rng = np.random.default_rng(60 + n)
         a = _random_ball_points(rng, 1, dim=n, rmax=0.99)[0]
         pts = _random_ball_points(rng, 500, dim=n, rmax=1.0 - 1e-9)
-        batch = mobius_translation(spec, a, pts)
+        phi = mobius_translation(spec, a)
+        batch = phi(pts)
         for k in rng.integers(0, 500, 60):
-            np.testing.assert_array_equal(mobius_translation(spec, a, pts[k : k + 1])[0], batch[k])
-            np.testing.assert_array_equal(mobius_translation(spec, a, pts[k]), batch[k])
+            np.testing.assert_array_equal(phi(pts[k : k + 1])[0], batch[k])
+            np.testing.assert_array_equal(phi(pts[k]), batch[k])
 
 
 class TestBallSandwich:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carleson_lab import domains
 from carleson_lab.errors import InputError
 from carleson_lab.polynomials import HoloPolynomial, poly_eval, random_polynomial
 
@@ -60,6 +61,23 @@ def test_eval_matches_the_sum_of_monomials(dim, degree):
     poly = random_polynomial(dim, degree, rng)
     ref, scale = _sum_of_monomials(poly, pts)
     assert np.all(np.abs(poly_eval(poly, pts) - ref) <= 1e-13 * scale)
+
+
+def test_eval_does_not_depend_on_the_split():
+    # Horner's rule runs per block of domains._BLOCK points; a batch of a few
+    # blocks and its concatenated uneven parts agree bit for bit
+    block = domains._BLOCK
+    rng = np.random.default_rng(17)
+    count = 2 * block + 17
+    pts = rng.uniform(-1, 1, (count, 2)) + 1j * rng.uniform(-1, 1, (count, 2))
+    poly = random_polynomial(2, 6, rng)
+    whole = poly_eval(poly, pts)
+    assert whole.shape == (count,)
+    for cuts in ([1, block - 1, block + 2], [block + 1], [17, 2 * block], [count - 1]):
+        parts = np.concatenate([poly_eval(poly, part) for part in np.split(pts, cuts)])
+        assert parts.tobytes() == whole.tobytes(), cuts
+    ref, scale = _sum_of_monomials(poly, pts)
+    assert np.all(np.abs(whole - ref) <= 1e-13 * scale)
 
 
 class TestRandom:
