@@ -10,19 +10,18 @@ Lebesgue measure nu normalized so that nu(unit Euclidean ball) = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from . import domains, geometry, kobayashi
+from . import domains, geometry, kobayashi, measures
 from .domains import DomainSpec, as_point
 from .errors import CapabilityError, InputError, NumericError, TruncationError
-from .measures import AtomicMeasure, DensityMeasure, Estimate, mean_estimate
+from .measures import DensityMeasure, Estimate, mean_estimate
 from .polynomials import HoloPolynomial, poly_eval
-
-_REINHARDT_KINDS = ("disk", "ball", "ellipsoid")
 
 
 def _reinhardt_data(spec: DomainSpec) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -149,6 +148,14 @@ def kernel_model(spec: DomainSpec, degree: int = 60) -> KernelModel:
     if spec.kind in ("disk", "ball"):
         return closed_ball_model(spec)
     return reinhardt_series_model(spec, degree=degree)
+
+
+def nu_volume(model: KernelModel) -> float:
+    """nu(D): 1 on the disk and the ball, where nu is normalized, else the
+    series table's m_0 = ||1||^2."""
+    if model.variant == "closed":
+        return 1.0
+    return moment(model.table, (0,) * model.spec.dim)
 
 
 def _power_table(p: np.ndarray, d: int) -> np.ndarray:
@@ -286,8 +293,7 @@ def reproduce_check(model: KernelModel, poly: HoloPolynomial, z, points: np.ndar
     vals = kernel_row(model, z, points)
     for block in domains._blocks(len(vals)):
         vals[block] = np.conj(vals[block]) * poly_eval(poly, points[block])
-    nu_d = 1.0 if model.variant == "closed" else moment(model.table, (0,) * spec.dim)
-    estimate = nu_d * complex(vals.mean())
+    estimate = nu_volume(model) * complex(vals.mean())
     exact = complex(poly_eval(poly, z))
     return ReproduceReport(
         estimate=estimate, exact=exact, residual=abs(estimate - exact), samples=len(points)
@@ -299,46 +305,34 @@ def reproduce_check(model: KernelModel, poly: HoloPolynomial, z, points: np.ndar
 
 
 def berezin_many(model: KernelModel, mu, zs, base: np.ndarray | None = None) -> list[Estimate]:
-    """Berezin transform at several points sharing one base sample.
+    """Berezin transform at several points sharing one base sample: the
+    operator quotient at f = k_z, whose A^2 norm is 1.
 
     ``base`` is a nu-uniform sample of D, shape (samples, n), that the caller
-    draws; atoms ignore it and give the exact sum.  On the disk and ball a
-    density is pulled back through the automorphism, base point by base
-    point ("mobius", variance-free for the Lebesgue density): per z, the
-    density of each block of _BLOCK pulled-back points (domains._blocks)
-    fills one array, whose mean and standard error are those of a
-    whole-base pass, bit for bit.  On other domains the estimate is the mean
-    of m_0 * density * |k_z|^2 over the base, where m_0 = nu(D) ("qmc"),
-    with kernel_row taking the whole base in its own chunks.
+    draws.  On the disk and ball a density is pulled back through the
+    automorphism, base point by base point ("mobius", variance-free for the
+    Lebesgue density): per z, the density of each block of _BLOCK
+    pulled-back points (domains._blocks) fills one array, whose mean and
+    standard error are those of a whole-base pass, bit for bit.  Otherwise
+    measures.square_integrals integrates |k_z|^2: the exact sum over atoms,
+    which ignore the base, or the mean of nu(D) * density * |k_z|^2 over the
+    base ("qmc"), with kernel_row taking the whole base in its own chunks.
     """
     spec = model.spec
     zs = np.atleast_2d(np.asarray(zs, dtype=complex))
-    if isinstance(mu, AtomicMeasure):
-        out = []
-        for z in zs:
-            k = normalized_kernel(model, z, mu.points)
-            out.append(Estimate(float(np.sum(mu.weights * np.abs(k) ** 2)), 0.0, 0, "atomic"))
-        return out
-
-    if not isinstance(mu, DensityMeasure):
-        raise CapabilityError(f"no density sampler for measure type {type(mu).__name__}")
-    if base is None or base.ndim != 2 or base.shape[1] != spec.dim:
-        raise InputError(f"a density needs a base sample of shape (samples, {spec.dim})")
-
-    if spec.kind in ("disk", "ball"):
-        out = []
-        vals = np.empty(len(base))
-        for z in zs:
-            phi = kobayashi.mobius_translation(spec, z)
-            for block in domains._blocks(len(base)):
-                vals[block] = mu.density(phi(base[block]))
-            out.append(mean_estimate(vals, "mobius"))
-        return out
-
-    dens = moment(model.table, (0,) * spec.dim) * mu.density(base)
-    return [
-        mean_estimate(dens * np.abs(normalized_kernel(model, z, base)) ** 2, "qmc") for z in zs
-    ]
+    if isinstance(mu, DensityMeasure):
+        measures._check_base(base, spec.dim)
+        if spec.kind in ("disk", "ball"):
+            out = []
+            vals = np.empty(len(base))
+            for z in zs:
+                phi = kobayashi.mobius_translation(spec, z)
+                for block in domains._blocks(len(base)):
+                    vals[block] = mu.density(phi(base[block]))
+                out.append(mean_estimate(vals, "mobius"))
+            return out
+    kernels = [functools.partial(normalized_kernel, model, z) for z in zs]
+    return measures.square_integrals(mu, kernels, base, nu_volume(model))
 
 
 def berezin(model: KernelModel, mu, z, base: np.ndarray | None = None) -> Estimate:
@@ -373,8 +367,6 @@ def diagonal_lowerbound_check(spec: DomainSpec, model: KernelModel, points) -> L
 class OffDiagonalCheck:
     re_constant: float
     k2_constant: float
-    re_values: np.ndarray
-    k2_values: np.ndarray
 
 
 _OFFDIAG_R0 = 0.1  # offdiagonal_lowerbound_check probes only radii below this
@@ -400,7 +392,7 @@ def offdiagonal_lowerbound_check(
         raise InputError(f"radius {r} outside (0, {_OFFDIAG_R0})")
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    re_vals, k2_vals = [], []
+    re_min = k2_min = math.inf
     for z0 in pts:
         frame = geometry.minimal_frame(spec, z0)
         sandwich = kobayashi.ball_sandwich(spec, z0, r, frame=frame)
@@ -408,13 +400,6 @@ def offdiagonal_lowerbound_check(
         prod = float(np.prod(frame.sigma**2))
         row = kernel_row(model, z0, omega)
         diag = kernel_diag(model, z0)
-        re_vals.append(row.real * prod)
-        k2_vals.append(np.abs(row) ** 2 / diag * prod)
-    re_arr = np.concatenate(re_vals)
-    k2_arr = np.concatenate(k2_vals)
-    return OffDiagonalCheck(
-        re_constant=float(re_arr.min()),
-        k2_constant=float(k2_arr.min()),
-        re_values=re_arr,
-        k2_values=k2_arr,
-    )
+        re_min = min(re_min, float((row.real * prod).min()))
+        k2_min = min(k2_min, float((np.abs(row) ** 2 / diag * prod).min()))
+    return OffDiagonalCheck(re_constant=re_min, k2_constant=k2_min)

@@ -14,8 +14,9 @@ direction.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from . import bergman, domains, geometry, kobayashi, measures, tables
 from .bergman import KernelModel
 from .domains import DomainSpec, as_point
 from .errors import ConfigError, InputError, ResourceError
-from .measures import AtomicMeasure, DensityMeasure
+from .measures import DensityMeasure
 from .polynomials import HoloPolynomial, poly_eval, random_polynomial
 
 BOUNDED = "Bounded"
@@ -181,7 +182,6 @@ def nu_uniform_base(spec: DomainSpec, mu, config: CarlesonConfig) -> np.ndarray 
 
 
 def criterion_berezin(
-    spec: DomainSpec,
     model: KernelModel,
     mu,
     grid: list[GridPoint],
@@ -257,9 +257,7 @@ class DictionaryEntry:
 def criterion_operator(
     spec: DomainSpec,
     mu,
-    grid: list[GridPoint],
     config: CarlesonConfig,
-    table: bergman.MomentTable,
     berezin_trace: CriterionTrace,
     base: np.ndarray | None,
 ) -> tuple[CriterionTrace, list[DictionaryEntry]]:
@@ -267,46 +265,31 @@ def criterion_operator(
     points and random polynomials.
 
     For f = k_{z0} the quotient IS the Berezin transform (||k_{z0}|| = 1 by the
-    reproducing identity), so the kernel-dictionary values are criterion (2)'s
-    own values.  For the polynomials, atoms give the exact sum; a density is
-    integrated over the nu-uniform ``base`` of criterion (2) (nu_uniform_base),
-    shared by all polynomials and weighted by nu(D) = m_0 from the table.
+    reproducing identity), so the trace is criterion (2)'s, renamed, with its
+    sup raised to the largest polynomial quotient.  The polynomials'
+    integrals come from measures.square_integrals on the nu-uniform ``base``
+    of criterion (2) (nu_uniform_base); their norms and nu(D) = m_0 come from
+    the moment table of the dictionary degree.
     """
-    kernel_values = berezin_trace.values.copy()
-
-    if isinstance(mu, AtomicMeasure):
-        def integral_sq(poly: HoloPolynomial) -> float:
-            if mu.count == 0:
-                return 0.0
-            return float(np.sum(mu.weights * np.abs(poly_eval(poly, mu.points)) ** 2))
-    elif isinstance(mu, DensityMeasure):
-        weight = bergman.moment(table, (0,) * spec.dim) * mu.density(base)
-
-        def integral_sq(poly: HoloPolynomial) -> float:
-            return float(np.mean(weight * np.abs(poly_eval(poly, base)) ** 2))
-    else:
-        raise InputError(f"unsupported measure type {type(mu).__name__}")
-
-    entries: list[DictionaryEntry] = []
+    table = bergman.moments(spec, config.polynomial_degree)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(202,)))
-    for p_idx in range(config.dictionary_polynomials):
-        poly = random_polynomial(spec.dim, config.polynomial_degree, rng)
-        quotient = integral_sq(poly) / bergman.norm_sq(poly, table)
-        entries.append(DictionaryEntry(label=f"poly{p_idx}", quotient=quotient))
-
-    poly_sup = max((e.quotient for e in entries), default=0.0)
-    per_level = _level_sups(grid, kernel_values, config.levels)
-    return (
-        CriterionTrace(
-            name="operator",
-            values=kernel_values,
-            stderr=berezin_trace.stderr.copy(),
-            per_level=per_level,
-            sup=float(max(kernel_values.max(), poly_sup)),
-            verdict=verdict_from_levels(per_level),
-        ),
-        entries,
+    polys = [
+        random_polynomial(spec.dim, config.polynomial_degree, rng)
+        for _ in range(config.dictionary_polynomials)
+    ]
+    nu_d = bergman.moment(table, (0,) * spec.dim)
+    integrals = measures.square_integrals(
+        mu, [functools.partial(poly_eval, poly) for poly in polys], base, nu_d
     )
+    entries = [
+        DictionaryEntry(label=f"poly{k}", quotient=est.value / bergman.norm_sq(poly, table))
+        for k, (poly, est) in enumerate(zip(polys, integrals))
+    ]
+    poly_sup = max((e.quotient for e in entries), default=0.0)
+    trace = replace(
+        berezin_trace, name="operator", sup=float(max(berezin_trace.sup, poly_sup))
+    )
+    return trace, entries
 
 
 # ---------------------------------------------------------------------------
@@ -324,21 +307,12 @@ class CarlesonReport:
     measure_label: str
 
 
-def dictionary_table(spec: DomainSpec, model: KernelModel, config: CarlesonConfig) -> bergman.MomentTable:
-    """Moment table for the polynomial dictionary: the series model's own
-    table when it reaches the dictionary degree, else a fresh one."""
-    if model.variant == "series" and model.table.degree >= config.polynomial_degree:
-        return model.table
-    return bergman.moments(spec, config.polynomial_degree)
-
-
 def carleson_test(spec: DomainSpec, model: KernelModel, mu, config: CarlesonConfig) -> CarlesonReport:
     grid = build_grid(spec, config)
     base = nu_uniform_base(spec, mu, config)
-    c2 = criterion_berezin(spec, model, mu, grid, config, base)
+    c2 = criterion_berezin(model, mu, grid, config, base)
     c3 = criterion_geometric(spec, mu, grid, config)
-    table = dictionary_table(spec, model, config)
-    c1, entries = criterion_operator(spec, mu, grid, config, table, c2, base)
+    c1, entries = criterion_operator(spec, mu, config, c2, base)
     label = getattr(mu, "label", type(mu).__name__)
     return CarlesonReport(
         grid=grid,

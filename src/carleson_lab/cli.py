@@ -225,7 +225,7 @@ def _cmd_berezin(args, spec, out) -> int:
     config = carleson.CarlesonConfig(r=args.r, seed=args.seed, berezin_samples=args.samples)
     grid = carleson.build_grid(spec, config)
     base = carleson.nu_uniform_base(spec, mu, config)
-    trace = carleson.criterion_berezin(spec, model, mu, grid, config, base)
+    trace = carleson.criterion_berezin(model, mu, grid, config, base)
     header = ["index", "kind", "delta", *tables.coord_header(spec.dim), "value", "stderr"]
     rows = [
         [idx, gp.kind, gp.delta, *domains.to_real(gp.point), value, stderr]

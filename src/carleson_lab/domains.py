@@ -609,7 +609,9 @@ def line_level_distance(spec: DomainSpec, z, v) -> float:
 
     The positive root t(theta) of r(z + t e^{i theta} v) = 0 is found by a
     vectorized bisection over _LINE_PHASES phases (the section is convex in
-    t), then the best phase is refined by bounded scalar minimization.
+    t), then the best phase is refined by bounded scalar minimization.  The
+    bisection keeps r > 0 at its outer ends, so the best one bounds the
+    distance from above at any box width.
     """
     z = as_point(spec, z)
     v = np.asarray(v, dtype=complex)
@@ -647,9 +649,8 @@ def line_level_distance(spec: DomainSpec, z, v) -> float:
         pos = g(mid) > 0.0
         hi = np.where(pos, mid, hi)
         lo = np.where(pos, lo, mid)
-    roots = 0.5 * (lo + hi)
-    jbest = int(np.argmin(roots))
-    best = float(roots[jbest])
+    jbest = int(np.argmin(hi))
+    best = float(hi[jbest])
 
     def root_of(th: float) -> float:
         d = np.exp(1j * th) * v

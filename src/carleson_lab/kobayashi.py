@@ -737,11 +737,8 @@ def min_tanh_distance(spec: DomainSpec, pts: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class BallSandwich:
-    """Certified polydisk sandwich of the Kobayashi ball B_D(center, radius)."""
+    """Certified polydisk sandwich of a Kobayashi ball B_D(z0, r)."""
 
-    center: np.ndarray
-    radius: float
-    frame: MinimalFrame
     inner: Polydisk
     outer: Polydisk
 
@@ -754,9 +751,6 @@ def ball_sandwich(spec: DomainSpec, z0, r: float, frame: MinimalFrame | None = N
     frame = frame if frame is not None else minimal_frame(spec, z0)
     inner, outer = _sandwich_scales(r, spec.dim)
     return BallSandwich(
-        center=z0,
-        radius=r,
-        frame=frame,
         inner=geometry.frame_polydisk(frame, inner),
         outer=geometry.frame_polydisk(frame, outer),
     )
@@ -788,7 +782,6 @@ class LogEnvelope:
     c2: float
     low: np.ndarray
     high: np.ndarray
-    deltas: np.ndarray
 
 
 def boundary_ray_samples(spec: DomainSpec, direction, deltas) -> np.ndarray:
@@ -861,4 +854,4 @@ def calibrate_log_envelope(spec: DomainSpec, z0, points) -> LogEnvelope:
     low = np.minimum(low, high)  # a closed bracket may cross by a rounding error
     with np.errstate(divide="ignore"):  # an open high end of 1 gives +inf
         low, high = (np.arctanh(end) + 0.5 * np.log(deltas) for end in (low, high))
-    return LogEnvelope(c1=float(low.min()), c2=float(high.max()), low=low, high=high, deltas=deltas)
+    return LogEnvelope(c1=float(low.min()), c2=float(high.max()), low=low, high=high)

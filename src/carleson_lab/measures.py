@@ -4,9 +4,10 @@ Densities are taken with respect to the normalized Lebesgue measure nu
 (nu of the unit Euclidean ball = 1) restricted to the domain; the plain
 Lebesgue measure is the constant density 1.  An integral against a measure
 is an Estimate: exact for atomic measures, a seeded Monte Carlo mean with
-its standard error for densities (mean_estimate, shared with the Berezin
-transform).  mass evaluates the measure of a polydisk on a unit-polydisk
-base sample that the caller draws once and maps into every polydisk.
+its standard error for densities (mean_estimate).  square_integrals
+integrates |f|^2, the numerator of the operator quotient, over a nu-uniform
+base of D; mass evaluates the measure of a polydisk on a unit-polydisk base sample that
+the caller draws once and maps into every polydisk.
 """
 
 from __future__ import annotations
@@ -118,6 +119,28 @@ def mean_estimate(vals: np.ndarray, method: str, scale: float = 1.0) -> Estimate
     return Estimate(value, stderr, samples, method)
 
 
+def _check_base(base: np.ndarray | None, n: int) -> None:
+    if base is None or base.ndim != 2 or base.shape[1] != n:
+        raise InputError(f"a density needs a base sample of shape (samples, {n})")
+
+
+def square_integrals(mu, fs, base: np.ndarray | None, volume: float) -> list[Estimate]:
+    """Integral of |f|^2 dmu for every f in ``fs``, each a function of a point
+    batch: the exact sum of w_k |f(z_k)|^2 over the atoms, or the mean of
+    volume * density * |f|^2 over ``base`` ("qmc").  ``base`` is a nu-uniform
+    sample of D that the caller draws and volume is nu(D); the density is
+    evaluated on the base once for all of ``fs``.  Atoms ignore both."""
+    if isinstance(mu, AtomicMeasure):
+        return [
+            Estimate(float(np.sum(mu.weights * np.abs(f(mu.points)) ** 2)), 0.0, 0, "atomic")
+            for f in fs
+        ]
+    if not isinstance(mu, DensityMeasure):
+        raise InputError(f"unsupported measure type {type(mu).__name__}")
+    weight = volume * mu.density(base)
+    return [mean_estimate(weight * np.abs(f(base)) ** 2, "qmc") for f in fs]
+
+
 def mass(spec: DomainSpec, mu, region: Polydisk, base: np.ndarray | None = None) -> Estimate:
     """Measure of a polydisk intersected with D: the exact atom sum, or the
     polydisk's nu-volume times the mean density over ``base`` mapped into it.
@@ -131,8 +154,7 @@ def mass(spec: DomainSpec, mu, region: Polydisk, base: np.ndarray | None = None)
         return Estimate(float(mu.weights[inside].sum()), 0.0, 0, "atomic")
     if not isinstance(mu, DensityMeasure):
         raise InputError(f"unsupported measure type {type(mu).__name__}")
-    if base is None or base.ndim != 2 or base.shape[1] != region.n:
-        raise InputError(f"a density needs a base sample of shape (samples, {region.n})")
+    _check_base(base, region.n)
 
     pts = geometry.polydisk_points(region, base)
     # the density is only defined on D, and the polydisk may reach outside;

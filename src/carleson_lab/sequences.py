@@ -187,14 +187,10 @@ def boundary_cluster(spec: DomainSpec, direction, levels: int = 8) -> SequenceSe
     """Multiplicity cluster: 2^k points packed within pseudoradius ~2^{-k-2}
     of the dyadic ray point at level k.  Not uniformly discrete; its
     unit-weight measure diverges like 8^k at the accumulation point."""
-    anchor = domains.anchor_point(spec)
     d = np.asarray(direction, dtype=complex)
     d = d / np.linalg.norm(d)
-    lam0 = abs(float(domains.defining_value(spec, anchor)))
     pts = []
-    for k in range(1, levels + 1):
-        t = domains._ray_root(spec, anchor, d, -lam0 * 2.0 ** (-k))
-        base = anchor + t * d
+    for k, base in enumerate(dyadic_ray(spec, direction, levels).points, start=1):
         delta = float(domains.boundary_distance(spec, base))
         n_k = 2**k
         # radial offsets keep the cluster inside and pairwise distinct

@@ -427,7 +427,7 @@ class TestBerezin:
         ell_base = domains.quasi_uniform(ELL12, 64, seed=0)
         est = berezin(kernel_model(ELL12), lebesgue_measure(), (0.0, 0.0), ell_base)
         assert est.method == "qmc"
-        with pytest.raises(CapabilityError):
+        with pytest.raises(InputError, match="unsupported measure type"):
             berezin(kernel_model(DISK), object(), 0.1)
 
     @pytest.mark.parametrize("spec", [BALL2, ELL12], ids=["ball2", "ell12"])

@@ -17,7 +17,6 @@ from carleson_lab.carleson import (
     criterion_berezin,
     criterion_geometric,
     criterion_operator,
-    dictionary_table,
     grid_levels,
     kobayashi_cover,
     nu_uniform_base,
@@ -166,9 +165,8 @@ class TestCarlesonLebesgue:
         grid = [GridPoint(anchor, "interior", -1, 0.0, delta, -1)]
         nu = lebesgue_measure()
         base = nu_uniform_base(spec, nu, config)
-        trace = criterion_berezin(spec, model, nu, grid, config, base)
-        table = dictionary_table(spec, model, config)
-        _, entries = criterion_operator(spec, nu, grid, config, table, trace, base)
+        trace = criterion_berezin(model, nu, grid, config, base)
+        _, entries = criterion_operator(spec, nu, config, trace, base)
         assert len(entries) == config.dictionary_polynomials
         for entry in entries:
             assert abs(entry.quotient - 1.0) <= 2e-3
@@ -187,13 +185,48 @@ def test_density_criteria_share_one_nu_uniform_base(spec):
         vals = mu.density(kobayashi.mobius_translation(spec, gp.point)(base))
         assert report.berezin.values[i] == float(vals.mean())
         assert report.berezin.stderr[i] == float(vals.std(ddof=1)) / math.sqrt(len(base))
-    table = dictionary_table(spec, model, FAST)
+    table = bergman.moments(spec, FAST.polynomial_degree)
     weight = bergman.moment(table, (0,) * spec.dim) * mu.density(base)
     rng = np.random.default_rng(np.random.SeedSequence(FAST.seed, spawn_key=(202,)))
     for entry in report.dictionary:
         poly = random_polynomial(spec.dim, FAST.polynomial_degree, rng)
         integral = float(np.mean(weight * np.abs(poly_eval(poly, base)) ** 2))
         assert entry.quotient == integral / bergman.norm_sq(poly, table)
+
+
+@pytest.mark.parametrize("kind", ["atoms", "density"])
+def test_dictionary_on_the_ellipsoid(kind):
+    # the dictionary's norms and nu(D) = m_0 come from the moment table of
+    # the dictionary degree; each integral is the exact atom sum or the mean
+    # of m_0 * density * |p|^2 over the base, bit for bit.  The trace is
+    # criterion (2)'s with the sup raised to the largest quotient
+    if kind == "atoms":
+        mu = atomic_measure(ELL12, [[0.1, 0.2j], [-0.3, 0.1], [0.0, -0.6j]], [1.0, 2.0, 0.5])
+    else:
+        mu = measures.DensityMeasure(lambda p: np.abs(p[:, 1]) ** 2 + 0.5, label="smooth")
+    model = bergman.kernel_model(ELL12)
+    anchor = domains.anchor_point(ELL12)
+    delta = float(domains.boundary_distance(ELL12, anchor))
+    grid = [GridPoint(anchor, "interior", -1, 0.0, delta, -1)]
+    base = nu_uniform_base(ELL12, mu, FAST)
+    berezin = criterion_berezin(model, mu, grid, FAST, base)
+    trace, entries = criterion_operator(ELL12, mu, FAST, berezin, base)
+    table = bergman.moments(ELL12, FAST.polynomial_degree)
+    rng = np.random.default_rng(np.random.SeedSequence(FAST.seed, spawn_key=(202,)))
+    assert len(entries) == FAST.dictionary_polynomials
+    for entry in entries:
+        poly = random_polynomial(2, FAST.polynomial_degree, rng)
+        if kind == "atoms":
+            integral = float(np.sum(mu.weights * np.abs(poly_eval(poly, mu.points)) ** 2))
+        else:
+            weight = bergman.moment(table, (0, 0)) * mu.density(base)
+            integral = float(np.mean(weight * np.abs(poly_eval(poly, base)) ** 2))
+        assert entry.quotient == integral / bergman.norm_sq(poly, table)
+    assert trace.name == "operator"
+    assert trace.sup == max(berezin.sup, *(e.quotient for e in entries))
+    for field in ("values", "stderr", "per_level"):
+        np.testing.assert_array_equal(getattr(trace, field), getattr(berezin, field))
+    assert trace.verdict == berezin.verdict
 
 
 class TestGeometricBase:

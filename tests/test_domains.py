@@ -232,6 +232,14 @@ class TestDistances:
         got = line_level_distance(DISK, z, np.array([1.0 + 0.0j]))
         assert got == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("box", [1e10, 1e14, 5e16, 2e17])
+    def test_line_distance_on_a_wide_box(self, box):
+        # the unit disk as a polynomial: the bisection's resolution grows
+        # with the box, and its outer end stays an upper bound
+        spec = convex_polynomial([(1.0, (2, 0)), (1.0, (0, 2)), (-1.0, (0, 0))], 1, [box])
+        got = line_level_distance(spec, np.array([0.5 + 0j]), np.array([1.0 + 0j]))
+        assert got == pytest.approx(0.5, abs=1e-12)
+
     def test_line_distance_ellipsoid_axis(self):
         # along e2 from (0, t): remaining quartic room is 1 - t
         got = line_level_distance(ELL12, np.array([0.0, 0.3 + 0j]), np.array([0.0, 1.0 + 0j]))

@@ -151,7 +151,6 @@ TEST_KNOBS = {
     ("berezin", "base"): "the one-point Berezin transform: a density's nu-uniform base",
     ("submean_check", "samples"): "acceptance criterion 7: the Monte Carlo size of the integrals",
     ("submean_check", "seed"): "acceptance criterion 7: the seed of the integrals' base",
-    ("dyadic_ray", "depth"): "the ray's level structure checked at other depths than the gallery's",
     ("boundary_cluster", "levels"): "acceptance criterion 9: a cluster that diverges on the grid",
 }
 
@@ -212,3 +211,34 @@ def test_every_defaulted_parameter_has_a_caller():
     # the parameter is deleted, or listed in TEST_KNOBS with what it backs;
     # a listed one that gains a caller leaves the list
     assert sorted(_unpassed_parameters() ^ set(TEST_KNOBS)) == []
+
+
+# ---------------------------------------------------------------------------
+# no parameter that the body never reads
+
+
+def _unread_parameters():
+    """(function, parameter) for every parameter of a public top-level
+    function in the package that its body never reads."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            for arg in params:
+                if arg.arg not in read:
+                    yield node.name, arg.arg
+
+
+def test_every_parameter_is_read():
+    # a parameter the body ignores is a chore for every caller and a promise
+    # the function does not keep: it is deleted
+    assert sorted(_unread_parameters()) == []

@@ -337,6 +337,14 @@ class TestSequenceMeasure:
         flat = cl.points[:, 0]
         assert len(np.unique(flat)) == cl.count
 
+    def test_boundary_cluster_grows_from_the_dyadic_ray(self):
+        # level k holds 2^k points; its first, at offset 0, is the ray's k-th
+        for spec, d in ((DISK, [1.0]), (ELL12, [0.3, 1.0j])):
+            ray = sequences.dyadic_ray(spec, np.array(d), depth=5)
+            cl = sequences.boundary_cluster(spec, np.array(d), levels=5)
+            firsts = cl.points[[2**k - 2 for k in range(1, 6)]]
+            np.testing.assert_array_equal(firsts, ray.points)
+
     def test_boundary_cluster_not_separated(self):
         cl = sequences.boundary_cluster(DISK, np.array([1.0]), levels=5)
         assert 0.0 < sequences.separation(DISK, cl) < 0.01
