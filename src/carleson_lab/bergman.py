@@ -66,7 +66,7 @@ def moments(spec: DomainSpec, degree: int) -> MomentTable:
     s = (alpha + 1.0) / m
     log_a = np.log(np.asarray(semi_axes)).reshape(col)
     terms = (2.0 * alpha + 2.0) * log_a - np.log(m) + special.gammaln(s)
-    log_m = math.lgamma(n + 1) + terms.sum(axis=0) - special.gammaln(1.0 + s.sum(axis=0))
+    log_m = special.gammaln(n + 1.0) + terms.sum(axis=0) - special.gammaln(1.0 + s.sum(axis=0))
     cube = np.where(alpha.sum(axis=0) <= degree, np.exp(log_m), np.nan)
     return MomentTable(
         dim=n, degree=degree, exponents=exponents, semi_axes=semi_axes, values=cube
@@ -150,12 +150,10 @@ def kernel_model(spec: DomainSpec, degree: int = 60) -> KernelModel:
     return reinhardt_series_model(spec, degree=degree)
 
 
-def nu_volume(model: KernelModel) -> float:
-    """nu(D): 1 on the disk and the ball, where nu is normalized, else the
-    series table's m_0 = ||1||^2."""
-    if model.variant == "closed":
-        return 1.0
-    return moment(model.table, (0,) * model.spec.dim)
+def nu_volume(spec: DomainSpec) -> float:
+    """nu(D) = m_0 = ||1||^2 by the moment formula: exactly 1 on the disk and
+    the ball, where nu is normalized, and the m_0 of every moment table."""
+    return moment(moments(spec, 0), (0,) * spec.dim)
 
 
 def _power_table(p: np.ndarray, d: int) -> np.ndarray:
@@ -241,7 +239,7 @@ def kernel_row(model: KernelModel, z0, pts) -> np.ndarray:
     s = float(np.max(l1_max, initial=0.0))
     tail = _series_tail(model, s)
     floor = 1.0 / float(model.table.values[(0,) * n])
-    scale = max(float(np.abs(values).min(initial=0.0)), floor)
+    scale = max(float(np.abs(values).min(initial=np.inf)), floor)
     if not tail <= _TAIL_TOL * scale:
         raise TruncationError(
             "series tail exceeds tolerance; increase the degree or move off the boundary",
@@ -293,7 +291,7 @@ def reproduce_check(model: KernelModel, poly: HoloPolynomial, z, points: np.ndar
     vals = kernel_row(model, z, points)
     for block in domains._blocks(len(vals)):
         vals[block] = np.conj(vals[block]) * poly_eval(poly, points[block])
-    estimate = nu_volume(model) * complex(vals.mean())
+    estimate = nu_volume(spec) * complex(vals.mean())
     exact = complex(poly_eval(poly, z))
     return ReproduceReport(
         estimate=estimate, exact=exact, residual=abs(estimate - exact), samples=len(points)
@@ -332,7 +330,7 @@ def berezin_many(model: KernelModel, mu, zs, base: np.ndarray | None = None) -> 
                 out.append(mean_estimate(vals, "mobius"))
             return out
     kernels = [functools.partial(normalized_kernel, model, z) for z in zs]
-    return measures.square_integrals(mu, kernels, base, nu_volume(model))
+    return measures.square_integrals(mu, kernels, base, nu_volume(spec))
 
 
 def berezin(model: KernelModel, mu, z, base: np.ndarray | None = None) -> Estimate:

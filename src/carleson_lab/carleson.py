@@ -98,36 +98,24 @@ def build_grid(spec: DomainSpec, config: CarlesonConfig) -> list[GridPoint]:
     anchor = domains.anchor_point(spec)
     lams = grid_levels(spec, config)
     dirs = _ray_directions(spec, config.extra_rays, config.seed)
-    grid: list[GridPoint] = []
-    for j, lam in enumerate(lams):
-        for d_idx, d in enumerate(dirs):
-            t = domains._ray_root(spec, anchor, d, -lam)
-            z = anchor + t * d
-            grid.append(
-                GridPoint(
-                    point=z,
-                    kind="ray",
-                    level_index=j,
-                    level_value=-lam,
-                    delta=float(domains.boundary_distance(spec, z)),
-                    ray_index=d_idx,
-                )
-            )
+    rays = [
+        (j, k, anchor + domains._ray_root(spec, anchor, d, -lam) * d)
+        for j, lam in enumerate(lams)
+        for k, d in enumerate(dirs)
+    ]
     interior = domains.quasi_interior(
         spec, config.interior_points, seed=config.seed + 7, level_floor=float(lams[0])
     )
-    for z in interior:
-        grid.append(
-            GridPoint(
-                point=z,
-                kind="interior",
-                level_index=-1,
-                level_value=0.0,
-                delta=float(domains.boundary_distance(spec, z)),
-                ray_index=-1,
-            )
-        )
-    return grid
+    points = np.array([z for _, _, z in rays] + list(interior))
+    deltas = domains.boundary_distance_batch(spec, points).tolist()
+    grid = [
+        GridPoint(point=z, kind="ray", level_index=j, level_value=-lams[j], delta=delta, ray_index=k)
+        for (j, k, z), delta in zip(rays, deltas)
+    ]
+    return grid + [
+        GridPoint(point=z, kind="interior", level_index=-1, level_value=0.0, delta=delta, ray_index=-1)
+        for z, delta in zip(interior, deltas[len(rays) :])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +148,23 @@ class CriterionTrace:
     lower: np.ndarray | None = None  # geometric bracket lower values
 
 
-def _level_sups(grid: list[GridPoint], values: np.ndarray, levels: int) -> np.ndarray:
-    sups = np.zeros(levels)
-    for gp, v in zip(grid, values):
-        if gp.kind == "ray":
-            sups[gp.level_index] = max(sups[gp.level_index], v)
-    return sups
+def _trace(
+    name: str,
+    grid: list[GridPoint],
+    levels: int,
+    values: np.ndarray,
+    stderr: np.ndarray,
+    lower: np.ndarray | None = None,
+) -> CriterionTrace:
+    """A criterion's trace from its per-point values: the sup of each dyadic
+    level over the ray points (interior points belong to no level), the sup
+    over the whole grid and the verdict on the level sups."""
+    ray = np.array([gp.kind == "ray" for gp in grid])
+    level_index = np.array([gp.level_index for gp in grid])
+    per_level = np.zeros(levels)
+    np.maximum.at(per_level, level_index[ray], values[ray])
+    sup, verdict = float(values.max()), verdict_from_levels(per_level)
+    return CriterionTrace(name, values, stderr, per_level, sup, verdict, lower)
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +191,7 @@ def criterion_berezin(
     estimates = bergman.berezin_many(model, mu, zs, base)
     values = np.array([e.value for e in estimates])
     stderr = np.array([e.stderr for e in estimates])
-    per_level = _level_sups(grid, values, config.levels)
-    return CriterionTrace(
-        name="berezin",
-        values=values,
-        stderr=stderr,
-        per_level=per_level,
-        sup=float(values.max()),
-        verdict=verdict_from_levels(per_level),
-    )
+    return _trace("berezin", grid, config.levels, values, stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +219,8 @@ def criterion_geometric(
         vol_outer = geometry.polydisk_nu_volume(sandwich.outer)
         return inner.value / vol_outer, outer.value / vol_inner, outer.stderr / vol_inner
 
-    rows = [one(gp) for gp in grid]
-    lower = np.array([row[0] for row in rows])
-    upper = np.array([row[1] for row in rows])
-    stderr = np.array([row[2] for row in rows])
-    per_level = _level_sups(grid, upper, config.levels)
-    return CriterionTrace(
-        name="geometric",
-        values=upper,
-        stderr=stderr,
-        per_level=per_level,
-        sup=float(upper.max()),
-        verdict=verdict_from_levels(per_level),
-        lower=lower,
-    )
+    lower, upper, stderr = np.array([one(gp) for gp in grid]).T
+    return _trace("geometric", grid, config.levels, upper, stderr, lower=lower)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +247,8 @@ def criterion_operator(
     reproducing identity), so the trace is criterion (2)'s, renamed, with its
     sup raised to the largest polynomial quotient.  The polynomials'
     integrals come from measures.square_integrals on the nu-uniform ``base``
-    of criterion (2) (nu_uniform_base); their norms and nu(D) = m_0 come from
-    the moment table of the dictionary degree.
+    of criterion (2) (nu_uniform_base), weighted by nu(D) = bergman.nu_volume;
+    their norms come from the moment table of the dictionary degree.
     """
     table = bergman.moments(spec, config.polynomial_degree)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(202,)))
@@ -277,9 +256,8 @@ def criterion_operator(
         random_polynomial(spec.dim, config.polynomial_degree, rng)
         for _ in range(config.dictionary_polynomials)
     ]
-    nu_d = bergman.moment(table, (0,) * spec.dim)
     integrals = measures.square_integrals(
-        mu, [functools.partial(poly_eval, poly) for poly in polys], base, nu_d
+        mu, [functools.partial(poly_eval, poly) for poly in polys], base, bergman.nu_volume(spec)
     )
     entries = [
         DictionaryEntry(label=f"poly{k}", quotient=est.value / bergman.norm_sq(poly, table))
@@ -305,6 +283,11 @@ class CarlesonReport:
     dictionary: list[DictionaryEntry]
     config: CarlesonConfig
     measure_label: str
+
+    @property
+    def traces(self) -> tuple[CriterionTrace, CriterionTrace, CriterionTrace]:
+        """Criteria (2), (3) and (1), the order every report writer keeps."""
+        return (self.berezin, self.geometric, self.operator)
 
 
 def carleson_test(spec: DomainSpec, model: KernelModel, mu, config: CarlesonConfig) -> CarlesonReport:
@@ -448,11 +431,8 @@ def overlap_count_many(spec: DomainSpec, centers: np.ndarray, big_r: float, quer
 @dataclass(frozen=True)
 class SubmeanReport:
     value: float  # |f(z0)|^2
-    bound_mean: float  # (2n/(1-r)) average over the r-ball bracket
-    bound_shifted: float  # (8 n^2 r/(1-r)^3) variant with outer radius R=(1+r)/2
-    margin_mean: float
-    margin_shifted: float
-    passed: bool
+    margin_mean: float  # (2n/(1-r)) average over the r-ball bracket, minus value
+    passed: bool  # value below that bound and the (8 n^2 r/(1-r)^3) one at R = (1+r)/2
     samples: int
 
 
@@ -494,10 +474,7 @@ def submean_check(
     bound_shifted = (8.0 * n**2 * r / (1.0 - r) ** 3) * integral_big / vol_inner
     return SubmeanReport(
         value=phi0,
-        bound_mean=bound_mean,
-        bound_shifted=bound_shifted,
         margin_mean=bound_mean - phi0,
-        margin_shifted=bound_shifted - phi0,
         passed=phi0 <= bound_mean and phi0 <= bound_shifted,
         samples=samples,
     )
@@ -513,7 +490,7 @@ def report_point_rows(report: CarlesonReport) -> tuple[list[str], list[list]]:
     header = ["criterion", "index", "kind", "level_index", "level_value", "delta"]
     header += tables.coord_header(n) + ["value", "stderr", "lower"]
     rows: list[list] = []
-    for trace in (report.berezin, report.geometric, report.operator):
+    for trace in report.traces:
         for idx, gp in enumerate(report.grid):
             lower = trace.lower[idx] if trace.lower is not None else float("nan")
             rows.append(
@@ -525,11 +502,10 @@ def report_point_rows(report: CarlesonReport) -> tuple[list[str], list[list]]:
 
 def report_level_rows(report: CarlesonReport) -> tuple[list[str], list[list]]:
     """Dyadic level against the per-criterion sup curves (plot data)."""
-    header = ["level_index", "level_value", "berezin_sup", "geometric_sup", "operator_sup"]
+    header = ["level_index", "level_value", *(f"{t.name}_sup" for t in report.traces)]
     lams = [abs(gp.level_value) for gp in report.grid if gp.kind == "ray"]
     uniq = sorted(set(lams), reverse=True)
-    traces = (report.berezin, report.geometric, report.operator)
-    rows = [[j, lam, *(t.per_level[j] for t in traces)] for j, lam in enumerate(uniq)]
+    rows = [[j, lam, *(t.per_level[j] for t in report.traces)] for j, lam in enumerate(uniq)]
     return header, rows
 
 
@@ -540,16 +516,8 @@ def report_summary(report: CarlesonReport) -> dict:
         "version": __version__,
         "measure": report.measure_label,
         "config": asdict(report.config),
-        "verdicts": {
-            "berezin": report.berezin.verdict,
-            "geometric": report.geometric.verdict,
-            "operator": report.operator.verdict,
-        },
-        "sups": {
-            "berezin": float(report.berezin.sup),
-            "geometric": float(report.geometric.sup),
-            "operator": float(report.operator.sup),
-        },
+        "verdicts": {t.name: t.verdict for t in report.traces},
+        "sups": {t.name: float(t.sup) for t in report.traces},
         "constants": {"C": float(report.berezin.sup), "C_r": float(report.geometric.sup)},
         "dictionary": [
             {"label": e.label, "quotient": float(e.quotient)} for e in report.dictionary

@@ -515,39 +515,32 @@ def _ellipsoid_project2(spec: DomainSpec, q: np.ndarray) -> ProjectionResult:
     The constraint only sees moduli, and aligning phases with q never
     increases the distance, so the problem reduces to the plane curve
     (|z_1|^2/a_1^2)^{m_1} + (|z_2|^2/a_2^2)^{m_2} = 1 in the closed
-    positive quadrant, minimized by a grid multistart plus bounded refinement.
+    positive quadrant, minimized by a grid multistart plus golden-section
+    refinement of every local minimum of the grid.
     """
-    from scipy import optimize
-
-    a = np.asarray(spec.semi_axes, dtype=float)
-    m = np.asarray(spec.exponents, dtype=float)
+    a1, a2 = (float(v) for v in spec.semi_axes)
+    m1, m2 = (float(v) for v in spec.exponents)
     qm = np.abs(q)
-    x2max = a[1]
+    q1, q2 = qm.tolist()
 
     def x1_of(x2):
-        rem = 1.0 - (np.square(x2) / a[1] ** 2) ** m[1]
-        return a[0] * np.clip(rem, 0.0, None) ** (1.0 / (2.0 * m[0]))
+        # floats and arrays alike; 0 <= x2 <= a2 keeps rem >= 0 (abs only
+        # clears the sign of a zero)
+        rem = 1.0 - (x2 * x2 / a2**2) ** m2
+        return a1 * abs(rem) ** (1.0 / (2.0 * m1))
 
     def dist2(x2):
-        return (x1_of(x2) - qm[0]) ** 2 + (x2 - qm[1]) ** 2
+        return (x1_of(x2) - q1) ** 2 + (x2 - q2) ** 2
 
-    grid = np.linspace(0.0, x2max, 513)
+    grid = np.linspace(0.0, a2, 513)
     vals = dist2(grid)
-    # exact endpoints first: bounded refinement cannot land on them, and the
+    # exact endpoints first: the refinement cannot land on them, and the
     # axis solutions must come out bit-exact for canonical frames
-    local: list[tuple[float, float]] = [(float(vals[0]), 0.0), (float(vals[-1]), x2max)]
-    for idx in range(513):
-        left = vals[idx - 1] if idx > 0 else np.inf
-        right = vals[idx + 1] if idx < 512 else np.inf
-        if vals[idx] <= left and vals[idx] <= right:
-            lo, hi = grid[max(idx - 1, 0)], grid[min(idx + 1, 512)]
-            # with semi-axes near 1e150 the parabolic step's products
-            # overflow; the method then takes a golden-section step
-            with np.errstate(over="ignore", invalid="ignore"):
-                res = optimize.minimize_scalar(
-                    dist2, bounds=(lo, hi), method="bounded", options={"xatol": 1e-13}
-                )
-            local.append((float(res.fun), float(res.x)))
+    local: list[tuple[float, float]] = [(float(vals[0]), 0.0), (float(vals[-1]), a2)]
+    padded = np.concatenate([[np.inf], vals, [np.inf]])
+    for idx in np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:])).tolist():
+        lo, hi = grid[max(idx - 1, 0)], grid[min(idx + 1, 512)]
+        local.append(_golden_min(dist2, float(lo), float(hi)))
     local.sort(key=lambda item: round(math.sqrt(max(item[0], 0.0)), 12))
     best_d2, best_x2 = local[0]
     dist = math.sqrt(max(best_d2, 0.0))
@@ -565,6 +558,28 @@ def _ellipsoid_project2(spec: DomainSpec, q: np.ndarray) -> ProjectionResult:
         unique = False
     phase = np.where(qm > 0.0, q / np.where(qm > 0.0, qm, 1.0), 1.0 + 0.0j)
     return ProjectionResult(point=phase * best, distance=dist, unique=unique)
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(f, a: float, b: float) -> tuple[float, float]:
+    """(f(x), x) at the minimum of f on [a, b], taken as unimodal, by
+    golden-section search.  78 steps shrink the bracket to 0.618^78 < 1e-16
+    of its width, or to the spacing of doubles, so a minimum next to a steep
+    end is found; a bounded scalar minimizer stops at sqrt(eps) relative."""
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(78):
+        if fc <= fd:  # the minimum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:  # the minimum lies in [c, b]
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return (fc, c) if fc <= fd else (fd, d)
 
 
 @lru_cache(maxsize=8)

@@ -88,6 +88,16 @@ class TestMoments:
         tab = moments(ELL12, 0)
         assert abs(moment(tab, (0, 0)) - 4.0 / 3.0) < 1e-10
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_ball_volume_is_exactly_one(self, dim):
+        # log n! goes through gammaln like the rest of the formula, so
+        # m_0 = nu(B) is 1 to the bit (math.lgamma(3) is an ulp below
+        # gammaln(3)), in a table of any degree and through nu_volume
+        spec = DISK if dim == 1 else unit_ball(dim)
+        for degree in (0, 6, 20):
+            assert moment(moments(spec, degree), (0,) * dim) == 1.0
+        assert bergman.nu_volume(spec) == 1.0
+
     def test_scaled_axes(self):
         spec = complex_ellipsoid((1, 1), (0.5, 2.0))
         tab = moments(spec, 2)
@@ -210,6 +220,16 @@ class TestKernelModels:
         for batch in (np.vstack([zeros, z0]), np.vstack([z0, zeros])):
             with pytest.raises(TruncationError):
                 kernel_row(model, z0, batch)
+
+    def test_tail_is_weighed_against_the_smallest_value_of_the_row(self):
+        # the row's scale is its smallest modulus, floored at 1/m_0 = 0.75:
+        # alone, z0 = (0, 0.63) passes its tail of 1.09e-6 against
+        # |K(z0, z0)| = 2.97 (the floor alone would reject it)
+        model = reinhardt_series_model(ELL12, degree=20)
+        z0 = np.array([0.0, 0.63])
+        value = kernel_row(model, z0, z0[None])[0]
+        assert value.real == pytest.approx(2.9666, abs=1e-4)
+        assert abs(value.imag) < 1e-12
 
     def test_kernel_row_batch(self):
         model = kernel_model(DISK)

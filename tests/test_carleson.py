@@ -104,6 +104,17 @@ class TestConfigAndGrid:
             else:
                 assert gp.level_index == -1 and gp.ray_index == -1
 
+    @pytest.mark.parametrize("spec", [DISK, unit_ball(2), ELL12], ids=["disk", "ball2", "ELL12"])
+    def test_deltas_are_the_single_point_distances(self, spec):
+        # build_grid takes every delta from one boundary_distance_batch call;
+        # each must be the one-point distance of its own point, bit for bit,
+        # and a Python float
+        grid = build_grid(spec, FAST)
+        assert {gp.kind for gp in grid} == {"ray", "interior"}
+        for gp in grid:
+            assert type(gp.delta) is float
+            assert gp.delta == domains.boundary_distance(spec, gp.point), gp
+
     def test_disk_ray_deltas_match_levels(self):
         grid = build_grid(DISK, FAST)
         for gp in grid:
@@ -449,23 +460,52 @@ def report():
     return carleson_test(DISK, model, mu, FAST)
 
 
+CRITERIA = ("berezin", "geometric", "operator")
+
+
 class TestEmitters:
+    def test_traces_in_fixed_order(self, report):
+        assert [t.name for t in report.traces] == list(CRITERIA)
+        assert all(t is getattr(report, t.name) for t in report.traces)
+
+    def test_level_sups_take_the_ray_points_only(self, report):
+        # interior points belong to no dyadic level: here some carry more
+        # than the last level's rays, so an interior point taken as level -1
+        # would raise that level's sup
+        interior = np.array([gp.kind == "interior" for gp in report.grid])
+        for trace in report.traces:
+            sups = np.zeros(FAST.levels)
+            for gp, value in zip(report.grid, trace.values):
+                if gp.kind == "ray":
+                    sups[gp.level_index] = max(sups[gp.level_index], value)
+            assert trace.values[interior].max() > sups[-1]
+            np.testing.assert_array_equal(trace.per_level, sups)
+            assert trace.sup == trace.values.max()
+
     def test_point_rows_shape(self, report):
         header, rows = report_point_rows(report)
         assert header[:3] == ["criterion", "index", "kind"]
-        assert len(rows) == 3 * len(report.grid)
-        assert {row[0] for row in rows} == {"berezin", "geometric", "operator"}
+        n = len(report.grid)
+        assert [row[0] for row in rows] == [name for name in CRITERIA for _ in range(n)]
+        for k, trace in enumerate(report.traces):
+            values = [row[header.index("value")] for row in rows[k * n : (k + 1) * n]]
+            np.testing.assert_array_equal(values, trace.values)
 
     def test_level_rows_match_traces(self, report):
         header, rows = report_level_rows(report)
+        assert header[2:] == [f"{name}_sup" for name in CRITERIA]
         assert len(rows) == FAST.levels
         for j, row in enumerate(rows):
-            assert float(row[2]) == report.berezin.per_level[j]
+            assert row[2:] == [t.per_level[j] for t in report.traces]
 
     def test_summary_fields(self, report):
         s = report_summary(report)
         assert s["measure"] == "pair"
-        assert set(s["verdicts"]) == {"berezin", "geometric", "operator"}
+        assert list(s["verdicts"]) == list(CRITERIA)
+        assert list(s["sups"]) == list(CRITERIA)
+        for trace in report.traces:
+            assert s["verdicts"][trace.name] == trace.verdict
+            assert s["sups"][trace.name] == trace.sup
         assert s["grid_points"] == len(report.grid)
         assert len(s["dictionary"]) == FAST.dictionary_polynomials
 

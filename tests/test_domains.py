@@ -143,6 +143,19 @@ class TestProjection:
             assert abs(defining_value(ELL12, res.point)) < 1e-9
             assert np.linalg.norm(res.point - q) == pytest.approx(res.distance, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "axes, q",
+        [((1.0, 1.0), (0.003, 0.7)), ((1.0, 1.0), (0.01, 0.5)), ((1.0, 2.0), (0.003, 1.3))],
+    )
+    def test_ellipsoid_projection_near_the_steep_end(self, axes, q):
+        # on {|z1/a1|^4 + |z2/a2|^4 < 1} the nearest point from q lies within
+        # ~1e-9 of x2 = a2, where x1(x2) is steep; the projection must come
+        # out no farther than the boundary point above q
+        spec = complex_ellipsoid((2, 2), axes)
+        x2 = axes[1] * (1.0 - (q[0] / axes[0]) ** 4) ** 0.25
+        explicit = abs(x2 - q[1])
+        assert project_to_level(spec, np.array(q, dtype=complex)).distance <= explicit + 1e-15
+
     def test_ellipsoid_anchor_axis_tie(self):
         res = project_to_level(ELL12, [0.0, 0.0])
         assert res.distance == pytest.approx(1.0)
@@ -379,9 +392,10 @@ class TestHalton:
         assert _run_python(code) == "[False, False]"
 
     def test_scipy_optimize_loads_only_where_a_solver_runs(self, tmp_path):
-        # closed-form depths and ray roots on the models and the oracle's
-        # covers on ELL12 run no solver; domain-info on ELL12 projects the
-        # anchor onto the boundary, which does
+        # closed-form depths and ray roots on the models, the oracle's covers
+        # on ELL12 and the golden-section projection of domain-info on ELL12
+        # run no solver; frame on ELL12 takes its last slice distance from
+        # line_level_distance, which does
         for name, spec in (("disk", DISK), ("ball2", BALL2), ("ell12", ELL12)):
             save_spec(spec, tmp_path / f"{name}.json")
         out = tmp_path / "out"
@@ -393,13 +407,16 @@ runs = [
     ["thm42", "--domain", "ball2.json", "--samples", "4096", "--degree", "4"],
     ["cover", "--domain", "ell12.json", "--samples", "500"],
     ["domain-info", "--domain", "ell12.json"],
+    ["frame", "--domain", "ell12.json", "--point", "0.1,0,0.2,0"],
 ]
 for argv in runs:
     assert cli.main([*argv, "--out", {str(out)!r}]) == 0
     print(argv[0], "scipy.optimize" in sys.modules, file=sys.stderr)
 """
         lines = _run_python(code, cwd=tmp_path, stream="stderr").splitlines()
-        assert lines == ["carleson False", "thm42 False", "cover False", "domain-info True"]
+        assert lines == [
+            "carleson False", "thm42 False", "cover False", "domain-info False", "frame True"
+        ]
 
 
 def _run_python(code: str, cwd=None, stream: str = "stdout") -> str:

