@@ -4,9 +4,9 @@ print the verdict table.
 
 The gallery spans the verdict space: normalized Lebesgue, three weighted
 packings (separation 0.3/0.5/0.8), two unit-weight dyadic rays, a boundary
-cluster, the two truncated density measures, and a single atom.  The dict(1)
-column is the largest polynomial quotient of criterion (1); for Lebesgue,
-where every quotient is exactly 1, it is max |q - 1| instead.
+cluster, the two truncated density measures, and a single atom.  The
+ratio(1) column is lambda(d_top) / lambda(d_{levels-4}), the growth of
+criterion (1)'s ladder over the four levels its verdict reads.
 
 With --seeds the gallery is built and tested once per seed (suite and
 config alike), and the table counts, per measure and criterion, how many
@@ -21,8 +21,6 @@ import argparse
 import sys
 import time
 from collections import Counter
-
-import numpy as np
 
 from carleson_lab import bergman, carleson, domains, sequences
 
@@ -77,21 +75,17 @@ def main(argv=None) -> int:
         return verdict_counts(spec, model, args.seeds, args.r)
 
     print(f"{'measure':18s} {'berezin':13s} {'geometric':13s} {'operator':13s} "
-          f"{'sup(2)':>10s} {'sup(3)':>10s} {'dict(1)':>10s}  agree")
+          f"{'sup(2)':>10s} {'sup(3)':>10s} {'ratio(1)':>10s}  agree")
     t0 = time.monotonic()
     agree_all = True
     for name, rep in gallery(spec, model, args.seed, args.r):
         agree = rep.berezin.verdict == rep.geometric.verdict
         agree_all &= agree
-        op_diff = float(np.max(np.abs(rep.operator.values - rep.berezin.values)))
-        assert op_diff <= 1e-12, f"operator/berezin identity broken on {name}: {op_diff}"
-        quotients = np.array([e.quotient for e in rep.dictionary])
-        # every quotient is exactly 1 for nu, so its row shows the estimator's error
-        dict_col = np.abs(quotients - 1.0).max() if name == "lebesgue" else quotients.max()
+        lam = rep.operator.per_level
         print(f"{name:18s} {rep.berezin.verdict:13s} {rep.geometric.verdict:13s} "
               f"{rep.operator.verdict:13s} {rep.berezin.sup:10.4g} {rep.geometric.sup:10.4g} "
-              f"{dict_col:10.4g}  {agree}")
-    print("\ndict(1): largest dictionary quotient; on the lebesgue row, max |q - 1|")
+              f"{lam[-1] / lam[-4]:10.4g}  {agree}")
+    print("\nratio(1): lambda(d_top) / lambda(d_{levels-4}) of criterion (1)'s ladder")
     print(f"all verdicts agree: {agree_all}   ({time.monotonic() - t0:.1f}s)")
     return 0 if agree_all else 1
 

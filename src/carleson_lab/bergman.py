@@ -20,7 +20,7 @@ from scipy import special
 from . import domains, geometry, kobayashi, measures
 from .domains import DomainSpec, as_point
 from .errors import CapabilityError, InputError, NumericError, TruncationError
-from .measures import DensityMeasure, Estimate, mean_estimate
+from .measures import DensityMeasure, Estimate, NuBase, mean_estimate
 from .polynomials import HoloPolynomial, poly_eval
 
 
@@ -78,14 +78,6 @@ def moment(table: MomentTable, alpha) -> float:
     if len(alpha) != table.dim or any(a < 0 for a in alpha) or sum(alpha) > table.degree:
         raise InputError(f"multi-index {alpha} outside table of degree {table.degree}")
     return float(table.values[alpha])
-
-
-def norm_sq(poly: HoloPolynomial, table: MomentTable) -> float:
-    """Exact squared A^2 norm sum |c_alpha|^2 m_alpha (orthogonal monomials)."""
-    total = 0.0
-    for alpha, c in poly.coeffs.items():
-        total += abs(c) ** 2 * moment(table, alpha)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -302,38 +294,36 @@ def reproduce_check(model: KernelModel, poly: HoloPolynomial, z, points: np.ndar
 # Berezin transform
 
 
-def berezin_many(model: KernelModel, mu, zs, base: np.ndarray | None = None) -> list[Estimate]:
+def berezin_many(model: KernelModel, mu, zs, base: NuBase | None = None) -> list[Estimate]:
     """Berezin transform at several points sharing one base sample: the
     operator quotient at f = k_z, whose A^2 norm is 1.
 
-    ``base`` is a nu-uniform sample of D, shape (samples, n), that the caller
-    draws.  On the disk and ball a density is pulled back through the
-    automorphism, base point by base point ("mobius", variance-free for the
-    Lebesgue density): per z, the density of each block of _BLOCK
-    pulled-back points (domains._blocks) fills one array, whose mean and
-    standard error are those of a whole-base pass, bit for bit.  Otherwise
-    measures.square_integrals integrates |k_z|^2: the exact sum over atoms,
-    which ignore the base, or the mean of nu(D) * density * |k_z|^2 over the
-    base ("qmc"), with kernel_row taking the whole base in its own chunks.
+    ``base`` is a measures.NuBase that the caller draws.  On the disk and
+    ball a density is pulled back through the automorphism, base point by
+    base point ("mobius", variance-free for the Lebesgue density): per z,
+    the density of each block of _BLOCK pulled-back points (domains._blocks)
+    fills one array, whose mean and standard error are those of a whole-base
+    pass, bit for bit.  Otherwise measures.square_integrals integrates
+    |k_z|^2 ("atomic" or "qmc"), kernel_row taking the base in its own chunks.
     """
     spec = model.spec
     zs = np.atleast_2d(np.asarray(zs, dtype=complex))
     if isinstance(mu, DensityMeasure):
-        measures._check_base(base, spec.dim)
+        measures._check_base(getattr(base, "points", None), spec.dim)
         if spec.kind in ("disk", "ball"):
             out = []
-            vals = np.empty(len(base))
+            vals = np.empty(len(base.points))
             for z in zs:
                 phi = kobayashi.mobius_translation(spec, z)
-                for block in domains._blocks(len(base)):
-                    vals[block] = mu.density(phi(base[block]))
+                for block in domains._blocks(len(vals)):
+                    vals[block] = mu.density(phi(base.points[block]))
                 out.append(mean_estimate(vals, "mobius"))
             return out
     kernels = [functools.partial(normalized_kernel, model, z) for z in zs]
-    return measures.square_integrals(mu, kernels, base, nu_volume(spec))
+    return measures.square_integrals(mu, kernels, base)
 
 
-def berezin(model: KernelModel, mu, z, base: np.ndarray | None = None) -> Estimate:
+def berezin(model: KernelModel, mu, z, base: NuBase | None = None) -> Estimate:
     return berezin_many(model, mu, as_point(model.spec, z)[None, :], base)[0]
 
 

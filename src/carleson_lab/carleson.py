@@ -14,9 +14,8 @@ direction.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,8 +23,8 @@ from . import bergman, domains, geometry, kobayashi, measures, tables
 from .bergman import KernelModel
 from .domains import DomainSpec, as_point
 from .errors import ConfigError, InputError, ResourceError
-from .measures import DensityMeasure
-from .polynomials import HoloPolynomial, poly_eval, random_polynomial
+from .measures import AtomicMeasure, DensityMeasure, NuBase
+from .polynomials import HoloPolynomial, poly_eval
 
 BOUNDED = "Bounded"
 DIVERGING = "Diverging"
@@ -55,8 +54,6 @@ class CarlesonConfig:
     seed: int = 0
     berezin_samples: int = 1 << 16
     mass_samples: int = 1 << 14
-    dictionary_polynomials: int = 8
-    polynomial_degree: int = 6
 
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
@@ -140,7 +137,7 @@ def verdict_from_levels(per_level_sup) -> str:
 @dataclass(frozen=True)
 class CriterionTrace:
     name: str
-    values: np.ndarray  # per grid point
+    values: np.ndarray  # per grid point; per dyadic level for criterion (1)
     stderr: np.ndarray  # zeros when exact
     per_level: np.ndarray  # sup over ray points of each dyadic level
     sup: float
@@ -171,13 +168,13 @@ def _trace(
 # criterion (2): Berezin transform on the grid
 
 
-def nu_uniform_base(spec: DomainSpec, mu, config: CarlesonConfig) -> np.ndarray | None:
-    """The one nu-uniform sample of D that criteria (1) and (2) integrate a
-    density over: config.berezin_samples quasi_uniform points drawn from
-    config.seed.  Atoms need none."""
+def nu_uniform_base(spec: DomainSpec, mu, config: CarlesonConfig) -> NuBase | None:
+    """The one nu-uniform sample of D, and the density on it, that criteria (1) and (2)
+    integrate over: config.berezin_samples quasi_uniform points of config.seed."""
     if not isinstance(mu, DensityMeasure):
         return None
-    return domains.quasi_uniform(spec, config.berezin_samples, seed=config.seed)
+    points = domains.quasi_uniform(spec, config.berezin_samples, seed=config.seed)
+    return NuBase(points, bergman.nu_volume(spec) * mu.density(points))
 
 
 def criterion_berezin(
@@ -185,7 +182,7 @@ def criterion_berezin(
     mu,
     grid: list[GridPoint],
     config: CarlesonConfig,
-    base: np.ndarray | None,
+    base: NuBase | None,
 ) -> CriterionTrace:
     zs = np.array([gp.point for gp in grid])
     estimates = bergman.berezin_many(model, mu, zs, base)
@@ -224,50 +221,82 @@ def criterion_geometric(
 
 
 # ---------------------------------------------------------------------------
-# criterion (1): embedding quotients over a test dictionary
+# criterion (1): the embedding norm on polynomials, by Rayleigh-Ritz
+#
+# Products are einsums and the top eigenvalue comes from Lanczos: after a threaded
+# BLAS or LAPACK call OpenBLAS's worker spins for about 0.1 s of CPU, more than this
+# criterion takes on most measures.  An atomic Gram of over 2^23 products is a matmul.
 
 
-@dataclass(frozen=True)
-class DictionaryEntry:
-    label: str
-    quotient: float
+def operator_ladder(dim: int, levels: int) -> list[int]:
+    """Degree d_j of level j: round(d_top 2^(-(levels - 1 - j)/2)), at least 1,
+    with d_top the largest degree <= 64 with at most 325 = C(24 + 2, 2)
+    monomials: 64 on the disk, 24 in C^2, 10 in C^3."""
+    top = max(d for d in range(65) if math.comb(d + dim, dim) <= 325)
+    return [max(1, round(top * 2.0 ** (-(levels - 1 - j) / 2))) for j in range(levels)]
 
 
-def criterion_operator(
-    spec: DomainSpec,
-    mu,
-    config: CarlesonConfig,
-    berezin_trace: CriterionTrace,
-    base: np.ndarray | None,
-) -> tuple[CriterionTrace, list[DictionaryEntry]]:
-    """Sup of integral |f|^2 dmu / ||f||^2 over normalized kernels at the grid
-    points and random polynomials.
+def _top_eigenvalue(g: np.ndarray) -> float:
+    """Largest eigenvalue of the Hermitian positive semidefinite g by Lanczos with
+    full reorthogonalization from a fixed random start, until the top Ritz value stalls."""
+    x = np.random.default_rng(0).standard_normal(len(g))
+    q = np.zeros((len(g) + 1, len(g)), dtype=complex)
+    q[0] = x / np.linalg.norm(x)
+    diag, off, theta = [], [], -np.inf
+    for j in range(len(g)):
+        w = np.einsum("ab,b->a", g, q[j])
+        diag.append(np.vdot(q[j], w).real)
+        for _ in range(2):  # twice is enough
+            w -= np.einsum("jb,j->b", q[: j + 1], np.einsum("jb,b->j", q[: j + 1].conj(), w))
+        ritz = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        last, theta = theta, ritz[-1]
+        off.append(np.linalg.norm(w))
+        if theta - last <= 1e-15 * theta or off[-1] <= 1e-15 * theta or j + 1 == len(g):
+            return float(theta)
+        q[j + 1] = w / off[-1]
 
-    For f = k_{z0} the quotient IS the Berezin transform (||k_{z0}|| = 1 by the
-    reproducing identity), so the trace is criterion (2)'s, renamed, with its
-    sup raised to the largest polynomial quotient.  The polynomials'
-    integrals come from measures.square_integrals on the nu-uniform ``base``
-    of criterion (2) (nu_uniform_base), weighted by nu(D) = bergman.nu_volume;
-    their norms come from the moment table of the dictionary degree.
-    """
-    table = bergman.moments(spec, config.polynomial_degree)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(202,)))
-    polys = [
-        random_polynomial(spec.dim, config.polynomial_degree, rng)
-        for _ in range(config.dictionary_polynomials)
-    ]
-    integrals = measures.square_integrals(
-        mu, [functools.partial(poly_eval, poly) for poly in polys], base, bergman.nu_volume(spec)
-    )
-    entries = [
-        DictionaryEntry(label=f"poly{k}", quotient=est.value / bergman.norm_sq(poly, table))
-        for k, (poly, est) in enumerate(zip(polys, integrals))
-    ]
-    poly_sup = max((e.quotient for e in entries), default=0.0)
-    trace = replace(
-        berezin_trace, name="operator", sup=float(max(berezin_trace.sup, poly_sup))
-    )
-    return trace, entries
+
+def criterion_operator(spec: DomainSpec, mu, config: CarlesonConfig, base: NuBase | None) -> CriterionTrace:
+    """lambda(d_j) per dyadic level j, d_j from operator_ladder.  lambda(d), the
+    top eigenvalue of G[a, b] = integral e_a conj(e_b) dmu, |a|, |b| <= d, for
+    the monomials e_a = z^a / sqrt(m_a), orthonormal in A^2 on every Reinhardt
+    model, is the sup of integral |f|^2 dmu / ||f||^2 over the polynomials of
+    degree <= d: a lower bound of the squared norm of A^2 -> L^2(mu), never
+    decreasing in d.  By total degree every rung is a leading block of one G.
+    Atoms: G = V^H W V, over blocks of atoms.  A density: the diagonal, on the
+    shared ``base``, as max_a G[a, a] <= lambda(d), equal for Reinhardt-invariant
+    densities (every catalog one); a Monte Carlo G would be biased upward."""
+    n, degrees = spec.dim, operator_ladder(spec.dim, config.levels)
+    sizes, size = [math.comb(d + n, n) for d in degrees], degrees[-1] + 1
+    alpha = np.indices((size,) * n).reshape(n, -1).T  # by total degree, |alpha| <= d_top
+    alpha = alpha[np.argsort(alpha.sum(axis=1), kind="stable")][: sizes[-1]]
+    m = bergman.moments(spec, degrees[-1]).values[tuple(alpha.T)]
+    if isinstance(mu, AtomicMeasure):
+        gram, large = np.zeros((len(m), len(m)), dtype=complex), mu.count * len(m) ** 2 > 1 << 23
+        step = max(1, bergman._EVAL_ENTRIES // len(m))  # no (atoms x basis) array whole
+        for start in range(0, mu.count, step):
+            v = 1.0 / np.sqrt(m)
+            for i, col in enumerate(mu.points[start : start + step].T):
+                v = v * np.vander(col, size, increasing=True)[:, alpha[:, i]]
+            wv = mu.weights[start : start + step, None] * v
+            gram += v.conj().T @ wv if large else np.einsum("ka,kb->ab", v.conj(), wv)
+        lam, stderr = np.array([_top_eigenvalue(gram[:p, :p]) for p in sizes]), np.zeros(len(sizes))
+    else:
+        measures._check_base(getattr(base, "points", None), n)
+        sums = 0.0
+        for block in domains._blocks(len(base.points)):
+            t = np.abs(base.points[block]) ** 2
+            *tables, last = [np.vander(col, size, increasing=True) for col in t.T]
+            lead = base.weight[block, None]
+            for v in tables:
+                lead = (lead[:, :, None] * v[:, None, :]).reshape(len(lead), -1)
+            sums = sums + np.einsum("ka,kb->ab", lead, last)
+        diag = sums.reshape((size,) * n)[tuple(alpha.T)] / len(base.points) / m
+        best = [int(np.argmax(diag[:p])) for p in sizes]
+        fs = [lambda z, a=alpha[b], s=math.sqrt(m[b]): np.prod(np.abs(z) ** a, axis=1) / s for b in best]
+        lam = diag[best]
+        stderr = np.array([e.stderr for e in measures.square_integrals(mu, fs, base)])
+    return CriterionTrace("operator", lam, stderr, lam, float(lam[-1]), verdict_from_levels(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +309,6 @@ class CarlesonReport:
     berezin: CriterionTrace
     geometric: CriterionTrace
     operator: CriterionTrace
-    dictionary: list[DictionaryEntry]
     config: CarlesonConfig
     measure_label: str
 
@@ -295,17 +323,8 @@ def carleson_test(spec: DomainSpec, model: KernelModel, mu, config: CarlesonConf
     base = nu_uniform_base(spec, mu, config)
     c2 = criterion_berezin(model, mu, grid, config, base)
     c3 = criterion_geometric(spec, mu, grid, config)
-    c1, entries = criterion_operator(spec, mu, config, c2, base)
-    label = getattr(mu, "label", type(mu).__name__)
-    return CarlesonReport(
-        grid=grid,
-        berezin=c2,
-        geometric=c3,
-        operator=c1,
-        dictionary=entries,
-        config=config,
-        measure_label=label,
-    )
+    c1 = criterion_operator(spec, mu, config, base)
+    return CarlesonReport(grid, c2, c3, c1, config, getattr(mu, "label", type(mu).__name__))
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +504,12 @@ def submean_check(
 
 
 def report_point_rows(report: CarlesonReport) -> tuple[list[str], list[list]]:
-    """One row per grid point per criterion (a tables.write table)."""
+    """One row per grid point for criteria (2) and (3), a tables.write table."""
     n = report.grid[0].point.shape[0] if report.grid else 0
     header = ["criterion", "index", "kind", "level_index", "level_value", "delta"]
     header += tables.coord_header(n) + ["value", "stderr", "lower"]
     rows: list[list] = []
-    for trace in report.traces:
+    for trace in (report.berezin, report.geometric):
         for idx, gp in enumerate(report.grid):
             lower = trace.lower[idx] if trace.lower is not None else float("nan")
             rows.append(
@@ -512,6 +531,8 @@ def report_level_rows(report: CarlesonReport) -> tuple[list[str], list[list]]:
 def report_summary(report: CarlesonReport) -> dict:
     from . import __version__
 
+    n = report.grid[0].point.shape[0]
+    degrees = operator_ladder(n, report.config.levels)
     return {
         "version": __version__,
         "measure": report.measure_label,
@@ -519,8 +540,9 @@ def report_summary(report: CarlesonReport) -> dict:
         "verdicts": {t.name: t.verdict for t in report.traces},
         "sups": {t.name: float(t.sup) for t in report.traces},
         "constants": {"C": float(report.berezin.sup), "C_r": float(report.geometric.sup)},
-        "dictionary": [
-            {"label": e.label, "quotient": float(e.quotient)} for e in report.dictionary
-        ],
+        "operator_ladder": {
+            "degrees": degrees, "basis_sizes": [math.comb(d + n, n) for d in degrees],
+            "lambda": report.operator.per_level.tolist(), "stderr": report.operator.stderr.tolist(),
+        },
         "grid_points": len(report.grid),
     }

@@ -68,7 +68,7 @@ def _build_parser() -> _Parser:
     common(sp, measure=True, r=0.3, samples=1 << 16)
 
     sp = sub.add_parser("carleson", help="three-criteria Carleson test")
-    common(sp, measure=True, r=0.3, degree=6, samples=1 << 16)
+    common(sp, measure=True, r=0.3, samples=1 << 16)
 
     sp = sub.add_parser("cover", help="greedy Kobayashi ball cover")
     common(sp, r=0.3, samples=12000)
@@ -82,7 +82,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--level", type=float, default=0.02, help="core level floor")
 
     sp = sub.add_parser("thm42", help="sequence-measure Carleson pipeline")
-    common(sp, r=0.3, degree=6, samples=1 << 16)
+    common(sp, r=0.3, samples=1 << 16)
     sp.add_argument("--points", default=None, help="sequence CSV (default: packed)")
     sp.add_argument("--sep", type=float, default=0.5, help="packing separation when generating")
     return p
@@ -243,12 +243,7 @@ def _cmd_berezin(args, spec, out) -> int:
 def _cmd_carleson(args, spec, out) -> int:
     mu = _resolve_measure(spec, args.measure, seed=args.seed)
     model = bergman.kernel_model(spec)
-    config = carleson.CarlesonConfig(
-        r=args.r,
-        seed=args.seed,
-        berezin_samples=args.samples,
-        polynomial_degree=args.degree,
-    )
+    config = carleson.CarlesonConfig(r=args.r, seed=args.seed, berezin_samples=args.samples)
     report = carleson.carleson_test(spec, model, mu, config)
     header, rows = carleson.report_point_rows(report)
     tables.write(os.path.join(out, "carleson_points.csv"), header, rows)
@@ -335,10 +330,7 @@ def _cmd_pack(args, spec, out) -> int:
 
 
 def _cmd_thm42(args, spec, out) -> int:
-    config = carleson.CarlesonConfig(
-        r=args.r, seed=args.seed, berezin_samples=args.samples,
-        polynomial_degree=args.degree,
-    )
+    config = carleson.CarlesonConfig(r=args.r, seed=args.seed, berezin_samples=args.samples)
     if args.points:
         gamma = sequences.sequence_from_csv(spec, args.points, label="loaded")
     else:
@@ -355,10 +347,7 @@ def _cmd_thm42(args, spec, out) -> int:
         "parts": report.part_count,
         "max_ball_count": report.max_ball_count,
     }
-    summary["statement3"] = {
-        "kernel_sup": report.statement3_kernel_sup,
-        "poly_sup": report.statement3_poly_sup,
-    }
+    summary["statement3"] = {"sup": report.statement3_sup}
     summary["verdicts_agree"] = report.verdicts_agree
     _write_json(os.path.join(out, "thm42_summary.json"), summary)
     header, rows = carleson.report_level_rows(report.carleson)

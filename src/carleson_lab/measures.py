@@ -6,8 +6,8 @@ Lebesgue measure is the constant density 1.  An integral against a measure
 is an Estimate: exact for atomic measures, a seeded Monte Carlo mean with
 its standard error for densities (mean_estimate).  square_integrals
 integrates |f|^2, the numerator of the operator quotient, over a nu-uniform
-base of D; mass evaluates the measure of a polydisk on a unit-polydisk base sample that
-the caller draws once and maps into every polydisk.
+base of D (a NuBase); mass evaluates the measure of a polydisk on a
+unit-polydisk base sample that the caller draws once and maps into every polydisk.
 """
 
 from __future__ import annotations
@@ -119,17 +119,23 @@ def mean_estimate(vals: np.ndarray, method: str, scale: float = 1.0) -> Estimate
     return Estimate(value, stderr, samples, method)
 
 
+@dataclass(frozen=True)
+class NuBase:
+    """A caller's nu-uniform sample of D and weight = nu(D) * density on it."""
+
+    points: np.ndarray
+    weight: np.ndarray
+
+
 def _check_base(base: np.ndarray | None, n: int) -> None:
     if base is None or base.ndim != 2 or base.shape[1] != n:
         raise InputError(f"a density needs a base sample of shape (samples, {n})")
 
 
-def square_integrals(mu, fs, base: np.ndarray | None, volume: float) -> list[Estimate]:
+def square_integrals(mu, fs, base: NuBase | None) -> list[Estimate]:
     """Integral of |f|^2 dmu for every f in ``fs``, each a function of a point
     batch: the exact sum of w_k |f(z_k)|^2 over the atoms, or the mean of
-    volume * density * |f|^2 over ``base`` ("qmc").  ``base`` is a nu-uniform
-    sample of D that the caller draws and volume is nu(D); the density is
-    evaluated on the base once for all of ``fs``.  Atoms ignore both."""
+    weight * |f|^2 over the points of ``base`` ("qmc").  Atoms ignore it."""
     if isinstance(mu, AtomicMeasure):
         return [
             Estimate(float(np.sum(mu.weights * np.abs(f(mu.points)) ** 2)), 0.0, 0, "atomic")
@@ -137,8 +143,7 @@ def square_integrals(mu, fs, base: np.ndarray | None, volume: float) -> list[Est
         ]
     if not isinstance(mu, DensityMeasure):
         raise InputError(f"unsupported measure type {type(mu).__name__}")
-    weight = volume * mu.density(base)
-    return [mean_estimate(weight * np.abs(f(base)) ** 2, "qmc") for f in fs]
+    return [mean_estimate(base.weight * np.abs(f(base.points)) ** 2, "qmc") for f in fs]
 
 
 def mass(spec: DomainSpec, mu, region: Polydisk, base: np.ndarray | None = None) -> Estimate:

@@ -209,8 +209,7 @@ class Thm42Report:
     gamma: SequenceSet
     measure: AtomicMeasure
     carleson: CarlesonReport
-    statement3_kernel_sup: float
-    statement3_poly_sup: float
+    statement3_sup: float
     part_count: int
     max_ball_count: int
     separation: float
@@ -221,14 +220,10 @@ def thm42_pipeline(
     spec: DomainSpec, model: KernelModel, gamma: SequenceSet, config: CarlesonConfig
 ) -> Thm42Report:
     """Weighted-measure Carleson test plus the sequence-side statement (3):
-    sup_f sum_k w_k |f(z_k)|^2 / ||f||^2 over the same dictionary.  For the
-    atomic sequence measure these sums are the operator criterion's exact
-    quotients, so the kernel sup is the largest operator value and the
-    polynomial sup the largest dictionary quotient."""
+    sup_f sum_k w_k |f(z_k)|^2 / ||f||^2 over the polynomials of degree <= d_top,
+    which is exactly criterion (1)'s top rung lambda(d_top) for this measure."""
     mu = sequence_measure(spec, gamma)
     report = carleson_test(spec, model, mu, config)
-    kernel_sup = float(report.operator.values.max())
-    poly_sup = max((e.quotient for e in report.dictionary), default=0.0)
 
     parts = greedy_decompose(spec, gamma, config.r)
     m_max = max_count_in_ball(spec, config.r, gamma)
@@ -236,8 +231,7 @@ def thm42_pipeline(
         gamma=gamma,
         measure=mu,
         carleson=report,
-        statement3_kernel_sup=kernel_sup,
-        statement3_poly_sup=poly_sup,
+        statement3_sup=report.operator.sup,
         part_count=len(parts),
         max_ball_count=m_max,
         separation=separation(spec, gamma),

@@ -15,7 +15,6 @@ from carleson_lab.bergman import (
     kernel_row,
     moment,
     moments,
-    norm_sq,
     normalized_kernel,
     offdiagonal_lowerbound_check,
     reinhardt_series_model,
@@ -36,6 +35,12 @@ DISK = unit_disk()
 BALL2 = unit_ball(2)
 BALL3 = unit_ball(3)
 ELL12 = complex_ellipsoid((1, 2), (1.0, 1.0))
+
+
+def _nu_base(spec, mu, count, seed):
+    """The quasi_uniform base of count points from seed, weighted by mu."""
+    points = domains.quasi_uniform(spec, count, seed=seed)
+    return measures.NuBase(points, bergman.nu_volume(spec) * mu.density(points))
 
 
 def _gamma_moment(exponents, axes, alpha):
@@ -121,12 +126,6 @@ class TestMoments:
         )
         with pytest.raises(CapabilityError):
             moments(poly, 2)
-
-    def test_norm_sq(self):
-        tab = moments(DISK, 4)
-        assert abs(norm_sq(HoloPolynomial(dim=1, coeffs={(3,): 1.0}), tab) - 0.25) < 1e-12
-        p = HoloPolynomial(dim=1, coeffs={(0,): 2.0, (1,): 1j})
-        assert abs(norm_sq(p, tab) - (4.0 + 0.5)) < 1e-12
 
 
 class TestKernelModels:
@@ -385,7 +384,7 @@ class TestBerezin:
         # pulled back through the automorphism the density is constant, so the
         # estimator has zero variance and returns exactly 1
         model = kernel_model(DISK)
-        base = domains.quasi_uniform(DISK, 1 << 10, seed=1)
+        base = _nu_base(DISK, lebesgue_measure(), 1 << 10, seed=1)
         for z in (0.0, 0.3, 0.9, 0.5j):
             est = berezin(model, lebesgue_measure(), z, base)
             assert est.method == "mobius"
@@ -396,7 +395,7 @@ class TestBerezin:
         # path with the series kernel; the ball itself takes the Mobius path
         mu = DensityMeasure(lambda p: np.abs(p[:, 0]) ** 2 + 0.5, label="smooth")
         z = np.array([0.3, 0.2j])
-        base = domains.quasi_uniform(BALL2, 1 << 16, seed=11)
+        base = _nu_base(BALL2, mu, 1 << 16, seed=11)
         mob = berezin(kernel_model(BALL2), mu, z, base)
         qmc = berezin(kernel_model(complex_ellipsoid((1, 1))), mu, z, base)
         assert (mob.method, qmc.method) == ("mobius", "qmc")
@@ -405,7 +404,7 @@ class TestBerezin:
 
     def test_ellipsoid_lebesgue_near_one(self):
         model = kernel_model(ELL12)
-        base = domains.quasi_uniform(ELL12, 1 << 16, seed=2)
+        base = _nu_base(ELL12, lebesgue_measure(), 1 << 16, seed=2)
         est = berezin(model, lebesgue_measure(), np.array([0.1, 0.3]), base)
         assert est.method == "qmc"
         assert abs(est.value - 1.0) < 4.0 * est.stderr
@@ -415,7 +414,7 @@ class TestBerezin:
         # the iid stderr
         model = kernel_model(ELL12)
         zs = np.array([[0.1, 0.3], [0.3, 0.2], [0.0, 0.4], [0.4, 0.0]])
-        base = domains.quasi_uniform(ELL12, 1 << 16, seed=0)
+        base = _nu_base(ELL12, lebesgue_measure(), 1 << 16, seed=0)
         for est in berezin_many(model, lebesgue_measure(), zs, base):
             assert abs(est.value - 1.0) <= 1e-3
 
@@ -423,7 +422,7 @@ class TestBerezin:
         # 1 - delta is defined on D only; the estimator must not evaluate it
         # outside (boundary_distance raises there)
         mu = density_catalog(ELL12)["one_minus_delta"]
-        base = domains.quasi_uniform(ELL12, 1 << 9, seed=0)
+        base = _nu_base(ELL12, mu, 1 << 9, seed=0)
         est = berezin(kernel_model(ELL12), mu, (0.1, 0.3), base)
         assert est.method == "qmc"
         assert 0.0 < est.value < 1.0
@@ -433,7 +432,7 @@ class TestBerezin:
         model = kernel_model(ELL12)
         mu = lebesgue_measure()
         zs = np.array([[0.1, 0.0], [0.5, 0.2], [0.0, 0.6j]])
-        base = domains.quasi_uniform(ELL12, 1 << 12, seed=9)
+        base = _nu_base(ELL12, mu, 1 << 12, seed=9)
         ests = berezin_many(model, mu, zs, base)
         singles = [berezin(model, mu, z, base) for z in zs]
         assert ests == singles
@@ -442,9 +441,9 @@ class TestBerezin:
         # dispatch is automatic: atoms exact, disk/ball Mobius, else qmc
         disk_atoms = atomic_measure(DISK, [0.5], [1.0])
         assert berezin(kernel_model(DISK), disk_atoms, 0.1).method == "atomic"
-        disk_base = domains.quasi_uniform(DISK, 64, seed=0)
+        disk_base = _nu_base(DISK, lebesgue_measure(), 64, seed=0)
         assert berezin(kernel_model(DISK), lebesgue_measure(), 0.1, disk_base).method == "mobius"
-        ell_base = domains.quasi_uniform(ELL12, 64, seed=0)
+        ell_base = _nu_base(ELL12, lebesgue_measure(), 64, seed=0)
         est = berezin(kernel_model(ELL12), lebesgue_measure(), (0.0, 0.0), ell_base)
         assert est.method == "qmc"
         with pytest.raises(InputError, match="unsupported measure type"):
@@ -452,9 +451,12 @@ class TestBerezin:
 
     @pytest.mark.parametrize("spec", [BALL2, ELL12], ids=["ball2", "ell12"])
     def test_density_needs_a_base_of_the_domain_dimension(self, spec):
+        # a bare point array is no base either: the weight is not on it
         model = kernel_model(spec)
-        base = domains.quasi_uniform(spec, 64, seed=0)
-        for bad in (None, base[:, :1], np.hstack([base, base[:, :1]]), base[:, 0]):
+        pts = domains.quasi_uniform(spec, 64, seed=0)
+        weight = np.ones(len(pts))
+        bad_points = (pts[:, :1], np.hstack([pts, pts[:, :1]]), pts[:, 0])
+        for bad in (None, pts, *(measures.NuBase(p, weight) for p in bad_points)):
             with pytest.raises(InputError, match="base sample of shape"):
                 berezin(model, lebesgue_measure(), anchor_point(spec), bad)
 
@@ -468,10 +470,10 @@ class TestBerezin:
             mu = density_catalog(spec)["one_minus_delta"]
             rng = np.random.default_rng(spec.dim)
             zs = np.vstack([0.7 * domains.random_interior(spec, 2, rng), np.zeros((1, spec.dim))])
-            base = domains.quasi_uniform(spec, count, seed=5)
+            base = _nu_base(spec, mu, count, seed=5)
             ests = berezin_many(kernel_model(spec), mu, zs, base)
             for z, est in zip(zs, ests):
-                vals = mu.density(kobayashi.mobius_translation(spec, z)(base))
+                vals = mu.density(kobayashi.mobius_translation(spec, z)(base.points))
                 assert est.value == float(vals.mean())
                 assert est.stderr == float(vals.std(ddof=1)) / math.sqrt(count)
                 assert (est.samples, est.method) == (count, "mobius")
@@ -482,8 +484,9 @@ class TestBerezin:
         model = kernel_model(ELL12)
         mu = DensityMeasure(lambda p: np.abs(p[:, 1]) ** 2 + 0.5, label="smooth")
         z = np.array([0.1, 0.3j])
-        pts = domains.quasi_uniform(ELL12, 1024, seed=4)
-        est = berezin(model, mu, z, pts)
+        base = _nu_base(ELL12, mu, 1024, seed=4)
+        pts = base.points
+        est = berezin(model, mu, z, base)
         dens = moment(model.table, (0, 0)) * mu.density(pts)
         vals = dens * np.abs(normalized_kernel(model, z, pts)) ** 2
         assert est.value == float(vals.mean())
@@ -501,11 +504,11 @@ class TestBerezin:
     def test_density_needs_two_samples(self):
         # one sample has no standard error; atoms ignore the base
         for spec in (DISK, ELL12):
-            base = domains.quasi_uniform(spec, 1, seed=0)
+            base = _nu_base(spec, lebesgue_measure(), 1, seed=0)
             with pytest.raises(InputError, match="samples >= 2"):
                 berezin_many(kernel_model(spec), lebesgue_measure(), [anchor_point(spec)], base)
         atoms = atomic_measure(DISK, [0.5], [1.0])
-        base = domains.quasi_uniform(DISK, 1, seed=0)
+        base = _nu_base(DISK, lebesgue_measure(), 1, seed=0)
         assert berezin(kernel_model(DISK), atoms, 0.1, base).method == "atomic"
 
 

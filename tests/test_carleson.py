@@ -20,6 +20,7 @@ from carleson_lab.carleson import (
     grid_levels,
     kobayashi_cover,
     nu_uniform_base,
+    operator_ladder,
     overlap_count_many,
     report_level_rows,
     report_point_rows,
@@ -42,9 +43,33 @@ FAST = CarlesonConfig(
     interior_points=8,
     berezin_samples=1 << 12,
     mass_samples=1 << 12,
-    dictionary_polynomials=3,
-    polynomial_degree=4,
 )
+
+
+def _monomials(dim, degree):
+    """Multi-indices |alpha| <= degree, written out by total degree."""
+    return [a for k in range(degree + 1) for a in np.ndindex(*(degree + 1,) * dim) if sum(a) == k]
+
+
+def _written_out_gram(spec, mu, degree):
+    """G[a, b] = sum_k w_k e_a(z_k) conj(e_b(z_k)) with e_a = z^a / sqrt(m_a),
+    one atom and one monomial at a time."""
+    table = bergman.moments(spec, degree)
+    alphas = _monomials(spec.dim, degree)
+    v = np.array(
+        [[np.prod(z ** np.array(a)) / math.sqrt(bergman.moment(table, a)) for a in alphas]
+         for z in mu.points]
+    )
+    return (v.T * mu.weights) @ v.conj()
+
+
+def _written_out_diagonal(spec, base, degree):
+    """mean(weight |z^a|^2) / m_a over the base for every |a| <= degree."""
+    table = bergman.moments(spec, degree)
+    return np.array(
+        [np.mean(base.weight * np.prod(np.abs(base.points) ** (2 * np.array(a)), axis=1))
+         / bergman.moment(table, a) for a in _monomials(spec.dim, degree)]
+    )
 
 
 class TestVerdicts:
@@ -82,6 +107,15 @@ class TestConfigAndGrid:
             CarlesonConfig(berezin_samples=1)
         with pytest.raises(ConfigError, match="mass_samples must be >= 2"):
             CarlesonConfig(mass_samples=1)
+
+    def test_operator_ladder(self):
+        # d_top is 64 on the disk, 24 in C^2 (C(26, 2) = 325 monomials) and
+        # 10 in C^3; the rungs fall by sqrt(2) a level
+        assert operator_ladder(1, 7) == [8, 11, 16, 23, 32, 45, 64]
+        assert operator_ladder(2, 7) == [3, 4, 6, 8, 12, 17, 24]
+        assert operator_ladder(3, 4) == [4, 5, 7, 10]
+        assert operator_ladder(1, 4) == [23, 32, 45, 64]
+        assert operator_ladder(2, 16)[:3] == [1, 1, 1]
 
     def test_levels_are_dyadic(self):
         lams = grid_levels(DISK, CarlesonConfig(levels=5))
@@ -146,98 +180,160 @@ class TestCarlesonLebesgue:
         assert report.geometric.lower is not None
         assert np.all(report.geometric.lower <= report.geometric.values + 1e-12)
 
-    def test_operator_equals_berezin_on_kernels(self):
-        # f = normalized kernel: quotient IS the Berezin value, bit for bit
-        model = bergman.kernel_model(DISK)
-        mu = atomic_measure(DISK, [0.3, -0.4j], [1.0, 2.0])
-        report = carleson_test(DISK, model, mu, FAST)
-        np.testing.assert_array_equal(report.operator.values, report.berezin.values)
-
     def test_dictionary_quotients_for_lebesgue(self):
-        # integral |f|^2 dnu / ||f||^2 = 1 up to MC error for every polynomial
+        # the monomials' quotients integral |e_a|^2 dnu / ||e_a||^2 are all
+        # exactly 1 for mu = nu: every rung reads 1 within 3 stderr
         model = bergman.kernel_model(DISK)
         report = carleson_test(DISK, model, lebesgue_measure(), FAST)
-        assert len(report.dictionary) == FAST.dictionary_polynomials
-        for entry in report.dictionary:
-            assert abs(entry.quotient - 1.0) < 0.15
+        assert len(report.operator.per_level) == FAST.levels
+        dev = np.abs(report.operator.per_level - 1.0) - 3.0 * report.operator.stderr
+        assert dev.max() <= 1e-12
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
     @pytest.mark.parametrize(
         "spec", [DISK, domains.unit_ball(2), ELL12], ids=["DISK", "BALL2", "ELL12"]
     )
     def test_dictionary_quotients_for_lebesgue_are_accurate(self, spec, seed):
-        # integral |f|^2 dnu = ||f||^2, so every quotient is exactly 1 for
-        # mu = nu; at the default sample count the quasi-uniform estimate is
-        # within 2e-3
+        # for mu = nu every diagonal entry G[a, a], |a| <= d_top, is 1 within
+        # 3 stderr at the default sample count, and so is each rung's max
         config = CarlesonConfig(seed=seed)
-        model = bergman.kernel_model(spec)
-        anchor = domains.anchor_point(spec)
-        delta = float(domains.boundary_distance(spec, anchor))
-        grid = [GridPoint(anchor, "interior", -1, 0.0, delta, -1)]
         nu = lebesgue_measure()
         base = nu_uniform_base(spec, nu, config)
-        trace = criterion_berezin(model, nu, grid, config, base)
-        _, entries = criterion_operator(spec, nu, config, trace, base)
-        assert len(entries) == config.dictionary_polynomials
-        for entry in entries:
-            assert abs(entry.quotient - 1.0) <= 2e-3
+        top = operator_ladder(spec.dim, config.levels)[-1]
+        table = bergman.moments(spec, top)
+        t = np.abs(base.points) ** 2
+        for a in _monomials(spec.dim, top):
+            vals = base.weight * np.prod(t ** np.array(a), axis=1) / bergman.moment(table, a)
+            assert abs(vals.mean() - 1.0) <= 3.0 * vals.std(ddof=1) / math.sqrt(len(vals)) + 1e-12
+        trace = criterion_operator(spec, nu, config, base)
+        assert np.max(np.abs(trace.per_level - 1.0) - 3.0 * trace.stderr) <= 1e-12
+
+    @pytest.mark.parametrize("spec", [DISK, unit_ball(2), ELL12], ids=["disk", "ball2", "ELL12"])
+    def test_single_atom_is_rank_one(self, spec):
+        # G = w v v^H for one atom w at a, so lambda(d) = w sum |a^alpha|^2 / m_alpha
+        a = 0.6 * domains.anchor_point(spec) + np.linspace(0.3, 0.2j, spec.dim) / spec.dim
+        mu = atomic_measure(spec, a[None, :], [2.5])
+        trace = criterion_operator(spec, mu, CarlesonConfig(), None)
+        degrees = operator_ladder(spec.dim, 7)
+        table = bergman.moments(spec, degrees[-1])
+        for d, lam in zip(degrees, trace.per_level):
+            own = 2.5 * sum(
+                abs(np.prod(a ** np.array(alpha))) ** 2 / bergman.moment(table, alpha)
+                for alpha in _monomials(spec.dim, d)
+            )
+            assert lam == pytest.approx(own, rel=1e-12)
+            if spec is DISK:
+                r2 = abs(a[0]) ** 2
+                assert lam == pytest.approx(2.5 * sum((k + 1) * r2**k for k in range(d + 1)), rel=1e-12)
+        assert trace.verdict == BOUNDED and trace.sup == trace.per_level[-1]
+
+    @pytest.mark.parametrize("spec", [DISK, unit_ball(2), ELL12], ids=["disk", "ball2", "ELL12"])
+    def test_random_polynomial_quotients_stay_below_the_ladder(self, spec):
+        # lambda(d) is the sup of the quotient over P_d: no random polynomial
+        # of degree d beats it, with ||p||^2 = sum |c_alpha|^2 m_alpha
+        rng = np.random.default_rng(4)
+        pts = domains.quasi_interior(spec, 40, seed=2)
+        mu = atomic_measure(spec, pts, rng.uniform(0.1, 2.0, len(pts)))
+        trace = criterion_operator(spec, mu, FAST, None)
+        degrees = operator_ladder(spec.dim, FAST.levels)
+        table = bergman.moments(spec, degrees[-1])
+        for d, lam in zip(degrees, trace.per_level):
+            for _ in range(5):
+                poly = random_polynomial(spec.dim, d, rng)
+                norm = sum(abs(c) ** 2 * bergman.moment(table, a) for a, c in poly.coeffs.items())
+                quotient = float(np.sum(mu.weights * np.abs(poly_eval(poly, mu.points)) ** 2)) / norm
+                assert quotient <= lam * (1.0 + 1e-12)
+        assert np.all(np.diff(trace.per_level) >= -1e-12 * trace.per_level[1:])
 
 
 @pytest.mark.parametrize("spec", [DISK, unit_ball(2)], ids=["disk", "ball2"])
 def test_density_criteria_share_one_nu_uniform_base(spec):
     # criteria (1) and (2) integrate a density over the one quasi_uniform
     # draw of config.seed: the Berezin values are the Mobius means over it
-    # and the dictionary quotients are recomputed on it, bit for bit
+    # and criterion (1)'s diagonal is recomputed on its weight
     mu = density_catalog(spec)["one_minus_delta"]
     model = bergman.kernel_model(spec)
     report = carleson_test(spec, model, mu, FAST)
-    base = domains.quasi_uniform(spec, FAST.berezin_samples, seed=FAST.seed)
+    pts = domains.quasi_uniform(spec, FAST.berezin_samples, seed=FAST.seed)
     for i, gp in enumerate(report.grid):
-        vals = mu.density(kobayashi.mobius_translation(spec, gp.point)(base))
+        vals = mu.density(kobayashi.mobius_translation(spec, gp.point)(pts))
         assert report.berezin.values[i] == float(vals.mean())
-        assert report.berezin.stderr[i] == float(vals.std(ddof=1)) / math.sqrt(len(base))
-    table = bergman.moments(spec, FAST.polynomial_degree)
-    weight = bergman.moment(table, (0,) * spec.dim) * mu.density(base)
-    rng = np.random.default_rng(np.random.SeedSequence(FAST.seed, spawn_key=(202,)))
-    for entry in report.dictionary:
-        poly = random_polynomial(spec.dim, FAST.polynomial_degree, rng)
-        integral = float(np.mean(weight * np.abs(poly_eval(poly, base)) ** 2))
-        assert entry.quotient == integral / bergman.norm_sq(poly, table)
+        assert report.berezin.stderr[i] == float(vals.std(ddof=1)) / math.sqrt(len(pts))
+    base = measures.NuBase(pts, mu.density(pts))  # nu(D) = 1 on the disk and ball
+    degrees = operator_ladder(spec.dim, FAST.levels)
+    diag = _written_out_diagonal(spec, base, degrees[-1])
+    best = [int(np.argmax(diag[: math.comb(d + spec.dim, spec.dim)])) for d in degrees]
+    np.testing.assert_allclose(report.operator.per_level, diag[best], rtol=1e-12)
+    # each rung's stderr is the iid one of the entry it reads
+    table = bergman.moments(spec, degrees[-1])
+    alphas = _monomials(spec.dim, degrees[-1])
+    for b, err in zip(best, report.operator.stderr):
+        vals = base.weight * np.prod(np.abs(pts) ** (2 * np.array(alphas[b])), axis=1)
+        own = vals.std(ddof=1) / math.sqrt(len(pts)) / bergman.moment(table, alphas[b])
+        assert err == pytest.approx(own, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["atoms", "density"])
 def test_dictionary_on_the_ellipsoid(kind):
-    # the dictionary's norms and nu(D) = m_0 come from the moment table of
-    # the dictionary degree; each integral is the exact atom sum or the mean
-    # of m_0 * density * |p|^2 over the base, bit for bit.  The trace is
-    # criterion (2)'s with the sup raised to the largest quotient
+    # on ELL12 the moments m_alpha and nu(D) = m_0 come from the moment
+    # formula: the atoms' lambda(d) is the top eigenvalue of the written-out
+    # Gram, a density's the largest written-out diagonal entry of the rung
     if kind == "atoms":
         mu = atomic_measure(ELL12, [[0.1, 0.2j], [-0.3, 0.1], [0.0, -0.6j]], [1.0, 2.0, 0.5])
     else:
         mu = measures.DensityMeasure(lambda p: np.abs(p[:, 1]) ** 2 + 0.5, label="smooth")
-    model = bergman.kernel_model(ELL12)
-    anchor = domains.anchor_point(ELL12)
-    delta = float(domains.boundary_distance(ELL12, anchor))
-    grid = [GridPoint(anchor, "interior", -1, 0.0, delta, -1)]
     base = nu_uniform_base(ELL12, mu, FAST)
-    berezin = criterion_berezin(model, mu, grid, FAST, base)
-    trace, entries = criterion_operator(ELL12, mu, FAST, berezin, base)
-    table = bergman.moments(ELL12, FAST.polynomial_degree)
-    rng = np.random.default_rng(np.random.SeedSequence(FAST.seed, spawn_key=(202,)))
-    assert len(entries) == FAST.dictionary_polynomials
-    for entry in entries:
-        poly = random_polynomial(2, FAST.polynomial_degree, rng)
-        if kind == "atoms":
-            integral = float(np.sum(mu.weights * np.abs(poly_eval(poly, mu.points)) ** 2))
-        else:
-            weight = bergman.moment(table, (0, 0)) * mu.density(base)
-            integral = float(np.mean(weight * np.abs(poly_eval(poly, base)) ** 2))
-        assert entry.quotient == integral / bergman.norm_sq(poly, table)
+    trace = criterion_operator(ELL12, mu, FAST, base)
+    degrees = operator_ladder(2, FAST.levels)
+    sizes = [math.comb(d + 2, 2) for d in degrees]
+    if kind == "atoms":
+        gram = _written_out_gram(ELL12, mu, degrees[-1])
+        own = [np.linalg.eigvalsh(gram[:p, :p])[-1] for p in sizes]
+        np.testing.assert_array_equal(trace.stderr, 0.0)
+    else:
+        weight = bergman.nu_volume(ELL12) * mu.density(base.points)
+        np.testing.assert_array_equal(base.weight, weight)
+        diag = _written_out_diagonal(ELL12, base, degrees[-1])
+        own = [diag[:p].max() for p in sizes]
+        assert np.all(trace.stderr > 0.0)
+    np.testing.assert_allclose(trace.per_level, own, rtol=1e-12)
     assert trace.name == "operator"
-    assert trace.sup == max(berezin.sup, *(e.quotient for e in entries))
-    for field in ("values", "stderr", "per_level"):
-        np.testing.assert_array_equal(getattr(trace, field), getattr(berezin, field))
-    assert trace.verdict == berezin.verdict
+    np.testing.assert_array_equal(trace.values, trace.per_level)
+    assert trace.sup == trace.per_level[-1]
+    assert trace.verdict == verdict_from_levels(trace.per_level)
+
+
+def test_large_gram_is_the_same_gram():
+    # past 2^23 products (atoms x monomials^2) the Gram is a matrix product,
+    # not an einsum: 100 atoms x 325^2 on the 2-ball
+    spec = unit_ball(2)
+    pts = domains.quasi_interior(spec, 100, seed=5)
+    mu = atomic_measure(spec, pts, np.linspace(0.5, 1.5, len(pts)))
+    assert mu.count * 325**2 > 1 << 23
+    trace = criterion_operator(spec, mu, FAST, None)
+    degrees = operator_ladder(2, FAST.levels)
+    gram = _written_out_gram(spec, mu, degrees[-1])
+    own = [np.linalg.eigvalsh(gram[:p, :p])[-1] for p in (math.comb(d + 2, 2) for d in degrees)]
+    np.testing.assert_allclose(trace.per_level, own, rtol=1e-12)
+
+
+def test_density_is_evaluated_once_on_the_base(monkeypatch):
+    # on ELL12 the Berezin transform (quasi-uniform path) and criterion (1)
+    # both read the density on the shared base through its weight.  The
+    # series tail is let through: the grid's deepest level is beyond the
+    # degree-60 series, and only the calls are counted here
+    monkeypatch.setattr(bergman, "_TAIL_TOL", math.inf)
+    pts = domains.quasi_uniform(ELL12, FAST.berezin_samples, seed=FAST.seed)
+    on_base = []
+
+    def density(p):
+        on_base.append(p.shape == pts.shape and np.array_equal(p, pts))
+        return np.abs(p[:, 1]) ** 2 + 0.5
+
+    mu = measures.DensityMeasure(density, label="counted")
+    carleson_test(ELL12, bergman.kernel_model(ELL12), mu, FAST)
+    assert sum(on_base) == 1
+    assert len(on_base) > 1  # the geometric criterion's polydisk points
 
 
 class TestGeometricBase:
@@ -471,9 +567,11 @@ class TestEmitters:
     def test_level_sups_take_the_ray_points_only(self, report):
         # interior points belong to no dyadic level: here some carry more
         # than the last level's rays, so an interior point taken as level -1
-        # would raise that level's sup
+        # would raise that level's sup.  Criterion (1) has one value a level
         interior = np.array([gp.kind == "interior" for gp in report.grid])
-        for trace in report.traces:
+        np.testing.assert_array_equal(report.operator.values, report.operator.per_level)
+        assert report.operator.sup == report.operator.per_level[-1]
+        for trace in (report.berezin, report.geometric):
             sups = np.zeros(FAST.levels)
             for gp, value in zip(report.grid, trace.values):
                 if gp.kind == "ray":
@@ -486,8 +584,8 @@ class TestEmitters:
         header, rows = report_point_rows(report)
         assert header[:3] == ["criterion", "index", "kind"]
         n = len(report.grid)
-        assert [row[0] for row in rows] == [name for name in CRITERIA for _ in range(n)]
-        for k, trace in enumerate(report.traces):
+        assert [row[0] for row in rows] == [name for name in CRITERIA[:2] for _ in range(n)]
+        for k, trace in enumerate(report.traces[:2]):
             values = [row[header.index("value")] for row in rows[k * n : (k + 1) * n]]
             np.testing.assert_array_equal(values, trace.values)
 
@@ -507,7 +605,12 @@ class TestEmitters:
             assert s["verdicts"][trace.name] == trace.verdict
             assert s["sups"][trace.name] == trace.sup
         assert s["grid_points"] == len(report.grid)
-        assert len(s["dictionary"]) == FAST.dictionary_polynomials
+        assert s["operator_ladder"] == {
+            "degrees": [23, 32, 45, 64],
+            "basis_sizes": [24, 33, 46, 65],
+            "lambda": report.operator.per_level.tolist(),
+            "stderr": [0.0] * FAST.levels,
+        }
 
     def test_csv_bytes_deterministic(self, report, tmp_path):
         header, rows = report_point_rows(report)

@@ -101,7 +101,7 @@ def test_kernel_check(paths, capsys):
 
 def test_carleson_reruns_are_byte_identical(paths, capsys):
     args = [
-        "carleson", "--domain", paths["disk"], "--samples", "4096", "--degree", "4",
+        "carleson", "--domain", paths["disk"], "--samples", "4096",
     ]
     out1 = paths["tmp"] / "c1"
     out2 = paths["tmp"] / "c2"
@@ -121,7 +121,7 @@ def test_catalog_measure_names_resolve(paths):
     out = paths["tmp"] / "cat1"
     code = cli.main(
         ["carleson", "--domain", paths["disk"], "--measure", "cluster",
-         "--samples", "4096", "--degree", "4", "--out", str(out)]
+         "--samples", "4096", "--out", str(out)]
     )
     assert code == 0
     payload = _read_json(out / "carleson_summary.json")
@@ -146,7 +146,7 @@ def test_berezin_and_carleson_write_the_same_berezin_columns(paths):
               "--samples", "4096", "--seed", "3"]
     out_b, out_c = paths["tmp"] / "bz-base", paths["tmp"] / "c-base"
     assert cli.main(["berezin", *common, "--out", str(out_b)]) == 0
-    assert cli.main(["carleson", *common, "--degree", "4", "--out", str(out_c)]) == 0
+    assert cli.main(["carleson", *common, "--out", str(out_c)]) == 0
     lines = (out_b / "berezin.csv").read_text().splitlines()[1:]
     berezin_cols = [line.split(",")[-2:] for line in lines]
     lines = (out_c / "carleson_points.csv").read_text().splitlines()[1:]
@@ -210,8 +210,7 @@ def test_pack_then_decompose(paths, capsys):
 def test_thm42_generated_sequence(paths, capsys):
     out = paths["tmp"] / "thm42"
     code = cli.main(
-        ["thm42", "--domain", paths["disk"], "--samples", "4096", "--degree", "4",
-         "--out", str(out)]
+        ["thm42", "--domain", paths["disk"], "--samples", "4096", "--out", str(out)]
     )
     assert code == 0
     payload = _read_json(out / "thm42_summary.json")
@@ -219,7 +218,8 @@ def test_thm42_generated_sequence(paths, capsys):
     assert payload["verdicts"]["berezin"] == "Bounded"
     assert payload["sequence"]["separation"] >= 0.5
     assert payload["sequence"]["parts"] <= payload["sequence"]["max_ball_count"]
-    assert payload["statement3"]["kernel_sup"] > 0
+    assert payload["statement3"] == {"sup": payload["sups"]["operator"]}
+    assert payload["statement3"]["sup"] > 0
     assert (out / "thm42_levels.csv").exists()
     assert "verdict (2) Bounded" in capsys.readouterr().out
 
@@ -264,6 +264,9 @@ def test_thm42_generated_sequence(paths, capsys):
         # r overflows on the validation box, where boundedness and convexity would read nan
         (["domain-info", "--domain", "AXES_1e154"], "r overflows on the validation box"),
         (["domain-info", "--domain", "BOX_1e160"], "r overflows on the validation box"),
+        # criterion (1)'s degrees are set by the levels: only kernel-check takes --degree
+        (["carleson", "--domain", "DISK", "--degree", "6"], "unrecognized arguments: --degree"),
+        (["thm42", "--domain", "DISK", "--degree", "6"], "unrecognized arguments: --degree"),
     ],
 )
 def test_validation_errors_exit_1(paths, capsys, argv, fragment):
@@ -475,9 +478,9 @@ _FLAGS = {
 _TAKES = {
     "domain-info": (), "frame": ("--point",), "kernel-check": ("--degree", "--samples"),
     "berezin": ("--measure", "--r", "--samples"),
-    "carleson": ("--measure", "--r", "--degree", "--samples"),
+    "carleson": ("--measure", "--r", "--samples"),
     "cover": ("--r", "--samples"), "decompose": ("--r",),
-    "pack": ("--r", "--samples", "--level"), "thm42": ("--r", "--degree", "--samples", "--sep"),
+    "pack": ("--r", "--samples", "--level"), "thm42": ("--r", "--samples", "--sep"),
     "bogus": (),
 }
 

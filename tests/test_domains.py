@@ -403,8 +403,8 @@ class TestHalton:
 import sys
 from carleson_lab import cli
 runs = [
-    ["carleson", "--domain", "disk.json", "--samples", "4096", "--degree", "4"],
-    ["thm42", "--domain", "ball2.json", "--samples", "4096", "--degree", "4"],
+    ["carleson", "--domain", "disk.json", "--samples", "4096"],
+    ["thm42", "--domain", "ball2.json", "--samples", "4096"],
     ["cover", "--domain", "ell12.json", "--samples", "500"],
     ["domain-info", "--domain", "ell12.json"],
     ["frame", "--domain", "ell12.json", "--point", "0.1,0,0.2,0"],

@@ -175,8 +175,8 @@ class TestDensityMass:
 
 
 class TestSquareIntegrals:
-    # integral |f|^2 dmu for a list of f: the Berezin transform (f = k_z) and
-    # criterion (1)'s dictionary (f = polynomials) both take it from here
+    # integral |f|^2 dmu for a list of f: the Berezin transform (f = k_z)
+    # takes it from here
     @staticmethod
     def _fs(dim):
         rng = np.random.default_rng(3)
@@ -186,48 +186,53 @@ class TestSquareIntegrals:
     def test_atoms_are_the_exact_sum(self):
         mu = atomic_measure(BALL2, [[0.1, 0.2j], [-0.3, 0.0], [0.0, 0.5 + 0.1j]], [1.0, 0.25, 3.0])
         fs = self._fs(2)
-        ests = square_integrals(mu, fs, None, 7.0)
+        ests = square_integrals(mu, fs, None)
         for f, est in zip(fs, ests):
             total = sum(w * abs(f(z[None, :])[0]) ** 2 for z, w in zip(mu.points, mu.weights))
             assert est.value == pytest.approx(total, rel=1e-14)
             assert est.value == float(np.sum(mu.weights * np.abs(f(mu.points)) ** 2))
             assert (est.stderr, est.samples, est.method) == (0.0, 0, "atomic")
         empty = AtomicMeasure(points=np.zeros((0, 2), dtype=complex), weights=np.zeros(0))
-        assert [e.value for e in square_integrals(empty, fs, None, 7.0)] == [0.0] * len(fs)
+        assert [e.value for e in square_integrals(empty, fs, None)] == [0.0] * len(fs)
 
     def test_density_is_the_mean_of_volume_density_f2(self):
         # volume * density * |f|^2 on the caller's base: mean and
         # std/sqrt(n), bit for bit; the volume is nu(D), not 1
         ell = domains.complex_ellipsoid((1, 2))
         mu = DensityMeasure(lambda p: np.abs(p[:, 1]) ** 2 + 0.5)
-        base = domains.quasi_uniform(ell, 1000, seed=2)
+        pts = domains.quasi_uniform(ell, 1000, seed=2)
         volume = 0.75
+        base = measures.NuBase(pts, volume * mu.density(pts))
         fs = self._fs(2)
-        ests = square_integrals(mu, fs, base, volume)
+        ests = square_integrals(mu, fs, base)
         for f, est in zip(fs, ests):
-            vals = volume * mu.density(base) * np.abs(f(base)) ** 2
+            vals = volume * mu.density(pts) * np.abs(f(pts)) ** 2
             assert est.value == float(vals.mean())
             assert est.stderr == float(vals.std(ddof=1)) / math.sqrt(1000)
             assert (est.samples, est.method) == (1000, "qmc")
 
     def test_density_is_evaluated_once_per_call(self):
+        # the base carries the density's values: the integrals read them
+        # and evaluate the density no more
         calls = []
 
         def density(pts):
             calls.append(len(pts))
             return np.ones(len(pts))
 
-        base = domains.quasi_uniform(BALL2, 256, seed=1)
-        ests = square_integrals(DensityMeasure(density), self._fs(2), base, 1.0)
+        mu = DensityMeasure(density)
+        pts = domains.quasi_uniform(BALL2, 256, seed=1)
+        base = measures.NuBase(pts, mu.density(pts))
+        ests = square_integrals(mu, self._fs(2), base)
         assert len(ests) == 3
         assert calls == [256]
 
     def test_density_needs_two_samples_and_a_known_type(self):
-        base = domains.quasi_uniform(DISK, 1, seed=0)
+        base = measures.NuBase(domains.quasi_uniform(DISK, 1, seed=0), np.ones(1))
         with pytest.raises(InputError, match="samples >= 2"):
-            square_integrals(lebesgue_measure(), self._fs(1), base, 1.0)
+            square_integrals(lebesgue_measure(), self._fs(1), base)
         with pytest.raises(InputError, match="unsupported measure type"):
-            square_integrals(object(), self._fs(1), base, 1.0)
+            square_integrals(object(), self._fs(1), base)
 
 
 class TestSandwichBracket:

@@ -13,7 +13,6 @@ from carleson_lab import bergman, domains, kobayashi, measures, sequences
 from carleson_lab.carleson import CarlesonConfig
 from carleson_lab.domains import complex_ellipsoid, unit_ball, unit_disk
 from carleson_lab.errors import InputError
-from carleson_lab.polynomials import poly_eval, random_polynomial
 
 DISK = unit_disk()
 BALL2 = unit_ball(2)
@@ -38,8 +37,6 @@ FAST = CarlesonConfig(
     interior_points=8,
     berezin_samples=1 << 12,
     mass_samples=1 << 12,
-    dictionary_polynomials=3,
-    polynomial_degree=4,
 )
 
 
@@ -364,6 +361,9 @@ class TestSequenceMeasure:
 # the sequence-side Carleson pipeline
 
 
+FROZEN_STATEMENT3 = 1.993132025416299  # lambda(64) of the packing, seed 0
+
+
 @pytest.fixture(scope="module")
 def disk_model():
     return bergman.kernel_model(DISK)
@@ -379,32 +379,18 @@ class TestThm42Pipeline:
         assert rep.separation >= 0.5
         assert rep.part_count == 1
         assert rep.part_count <= rep.max_ball_count == 1
-        # statement (3) recomputed from the raw atoms: the kernel sums at the
-        # grid points and the sums over the dictionary polynomials
-        pts, w = pack.sequence.points, rep.measure.weights
-        kernel_sup = 0.0
-        for gp in rep.carleson.grid:
-            row = bergman.kernel_row(disk_model, gp.point, pts)
-            norm = math.sqrt(bergman.kernel_row(disk_model, gp.point, gp.point[None, :])[0].real)
-            kernel_sup = max(kernel_sup, float(np.sum(w * np.abs(row / norm) ** 2)))
-        table = bergman.moments(DISK, FAST.polynomial_degree)
-        rng = np.random.default_rng(np.random.SeedSequence(FAST.seed, spawn_key=(202,)))
-        poly_sup = 0.0
-        for _ in range(FAST.dictionary_polynomials):
-            poly = random_polynomial(1, FAST.polynomial_degree, rng)
-            num = float(np.sum(w * np.abs(poly_eval(poly, pts)) ** 2))
-            poly_sup = max(poly_sup, num / bergman.norm_sq(poly, table))
-        assert rep.statement3_kernel_sup == pytest.approx(kernel_sup, rel=1e-12)
-        assert rep.statement3_poly_sup == pytest.approx(poly_sup, rel=1e-12)
-        assert rep.statement3_kernel_sup == pytest.approx(
-            rep.carleson.berezin.sup, rel=1e-12
-        )
-        assert rep.statement3_kernel_sup == pytest.approx(
-            1.9348522627167668, rel=1e-12
-        )
-        # envelope 2 n^2 / (r (1 - r)) for n = 1, r = 0.3
-        assert rep.statement3_kernel_sup <= 2.0 / (0.3 * 0.7)
-        assert 0.0 < rep.statement3_poly_sup < math.inf
+        # statement (3) recomputed from the raw atoms: the sup of
+        # sum_k w_k |f(z_k)|^2 / ||f||^2 over the polynomials of degree <= 64
+        # is the top eigenvalue of V^H W V, V[k, j] = z_k^j sqrt(j + 1)
+        pts, w = pack.sequence.points[:, 0], rep.measure.weights
+        v = pts[:, None] ** np.arange(65) * np.sqrt(np.arange(1.0, 66.0))
+        own = np.linalg.eigvalsh((v.conj().T * w) @ v)[-1]
+        assert rep.statement3_sup == pytest.approx(own, rel=1e-12)
+        assert rep.statement3_sup == rep.carleson.operator.sup
+        assert rep.statement3_sup == pytest.approx(FROZEN_STATEMENT3, rel=1e-12)
+        # the truncated kernel K_64(., a_k) lies in P_64, so the sup is at
+        # least w_k K_64(a_k, a_k) at every atom
+        assert rep.statement3_sup >= max(w * np.sum(np.abs(v) ** 2, axis=1))
 
     def test_cluster_is_diverging(self, disk_model):
         cl = sequences.boundary_cluster(DISK, np.array([1.0]), levels=6)
