@@ -148,13 +148,15 @@ def nu_volume(spec: DomainSpec) -> float:
     return moment(moments(spec, 0), (0,) * spec.dim)
 
 
-def _power_table(p: np.ndarray, d: int) -> np.ndarray:
-    """Powers p[:, j]^a, a < d, as an (n, d, k) array whose (d, k) slices are
-    C-contiguous, filled by doubling: rows [f, 2f) are rows [0, f) times p^f."""
-    v = np.empty((p.shape[1], d, len(p)), dtype=complex)
-    v[:, 0] = 1.0
-    if d > 1:
+def _power_table(p: np.ndarray, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Powers p[:, j]^a, a < d, as an (n, d, k) array whose (d, k) slices have
+    C-contiguous rows, filled by doubling: rows [f, 2f) are rows [0, f) times
+    p^f.  The table is written into ``out`` when given; p may be out[:, 1].T
+    itself, and is then not copied."""
+    v = np.empty((p.shape[1], d, len(p)), dtype=complex) if out is None else out
+    if d > 1 and not np.may_share_memory(v, p):
         v[:, 1] = p.T
+    v[:, 0] = 1.0
     f = 2
     while f < d:
         t = min(f, d - f)
@@ -164,32 +166,99 @@ def _power_table(p: np.ndarray, d: int) -> np.ndarray:
     return v
 
 
-# complex entries of the (d^(n-1), k) intermediate per chunk of k points;
-# kernel_row forms p = pts * conj(z0) and the tail's l1 norms chunk by chunk
-# too.  Medians of 5 on 2 shared cores, 2^16 points per row:
+# Real matrix products of at most _PRODUCT multiply-adds.  On 2 cores
+# OpenBLAS ran products of up to 998400 multiply-adds on the calling thread
+# and those of 1024000 on two; 2^19 stays a factor 2 below that switch.  A
+# one-row product goes to gemv, which split from between 439200 and 475800
+# entries on, so one row against all d powers stays within _PRODUCT / 2.
+# On two threads the full 61 x 61 cube took twice the process time of the
+# wall time, and its spinning worker competed with the elementwise work
+# between the products (kobayashi._PRODUCT caps its tiles for that reason).
+_PRODUCT = 1 << 19
+
+# complex entries of the (rows, k) product per chunk of k points; kernel_row
+# forms p = pts * conj(z0) and the tail's l1 norms chunk by chunk too.
+# Medians of 5 on 2 shared cores, 2^16 points per row, wall and process time:
 #   entries   16 ELL12 rows, degree 60   one 3-ball row, degree 40
-#   2^13      1.48 s                     2.41 s
-#   2^14      1.41 s                     2.10 s
-#   2^15      1.23-1.28 s                1.50-1.55 s
-#   2^16      0.96-1.16 s                0.95-1.31 s
-#   2^18      0.95-1.19 s                0.80-1.11 s
-# Below 2^16 BLAS gets too little work per call.  The ellipsoid-chain
-# benchmark peaked at 85 MB with 2^15 and 2^16, and at 108 MB with 2^18.
+#   2^13      1.63 s   cpu 1.61 s        1.48 s   cpu 1.47 s
+#   2^14      1.12 s   cpu 1.12 s        0.84 s   cpu 0.84 s
+#   2^15      0.91 s   cpu 0.91 s        0.77 s   cpu 0.77 s
+#   2^16      0.94 s   cpu 0.94 s        0.71 s   cpu 0.71 s
+#   2^17      1.43 s   cpu 1.43 s        0.77 s   cpu 0.77 s
+#   2^18      1.39 s   cpu 1.39 s        0.72 s   cpu 0.72 s
+# Below 2^15 the per-call work of numpy outweighs the products.  From 2^17
+# on, a degree-60 chunk in C^2 is held at 2148 points (see _chunk), where
+# the products have only two rows each.  The full cube on two threads, run
+# beside it at 2^16, took 1.06 s (cpu 2.11 s) and 1.24 s (cpu 2.46 s).
 _EVAL_ENTRIES = 1 << 16
 
 
-def _eval_cube(cube: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _chunk(n: int, d: int) -> int:
+    """Points per kernel_row chunk: the product has about _EVAL_ENTRIES
+    complex entries over its C(d + n - 2, n - 1) simplex rows, and one row
+    against all d powers has at most _PRODUCT / 2 multiply-adds."""
+    return max(1, min(_EVAL_ENTRIES // math.comb(d + n - 2, n - 1), _PRODUCT // (4 * d)))
+
+
+@functools.lru_cache(maxsize=16)
+def _simplex(n: int, d: int, points: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The degree simplex |alpha| < d of an n-coordinate cube, for chunks of
+    ``points`` points, as (rows, lead, blocks).
+
+    The leading multi-indices a' (all coordinates but the last) with
+    |a'| < d, ordered by total degree: rows holds their flat indices into
+    cube.reshape(-1, d), lead their exponents.  Row a' needs the powers
+    a_n < d - |a'| of the last coordinate, never more than the row before
+    it, so each block (first, end, columns) is a contiguous slice of rows
+    whose real product against the first ``columns`` powers has at most
+    _PRODUCT multiply-adds (a single row may exceed it when points is large)."""
+    lead = np.indices((d,) * (n - 1)).reshape(n - 1, d ** (n - 1)).T
+    degree = lead.sum(axis=1)
+    rows = np.argsort(degree, kind="stable")
+    rows = rows[degree[rows] < d]
+    need = d - degree[rows]
+    blocks, first = [], 0
+    while first < len(rows):
+        cols = int(need[first])
+        end = min(len(rows), first + max(1, _PRODUCT // (2 * points * cols)))
+        blocks.append((first, end, cols))
+        first = end
+    return rows, lead[rows], tuple(blocks)
+
+
+def _eval_work(cube: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What _eval_cube needs for chunks of up to ``points`` points, which a
+    kernel_row call reuses across its chunks: the power table buffer (with
+    a row 1 for p even at degree 0), the product buffer, and the cube's
+    simplex rows."""
+    n, d = cube.ndim, cube.shape[0]
+    rows = _simplex(n, d, points)[0]
+    table = np.empty((n, max(d, 2), points), dtype=complex)
+    return table, np.empty((len(rows), 2 * points)), cube.reshape(-1, d)[rows]
+
+
+def _eval_cube(cube: np.ndarray, p: np.ndarray, work: tuple | None = None) -> np.ndarray:
     """sum_alpha cube[alpha] * prod_i p[..,i]^alpha_i for one chunk p of shape (k, n).
 
-    One real matrix product contracts the last coordinate: the cube is real,
-    so it acts on the interleaved real and imaginary parts of the power table
-    alike.  One einsum folds the other coordinates.
+    Only the degree simplex is read (see _simplex).  Real matrix products,
+    each small enough to run on the calling thread, contract the last
+    coordinate: the cube is real, so it acts on the interleaved real and
+    imaginary parts of the power table alike.  The leading powers are then
+    multiplied in, one coordinate at a time, and the rows summed.  ``work``
+    is from _eval_work.
     """
-    n, d = p.shape[1], cube.shape[0]
-    v = _power_table(p, d)
-    t = (cube.reshape(-1, d) @ v[-1].view(float)).view(complex).reshape(cube.shape[:-1] + (len(p),))
-    fold = [x for j in range(n - 1) for x in (v[j], [j, n - 1])]
-    return np.einsum(*fold, t, list(range(n)), [n - 1])
+    n, d, k = p.shape[1], cube.shape[0], len(p)
+    _, lead, blocks = _simplex(n, d, k)
+    table, product, coeffs = _eval_work(cube, k) if work is None else work
+    v = _power_table(p, d, out=table[:, :d, :k])
+    last, product = v[-1].view(float), product[:, : 2 * k]
+    for first, end, cols in blocks:
+        np.matmul(coeffs[first:end, :cols], last[:cols], out=product[first:end])
+    t = product.view(complex)
+    for i in range(n - 1):
+        # with n = 2 the rows are a_0 = 0, 1, ..., d - 1: v[0] itself
+        np.multiply(t, v[0] if n == 2 else v[i][lead[:, i]], out=t)
+    return t.sum(axis=0)
 
 
 def _series_tail(model: KernelModel, s: float) -> float:
@@ -221,17 +290,26 @@ def kernel_row(model: KernelModel, z0, pts) -> np.ndarray:
         inner = domains.coordinate_sum(pts.T, np.conj(z0))
         return (1.0 - inner) ** (-(n + 1.0))
     w, a2 = np.conj(z0), np.square(model.table.semi_axes)
-    chunk = max(1, _EVAL_ENTRIES // model.coeffs.shape[0] ** max(n - 1, 1))
+    d = model.coeffs.shape[0]
+    chunk = _chunk(n, d)
+    work = _eval_work(model.coeffs, max(1, min(chunk, len(pts))))
     values = np.empty(len(pts), dtype=complex)
-    l1_max = []  # each chunk's largest l1 norm: a max is exact in any order
+    # each chunk's largest l1 norm and smallest modulus: exact in any order
+    l1_max, modulus_min = [], []
     for start in range(0, len(pts), chunk):
-        p = pts[start : start + chunk] * w
-        values[start : start + chunk] = _eval_cube(model.coeffs, p)
-        l1_max.append((np.abs(p) / a2).sum(axis=1).max())
+        k = min(chunk, len(pts) - start)
+        p = work[0][:, 1, :k]  # p = pts * conj(z0), formed in the power table's row 1
+        np.multiply(pts[start : start + k].T, w[:, None], out=p)
+        l1 = np.abs(p[0]) / a2[0]
+        for i in range(1, n):  # column by column: the order of a sum over the last axis
+            l1 += np.abs(p[i]) / a2[i]
+        l1_max.append(l1.max())
+        values[start : start + k] = row = _eval_cube(model.coeffs, p.T, work)
+        modulus_min.append(np.abs(row).min())
     s = float(np.max(l1_max, initial=0.0))
     tail = _series_tail(model, s)
     floor = 1.0 / float(model.table.values[(0,) * n])
-    scale = max(float(np.abs(values).min(initial=np.inf)), floor)
+    scale = max(float(np.min(modulus_min, initial=np.inf)), floor)
     if not tail <= _TAIL_TOL * scale:
         raise TruncationError(
             "series tail exceeds tolerance; increase the degree or move off the boundary",

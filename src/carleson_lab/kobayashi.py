@@ -259,7 +259,11 @@ _CLOSED = 1e-12
 # Pairs per oracle block in ball_relation, and the block size of _gauge and
 # min_tanh_distance.  On the (1,2) ellipsoid overlap counts of 10^4 queries
 # (2 cores), 2^16 cut their time by about 5% but raised the peak RSS from
-# 130 to 148 MB; 2^15 saved nothing measurable.
+# 130 to 148 MB; 2^15 saved nothing measurable.  Per block, the few pairs
+# that Newton needs more than _EARLY_CHECKS steps for made as many
+# _newton_step calls as the rest: one R = 0.65 count (8313 centers) made
+# 7034 calls, 6751 of them on fewer than 1000 pairs.  Pooled across the
+# call (ball_relation), the same count makes 1188.
 _PAIR_CHUNK = 1 << 14
 
 
@@ -341,18 +345,22 @@ def _newton_step(z1, z2, w1, w2, b: np.ndarray, m: int) -> np.ndarray:
     return np.where(size > room, step * (room / np.where(size > 0.0, size, 1.0)), step)
 
 
-def _crossing(z1, z2, w1, w2, b: np.ndarray, m: int, r: float | None) -> tuple[np.ndarray, np.ndarray]:
+def _crossing(
+    z1, z2, w1, w2, b: np.ndarray, m: int, r: float | None, steps: int = _NEWTON_STEPS
+) -> tuple[np.ndarray, np.ndarray]:
     """Newton on b from the start b, then the bracket at the last iterate.
 
     With a threshold r, a pair also stops once its bracket at an early iterate
     lies on one side of r: the ends are bounds at every b, so membership in
-    the r-ball is already decided there."""
+    the r-ball is already decided there.  With fewer than _NEWTON_STEPS
+    steps, a pair still moving after the last one is cut short: both its
+    ends are nan."""
     b = b.copy()
     low = np.zeros(len(b))
     high = np.ones(len(b))
     pending = np.ones(len(b), dtype=bool)  # bracket still to take at the final b
     active = np.arange(len(b))
-    for k in range(_NEWTON_STEPS):
+    for k in range(steps):
         args = (z1[active], z2[active], w1[active], w2[active])
         step = _newton_step(*args, b[active], m)
         b[active] += step
@@ -366,6 +374,9 @@ def _crossing(z1, z2, w1, w2, b: np.ndarray, m: int, r: float | None) -> tuple[n
         active = active[moving]
         if not len(active):
             break
+    if steps < _NEWTON_STEPS:
+        pending[active] = False
+        low[active] = high[active] = np.nan
     rest = np.flatnonzero(pending)
     low[rest], high[rest] = _crossing_bracket(z1[rest], z2[rest], w1[rest], w2[rest], b[rest], m)
     return low, high
@@ -409,7 +420,12 @@ def _crossing_bracket(z1, z2, w1, w2, b: np.ndarray, m: int) -> tuple[np.ndarray
 
 
 def _bracket_1m(
-    z: np.ndarray, w: np.ndarray, m: int, r: float | None = None
+    z: np.ndarray,
+    w: np.ndarray,
+    m: int,
+    r: float | None = None,
+    steps: int = _NEWTON_STEPS,
+    inner: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise bracket [low, high] on tanh k_E(z, w) for normalized pairs
     z, w of shape (k, 2).
@@ -421,6 +437,9 @@ def _bracket_1m(
     settled pair are those bounds, with 1 or the disc bound on the other
     side.  Only the pairs left open go through _oracle_1m (lift detection,
     the axis formula and Newton), which also stops Newton once r is decided.
+    With fewer Newton steps (see _crossing), a pair that needs more reads
+    nan at both ends.  ``inner`` flags the pairs with both points in B when
+    the caller has the flags of its points.
     """
     if r is None:
         low, high = _oracle_1m(z, w, m)
@@ -432,10 +451,10 @@ def _bracket_1m(
     low = _disc_pd(z[:, 1], w[:, 1])
     high = np.ones_like(low)
     k = np.flatnonzero(low < r)
-    k = k[_in_ball(z[k]) & _in_ball(w[k])]
+    k = k[_in_ball(z[k]) & _in_ball(w[k]) if inner is None else inner[k]]
     high[k] = _ball_pd(z[k].T, w[k].T)
     rest = np.flatnonzero((low < r) & (high >= r))
-    low[rest], high[rest] = _oracle_1m(z[rest], w[rest], m, r)
+    low[rest], high[rest] = _oracle_1m(z[rest], w[rest], m, r, steps)
     return low, high
 
 
@@ -444,7 +463,7 @@ def _in_ball(z: np.ndarray) -> np.ndarray:
 
 
 def _oracle_1m(
-    z: np.ndarray, w: np.ndarray, m: int, r: float | None = None
+    z: np.ndarray, w: np.ndarray, m: int, r: float | None = None, steps: int = _NEWTON_STEPS
 ) -> tuple[np.ndarray, np.ndarray]:
     """The geodesic bracket of _bracket_1m: exact for lifts and axis points,
     from Newton on the axis crossing otherwise (stopped once r is decided)."""
@@ -482,7 +501,7 @@ def _oracle_1m(
         b0 = np.where(np.isfinite(b0), b0, 0.0)
         size = np.abs(b0)
         b0 = np.where(size > 0.95, 0.95 * b0 / np.where(size > 0.0, size, 1.0), b0)
-        lo, hi = _crossing(c1, c2, d1, d2, b0, m, r)
+        lo, hi = _crossing(c1, c2, d1, d2, b0, m, r, steps)
         lo = np.maximum(low[cross], lo)
         # a start that drifts to the circle finds no root; retry once from 0
         # and keep the tighter ends (both brackets are valid)
@@ -491,7 +510,8 @@ def _oracle_1m(
             again &= (lo < r) & (hi >= r)
         if again.any():
             k = np.flatnonzero(again)
-            lo2, hi2 = _crossing(c1[k], c2[k], d1[k], d2[k], np.zeros(len(k), dtype=complex), m, r)
+            zero = np.zeros(len(k), dtype=complex)
+            lo2, hi2 = _crossing(c1[k], c2[k], d1[k], d2[k], zero, m, r, steps)
             lo[k] = np.maximum(lo[k], lo2)
             hi[k] = np.minimum(hi[k], hi2)
         low[cross] = lo
@@ -594,9 +614,12 @@ def ball_relation(
     Phi-images prefilters the pairs, and those below r go to _bracket_1m in
     blocks of _PAIR_CHUNK pairs: there the disc bound settles Outside and the
     unit-ball bound on B x B settles Inside before any pair reaches the
-    geodesic oracle.  Other domains use the polydisk sandwich in each
-    center's minimal frame.  The answer for a pair does not depend on the
-    other pairs of the call.
+    geodesic oracle.  With more than one block, the blocks stop Newton
+    after _EARLY_CHECKS steps; the pairs still open are pooled across the
+    call and bracketed again, from scratch, in full blocks, so each pair
+    gets the arithmetic of one full pass.  Other domains use the polydisk
+    sandwich in each center's minimal frame.  The answer for a pair does
+    not depend on the other pairs of the call.
     """
     if not 0.0 < r < 1.0:
         raise InputError(f"tanh radius must lie in (0, 1), got {r}")
@@ -611,13 +634,26 @@ def ball_relation(
         return maybe, maybe
     inside = np.zeros_like(maybe)
     inside_flat, maybe_flat = inside.reshape(-1), maybe.reshape(-1)  # views
+    inner_p, inner_c = _in_ball(pn), _in_ball(cn)  # once per point, not per pair
+
+    def settle(pairs: np.ndarray, steps: int) -> np.ndarray:
+        """Decide flat pairs block by block; return those still open."""
+        still_open = [pairs[:0]]
+        for start in range(0, len(pairs), _PAIR_CHUNK):
+            k = pairs[start : start + _PAIR_CHUNK]
+            i, j = np.divmod(k, len(centers))
+            low, high = _bracket_1m(pn[i], cn[j], m, r, steps, inner_p[i] & inner_c[j])
+            inside_flat[k] = high < r
+            maybe_flat[k] = (low < r) | (high < r)
+            still_open.append(k[~((high < r) | (low >= r))])  # nan when cut short
+        return np.concatenate(still_open)
+
     pairs = np.flatnonzero(maybe_flat)
-    for start in range(0, len(pairs), _PAIR_CHUNK):
-        k = pairs[start : start + _PAIR_CHUNK]
-        i, j = np.divmod(k, len(centers))
-        low, high = _bracket_1m(pn[i], cn[j], m, r)
-        inside_flat[k] = high < r
-        maybe_flat[k] = (low < r) | (high < r)
+    if len(pairs) > _PAIR_CHUNK:
+        # every block takes the certificates and _EARLY_CHECKS Newton steps;
+        # the pairs still open, pooled across the blocks, start again
+        pairs = settle(pairs, _EARLY_CHECKS)
+    settle(pairs, _NEWTON_STEPS)
     return inside, maybe
 
 

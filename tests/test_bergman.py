@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -244,6 +245,22 @@ class TestKernelModels:
         assert abs(vals[0] - math.sqrt(16.0 / 9.0)) < 1e-12
 
 
+def test_series_row_runs_on_one_thread():
+    # Each product of the series rows stays small enough for OpenBLAS to run
+    # it on the calling thread.  The full 61 x 61 cube ran on two, and its
+    # spinning worker put the process time near twice the wall time.  Load
+    # on the machine lowers the ratio.
+    model = reinhardt_series_model(ELL12, degree=60)
+    pts = domains.quasi_uniform(ELL12, 1 << 16, seed=3)
+    z0s = 0.5 * domains.random_interior(ELL12, 6, np.random.default_rng(37))
+    time.sleep(0.5)  # BLAS workers left spinning by earlier tests go idle
+    wall, cpu = time.perf_counter(), time.process_time()
+    for z0 in z0s:
+        kernel_row(model, z0, pts)
+    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    assert cpu <= 1.25 * wall, (cpu, wall)
+
+
 def _dangelo_kernel(m, axes, z, w):
     """D'Angelo's closed Bergman kernel of {|z1/a1|^2 + |z2/a2|^(2m) < 1}, with
     nu(unit ball) = 1; the semi-axes enter by scaling z -> z/a."""
@@ -333,6 +350,39 @@ class TestSeriesEvaluation:
             assert v.shape == (2, d, 2) and v[1].flags.c_contiguous
             ref = p.T[:, None, :] ** np.arange(d)[None, :, None]
             np.testing.assert_allclose(v, ref, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize(
+        "spec, degree",
+        [(DISK, 60), (ELL12, 60), (complex_ellipsoid((1, 1, 2)), 40)],
+        ids=["disk", "ELL12", "ELL112"],
+    )
+    def test_simplex_is_the_written_out_series(self, spec, degree):
+        # the blocks of kernel_row's chunks cover every |alpha| <= degree once,
+        # each product within the cap, and the evaluation is the sum of
+        # c_alpha p^alpha term by term (math.fsum of the terms)
+        model = reinhardt_series_model(spec, degree=degree)
+        n, d = spec.dim, degree + 1
+        for points in (bergman._chunk(n, d), 7):
+            _, lead, blocks = bergman._simplex(n, d, points)
+            covered = np.zeros((d,) * n, dtype=int)
+            for first, end, cols in blocks:
+                # a one-row product goes to gemv, which splits at fewer entries
+                cap = bergman._PRODUCT // (2 if end - first == 1 else 1)
+                assert (end - first) * cols * 2 * points <= cap
+                for a in lead[first:end]:
+                    covered[tuple(a)][:cols] += 1
+            total = np.indices(covered.shape).sum(axis=0)
+            assert np.all(covered[total <= degree] == 1)
+        alpha = np.argwhere(np.indices((d,) * n).sum(axis=0) <= degree)
+        coeffs = model.coeffs[tuple(alpha.T)]
+        rng = np.random.default_rng(31)
+        z0 = 0.4 * domains.random_interior(spec, 1, rng)[0]
+        p = 0.5 * domains.random_interior(spec, 5, rng) * np.conj(z0)
+        got = bergman._eval_cube(model.coeffs, p)
+        for k, q in enumerate(p):
+            terms = coeffs * np.prod(q ** alpha, axis=1)
+            ref = complex(math.fsum(terms.real), math.fsum(terms.imag))
+            assert abs(got[k] - ref) <= 1e-13 * abs(ref)
 
 
 class TestReproduce:

@@ -585,6 +585,35 @@ class TestRelationLayer:
             np.testing.assert_array_equal(maybe, ref_maybe.reshape(300, 300))
             assert 0 < maybe.sum() < maybe.size
 
+    def test_pooled_stragglers_keep_their_decisions(self, monkeypatch):
+        # pairs that need more than _EARLY_CHECKS Newton steps are pooled
+        # across the call's blocks (small ones here) and bracketed again from
+        # scratch; picked as the pairs Inside whose shortened bracket reads
+        # nan, they read the decisions of tanh_distance_bracket, pair by pair
+        monkeypatch.setattr(kobayashi, "_PAIR_CHUNK", 16)
+        r = 0.65
+        rng = np.random.default_rng(89)
+        z, w = (domains.random_interior(ELL12, 40000, rng) for _ in range(2))
+        w = z + 0.4 * (w - z)  # nearer pairs, inside the convex domain
+        zn, m = kobayashi._normalize_1m(ELL12, z)
+        wn, _ = kobayashi._normalize_1m(ELL12, w)
+        cut, _ = kobayashi._bracket_1m(zn, wn, m, r, kobayashi._EARLY_CHECKS)
+        low, high = tanh_distance_bracket(ELL12, z, w)
+        slow = np.flatnonzero(np.isnan(cut) & (high < r - 1e-9))[:40]
+        assert len(slow) >= 20
+        pts, centers = z[slow], w[slow]
+        inside, maybe = ball_relation(ELL12, pts, centers, r)
+        count = len(slow)
+        low, high = tanh_distance_bracket(
+            ELL12, np.repeat(pts, count, axis=0), np.tile(centers, (count, 1))
+        )
+        low, high = low.reshape(count, count), high.reshape(count, count)
+        assert np.all(np.diag(inside))
+        clear = (high - low <= 1e-12) & (np.abs(low - r) > 1e-9)
+        assert clear.mean() > 0.99
+        np.testing.assert_array_equal(inside[clear], (high < r)[clear])
+        np.testing.assert_array_equal(maybe[clear], (low < r)[clear])
+
     @pytest.mark.parametrize("spec", [BALL2, ELL12, ELL22], ids=["BALL2", "ELL12", "ELL22"])
     def test_greedy_matches_one_point_loop(self, spec):
         # ELL22 has no oracle: there the relation comes from the frames of
