@@ -918,7 +918,7 @@ def spec_from_json(data: dict) -> DomainSpec:
             return convex_polynomial(
                 terms, int(data["dimension"]), data["box"], data.get("anchor"), collar=collar
             )
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:  # int(Infinity) overflows
         raise InputError(f"malformed {kind!r} domain spec: {exc}") from None
     raise ConfigError(f"unknown domain kind {kind!r}")
 

@@ -443,6 +443,12 @@ class TestIO:
         with pytest.raises(ConfigError):
             spec_from_json(data)
 
+    def test_infinite_dimension_rejected(self):
+        for data in ({"kind": "ball", "dimension": math.inf},
+                     {**spec_to_json(POLY), "dimension": math.inf}):
+            with pytest.raises(InputError, match="malformed"):
+                spec_from_json(data)
+
     def test_bad_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"kind": "disk"})[:-3])
