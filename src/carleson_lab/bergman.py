@@ -406,66 +406,51 @@ def berezin(model: KernelModel, mu, z, base: NuBase | None = None) -> Estimate:
 
 
 # ---------------------------------------------------------------------------
-# kernel lower-bound checks on the collar
+# kernel lower-bound check on the collar
 
 
 @dataclass(frozen=True)
 class LowerBoundCheck:
-    constant: float
-    values: np.ndarray
-    count: int
-
-
-def diagonal_lowerbound_check(spec: DomainSpec, model: KernelModel, points) -> LowerBoundCheck:
-    """inf over samples of K(z,z) * prod sigma_i(z)^2 (empirical kernel floor).
-
-    Checks the diagonal lower bound K(z,z) >~ prod sigma_i(z)^-2 on which
-    the proof that a bounded Berezin transform makes mu geometric rests."""
-    pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    vals = np.empty(len(pts))
-    for i, z in enumerate(pts):
-        frame = geometry.minimal_frame(spec, z)
-        vals[i] = kernel_diag(model, z) * float(np.prod(frame.sigma**2))
-    return LowerBoundCheck(constant=float(vals.min()), values=vals, count=len(pts))
-
-
-@dataclass(frozen=True)
-class OffDiagonalCheck:
+    values: np.ndarray  # K(z,z) * prod sigma_i(z)^2 at each point
     re_constant: float
     k2_constant: float
 
 
-_OFFDIAG_R0 = 0.1  # offdiagonal_lowerbound_check probes only radii below this
+_OFFDIAG_R0 = 0.1  # kernel_lowerbound_check probes only radii below this
 
 
-def offdiagonal_lowerbound_check(
+def kernel_lowerbound_check(
     spec: DomainSpec,
     model: KernelModel,
     r: float,
     points,
     samples_per_point: int = 32,
     seed: int = 0,
-) -> OffDiagonalCheck:
-    """Kernel positivity near the diagonal at Kobayashi scale r < _OFFDIAG_R0.
+) -> LowerBoundCheck:
+    """Empirical kernel floors on the diagonal and near it, in each point's
+    minimal frame (computed once per point, as is K(z,z)).
 
-    For each collar center z0, samples omega in the certified inner polydisk of
-    B_D(z0, r) and records Re K(z0,omega)*prod sigma^2 and |k_{z0}(omega)|^2 *
-    prod sigma^2; returns the observed infima.  Checks the lower bound of
-    |k_z|^2 on small Kobayashi balls that the Berezin => geometric step of
-    the proof rests on.
+    values[i] is K(z_i,z_i) * prod sigma_i^2, the diagonal lower bound
+    K(z,z) >~ prod sigma_i(z)^-2.  For each point z0 the check also samples
+    omega in the certified inner polydisk of B_D(z0, r), r < _OFFDIAG_R0, and
+    records the infima of Re K(z0,omega)*prod sigma^2 and |k_{z0}(omega)|^2 *
+    prod sigma^2, the lower bound of |k_z|^2 on small Kobayashi balls.  The
+    Berezin => geometric step of the proof rests on both.
     """
     if not 0.0 < r < _OFFDIAG_R0:
         raise InputError(f"radius {r} outside (0, {_OFFDIAG_R0})")
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    vals = np.empty(len(pts))
     re_min = k2_min = math.inf
-    for z0 in pts:
+    for i, z0 in enumerate(pts):
         frame = geometry.minimal_frame(spec, z0)
         sandwich = kobayashi.ball_sandwich(spec, z0, r, frame=frame)
         omega = geometry.sample_polydisk(sandwich.inner, samples_per_point, rng)
         prod = float(np.prod(frame.sigma**2))
         row = kernel_row(model, z0, omega)
         diag = kernel_diag(model, z0)
+        vals[i] = diag * prod
         re_min = min(re_min, float((row.real * prod).min()))
         k2_min = min(k2_min, float((np.abs(row) ** 2 / diag * prod).min()))
-    return OffDiagonalCheck(re_constant=re_min, k2_constant=k2_min)
+    return LowerBoundCheck(values=vals, re_constant=re_min, k2_constant=k2_min)

@@ -293,8 +293,9 @@ def _cmd_cover(args, spec, out) -> int:
 
 def _cmd_decompose(args, spec, out) -> int:
     gamma = sequences.sequence_from_csv(spec, args.points)
-    parts = sequences.greedy_decompose(spec, gamma, args.r)
-    sequences.decomposition_to_csv(gamma, parts, os.path.join(out, "decompose.csv"))
+    decomposition = sequences.greedy_decompose(spec, gamma, args.r)
+    parts = decomposition.parts
+    sequences.decomposition_to_csv(gamma, decomposition, os.path.join(out, "decompose.csv"))
     seps = [sequences.separation(spec, part) for part in parts]
     _write_json(
         os.path.join(out, "decompose_summary.json"),
@@ -303,7 +304,7 @@ def _cmd_decompose(args, spec, out) -> int:
             "parts": len(parts),
             "part_sizes": [part.count for part in parts],
             "part_separations": [s if math.isfinite(s) else None for s in seps],
-            "max_ball_count": sequences.max_count_in_ball(spec, args.r, gamma),
+            "max_ball_count": decomposition.max_ball_count,
         },
     )
     print(f"{len(parts)} parts; sizes {[part.count for part in parts]}")
@@ -347,7 +348,7 @@ def _cmd_thm42(args, spec, out) -> int:
         "parts": report.part_count,
         "max_ball_count": report.max_ball_count,
     }
-    summary["statement3"] = {"sup": report.statement3_sup}
+    summary["statement3"] = {"sup": report.carleson.operator.sup}
     summary["verdicts_agree"] = report.verdicts_agree
     _write_json(os.path.join(out, "thm42_summary.json"), summary)
     header, rows = carleson.report_level_rows(report.carleson)

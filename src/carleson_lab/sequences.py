@@ -49,7 +49,7 @@ def sequence_set(spec: DomainSpec, points, label: str = "") -> SequenceSet:
 
 
 # ---------------------------------------------------------------------------
-# separation and counting
+# separation
 
 
 def separation(spec: DomainSpec, gamma: SequenceSet) -> float:
@@ -59,32 +59,40 @@ def separation(spec: DomainSpec, gamma: SequenceSet) -> float:
     return kobayashi.min_tanh_distance(spec, gamma.points)
 
 
-def max_count_in_ball(spec: DomainSpec, r: float, gamma: SequenceSet) -> int:
-    """max over x in Gamma of M(x, r, Gamma), the number of points of Gamma
-    in the tanh-radius-r ball around x.  Uncertain memberships count, so the
-    result upper-bounds the true maximum."""
-    if gamma.count == 0:
-        return 0
-    maybe = kobayashi.ball_relation(spec, gamma.points, gamma.points, r)[1]
-    return int(maybe.sum(axis=0).max())
-
-
 # ---------------------------------------------------------------------------
 # greedy coloring decomposition
 
 
-def greedy_decompose(spec: DomainSpec, gamma: SequenceSet, r: float) -> list[SequenceSet]:
+@dataclass(frozen=True)
+class Decomposition:
+    """Greedy coloring of a sequence: the r-separated parts, each point's
+    color (its part's index), and max over x in Gamma of M(x, r, Gamma)."""
+
+    parts: list[SequenceSet]
+    colors: np.ndarray
+    max_ball_count: int
+
+
+def greedy_decompose(spec: DomainSpec, gamma: SequenceSet, r: float) -> Decomposition:
     """Index-order greedy coloring: each point takes the smallest color free
     among earlier points within tanh-distance r.  Every part is r-separated;
-    the number of parts never exceeds max M(x, r, Gamma)."""
+    the number of parts never exceeds max M(x, r, Gamma).
+
+    Both readings come from one ball_relation on Gamma x Gamma: the ball
+    count M(x, r, Gamma) is a column sum of the relation, taken before the
+    relation is symmetrized for the coloring.  Uncertain memberships count,
+    so the ball count upper-bounds the true maximum."""
     if not 0.0 < r < 1.0:
         raise InputError(f"r must lie in (0,1), got {r}")
     pts = gamma.points
     if gamma.count == 0:
-        return []
+        return Decomposition(parts=[], colors=np.zeros(0, dtype=int), max_ball_count=0)
+    # [point, center]: the point is not certified outside the center's ball
+    # (disk and ball return one array twice, so count before |=)
+    within = kobayashi.ball_relation(spec, pts, pts, r)[1]
+    max_ball_count = int(within.sum(axis=0).max())
     # point i fails to be certified outside the r-ball at j, or the reverse;
     # same-part points are therefore certified >= r apart
-    within = kobayashi.ball_relation(spec, pts, pts, r)[1]
     within |= within.T
     colors = np.full(gamma.count, -1, dtype=int)
     for i in range(gamma.count):
@@ -93,23 +101,11 @@ def greedy_decompose(spec: DomainSpec, gamma: SequenceSet, r: float) -> list[Seq
         while c in used:
             c += 1
         colors[i] = c
-    parts = []
-    for c in range(int(colors.max()) + 1):
-        idx = np.flatnonzero(colors == c)
-        parts.append(
-            SequenceSet(points=pts[idx], label=f"{gamma.label or 'seq'}:part{c}")
-        )
-    return parts
-
-
-def decomposition_colors(gamma: SequenceSet, parts: list[SequenceSet]) -> np.ndarray:
-    """Per-point color index implied by a decomposition (for CSV output)."""
-    colors = np.full(gamma.count, -1, dtype=int)
-    for c, part in enumerate(parts):
-        for p in part.points:
-            match = np.flatnonzero((gamma.points == p).all(axis=1))
-            colors[match[0]] = c
-    return colors
+    parts = [
+        SequenceSet(points=pts[colors == c], label=f"{gamma.label or 'seq'}:part{c}")
+        for c in range(int(colors.max()) + 1)
+    ]
+    return Decomposition(parts=parts, colors=colors, max_ball_count=max_ball_count)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +202,14 @@ def boundary_cluster(spec: DomainSpec, direction, levels: int = 8) -> SequenceSe
 
 @dataclass(frozen=True)
 class Thm42Report:
+    """The sequence-side statements beside the measure's Carleson report.
+
+    verdicts_agree compares criteria (2) and (3) only; criterion (1),
+    report.carleson.operator, is not part of it."""
+
     gamma: SequenceSet
     measure: AtomicMeasure
     carleson: CarlesonReport
-    statement3_sup: float
     part_count: int
     max_ball_count: int
     separation: float
@@ -225,15 +225,13 @@ def thm42_pipeline(
     mu = sequence_measure(spec, gamma)
     report = carleson_test(spec, model, mu, config)
 
-    parts = greedy_decompose(spec, gamma, config.r)
-    m_max = max_count_in_ball(spec, config.r, gamma)
+    decomposition = greedy_decompose(spec, gamma, config.r)
     return Thm42Report(
         gamma=gamma,
         measure=mu,
         carleson=report,
-        statement3_sup=report.operator.sup,
-        part_count=len(parts),
-        max_ball_count=m_max,
+        part_count=len(decomposition.parts),
+        max_ball_count=decomposition.max_ball_count,
         separation=separation(spec, gamma),
         verdicts_agree=report.berezin.verdict == report.geometric.verdict,
     )
@@ -310,7 +308,9 @@ def sequence_from_csv(spec: DomainSpec, path, label: str = "") -> SequenceSet:
     return sequence_set(spec, domains.to_complex(vals), label=label or str(path))
 
 
-def decomposition_to_csv(gamma: SequenceSet, parts: list[SequenceSet], path) -> None:
-    colors = decomposition_colors(gamma, parts)
-    rows = ([*coords, color] for coords, color in zip(domains.to_real(gamma.points), colors))
+def decomposition_to_csv(gamma: SequenceSet, decomposition: Decomposition, path) -> None:
+    rows = (
+        [*coords, color]
+        for coords, color in zip(domains.to_real(gamma.points), decomposition.colors)
+    )
     tables.write(path, tables.coord_header(gamma.points.shape[1]) + ["color"], rows)

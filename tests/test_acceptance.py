@@ -286,11 +286,11 @@ def test_criterion_09_decomposition_and_sequence_verdicts():
         pts = pts[np.abs(pts[:, 0]) < 0.97][:40]
         cloud = sequences.SequenceSet(points=pts)
         for r in (0.3, 0.5):
-            parts = sequences.greedy_decompose(DISK, cloud, r)
-            for part in parts:
+            dec = sequences.greedy_decompose(DISK, cloud, r)
+            for part in dec.parts:
                 if sequences.separation(DISK, part) < r:
                     sep_violations += 1
-            if len(parts) > sequences.max_count_in_ball(DISK, r, cloud):
+            if len(dec.parts) > dec.max_ball_count:
                 count_violations += 1
 
     model = bergman.kernel_model(DISK)

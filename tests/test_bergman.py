@@ -9,15 +9,14 @@ from carleson_lab.bergman import (
     berezin,
     berezin_many,
     closed_ball_model,
-    diagonal_lowerbound_check,
     kernel,
     kernel_diag,
+    kernel_lowerbound_check,
     kernel_model,
     kernel_row,
     moment,
     moments,
     normalized_kernel,
-    offdiagonal_lowerbound_check,
     reinhardt_series_model,
     reproduce_check,
 )
@@ -567,15 +566,15 @@ class TestKernelFloors:
         # K(z,z) sigma(z)^2 = (1 - |z|)^2/(1 - |z|^2)^2 = 1/(1 + |z|)^2 >= 1/4
         model = kernel_model(DISK)
         pts = np.array([[0.0], [0.5], [0.9], [0.99j]])
-        chk = diagonal_lowerbound_check(DISK, model, pts)
-        assert chk.count == 4
-        assert chk.constant > 0.25 - 1e-12
+        chk = kernel_lowerbound_check(DISK, model, 0.05, pts)
+        assert len(chk.values) == 4
+        assert chk.values.min() > 0.25 - 1e-12
         assert abs(chk.values[2] - 1.0 / 3.61) < 1e-9
 
     def test_offdiagonal_positive_at_small_radius(self):
         model = kernel_model(DISK)
         pts = np.array([[0.8], [0.9], [-0.85j]])
-        chk = offdiagonal_lowerbound_check(DISK, model, 0.05, pts, samples_per_point=16, seed=3)
+        chk = kernel_lowerbound_check(DISK, model, 0.05, pts, samples_per_point=16, seed=3)
         assert chk.re_constant > 0.0
         assert chk.k2_constant > 0.0
         assert chk.re_constant <= chk.k2_constant * 4.0  # same scale
@@ -583,4 +582,4 @@ class TestKernelFloors:
     def test_offdiagonal_radius_guard(self):
         model = kernel_model(DISK)
         with pytest.raises(InputError):
-            offdiagonal_lowerbound_check(DISK, model, 0.5, np.array([[0.5]]))
+            kernel_lowerbound_check(DISK, model, 0.5, np.array([[0.5]]))

@@ -81,8 +81,7 @@ TEST_ONLY = {
     "exact_metric_model": "acceptance criterion 5: the reference metric",
     "boundary_ray_samples": "acceptance criterion 5: the calibration rays",
     "calibrate_log_envelope": "acceptance criterion 5: the log envelope",
-    "diagonal_lowerbound_check": "Berezin => geometric: K(z,z) bounded below on the collar",
-    "offdiagonal_lowerbound_check": "Berezin => geometric: |k_z|^2 bounded below on small balls",
+    "kernel_lowerbound_check": "Berezin => geometric: K(z,z) and |k_z|^2 bounded below",
     "atoms_to_csv": "writes the atom table that --measure reads",
 }
 
@@ -214,6 +213,55 @@ def test_every_defaulted_parameter_has_a_caller():
 
 
 # ---------------------------------------------------------------------------
+# no defaulted dataclass field that only tests set
+
+# (class, field) pairs that no code outside the tests passes, each kept for
+# what it backs
+TEST_FIELDS = {
+    ("CarlesonConfig", "levels"): "the tests' reduced grid",
+    ("CarlesonConfig", "extra_rays"): "the tests' reduced grid",
+    ("CarlesonConfig", "interior_points"): "the tests' reduced grid",
+}
+
+
+def _dataclass_fields():
+    """(class, field, position, defaulted) for every field of a public
+    dataclass in the package; position is the field's place in __init__."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            if not any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                continue
+            fields = [
+                stmt for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            ]
+            for k, stmt in enumerate(fields):
+                yield node.name, stmt.target.id, k, stmt.value is not None
+
+
+def _unpassed_fields():
+    # a field is passed by a keyword or a position in a call of its class, or
+    # by a keyword of dataclasses.replace (whatever the instance's class)
+    keywords, positions = _passed_parameters()
+    replaced = keywords.get("replace", set())
+    unpassed = set()
+    for cls, name, k, defaulted in _dataclass_fields():
+        named = {name, None} & (keywords.get(cls, set()) | replaced)
+        if defaulted and not (named or positions.get(cls, 0) > k):
+            unpassed.add((cls, name))
+    return unpassed
+
+
+def test_every_defaulted_field_has_a_caller():
+    # a field default that no code outside the tests overrides is a constant:
+    # the field is deleted, or listed in TEST_FIELDS with what it backs; a
+    # listed one that gains a caller leaves the list
+    assert sorted(_unpassed_fields() ^ set(TEST_FIELDS)) == []
+
+
+# ---------------------------------------------------------------------------
 # no parameter that the body never reads
 
 
@@ -254,19 +302,6 @@ UNREAD_FIELDS = {
 }
 
 
-def _dataclass_fields():
-    """(class, field) for every field of a public dataclass in the package."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
-                continue
-            if not any("dataclass" in ast.unparse(d) for d in node.decorator_list):
-                continue
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    yield node.name, stmt.target.id
-
-
 def _read_attributes():
     """Every attribute name that some .py file under src/, scripts/,
     perfbench/ or tests/ reads as `obj.name`."""
@@ -284,5 +319,5 @@ def test_every_dataclass_field_is_read():
     # it is deleted, or listed in UNREAD_FIELDS with what it backs; a listed
     # field that gains a reader leaves the list
     read = _read_attributes()
-    unread = {(cls, name) for cls, name in _dataclass_fields() if name not in read}
+    unread = {(cls, name) for cls, name, *_ in _dataclass_fields() if name not in read}
     assert sorted(unread ^ set(UNREAD_FIELDS)) == []

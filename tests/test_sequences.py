@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carleson_lab import bergman, domains, kobayashi, measures, sequences
+from carleson_lab import bergman, cli, domains, kobayashi, measures, sequences
 from carleson_lab.carleson import CarlesonConfig
 from carleson_lab.domains import complex_ellipsoid, unit_ball, unit_disk
 from carleson_lab.errors import InputError
@@ -28,6 +28,15 @@ def _count_in_ball(spec, x, r, gamma):
     x = domains.as_point(spec, x)
     inside, maybe = kobayashi.ball_relation(spec, gamma.points, x[None, :], r)
     return SimpleNamespace(count=int(maybe.sum()), uncertain=int((maybe & ~inside).sum()))
+
+
+def _assert_colors_are_the_parts(gamma, dec):
+    """Point k of Gamma lies in part colors[k], and each part holds its
+    points in Gamma's order."""
+    assert dec.colors.shape == (gamma.count,)
+    assert len(dec.parts) == dec.colors.max() + 1
+    for c, part in enumerate(dec.parts):
+        np.testing.assert_array_equal(part.points, gamma.points[dec.colors == c])
 
 
 FAST = CarlesonConfig(
@@ -114,9 +123,9 @@ class TestSeparationAndCounting:
         assert _count_in_ball(DISK, 0.0, 0.5, empty).count == 0
 
     def test_max_count_in_ball(self):
-        assert sequences.max_count_in_ball(DISK, 0.6, TRI) == 3
+        assert sequences.greedy_decompose(DISK, TRI, 0.6).max_ball_count == 3
         empty = sequences.SequenceSet(points=np.zeros((0, 1), dtype=complex))
-        assert sequences.max_count_in_ball(DISK, 0.6, empty) == 0
+        assert sequences.greedy_decompose(DISK, empty, 0.6).max_ball_count == 0
 
     def test_ellipsoid_count_is_conservative(self):
         # the center of the ball is never certified outside its own ball
@@ -132,17 +141,41 @@ class TestSeparationAndCounting:
 
 class TestGreedyDecompose:
     def test_three_point_fixture(self):
-        parts = sequences.greedy_decompose(DISK, TRI, 0.6)
+        dec = sequences.greedy_decompose(DISK, TRI, 0.6)
+        parts = dec.parts
         assert len(parts) == 2
         assert np.allclose(parts[0].points, [[0.0]])
         assert np.allclose(parts[1].points, [[0.5], [-0.5]])
         assert sequences.separation(DISK, parts[1]) == pytest.approx(0.8, abs=1e-15)
-        assert len(parts) <= sequences.max_count_in_ball(DISK, 0.6, TRI)
+        assert len(parts) <= dec.max_ball_count
 
     def test_colors_fixture(self):
-        parts = sequences.greedy_decompose(DISK, TRI, 0.6)
-        colors = sequences.decomposition_colors(TRI, parts)
-        assert colors.tolist() == [0, 1, 1]
+        dec = sequences.greedy_decompose(DISK, TRI, 0.6)
+        assert dec.colors.tolist() == [0, 1, 1]
+        _assert_colors_are_the_parts(TRI, dec)
+
+    @pytest.mark.parametrize("r", [0.3, 0.6])
+    def test_colors_are_the_index_order_coloring(self, r):
+        # the coloring and the ball count written out from exact rho on the
+        # disk, rho(z, w) = |z - w| / |1 - conj(w) z|
+        rng = np.random.default_rng(23)
+        w = rng.uniform(-0.9, 0.9, size=(120, 2))
+        z = w[:, 0] + 1j * w[:, 1]
+        z = z[np.abs(z) < 0.95]
+        rho = np.abs(z[:, None] - z[None, :]) / np.abs(1.0 - z[:, None] * z[None, :].conj())
+        near = rho < r
+        colors = np.full(len(z), -1)
+        for i in range(len(z)):
+            used = set(colors[:i][near[i, :i]].tolist())
+            c = 0
+            while c in used:
+                c += 1
+            colors[i] = c
+        cloud = sequences.sequence_set(DISK, z)
+        dec = sequences.greedy_decompose(DISK, cloud, r)
+        assert dec.colors.tolist() == colors.tolist()
+        assert dec.max_ball_count == near.sum(axis=0).max() > 1
+        _assert_colors_are_the_parts(cloud, dec)
 
     def test_parts_are_separated_random_cloud(self):
         rng = np.random.default_rng(7)
@@ -151,22 +184,22 @@ class TestGreedyDecompose:
         pts = pts[np.abs(pts[:, 0]) < 0.95]
         cloud = sequences.SequenceSet(points=pts)
         r = 0.4
-        parts = sequences.greedy_decompose(DISK, cloud, r)
-        assert sum(p.count for p in parts) == cloud.count
-        for part in parts:
+        dec = sequences.greedy_decompose(DISK, cloud, r)
+        assert sum(p.count for p in dec.parts) == cloud.count
+        for part in dec.parts:
             assert sequences.separation(DISK, part) >= r - 1e-12
-        assert len(parts) <= sequences.max_count_in_ball(DISK, r, cloud)
+        assert len(dec.parts) <= dec.max_ball_count
 
     def test_already_separated_is_single_part(self):
         pack = sequences.greedy_packing(DISK, 0.5, level_floor=0.05, seed=3, candidates=512)
-        parts = sequences.greedy_decompose(DISK, pack.sequence, 0.3)
+        parts = sequences.greedy_decompose(DISK, pack.sequence, 0.3).parts
         assert len(parts) == 1
         assert np.array_equal(parts[0].points, pack.sequence.points)
 
     def test_ellipsoid_parts_certified_separated(self):
         pts = [[0.0, 0.0], [0.0, 0.3], [0.0, -0.3], [0.25, 0.0], [-0.25, 0.0]]
         cloud = sequences.sequence_set(ELL12, pts)
-        parts = sequences.greedy_decompose(ELL12, cloud, 0.35)
+        parts = sequences.greedy_decompose(ELL12, cloud, 0.35).parts
         for part in parts:
             assert sequences.separation(ELL12, part) >= 0.35 - 1e-12
 
@@ -176,7 +209,59 @@ class TestGreedyDecompose:
         with pytest.raises(InputError):
             sequences.greedy_decompose(DISK, TRI, 1.0)
         empty = sequences.SequenceSet(points=np.zeros((0, 1), dtype=complex))
-        assert sequences.greedy_decompose(DISK, empty, 0.5) == []
+        dec = sequences.greedy_decompose(DISK, empty, 0.5)
+        assert dec.parts == [] and dec.colors.shape == (0,) and dec.max_ball_count == 0
+
+
+# ---------------------------------------------------------------------------
+# one relation per sequence
+
+
+def _count_relations(monkeypatch, gamma):
+    """Count the ball_relation calls on Gamma x Gamma from here on."""
+    calls = []
+    relation = kobayashi.ball_relation
+
+    def counted(spec, pts, centers, r):
+        if np.array_equal(pts, gamma.points) and np.array_equal(centers, gamma.points):
+            calls.append(r)
+        return relation(spec, pts, centers, r)
+
+    monkeypatch.setattr(sequences.kobayashi, "ball_relation", counted)
+    return calls
+
+
+class TestOneRelation:
+    @pytest.mark.parametrize("spec", [DISK, ELL12], ids=["disk", "ell12"])
+    def test_decompose_reads_one_relation(self, monkeypatch, spec):
+        gamma = sequences.sequence_set(
+            spec, domains.quasi_interior(spec, 40, seed=5, level_floor=0.05)
+        )
+        calls = _count_relations(monkeypatch, gamma)
+        dec = sequences.greedy_decompose(spec, gamma, 0.6)
+        assert calls == [0.6]
+        assert 1 < len(dec.parts) <= dec.max_ball_count
+
+    def test_thm42_reads_one_relation(self, monkeypatch, disk_model):
+        pack = sequences.greedy_packing(DISK, 0.5, level_floor=0.1, seed=3, candidates=256)
+        calls = _count_relations(monkeypatch, pack.sequence)
+        rep = sequences.thm42_pipeline(DISK, disk_model, pack.sequence, FAST)
+        assert calls == [FAST.r]
+        assert rep.part_count == 1
+
+    def test_cli_decompose_reads_one_relation(self, monkeypatch, tmp_path):
+        gamma = sequences.boundary_cluster(DISK, np.array([1.0]), levels=4)
+        domains.save_spec(DISK, tmp_path / "disk.json")
+        sequences.sequence_to_csv(gamma, tmp_path / "gamma.csv")
+        calls = _count_relations(monkeypatch, gamma)
+        argv = ["decompose", "--domain", str(tmp_path / "disk.json"),
+                "--points", str(tmp_path / "gamma.csv"), "--r", "0.3",
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        assert calls == [0.3]
+        lines = (tmp_path / "out" / "decompose.csv").read_text().splitlines()[1:]
+        colors = [int(line.rsplit(",", 1)[1]) for line in lines]
+        assert max(colors) + 1 == 16
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +355,7 @@ class TestEllipsoidExact:
         within = ((low < r) | (high < r)).reshape(n, n)  # [point, center]
         counts = within.sum(axis=0)
         assert counts.max() > 1
-        assert sequences.max_count_in_ball(ELL12, r, gamma) == counts.max()
+        assert sequences.greedy_decompose(ELL12, gamma, r).max_ball_count == counts.max()
         got = _count_in_ball(ELL12, pts[7], r, gamma)
         assert got.count == counts[7]
 
@@ -279,9 +364,10 @@ class TestEllipsoidExact:
         gamma = sequences.SequenceSet(points=pack.sequence.points[:200])
         got = _count_in_ball(ELL12, gamma.points[0], 0.8, gamma)
         assert got.count >= 1 and got.uncertain == 0
-        parts = sequences.greedy_decompose(ELL12, gamma, 0.8)
-        assert 1 < len(parts) <= sequences.max_count_in_ball(ELL12, 0.8, gamma)
-        for part in parts:
+        dec = sequences.greedy_decompose(ELL12, gamma, 0.8)
+        assert 1 < len(dec.parts) <= dec.max_ball_count
+        _assert_colors_are_the_parts(gamma, dec)
+        for part in dec.parts:
             assert sequences.separation(ELL12, part) >= 0.8 - 1e-12
 
 
@@ -349,10 +435,10 @@ class TestSequenceMeasure:
     def test_cluster_color_count_diverges(self):
         parts4 = sequences.greedy_decompose(
             DISK, sequences.boundary_cluster(DISK, np.array([1.0]), levels=4), 0.3
-        )
+        ).parts
         parts6 = sequences.greedy_decompose(
             DISK, sequences.boundary_cluster(DISK, np.array([1.0]), levels=6), 0.3
-        )
+        ).parts
         assert len(parts4) == 16
         assert len(parts6) == 64
 
@@ -385,12 +471,12 @@ class TestThm42Pipeline:
         pts, w = pack.sequence.points[:, 0], rep.measure.weights
         v = pts[:, None] ** np.arange(65) * np.sqrt(np.arange(1.0, 66.0))
         own = np.linalg.eigvalsh((v.conj().T * w) @ v)[-1]
-        assert rep.statement3_sup == pytest.approx(own, rel=1e-12)
-        assert rep.statement3_sup == rep.carleson.operator.sup
-        assert rep.statement3_sup == pytest.approx(FROZEN_STATEMENT3, rel=1e-12)
+        sup = rep.carleson.operator.sup
+        assert sup == pytest.approx(own, rel=1e-12)
+        assert sup == pytest.approx(FROZEN_STATEMENT3, rel=1e-12)
         # the truncated kernel K_64(., a_k) lies in P_64, so the sup is at
         # least w_k K_64(a_k, a_k) at every atom
-        assert rep.statement3_sup >= max(w * np.sum(np.abs(v) ** 2, axis=1))
+        assert sup >= max(w * np.sum(np.abs(v) ** 2, axis=1))
 
     def test_cluster_is_diverging(self, disk_model):
         cl = sequences.boundary_cluster(DISK, np.array([1.0]), levels=6)
@@ -472,9 +558,9 @@ class TestSequenceCsv:
             sequences.sequence_from_csv(DISK, path)
 
     def test_decomposition_csv(self, tmp_path):
-        parts = sequences.greedy_decompose(DISK, TRI, 0.6)
+        dec = sequences.greedy_decompose(DISK, TRI, 0.6)
         path = tmp_path / "dec.csv"
-        sequences.decomposition_to_csv(TRI, parts, path)
+        sequences.decomposition_to_csv(TRI, dec, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "x1,y1,color"
         assert len(lines) == TRI.count + 1

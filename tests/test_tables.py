@@ -42,11 +42,11 @@ def test_tables_read_back_bitwise(tmp_path, trip):
 
 def test_every_writer_ends_lines_with_newline(tmp_path):
     gamma = sequences.sequence_set(DISK, [0.1, -0.4j, 0.5 + 0.2j])
-    parts = sequences.greedy_decompose(DISK, gamma, 0.6)
+    dec = sequences.greedy_decompose(DISK, gamma, 0.6)
     mu = measures.atomic_measure(BALL2, _AWKWARD, [1.0, 0.5])
     measures.atoms_to_csv(mu, tmp_path / "atoms.csv")
     sequences.sequence_to_csv(gamma, tmp_path / "seq.csv")
-    sequences.decomposition_to_csv(gamma, parts, tmp_path / "dec.csv")
+    sequences.decomposition_to_csv(gamma, dec, tmp_path / "dec.csv")
     for name in ("atoms.csv", "seq.csv", "dec.csv"):
         blob = (tmp_path / name).read_bytes()
         assert b"\r" not in blob and blob.endswith(b"\n"), name
