@@ -25,7 +25,7 @@ from .polynomials import HoloPolynomial, poly_eval
 
 
 def _reinhardt_data(spec: DomainSpec) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    if spec.kind in ("disk", "ball"):
+    if domains.is_ball(spec):
         return tuple([1] * spec.dim), tuple([1.0] * spec.dim)
     if spec.kind == "ellipsoid":
         return tuple(spec.exponents), tuple(spec.semi_axes)
@@ -98,7 +98,7 @@ class KernelModel:
 
 
 def closed_ball_model(spec: DomainSpec) -> KernelModel:
-    if spec.kind not in ("disk", "ball"):
+    if not domains.is_ball(spec):
         raise CapabilityError(f"closed-form kernel requires the disk/ball, got {spec.kind!r}")
     return KernelModel(
         spec=spec, variant="closed", degree=0, table=None, coeffs=None, tail_w=None, tail_ratio=0.0
@@ -137,7 +137,7 @@ def reinhardt_series_model(spec: DomainSpec, degree: int = 60) -> KernelModel:
 
 def kernel_model(spec: DomainSpec, degree: int = 60) -> KernelModel:
     """Closed form on the disk/ball, moment series on ellipsoids."""
-    if spec.kind in ("disk", "ball"):
+    if domains.is_ball(spec):
         return closed_ball_model(spec)
     return reinhardt_series_model(spec, degree=degree)
 
@@ -388,7 +388,7 @@ def berezin_many(model: KernelModel, mu, zs, base: NuBase | None = None) -> list
     zs = np.atleast_2d(np.asarray(zs, dtype=complex))
     if isinstance(mu, DensityMeasure):
         measures._check_base(getattr(base, "points", None), spec.dim)
-        if spec.kind in ("disk", "ball"):
+        if domains.is_ball(spec):
             out = []
             vals = np.empty(len(base.points))
             for z in zs:
@@ -428,7 +428,7 @@ def kernel_lowerbound_check(
     seed: int = 0,
 ) -> LowerBoundCheck:
     """Empirical kernel floors on the diagonal and near it, in each point's
-    minimal frame (computed once per point, as is K(z,z)).
+    minimal frame (one geometry.minimal_frames call; one K(z,z) per point).
 
     values[i] is K(z_i,z_i) * prod sigma_i^2, the diagonal lower bound
     K(z,z) >~ prod sigma_i(z)^-2.  For each point z0 the check also samples
@@ -441,13 +441,13 @@ def kernel_lowerbound_check(
         raise InputError(f"radius {r} outside (0, {_OFFDIAG_R0})")
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    frames = geometry.minimal_frames(spec, pts)
     vals = np.empty(len(pts))
     re_min = k2_min = math.inf
     for i, z0 in enumerate(pts):
-        frame = geometry.minimal_frame(spec, z0)
-        sandwich = kobayashi.ball_sandwich(spec, z0, r, frame=frame)
+        sandwich = kobayashi.ball_sandwich(spec, z0, r, frame=frames[i])
         omega = geometry.sample_polydisk(sandwich.inner, samples_per_point, rng)
-        prod = float(np.prod(frame.sigma**2))
+        prod = float(np.prod(frames.sigma[i] ** 2))
         row = kernel_row(model, z0, omega)
         diag = kernel_diag(model, z0)
         vals[i] = diag * prod

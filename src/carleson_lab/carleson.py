@@ -201,22 +201,23 @@ def criterion_geometric(
     grid: list[GridPoint],
     config: CarlesonConfig,
 ) -> CriterionTrace:
-    # one unit-polydisk sample, from a stream of its own, mapped into both
-    # polydisks of every grid point's sandwich
+    # one frame field over the grid, and one unit-polydisk sample, from a
+    # stream of its own, mapped into both polydisks of every point's sandwich
+    frames = geometry.minimal_frames(spec, [gp.point for gp in grid])
     base = None
     if isinstance(mu, DensityMeasure):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(303,)))
         base = geometry.unit_polydisk_sample(spec.dim, config.mass_samples, rng)
 
-    def one(gp: GridPoint) -> tuple[float, float, float]:
-        sandwich = kobayashi.ball_sandwich(spec, gp.point, config.r)
+    def one(k: int, gp: GridPoint) -> tuple[float, float, float]:
+        sandwich = kobayashi.ball_sandwich(spec, gp.point, config.r, frame=frames[k])
         inner = measures.mass(spec, mu, sandwich.inner, base)
         outer = measures.mass(spec, mu, sandwich.outer, base)
         vol_inner = geometry.polydisk_nu_volume(sandwich.inner)
         vol_outer = geometry.polydisk_nu_volume(sandwich.outer)
         return inner.value / vol_outer, outer.value / vol_inner, outer.stderr / vol_inner
 
-    lower, upper, stderr = np.array([one(gp) for gp in grid]).T
+    lower, upper, stderr = np.array([one(k, gp) for k, gp in enumerate(grid)]).T
     return _trace("geometric", grid, config.levels, upper, stderr, lower=lower)
 
 

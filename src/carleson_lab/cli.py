@@ -171,21 +171,12 @@ def _cmd_domain_info(args, spec, out) -> int:
 def _cmd_frame(args, spec, out) -> int:
     q = _parse_point(spec, args.point)
     frame = geometry.minimal_frame(spec, q)
-    header = ["i", "sigma"] + [f"e_x{j+1}" for j in range(spec.dim)] + [
-        f"e_y{j+1}" for j in range(spec.dim)
-    ]
-    rows = [
-        [i, frame.sigma[i], *frame.basis[i].real, *frame.basis[i].imag] for i in range(spec.dim)
-    ]
+    header = ["i", "sigma"] + [f"e_{part}{j + 1}" for part in "xy" for j in range(spec.dim)]
+    rows = [[i, s, *e.real, *e.imag] for i, (s, e) in enumerate(zip(frame.sigma, frame.basis))]
     tables.write(os.path.join(out, "frame.csv"), header, rows)
-    _write_json(
-        os.path.join(out, "frame_summary.json"),
-        {
-            "config": _echo(args),
-            "sigma": [float(s) for s in frame.sigma],
-            "unique": bool(frame.unique),
-        },
-    )
+    sigma = [float(s) for s in frame.sigma]
+    summary = {"config": _echo(args), "sigma": sigma, "unique": bool(frame.unique)}
+    _write_json(os.path.join(out, "frame_summary.json"), summary)
     print("sigma = (" + ", ".join(f"{s:.6f}" for s in frame.sigma) + ")")
     return 0
 
@@ -195,7 +186,7 @@ def _cmd_kernel_check(args, spec, out) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     results = {"config": _echo(args), "variant": model.variant}
 
-    if spec.kind in ("disk", "ball"):
+    if domains.is_ball(spec):
         series = bergman.reinhardt_series_model(spec, degree=args.degree)
         z = 0.7 * domains.random_interior(spec, 500, rng)
         w = 0.7 * domains.random_interior(spec, 500, rng)

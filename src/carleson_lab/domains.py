@@ -36,7 +36,6 @@ _CONVEXITY_TRIPLES = 1000
 _FACE_SAMPLES = 512
 _PROJECTION_STARTS = 8
 _LINE_PHASES = 64
-_REL_TOL = 1e-8
 
 # ---------------------------------------------------------------------------
 # spec
@@ -120,6 +119,11 @@ def convex_polynomial(
         anchor=anchor,
         collar=collar,
     )
+
+
+def is_ball(spec: DomainSpec) -> bool:
+    """The unit disk or a unit ball, the models with closed forms throughout."""
+    return spec.kind in ("disk", "ball")
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +230,7 @@ def defining_value(spec: DomainSpec, z) -> float | np.ndarray:
 
 
 def _value_batch(spec: DomainSpec, z: np.ndarray) -> np.ndarray:
-    if spec.kind in ("disk", "ball"):
+    if is_ball(spec):
         return squared_norm(z) - 1.0
     if spec.kind == "ellipsoid":
         sq = z.real**2 + z.imag**2
@@ -248,7 +252,7 @@ def defining_gradient(spec: DomainSpec, z) -> np.ndarray:
     """Real gradient of r, interleaved layout, shape (..., 2n)."""
     z = np.asarray(z, dtype=complex)
     x = to_real(z)
-    if spec.kind in ("disk", "ball"):
+    if is_ball(spec):
         return 2.0 * x
     if spec.kind == "ellipsoid":
         sq = z.real**2 + z.imag**2
@@ -361,7 +365,7 @@ def _ray_root(spec: DomainSpec, q: np.ndarray, direction: np.ndarray, level: flo
     a few eps for every q inside the level set.  Elsewhere brentq brackets the
     crossing.  A q outside the level set raises ValueError on every kind.
     """
-    if spec.kind in ("disk", "ball"):
+    if is_ball(spec):
         x, e = to_real(q), to_real(np.broadcast_to(direction, q.shape))
         c = _exact_dot(x, x, -1.0, -level)
         if c > 0.0:
@@ -432,7 +436,7 @@ def project_to_level(spec: DomainSpec, q, basis: np.ndarray | None = None) -> Pr
     basis = np.atleast_2d(np.asarray(basis, dtype=complex))
     k = basis.shape[0]
 
-    if spec.kind in ("disk", "ball") and k == spec.dim:
+    if is_ball(spec) and k == spec.dim:
         nq = float(np.linalg.norm(q))
         if nq < 1e-12:
             e = np.zeros(spec.dim, dtype=complex)
@@ -606,7 +610,7 @@ def boundary_distance(spec: DomainSpec, z) -> float:
     z = as_point(spec, z)
     if not float(defining_value(spec, z)) < 0.0:
         raise InputError("boundary_distance expects an interior point")
-    if spec.kind in ("disk", "ball"):
+    if is_ball(spec):
         return float(boundary_distance_batch(spec, z[None, :])[0])
     return project_to_level(spec, z).distance
 
@@ -614,7 +618,7 @@ def boundary_distance(spec: DomainSpec, z) -> float:
 def boundary_distance_batch(spec: DomainSpec, pts: np.ndarray) -> np.ndarray:
     """Boundary distances for a batch of interior points (vectorized on models)."""
     pts = np.asarray(pts, dtype=complex)
-    if spec.kind in ("disk", "ball"):
+    if is_ball(spec):
         return 1.0 - np.sqrt(squared_norm(pts))
     return np.array([boundary_distance(spec, p) for p in pts])
 
@@ -638,7 +642,7 @@ def line_level_distance(spec: DomainSpec, z, v) -> float:
     if not rz < 0.0:
         raise InputError(f"point must be interior: r(z) = {rz}")
 
-    if spec.kind in ("disk", "ball"):
+    if is_ball(spec):
         b = complex(np.sum(z * np.conj(v)))  # <z, v>
         return math.sqrt(abs(b) ** 2 + 1.0 - float(np.vdot(z, z).real)) - abs(b)
     from scipy import optimize

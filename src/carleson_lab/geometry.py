@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import domains
-from .domains import DomainSpec, as_point, defining_value, project_to_level
+from .domains import DomainSpec, as_point, as_points, defining_value, project_to_level
 from .errors import InputError, NumericError
 
 @dataclass(frozen=True)
@@ -22,12 +22,18 @@ class MinimalFrame:
 
     ``unique`` reports whether the first boundary projection was unique within
     tolerance; deeper steps are always resolved by the canonical tie-break.
+    A stack of frames (minimal_frames) carries a leading batch axis on every
+    field, as a stacked Polydisk does.
     """
 
     center: np.ndarray
     basis: np.ndarray
     sigma: np.ndarray
-    unique: bool
+    unique: bool | np.ndarray
+
+    def __getitem__(self, k) -> MinimalFrame:
+        """Frame k of a stack made by minimal_frames."""
+        return MinimalFrame(self.center[k], self.basis[k], self.sigma[k], bool(self.unique[k]))
 
 
 @dataclass(frozen=True)
@@ -57,39 +63,47 @@ def _orthonormal_complement(basis: np.ndarray, direction: np.ndarray) -> np.ndar
     return vh[:keep]
 
 
+def _ball_frames(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(basis, sigma, unique) of the disk's or ball's frames at points (k, n):
+    sigma = (1 - |z|, sqrt(1 - |z|^2), ...), e_1 = z / |z|, then Gram-Schmidt
+    of the coordinate axes in order, skipping an axis whose residual is at
+    most 1e-8, in real arithmetic so that a row does not depend on the
+    batch.  Below |z| = 1e-12: the identity, sigma = 1 and unique False."""
+    k, n = pts.shape
+    nq = np.sqrt(domains.squared_norm(pts))
+    unique = nq >= 1e-12
+    nq[~unique] = 0.0  # sigma = 1, and e_1 = first axis gives the identity
+    sigma = np.column_stack([1.0 - nq] + [np.sqrt(1.0 - nq * nq)] * (n - 1))
+    first = pts / np.where(unique, nq, 1.0)[:, None]
+    first[~unique] = np.eye(n)[0]
+    re, im = np.zeros((k, n, n)), np.zeros((k, n, n))
+    re[:, 0], im[:, 0] = first.real, first.imag
+    row = np.ones(k, dtype=int)
+    for j in range(n):
+        er, ei = np.zeros((k, n)), np.zeros((k, n))
+        er[:, j] = 1.0
+        for i in range(min(j + 1, n)):  # rows not yet filled are zero
+            br, bi = re[:, i], im[:, i]
+            cr = (br * er + bi * ei).sum(axis=1)[:, None]  # <e, b_i>
+            ci = (br * ei - bi * er).sum(axis=1)[:, None]
+            er, ei = er - (br * cr - bi * ci), ei - (br * ci + bi * cr)
+        norm = np.sqrt((er * er + ei * ei).sum(axis=1))
+        take = np.flatnonzero((norm > 1e-8) & (row < n))
+        re[take, row[take]] = er[take] / norm[take, None]
+        im[take, row[take]] = ei[take] / norm[take, None]
+        row[take] += 1
+    if np.any(row != n):
+        raise NumericError("frame completion failed", {"rank": int(row.min())})
+    basis = np.empty((k, n, n), dtype=complex)
+    basis.real, basis.imag = re, im
+    return basis, sigma, unique
+
+
 def _frame(spec: DomainSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     n = spec.dim
-    if spec.kind in ("disk", "ball"):
-        nq = float(np.linalg.norm(q))
-        sigma = np.empty(n)
-        sigma[0] = 1.0 - nq
-        if n > 1:
-            sigma[1:] = math.sqrt(max(1.0 - nq**2, 0.0))
-        if nq < 1e-12:
-            return np.eye(n, dtype=complex), np.ones(n), False
-        basis = np.zeros((n, n), dtype=complex)
-        basis[0] = q / nq
-        # canonical completion: Gram-Schmidt of coordinate axes against e_1
-        row = 1
-        for j in range(n):
-            if row == n:
-                break
-            e = np.zeros(n, dtype=complex)
-            e[j] = 1.0
-            for i in range(row):
-                e = e - basis[i] * (np.conj(basis[i]) @ e)
-            norm = float(np.linalg.norm(e))
-            if norm > 1e-8:
-                basis[row] = e / norm
-                row += 1
-        if row != n:
-            raise NumericError("frame completion failed", {"rank": row})
-        return basis, sigma, True
-
-    basis = np.eye(n, dtype=complex)
     frame = np.zeros((n, n), dtype=complex)
     sigma = np.empty(n)
-    slice_basis = basis
+    slice_basis = np.eye(n, dtype=complex)
     unique = True
     for i in range(n):
         if i == n - 1 and i > 0:
@@ -119,10 +133,26 @@ def _frame(spec: DomainSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, boo
 def minimal_frame(spec: DomainSpec, q) -> MinimalFrame:
     """Greedy minimal frame of D at an interior point q."""
     q = as_point(spec, q)
+    if domains.is_ball(spec):
+        return minimal_frames(spec, q[None])[0]
     if not float(defining_value(spec, q)) < 0.0:
         raise InputError("minimal_frame expects an interior point")
-    basis, sigma, unique = _frame(spec, q)
-    return MinimalFrame(center=q, basis=basis, sigma=sigma, unique=unique)
+    return MinimalFrame(q, *_frame(spec, q))
+
+
+def minimal_frames(spec: DomainSpec, pts) -> MinimalFrame:
+    """The minimal frames of a batch of interior points (k, n), stacked; row
+    k is minimal_frame(spec, pts[k]) bit for bit.  One closed form over the
+    batch on the disk and ball, one minimal_frame per point elsewhere."""
+    pts = as_points(spec, pts)
+    if not domains.is_ball(spec):
+        n, frames = spec.dim, [minimal_frame(spec, q) for q in pts]
+        basis = np.array([f.basis for f in frames], dtype=complex).reshape(-1, n, n)
+        sigma = np.array([f.sigma for f in frames]).reshape(-1, n)
+        return MinimalFrame(pts, basis, sigma, np.array([f.unique for f in frames], dtype=bool))
+    if not np.all(defining_value(spec, pts) < 0.0):
+        raise InputError("minimal_frame expects an interior point")
+    return MinimalFrame(pts, *_ball_frames(pts))
 
 
 def frame_polydisk(frame: MinimalFrame, scale: float) -> Polydisk:

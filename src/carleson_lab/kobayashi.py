@@ -54,7 +54,7 @@ def metric_bounds(spec: DomainSpec, z, v) -> MetricBound:
 def exact_metric_model(spec: DomainSpec, z, v) -> float:
     """Kobayashi metric of the disk/ball (closed form); capability error
     elsewhere.  The reference of acceptance criterion 5."""
-    if spec.kind not in ("disk", "ball"):
+    if not domains.is_ball(spec):
         raise CapabilityError(f"no exact Kobayashi metric for kind {spec.kind!r}")
     z = as_point(spec, z)
     v = np.asarray(v, dtype=complex)
@@ -204,7 +204,7 @@ def _within(pts: np.ndarray, centers: np.ndarray, r: float) -> np.ndarray:
 def mobius_translation(spec: DomainSpec, a):
     """The automorphism of the disk/ball swapping 0 and a, as a map on
     batches (..., n); the work that depends on a alone is done here, once."""
-    if spec.kind not in ("disk", "ball"):
+    if not domains.is_ball(spec):
         raise CapabilityError(f"no Mobius translation for kind {spec.kind!r}")
     a = as_point(spec, a)
     aa = float(np.vdot(a, a).real)
@@ -278,7 +278,7 @@ def _ellipsoid_1m_order(spec: DomainSpec) -> tuple[list[int], int] | None:
 
 def has_exact_distance(spec: DomainSpec) -> bool:
     """Disk, ball and (1, m) ellipsoid carry the exact distance oracle."""
-    return spec.kind in ("disk", "ball") or _ellipsoid_1m_order(spec) is not None
+    return domains.is_ball(spec) or _ellipsoid_1m_order(spec) is not None
 
 
 def _normalize_1m(spec: DomainSpec, pts) -> tuple[np.ndarray, int]:
@@ -286,10 +286,6 @@ def _normalize_1m(spec: DomainSpec, pts) -> tuple[np.ndarray, int]:
     order, m = _ellipsoid_1m_order(spec)
     pts = np.asarray(pts, dtype=complex)
     return pts[..., order] / np.asarray(spec.semi_axes)[order], m
-
-
-def _disc_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.abs(a - b) / np.abs(1.0 - np.conj(a) * b)
 
 
 def _minkowski_1m(x1: np.ndarray, x2: np.ndarray, m: int) -> np.ndarray:
@@ -408,11 +404,11 @@ def _crossing_bracket(z1, z2, w1, w2, b: np.ndarray, m: int) -> tuple[np.ndarray
         lam = (y1 * np.conj(u1) + y2 * np.conj(u2)) / (np.abs(u1) ** 2 + np.abs(u2) ** 2)
         gap = np.sqrt(np.abs(y1 - lam * u1) ** 2 + np.abs(y2 - lam * u2) ** 2)
         depth = 1.0 - np.maximum(hy, np.abs(lam))
-        high = np.tanh(np.arctanh(np.minimum(_disc_pd(hx + 0j, lam), 1.0)) + gap / depth)
+        high = np.tanh(np.arctanh(np.minimum(_ball_pd((hx,), (lam,)), 1.0)) + gap / depth)
         # As |b| -> 1 the images approach the boundary and the disc distances
         # lose all precision (relative error ~ eps / (1 - |l|)); keep clear.
         usable = np.maximum(hx, np.abs(ly)) < 1.0 - _EDGE
-        low = np.where(usable, _disc_pd(hx + 0j, ly), 0.0)
+        low = np.where(usable, _ball_pd((hx,), (ly,)), 0.0)
         edge = 1.0 - np.abs(b)
         slack = np.where(edge < _CROSSING_EDGE, 4.0 * np.finfo(float).eps / edge, 0.0)
     high = np.where(usable & (depth > 0.0) & np.isfinite(high), np.minimum(high + slack, 1.0), 1.0)
@@ -441,25 +437,21 @@ def _bracket_1m(
     nan at both ends.  ``inner`` flags the pairs with both points in B when
     the caller has the flags of its points.
     """
+    if inner is None:
+        inner = (domains.squared_norm(z) < 1.0) & (domains.squared_norm(w) < 1.0)
     if r is None:
         low, high = _oracle_1m(z, w, m)
         # E contains the unit ball B, so tanh k_E <= rho_B on B x B
-        k = np.flatnonzero(high - low > _CLOSED)
-        k = k[_in_ball(z[k]) & _in_ball(w[k])]
+        k = np.flatnonzero((high - low > _CLOSED) & inner)
         high[k] = np.minimum(high[k], _ball_pd(z[k].T, w[k].T))
         return low, high
-    low = _disc_pd(z[:, 1], w[:, 1])
+    low = _ball_pd((z[:, 1],), (w[:, 1],))
     high = np.ones_like(low)
-    k = np.flatnonzero(low < r)
-    k = k[_in_ball(z[k]) & _in_ball(w[k]) if inner is None else inner[k]]
+    k = np.flatnonzero((low < r) & inner)
     high[k] = _ball_pd(z[k].T, w[k].T)
     rest = np.flatnonzero((low < r) & (high >= r))
     low[rest], high[rest] = _oracle_1m(z[rest], w[rest], m, r, steps)
     return low, high
-
-
-def _in_ball(z: np.ndarray) -> np.ndarray:
-    return (z.real**2 + z.imag**2).sum(axis=1) < 1.0
 
 
 def _oracle_1m(
@@ -524,7 +516,7 @@ def _images(spec: DomainSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     pseudo-distance of the images bounds tanh d_K from below: they are the
     points themselves on the disk and ball (exact there), Phi of the
     normalized points on the (1, m) ellipsoid."""
-    if spec.kind in ("disk", "ball"):
+    if domains.is_ball(spec):
         return pts, pts, 1
     pn, m = _normalize_1m(spec, pts)
     return pn, np.stack([pn[:, 0], pn[:, 1] ** m], axis=1), m
@@ -545,7 +537,7 @@ def tanh_distance_bracket(spec: DomainSpec, z, w) -> tuple[np.ndarray, np.ndarra
     z, w = np.broadcast_arrays(
         np.atleast_2d(np.asarray(z, dtype=complex)), np.atleast_2d(np.asarray(w, dtype=complex))
     )
-    if spec.kind in ("disk", "ball"):
+    if domains.is_ball(spec):
         rho = _ball_pd(z.T, w.T)
         return rho, rho.copy()
     zn, m = _normalize_1m(spec, z)
@@ -570,31 +562,20 @@ def _sandwich_scales(r: float, n: int) -> tuple[float, float]:
     return r / n, 2.0 * r / (1.0 - r)
 
 
-def _stack(centers: np.ndarray, frames: list[MinimalFrame]) -> Polydisk:
-    """Minimal frames of the centers as one stacked Polydisk with radii sigma."""
-    n = centers.shape[1]
-    basis = np.array([f.basis for f in frames]).reshape(-1, n, n)
-    sigma = np.array([f.sigma for f in frames]).reshape(-1, n)
-    return Polydisk(center=centers, basis=basis, radii=sigma)
-
-
-def _frame_stack(spec: DomainSpec, centers: np.ndarray) -> Polydisk:
-    return _stack(centers, [minimal_frame(spec, c) for c in centers])
-
-
-def _gauge(pts: np.ndarray, frames: Polydisk) -> np.ndarray:
+def _gauge(pts: np.ndarray, frames: MinimalFrame) -> np.ndarray:
     """(B, K) frame gauges of pts against K stacked frames, in blocks of
     about _PAIR_CHUNK pairs."""
+    polydisks = geometry.frame_polydisk(frames, 1.0)
     out = np.empty((len(pts), len(frames.center)))
     step = max(1, _PAIR_CHUNK // max(1, len(frames.center)))
     for start in range(0, len(pts), step):
-        out[start : start + step] = geometry.polydisk_gauge(frames, pts[start : start + step])
+        out[start : start + step] = geometry.polydisk_gauge(polydisks, pts[start : start + step])
     return out
 
 
-def _relate(spec: DomainSpec, pts, centers, r: float, frames: Polydisk | None):
-    """ball_relation for centers whose frames are already known (None on the
-    domains with the oracle)."""
+def _relate(spec: DomainSpec, pts, centers, r: float, frames: MinimalFrame | None):
+    """ball_relation for centers whose stacked frames are already known (None
+    on the domains with the oracle)."""
     if frames is None:
         return ball_relation(spec, pts, centers, r)
     gauge = _gauge(pts, frames)
@@ -626,15 +607,16 @@ def ball_relation(
     pts = np.asarray(pts, dtype=complex)
     centers = np.asarray(centers, dtype=complex)
     if not has_exact_distance(spec):
-        return _relate(spec, pts, centers, r, _frame_stack(spec, centers))
+        return _relate(spec, pts, centers, r, geometry.minimal_frames(spec, centers))
     pn, phi_p, m = _images(spec, pts)
     cn, phi_c, _ = _images(spec, centers)
     maybe = _within(phi_p, phi_c, r)
-    if spec.kind in ("disk", "ball"):
+    if domains.is_ball(spec):
         return maybe, maybe
     inside = np.zeros_like(maybe)
     inside_flat, maybe_flat = inside.reshape(-1), maybe.reshape(-1)  # views
-    inner_p, inner_c = _in_ball(pn), _in_ball(cn)  # once per point, not per pair
+    # each point's unit-ball flag, once per point, not per pair
+    inner_p, inner_c = domains.squared_norm(pn) < 1.0, domains.squared_norm(cn) < 1.0
 
     def settle(pairs: np.ndarray, steps: int) -> np.ndarray:
         """Decide flat pairs block by block; return those still open."""
@@ -663,7 +645,7 @@ def ball_counts(
     """Per point of pts: how many tanh-radius-r balls around centers certainly
     contain it (inside), and how many may (maybe).  ball_relation runs on
     blocks of _COUNT_CHUNK points; each center's frame is computed once."""
-    frames = None if has_exact_distance(spec) else _frame_stack(spec, centers)
+    frames = None if has_exact_distance(spec) else geometry.minimal_frames(spec, centers)
     inside_n = np.zeros(len(pts), dtype=int)
     maybe_n = np.zeros(len(pts), dtype=int)
     for start in range(0, len(pts), _COUNT_CHUNK):
@@ -688,8 +670,9 @@ def greedy_separated(spec: DomainSpec, pts: np.ndarray, r: float) -> tuple[np.nd
     before it in one call, and its survivors against each other in a second;
     the accept loop then reads that survivors x survivors relation.  The
     relation is elementwise, so the kept points are those of one call per
-    point.  Without the oracle the minimal frame of each survivor is computed
-    once and kept with the point.
+    point.  Without the oracle the minimal frames of each chunk's survivors
+    are computed in one call, and those of the kept points are kept as one
+    stack.
 
     The mask is read from the inside halves of the same two relations, with
     the point as the query and the kept point as the center, as
@@ -698,24 +681,17 @@ def greedy_separated(spec: DomainSpec, pts: np.ndarray, r: float) -> tuple[np.nd
     with; a point rejected before some later kept point may be within r of
     that one and still be unmarked.
     """
-    frames: list[MinimalFrame] | None = None if has_exact_distance(spec) else []
+    frames = None if has_exact_distance(spec) else geometry.minimal_frames(spec, pts[:0])
     kept: list[int] = []
     covered = np.zeros(len(pts), dtype=bool)
-
-    def relation(
-        batch: np.ndarray, centers: np.ndarray, own: list[MinimalFrame] | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        stack = None if own is None else _stack(centers, own)
-        return _relate(spec, batch, centers, r, stack)
-
     for start in range(0, len(pts), _GREEDY_CHUNK):
         batch = pts[start : start + _GREEDY_CHUNK]
-        inside, maybe = relation(batch, pts[kept], frames)
+        inside, maybe = _relate(spec, batch, pts[kept], r, frames)
         covered[start : start + len(batch)] = inside.any(axis=1)
         free = np.flatnonzero(~maybe.any(axis=1))
         survivors = batch[free]
-        own = None if frames is None else [minimal_frame(spec, p) for p in survivors]
-        inside, within = relation(survivors, survivors, own)
+        own = None if frames is None else geometry.minimal_frames(spec, survivors)
+        inside, within = _relate(spec, survivors, survivors, r, own)
         taken: list[int] = []
         for k in range(len(free)):
             if not within[k, taken].any():
@@ -723,8 +699,9 @@ def greedy_separated(spec: DomainSpec, pts: np.ndarray, r: float) -> tuple[np.nd
         covered[start + free] = inside[:, taken].any(axis=1)
         covered[start + free[taken]] = True
         kept.extend((start + free[taken]).tolist())
-        if frames is not None:
-            frames.extend(own[k] for k in taken)
+        if frames is not None:  # the kept survivors' frames join the stack
+            fields = zip(vars(frames).values(), vars(own).values())
+            frames = MinimalFrame(*(np.concatenate([old, new[taken]]) for old, new in fields))
     return np.array(kept, dtype=int), covered
 
 
@@ -742,7 +719,7 @@ def min_tanh_distance(spec: DomainSpec, pts: np.ndarray) -> float:
     if count < 2:
         return math.inf
     if not has_exact_distance(spec):
-        gauge = _gauge(pts, _frame_stack(spec, pts))
+        gauge = _gauge(pts, geometry.minimal_frames(spec, pts))
         gauge = np.maximum(gauge, gauge.T)
         np.fill_diagonal(gauge, np.inf)
         g = float(gauge.min())
@@ -836,7 +813,7 @@ def boundary_ray_samples(spec: DomainSpec, direction, deltas) -> np.ndarray:
     t_b = domains._ray_root(spec, anchor, v, 0.0)
     bpt = anchor + t_b * v
     deltas = np.asarray(deltas, dtype=float)
-    if spec.kind in ("disk", "ball"):
+    if domains.is_ball(spec):
         return bpt * (1.0 - deltas)[:, None]  # anchor is the origin for the models
     chord = anchor - bpt
     point = lambda s: bpt + math.exp(s) * chord

@@ -155,10 +155,7 @@ def sequence_measure(spec: DomainSpec, gamma: SequenceSet) -> AtomicMeasure:
     (each sigma_i is a complex one-dimensional radius, contributing area
     sigma_i^2), which is what makes separated sequences Carleson.
     """
-    weights = np.empty(gamma.count)
-    for k, p in enumerate(gamma.points):
-        frame = geometry.minimal_frame(spec, p)
-        weights[k] = float(np.prod(frame.sigma**2))
+    weights = np.prod(geometry.minimal_frames(spec, gamma.points).sigma ** 2, axis=1)
     return measures.atomic_measure(
         spec, gamma.points, weights, label=f"seq2[{gamma.label or 'gamma'}]"
     )
@@ -188,12 +185,10 @@ def boundary_cluster(spec: DomainSpec, direction, levels: int = 8) -> SequenceSe
     pts = []
     for k, base in enumerate(dyadic_ray(spec, direction, levels).points, start=1):
         delta = float(domains.boundary_distance(spec, base))
-        n_k = 2**k
-        # radial offsets keep the cluster inside and pairwise distinct
-        offsets = (np.arange(n_k) / n_k) * (2.0 ** (-k - 2)) * delta
-        for off in offsets:
-            pts.append(base + off * d)
-    return SequenceSet(points=np.array(pts), label=f"cluster(levels={levels})")
+        # 2^k radial offsets keep the cluster inside and pairwise distinct
+        offsets = (np.arange(2**k) / 2**k) * (2.0 ** (-k - 2)) * delta
+        pts.append(base + offsets[:, None] * d)
+    return SequenceSet(points=np.concatenate(pts), label=f"cluster(levels={levels})")
 
 
 # ---------------------------------------------------------------------------

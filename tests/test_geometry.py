@@ -132,6 +132,114 @@ class TestMinimalFrame:
             minimal_frame(ELL12, (0.0, 1.0))
 
 
+def _reference_ball_frame(q):
+    """The disk's or ball's frame at one point by the per-point construction:
+    e_1 = q / |q|, then Gram-Schmidt of the coordinate axes in order,
+    skipping an axis whose residual is at most 1e-8."""
+    n = len(q)
+    nq = float(np.linalg.norm(q))
+    sigma = np.array([1.0 - nq] + [math.sqrt(1.0 - nq * nq)] * (n - 1))
+    if nq < 1e-12:
+        return np.eye(n, dtype=complex), np.ones(n)
+    basis = [q / nq]
+    for j in range(n):
+        if len(basis) == n:
+            break
+        e = np.eye(n, dtype=complex)[j]
+        for b in list(basis):
+            e = e - b * (np.conj(b) @ e)
+        if np.linalg.norm(e) > 1e-8:
+            basis.append(e / np.linalg.norm(e))
+    return np.array(basis), sigma
+
+
+def _equal_frames(a, b):
+    for name in ("center", "basis", "sigma", "unique"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
+
+
+class TestMinimalFrames:
+    @pytest.mark.parametrize("spec", [DISK, BALL2, BALL3], ids=["DISK", "BALL2", "BALL3"])
+    def test_one_closed_form_per_batch(self, spec, monkeypatch):
+        # 10^4 points, one call of the closed form and no per-point frame
+        calls = {"batch": 0}
+        closed_form = geometry._ball_frames
+
+        def batch(pts):
+            calls["batch"] += 1
+            return closed_form(pts)
+
+        def per_point(*args):
+            raise AssertionError("per-point frame on a closed-form domain")
+
+        monkeypatch.setattr(geometry, "_ball_frames", batch)
+        monkeypatch.setattr(geometry, "minimal_frame", per_point)
+        monkeypatch.setattr(geometry, "_frame", per_point)
+        pts = domains.quasi_interior(spec, 10_000, seed=5)
+        frames = geometry.minimal_frames(spec, pts)
+        assert calls["batch"] == 1
+        assert frames.basis.shape == (10_000, spec.dim, spec.dim)
+        assert frames.sigma.shape == (10_000, spec.dim) and frames.unique.shape == (10_000,)
+
+    @pytest.mark.parametrize("spec", [DISK, BALL2, BALL3], ids=["DISK", "BALL2", "BALL3"])
+    def test_rows_are_the_one_point_frames(self, spec):
+        # row k of a batch is minimal_frame at point k, bit for bit, and so
+        # does not depend on the rest of the batch; the origin and a point on
+        # an axis are among the rows
+        pts = domains.quasi_interior(spec, 300, seed=7)
+        pts[0] = 0.0
+        pts[1] = 0.0
+        pts[1, -1] = 0.5
+        frames = geometry.minimal_frames(spec, pts)
+        for k in range(len(pts)):
+            _equal_frames(frames[k], minimal_frame(spec, pts[k]))
+            _equal_frames(frames[k], geometry.minimal_frames(spec, pts[k][None])[0])
+        assert frames[0].unique is False and frames.unique[1:].all()
+        np.testing.assert_array_equal(frames.basis[0], np.eye(spec.dim))
+        np.testing.assert_array_equal(frames.sigma[0], np.ones(spec.dim))
+
+    @pytest.mark.parametrize("spec", [DISK, BALL2, BALL3], ids=["DISK", "BALL2", "BALL3"])
+    def test_closed_form_against_the_per_point_construction(self, spec):
+        pts = domains.quasi_interior(spec, 2000, seed=9)
+        pts[:3] = 0.0
+        pts[1, 0] = 1e-13  # below the isotropic cut
+        pts[2, 0] = 0.3j  # on an axis: that axis is the one skipped
+        frames = geometry.minimal_frames(spec, pts)
+        for k, q in enumerate(pts):
+            basis, sigma = _reference_ball_frame(q)
+            np.testing.assert_allclose(frames.sigma[k], sigma, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(frames.basis[k], basis, rtol=0, atol=1e-13)
+            _assert_orthonormal(frames.basis[k])
+
+    def test_disk_frame_is_exact_division(self):
+        # on the disk, sigma = 1 - |z| and e_1 = z / |z| as numpy's complex
+        # division by the real |z| rounds it
+        pts = domains.quasi_interior(DISK, 5000, seed=11)
+        nq = np.array([np.linalg.norm(q) for q in pts])
+        frames = geometry.minimal_frames(DISK, pts)
+        np.testing.assert_array_equal(frames.sigma[:, 0], 1.0 - nq)
+        np.testing.assert_array_equal(frames.basis[:, 0, 0], np.array([q[0] / r for q, r in zip(pts, nq)]))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [ELL12, complex_ellipsoid((2, 2)), complex_ellipsoid((1, 1, 2)), POLY],
+        ids=["ELL12", "ELL22", "ELL112", "POLY"],
+    )
+    def test_other_domains_stack_the_per_point_frames(self, spec):
+        pts = domains.quasi_interior(spec, 6, seed=13, level_floor=0.05)
+        frames = geometry.minimal_frames(spec, pts)
+        for k, q in enumerate(pts):
+            _equal_frames(frames[k], minimal_frame(spec, q))
+        empty = geometry.minimal_frames(spec, pts[:0])
+        assert empty.basis.shape == (0, spec.dim, spec.dim) and empty.basis.dtype == complex
+        assert empty.sigma.shape == (0, spec.dim) and empty.unique.dtype == bool
+
+    def test_exterior_point_rejected(self):
+        for spec, pts in ((DISK, [0.5, 1.2]), (BALL2, [(0.1, 0.2), (0.8, 0.8)]), (ELL12, [(0.0, 1.0)])):
+            with pytest.raises(InputError):
+                geometry.minimal_frames(spec, pts)
+
+
 class TestPolydisks:
     def _sample_polydisk(self):
         basis = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -55,6 +56,17 @@ def _random_disk_points(rng, count, rmax=0.95):
     radii = rmax * np.sqrt(rng.uniform(0, 1, count))
     phases = np.exp(2j * math.pi * rng.uniform(0, 1, count))
     return (radii * phases)[:, None]
+
+
+def _stack(spec, frames):
+    """One-point frames as one stack, as geometry.minimal_frames gives it."""
+    n = spec.dim
+    return geometry.MinimalFrame(
+        np.array([f.center for f in frames], dtype=complex).reshape(-1, n),
+        np.array([f.basis for f in frames], dtype=complex).reshape(-1, n, n),
+        np.array([f.sigma for f in frames]).reshape(-1, n),
+        np.array([f.unique for f in frames], dtype=bool),
+    )
 
 
 def _random_ball_points(rng, count, dim=2, rmax=0.95):
@@ -179,6 +191,35 @@ class TestExactDistances:
             np.testing.assert_allclose(batch, ref, rtol=1e-14, atol=0)
             for k in range(0, 2000, 400):
                 assert abs(tanh_distance(spec, w[k], z) - ref[k]) <= 1e-14 * ref[k]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_ball_pd_near_the_sphere_against_mpmath(self, dim):
+        # |p| = 1 - 10^-u, q = p + 10^-v noise: the relative error stays
+        # within the docstring's eps / |1 - <p,q>| (times 4), against
+        # 1 - (1-|p|^2)(1-|q|^2)/|1-<p,q>|^2 at 50 digits on the float inputs
+        mpmath.mp.dps = 50
+        rng = np.random.default_rng(140 + dim)
+        eps, count = np.finfo(float).eps, 3000
+        p, q = np.empty((count, dim), complex), np.empty((count, dim), complex)
+        k = 0
+        while k < count:
+            g = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            p[k] = g / np.linalg.norm(g) * (1.0 - 10.0 ** -rng.uniform(1.0, 12.0))
+            h = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            q[k] = p[k] + 10.0 ** -rng.uniform(1.0, 14.0) * h / np.linalg.norm(h)
+            k += bool(np.vdot(q[k], q[k]).real < 1.0) and not np.array_equal(p[k], q[k])
+        got = kobayashi._ball_pd(p.T, q.T)
+        worst = 0.0
+        for pk, qk, value in zip(p, q, got):
+            a = [mpmath.mpc(complex(x)) for x in pk]
+            b = [mpmath.mpc(complex(x)) for x in qk]
+            one_minus = 1 - mpmath.fsum(mpmath.conj(y) * x for x, y in zip(a, b))  # 1 - <p,q>
+            pp = mpmath.fsum(abs(x) ** 2 for x in a)
+            qq = mpmath.fsum(abs(y) ** 2 for y in b)
+            exact = mpmath.sqrt(1 - (1 - pp) * (1 - qq) / abs(one_minus) ** 2)
+            unit = eps / float(abs(one_minus))
+            worst = max(worst, float(abs(value - exact) / exact) / unit)
+        assert worst <= 4.0
 
     def test_pair_value_does_not_depend_on_the_batch(self):
         # pairs within 1e-6 of the sphere, where the last bits of _ball_pd
@@ -622,13 +663,13 @@ class TestRelationLayer:
         r = 0.4
         exact = kobayashi.has_exact_distance(spec)
         kept: list[int] = []
-        frames: list[geometry.MinimalFrame] = []
+        own: list[geometry.MinimalFrame] = []
         for k, p in enumerate(pts):
-            stack = None if exact else kobayashi._stack(pts[kept], frames)
-            if not kept or not kobayashi._relate(spec, p[None, :], pts[kept], r, stack)[1].any():
+            frames = None if exact else _stack(spec, own)
+            if not kept or not kobayashi._relate(spec, p[None, :], pts[kept], r, frames)[1].any():
                 kept.append(k)
                 if not exact:
-                    frames.append(geometry.minimal_frame(spec, p))
+                    own.append(geometry.minimal_frame(spec, p))
         got, covered = kobayashi.greedy_separated(spec, pts, r)
         np.testing.assert_array_equal(got, kept)
         assert 50 < len(kept) < 2000
@@ -867,9 +908,9 @@ def test_certificates_hold_on_closed_brackets(seed, m):
     low, high = kobayashi._bracket_1m(z, w, m)
     closed = high - low <= 1e-12
     assert closed.mean() > 0.9
-    disc = kobayashi._disc_pd(z[:, 1], w[:, 1])
+    disc = kobayashi._ball_pd((z[:, 1],), (w[:, 1],))
     assert np.all(disc[closed] <= low[closed] + 1e-12)
-    both = closed & kobayashi._in_ball(z) & kobayashi._in_ball(w)
+    both = closed & (domains.squared_norm(z) < 1.0) & (domains.squared_norm(w) < 1.0)
     assert both.any() and (closed & ~both).any()
     rho_b = kobayashi._ball_pd(z[both].T, w[both].T)
     assert np.all(rho_b >= high[both] - 1e-12)
