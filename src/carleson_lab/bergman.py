@@ -19,7 +19,7 @@ from scipy import special
 
 from . import domains, geometry, kobayashi, measures
 from .domains import DomainSpec, as_point
-from .errors import CapabilityError, InputError, NumericError, TruncationError
+from .errors import CapabilityError, InputError, NumericError, ResourceError, TruncationError
 from .measures import DensityMeasure, Estimate, NuBase, mean_estimate
 from .polynomials import HoloPolynomial, poly_eval
 
@@ -36,6 +36,11 @@ def _reinhardt_data(spec: DomainSpec) -> tuple[tuple[int, ...], tuple[float, ...
 
 # ---------------------------------------------------------------------------
 # moments
+
+
+# entries of the (degree+1)^n index cube, checked before it is allocated: the
+# largest model in use, C^3 at degree 60, has 61^3 = 226,981
+_MAX_CUBE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,11 @@ def moments(spec: DomainSpec, degree: int) -> MomentTable:
         raise InputError(f"degree must be >= 0, got {degree}")
     exponents, semi_axes = _reinhardt_data(spec)
     n = spec.dim
+    if (degree + 1) ** n > _MAX_CUBE:
+        raise ResourceError(
+            f"a moment table of degree {degree} in dimension {n} has {degree + 1}^{n} "
+            f"entries, above the cap of {_MAX_CUBE}"
+        )
     alpha = np.indices((degree + 1,) * n, dtype=float)
     col = (n,) + (1,) * n
     m = np.asarray(exponents, dtype=float).reshape(col)

@@ -266,12 +266,13 @@ def criterion_operator(spec: DomainSpec, mu, config: CarlesonConfig, base: NuBas
     decreasing in d.  By total degree every rung is a leading block of one G.
     Atoms: G = V^H W V, over blocks of atoms.  A density: the diagonal, on the
     shared ``base``, as max_a G[a, a] <= lambda(d), equal for Reinhardt-invariant
-    densities (every catalog one); a Monte Carlo G would be biased upward."""
+    densities (both named ones); a Monte Carlo G would be biased upward."""
     n, degrees = spec.dim, operator_ladder(spec.dim, config.levels)
     sizes, size = [math.comb(d + n, n) for d in degrees], degrees[-1] + 1
+    cube = bergman.moments(spec, degrees[-1]).values  # refuses a cube too large to hold
     alpha = np.indices((size,) * n).reshape(n, -1).T  # by total degree, |alpha| <= d_top
     alpha = alpha[np.argsort(alpha.sum(axis=1), kind="stable")][: sizes[-1]]
-    m = bergman.moments(spec, degrees[-1]).values[tuple(alpha.T)]
+    m = cube[tuple(alpha.T)]
     if isinstance(mu, AtomicMeasure):
         gram, large = np.zeros((len(m), len(m)), dtype=complex), mu.count * len(m) ** 2 > 1 << 23
         step = max(1, bergman._EVAL_ENTRIES // len(m))  # no (atoms x basis) array whole

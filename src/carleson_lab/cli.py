@@ -41,18 +41,18 @@ def _build_parser() -> _Parser:
 
     def common(sp, measure=False, r=None, degree=None, samples=None):
         sp.add_argument("--domain", required=True, help="domain spec JSON file")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=".", help="output directory")
         if measure:
             sp.add_argument(
-                "--measure", default="lebesgue", help="catalog name or atom CSV file"
+                "--measure", default="lebesgue", help="suite measure name or atom CSV file"
             )
         if r is not None:
             sp.add_argument("--r", type=float, default=r)
         if degree is not None:
             sp.add_argument("--degree", type=int, default=degree)
-        if samples is not None:
+        if samples is not None:  # the commands that draw samples, and only they, take a seed
             sp.add_argument("--samples", type=int, default=samples)
+            sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("domain-info", help="validated domain summary")
     common(sp)
@@ -95,8 +95,9 @@ def _validate(args) -> None:
     sep = getattr(args, "sep", None)
     if sep is not None and not 0.0 < sep < 1.0:
         raise InputError(f"--sep must lie in (0,1), got {sep}")
-    if args.seed < 0:
-        raise InputError(f"--seed must be >= 0, got {args.seed}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise InputError(f"--seed must be >= 0, got {seed}")
     samples = getattr(args, "samples", None)
     if samples is not None and not 0 < samples <= _MAX_SAMPLES:
         raise InputError(f"--samples must lie in [1, {_MAX_SAMPLES}], got {samples}")
@@ -105,18 +106,12 @@ def _validate(args) -> None:
         raise InputError(f"--degree must lie in [1, {_MAX_DEGREE}], got {degree}")
 
 
-def _resolve_measure(spec, name: str, seed: int = 0):
-    catalog = measures.density_catalog(spec)
-    if name in catalog:
-        return catalog[name]
-    if name in sequences.measure_suite_names():
-        return sequences.named_measure(spec, name, seed=seed)
+def _resolve_measure(spec, name: str, seed: int):
     if name.endswith(".csv"):
         if not os.path.exists(name):
             raise InputError(f"measure file not found: {name}")
         return measures.atoms_from_csv(spec, name)
-    names = sorted(set(catalog) | set(sequences.measure_suite_names()))
-    raise InputError(f"unknown measure {name!r}; use one of {names} or an atom CSV")
+    return sequences.named_measure(spec, name, seed=seed)
 
 
 def _parse_point(spec, text: str) -> np.ndarray:
@@ -159,7 +154,6 @@ def _cmd_domain_info(args, spec, out) -> int:
         "box": list(spec.box),
         "anchor_value": float(domains.defining_value(spec, anchor)),
         "inradius": float(domains.inradius(spec)),
-        "collar_width": float(domains.collar_width(spec)),
         "level_cap": float(domains.level_cap(spec)),
         "box_nu_volume": float(domains.box_nu_volume(spec)),
     }

@@ -46,8 +46,7 @@ class DomainSpec:
     """Immutable description of a bounded convex domain.
 
     ``box`` holds one half-width per complex coordinate; the validation box is
-    the polydisk of squares {|x_i| <= box_i, |y_i| <= box_i}.  ``collar`` is
-    the collar width as a fraction of the inradius.
+    the polydisk of squares {|x_i| <= box_i, |y_i| <= box_i}.
     """
 
     kind: str
@@ -57,28 +56,34 @@ class DomainSpec:
     terms: tuple[tuple[float, tuple[int, ...]], ...] = ()
     box: tuple[float, ...] = ()
     anchor: tuple[float, ...] = ()
-    collar: float = 0.2
 
     def __post_init__(self):
         _validate(self)
 
 
-def unit_disk(collar: float = 0.2) -> DomainSpec:
-    return DomainSpec(kind="disk", dim=1, box=(1.05,), anchor=(0.0, 0.0), collar=collar)
+def _integer(value, what: str) -> int:
+    """An int or numpy integer as an int; a bool, a float or a string is a
+    TypeError, which spec_from_json reports as a malformed spec."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
-def unit_ball(dim: int, collar: float = 0.2) -> DomainSpec:
+def unit_disk() -> DomainSpec:
+    return DomainSpec(kind="disk", dim=1, box=(1.05,), anchor=(0.0, 0.0))
+
+
+def unit_ball(dim: int) -> DomainSpec:
+    dim = _integer(dim, "dimension")
     if dim < 1:
         raise ConfigError(f"ball dimension must be >= 1, got {dim}")
-    return DomainSpec(
-        kind="ball", dim=dim, box=(1.05,) * dim, anchor=(0.0,) * (2 * dim), collar=collar
-    )
+    return DomainSpec(kind="ball", dim=dim, box=(1.05,) * dim, anchor=(0.0,) * (2 * dim))
 
 
 def complex_ellipsoid(
-    exponents: Sequence[int], semi_axes: Sequence[float] | None = None, collar: float = 0.2
+    exponents: Sequence[int], semi_axes: Sequence[float] | None = None
 ) -> DomainSpec:
-    exps = tuple(int(m) for m in exponents)
+    exps = tuple(_integer(m, "an exponent") for m in exponents)
     if not exps or any(m < 1 for m in exps):
         raise ConfigError(f"ellipsoid exponents must be positive integers, got {exponents}")
     axes = tuple(float(a) for a in (semi_axes if semi_axes is not None else (1.0,) * len(exps)))
@@ -95,7 +100,6 @@ def complex_ellipsoid(
         semi_axes=axes,
         box=tuple(1.05 * a for a in axes),
         anchor=(0.0,) * (2 * dim),
-        collar=collar,
     )
 
 
@@ -104,9 +108,9 @@ def convex_polynomial(
     dim: int,
     box: Sequence[float],
     anchor: Sequence[float] | None = None,
-    collar: float = 0.2,
 ) -> DomainSpec:
-    tt = tuple((float(c), tuple(int(p) for p in pw)) for c, pw in terms)
+    dim = _integer(dim, "dimension")
+    tt = tuple((float(c), tuple(_integer(p, "a term power") for p in pw)) for c, pw in terms)
     for _, pw in tt:
         if len(pw) != 2 * dim or any(p < 0 for p in pw):
             raise ConfigError(f"term powers must be {2 * dim} nonnegative integers, got {pw}")
@@ -117,7 +121,6 @@ def convex_polynomial(
         terms=tt,
         box=tuple(float(b) for b in box),
         anchor=anchor,
-        collar=collar,
     )
 
 
@@ -325,8 +328,6 @@ def _validate(spec: DomainSpec) -> None:
         raise ConfigError(f"unknown domain kind {spec.kind!r}, expected one of {KINDS}")
     if spec.dim < 1:
         raise ConfigError(f"dimension must be >= 1, got {spec.dim}")
-    if not (0.0 < spec.collar < 1.0):
-        raise ConfigError(f"collar fraction must lie in (0, 1), got {spec.collar}")
     if len(spec.anchor) != 2 * spec.dim:
         raise ConfigError(f"anchor must hold {2 * spec.dim} reals, got {spec.anchor}")
     if spec.kind == "polynomial" and not spec.terms:
@@ -690,16 +691,12 @@ def line_level_distance(spec: DomainSpec, z, v) -> float:
 
 
 # ---------------------------------------------------------------------------
-# collar and sampling
+# sampling
 
 
 @lru_cache(maxsize=128)
 def inradius(spec: DomainSpec) -> float:
     return boundary_distance(spec, anchor_point(spec))
-
-
-def collar_width(spec: DomainSpec) -> float:
-    return spec.collar * inradius(spec)
 
 
 def box_nu_volume(spec: DomainSpec) -> float:
@@ -876,11 +873,17 @@ def quasi_uniform(spec: DomainSpec, count: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON round trip
 
-_JSON_KEYS = {"kind", "dimension", "exponents", "semi_axes", "terms", "box", "anchor", "collar"}
+# the keys each kind reads; any other key rejects the spec
+_JSON_KEYS = {
+    "disk": ("kind",),
+    "ball": ("kind", "dimension"),
+    "ellipsoid": ("kind", "exponents", "semi_axes"),
+    "polynomial": ("kind", "dimension", "terms", "box", "anchor"),
+}
 
 
 def spec_to_json(spec: DomainSpec) -> dict:
-    data: dict = {"kind": spec.kind, "collar": spec.collar}
+    data: dict = {"kind": spec.kind}
     if spec.kind == "ball":
         data["dimension"] = spec.dim
     elif spec.kind == "ellipsoid":
@@ -897,34 +900,30 @@ def spec_to_json(spec: DomainSpec) -> dict:
 def spec_from_json(data: dict) -> DomainSpec:
     if not isinstance(data, dict):
         raise InputError(f"domain spec must be a JSON object, got {type(data).__name__}")
-    unknown = set(data) - _JSON_KEYS
-    if unknown:
-        raise ConfigError(f"unknown keys in domain spec: {sorted(unknown)}")
     kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _JSON_KEYS:
+        raise ConfigError(f"unknown domain kind {kind!r}, expected one of {KINDS}")
+    unknown = set(data) - set(_JSON_KEYS[kind])
+    if unknown:
+        keys = list(_JSON_KEYS[kind])
+        raise ConfigError(f"unknown keys in {kind} domain spec: {sorted(unknown)}; it takes {keys}")
     # a field of the wrong type or a non-numeric value fails in the constructors
     try:
-        collar = float(data.get("collar", 0.2))
         if kind == "disk":
-            return unit_disk(collar=collar)
+            return unit_disk()
         if kind == "ball":
-            return unit_ball(int(data.get("dimension", 1)), collar=collar)
+            return unit_ball(data.get("dimension", 1))
         if kind == "ellipsoid":
             if "exponents" not in data:
                 raise ConfigError("ellipsoid spec needs 'exponents'")
-            return complex_ellipsoid(
-                data["exponents"], data.get("semi_axes"), collar=collar
-            )
-        if kind == "polynomial":
-            for key in ("dimension", "terms", "box"):
-                if key not in data:
-                    raise ConfigError(f"polynomial spec needs {key!r}")
-            terms = [(t["coeff"], t["powers"]) for t in data["terms"]]
-            return convex_polynomial(
-                terms, int(data["dimension"]), data["box"], data.get("anchor"), collar=collar
-            )
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:  # int(Infinity) overflows
+            return complex_ellipsoid(data["exponents"], data.get("semi_axes"))
+        for key in ("dimension", "terms", "box"):
+            if key not in data:
+                raise ConfigError(f"polynomial spec needs {key!r}")
+        terms = [(t["coeff"], t["powers"]) for t in data["terms"]]
+        return convex_polynomial(terms, data["dimension"], data["box"], data.get("anchor"))
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:  # float(10**400) overflows
         raise InputError(f"malformed {kind!r} domain spec: {exc}") from None
-    raise ConfigError(f"unknown domain kind {kind!r}")
 
 
 def load_spec(path) -> DomainSpec:

@@ -61,26 +61,6 @@ def lebesgue_measure() -> DensityMeasure:
     return DensityMeasure(density=lambda pts: np.ones(len(pts)), label="lebesgue")
 
 
-def density_catalog(spec: DomainSpec) -> dict[str, DensityMeasure]:
-    """Named densities used by the experiment suites and the CLI."""
-
-    def one_minus_delta(pts: np.ndarray) -> np.ndarray:
-        return 1.0 - domains.boundary_distance_batch(spec, pts)
-
-    def inv_one_minus_delta(pts: np.ndarray) -> np.ndarray:
-        # capped at 10 so the MC mass estimates keep finite variance
-        vals = 1.0 - domains.boundary_distance_batch(spec, pts)
-        return np.minimum(1.0 / np.maximum(vals, 1e-12), 10.0)
-
-    return {
-        "lebesgue": lebesgue_measure(),
-        "one_minus_delta": DensityMeasure(density=one_minus_delta, label="one_minus_delta"),
-        "inv_one_minus_delta": DensityMeasure(
-            density=inv_one_minus_delta, label="inv_one_minus_delta"
-        ),
-    }
-
-
 # ---------------------------------------------------------------------------
 # estimates of integrals against a measure, and polydisk mass
 

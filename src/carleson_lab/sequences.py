@@ -250,12 +250,9 @@ _SUITE_NAMES = (
 )
 
 
-def measure_suite_names() -> tuple[str, ...]:
-    return _SUITE_NAMES
-
-
 def named_measure(spec: DomainSpec, name: str, seed: int = 0):
-    """Build one entry of the standard suite without constructing the rest."""
+    """Build one entry of the standard suite without constructing the rest;
+    the one resolver of measure names."""
     e1 = np.zeros(spec.dim, dtype=complex)
     e1[0] = 1.0
     if name == "lebesgue":
@@ -273,20 +270,27 @@ def named_measure(spec: DomainSpec, name: str, seed: int = 0):
             spec, seq.points, np.ones(seq.count), label=f"unit[{seq.label}]"
         )
     if name == "density(1-d)":
-        return measures.density_catalog(spec)["one_minus_delta"]
+        return measures.DensityMeasure(
+            lambda pts: 1.0 - domains.boundary_distance_batch(spec, pts), label="one_minus_delta"
+        )
     if name == "density(1/(1-d))":
-        return measures.density_catalog(spec)["inv_one_minus_delta"]
+        # capped at 10 so the MC mass estimates keep finite variance
+        def inv_one_minus_delta(pts: np.ndarray) -> np.ndarray:
+            vals = 1.0 - domains.boundary_distance_batch(spec, pts)
+            return np.minimum(1.0 / np.maximum(vals, 1e-12), 10.0)
+
+        return measures.DensityMeasure(inv_one_minus_delta, label="inv_one_minus_delta")
     if name == "atom":
         return measures.atomic_measure(
             spec, (0.5 * e1)[None, :], np.array([1.0]), label="atom-half"
         )
-    raise InputError(f"unknown suite measure {name!r}; known: {', '.join(_SUITE_NAMES)}")
+    raise InputError(f"unknown measure {name!r}; use one of {', '.join(_SUITE_NAMES)}")
 
 
 def standard_measure_suite(spec: DomainSpec, seed: int = 0) -> list[tuple[str, object]]:
     """Ten measures spanning the verdict space: Lebesgue, three weighted
     packings, two unit-weight dyadic rays, one boundary cluster, the two
-    catalog densities, and a single atom at the half-way axis point."""
+    boundary densities, and a single atom at the half-way axis point."""
     return [(name, named_measure(spec, name, seed=seed)) for name in _SUITE_NAMES]
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -27,9 +28,10 @@ from carleson_lab.domains import (
     unit_ball,
     unit_disk,
 )
-from carleson_lab.errors import CapabilityError, InputError, TruncationError
-from carleson_lab.measures import DensityMeasure, atomic_measure, density_catalog, lebesgue_measure
+from carleson_lab.errors import CapabilityError, InputError, ResourceError, TruncationError
+from carleson_lab.measures import DensityMeasure, atomic_measure, lebesgue_measure
 from carleson_lab.polynomials import HoloPolynomial, poly_eval
+from carleson_lab.sequences import named_measure
 
 DISK = unit_disk()
 BALL2 = unit_ball(2)
@@ -92,6 +94,23 @@ class TestMoments:
     def test_ellipsoid_total_mass(self):
         tab = moments(ELL12, 0)
         assert abs(moment(tab, (0, 0)) - 4.0 / 3.0) < 1e-10
+
+    @pytest.mark.parametrize(
+        "spec, degree, cube",
+        [(unit_ball(12), 60, "61^12"), (complex_ellipsoid((1,) * 9), 60, "61^9"),
+         (BALL2, 1024, "1025^2")],
+        ids=["ball12", "ellipsoid9", "ball2-degree1024"],
+    )
+    def test_cube_too_large_is_refused_before_it_is_built(self, spec, degree, cube):
+        # the (degree+1)^n index cube is checked before np.indices allocates it
+        # (61^12 entries once gave "array is too big", 61^9 an ArrayMemoryError)
+        with pytest.raises(ResourceError, match=rf"degree {degree} in dimension {spec.dim} has "
+                                                 rf"{re.escape(cube)} entries"):
+            moments(spec, degree)
+
+    def test_largest_model_in_use_builds(self):
+        # C^3 at degree 60, 61^3 = 226,981 entries, is below the cap
+        assert moments(unit_ball(3), 60).values.shape == (61, 61, 61)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_ball_volume_is_exactly_one(self, dim):
@@ -470,7 +489,7 @@ class TestBerezin:
     def test_ellipsoid_density_evaluated_inside(self):
         # 1 - delta is defined on D only; the estimator must not evaluate it
         # outside (boundary_distance raises there)
-        mu = density_catalog(ELL12)["one_minus_delta"]
+        mu = named_measure(ELL12, "density(1-d)")
         base = _nu_base(ELL12, mu, 1 << 9, seed=0)
         est = berezin(kernel_model(ELL12), mu, (0.1, 0.3), base)
         assert est.method == "qmc"
@@ -516,7 +535,7 @@ class TestBerezin:
         # gives the values of one whole-base pass
         count = 3 * domains._BLOCK + 17
         for spec in (DISK, BALL2, BALL3):
-            mu = density_catalog(spec)["one_minus_delta"]
+            mu = named_measure(spec, "density(1-d)")
             rng = np.random.default_rng(spec.dim)
             zs = np.vstack([0.7 * domains.random_interior(spec, 2, rng), np.zeros((1, spec.dim))])
             base = _nu_base(spec, mu, count, seed=5)

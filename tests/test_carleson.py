@@ -30,8 +30,9 @@ from carleson_lab.carleson import (
 )
 from carleson_lab.domains import complex_ellipsoid, unit_ball, unit_disk
 from carleson_lab.errors import ConfigError, InputError, ResourceError
-from carleson_lab.measures import atomic_measure, density_catalog, lebesgue_measure
+from carleson_lab.measures import atomic_measure, lebesgue_measure
 from carleson_lab.polynomials import HoloPolynomial, poly_eval, random_polynomial
+from carleson_lab.sequences import named_measure
 
 DISK = unit_disk()
 ELL12 = complex_ellipsoid((1, 2), (1.0, 1.0))
@@ -251,7 +252,7 @@ def test_density_criteria_share_one_nu_uniform_base(spec):
     # criteria (1) and (2) integrate a density over the one quasi_uniform
     # draw of config.seed: the Berezin values are the Mobius means over it
     # and criterion (1)'s diagonal is recomputed on its weight
-    mu = density_catalog(spec)["one_minus_delta"]
+    mu = named_measure(spec, "density(1-d)")
     model = bergman.kernel_model(spec)
     report = carleson_test(spec, model, mu, FAST)
     pts = domains.quasi_uniform(spec, FAST.berezin_samples, seed=FAST.seed)
@@ -348,7 +349,7 @@ class TestGeometricBase:
     def test_values_are_the_outer_mass_on_the_shared_base(self):
         spec = unit_ball(2)
         grid = build_grid(spec, FAST)
-        mu = density_catalog(spec)["one_minus_delta"]
+        mu = named_measure(spec, "density(1-d)")
         trace = criterion_geometric(spec, mu, grid, FAST)
         base = self._base(spec, FAST, 303)
         for i, gp in enumerate(grid):
@@ -360,14 +361,17 @@ class TestGeometricBase:
             assert trace.stderr[i] == outer.stderr / vol_inner
             assert trace.lower[i] == measures.mass(spec, mu, sw.inner, base).value / vol_outer
 
-    @pytest.mark.parametrize("name", ["lebesgue", "one_minus_delta", "inv_one_minus_delta"])
+    @pytest.mark.parametrize(
+        "name", ["lebesgue", "density(1-d)", "density(1/(1-d))"],
+        ids=["lebesgue", "one_minus_delta", "inv_one_minus_delta"],
+    )
     def test_independent_base_agrees_within_stderr(self, name):
         # sharing the base correlates the grid points but leaves each
         # estimate unbiased: an independent base agrees at every point
         spec = unit_ball(2)
         config = CarlesonConfig()
         grid = build_grid(spec, config)
-        mu = density_catalog(spec)[name]
+        mu = named_measure(spec, name)
         trace = criterion_geometric(spec, mu, grid, config)
         base = self._base(spec, config, 304)
         for i, gp in enumerate(grid):
@@ -388,7 +392,7 @@ def test_ball_monte_carlo_runs_on_one_thread():
     config = CarlesonConfig(seed=5)
     grid = build_grid(spec, config)
     model = bergman.kernel_model(spec)
-    mu = density_catalog(spec)["one_minus_delta"]
+    mu = named_measure(spec, "density(1-d)")
     zs = np.array([gp.point for gp in grid[::4]])
     time.sleep(0.5)  # BLAS workers left spinning by earlier tests go idle
     wall, cpu = time.perf_counter(), time.process_time()

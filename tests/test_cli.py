@@ -6,6 +6,7 @@ import io
 import json
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ def test_catalog_measure_names_resolve(paths):
 def test_berezin_and_carleson_write_the_same_berezin_columns(paths):
     # both commands integrate a density over the one nu-uniform base drawn
     # from --seed, so their Berezin value and stderr columns agree
-    common = ["--domain", paths["disk"], "--measure", "one_minus_delta",
+    common = ["--domain", paths["disk"], "--measure", "density(1-d)",
               "--samples", "4096", "--seed", "3"]
     out_b, out_c = paths["tmp"] / "bz-base", paths["tmp"] / "c-base"
     assert cli.main(["berezin", *common, "--out", str(out_b)]) == 0
@@ -267,6 +268,18 @@ def test_thm42_generated_sequence(paths, capsys):
         # criterion (1)'s degrees are set by the levels: only kernel-check takes --degree
         (["carleson", "--domain", "DISK", "--degree", "6"], "unrecognized arguments: --degree"),
         (["thm42", "--domain", "DISK", "--degree", "6"], "unrecognized arguments: --degree"),
+        # one name per measure: the densities' old second names are gone
+        (["carleson", "--domain", "DISK", "--measure", "one_minus_delta"], "unknown measure"),
+        (["berezin", "--domain", "DISK", "--measure", "inv_one_minus_delta"], "unknown measure"),
+        # only the commands that draw samples take --seed
+        (["domain-info", "--domain", "DISK", "--seed", "0"], "unrecognized arguments: --seed"),
+        (["frame", "--domain", "DISK", "--point", "0,0", "--seed", "0"],
+         "unrecognized arguments: --seed"),
+        (["decompose", "--domain", "DISK", "--points", "x.csv", "--seed", "0"],
+         "unrecognized arguments: --seed"),
+        # a spec is read exactly: a key its kind does not read, or a non-integer
+        (["domain-info", "--domain", "COLLAR"], "unknown keys in disk domain spec: ['collar']"),
+        (["domain-info", "--domain", "BALL_2.7"], "dimension must be an integer, got 2.7"),
     ],
 )
 def test_validation_errors_exit_1(paths, capsys, argv, fragment):
@@ -289,6 +302,10 @@ def test_validation_errors_exit_1(paths, capsys, argv, fragment):
         names[f"AXES_{tag}"] = str(path)
     (paths["tmp"] / "box_1e160.json").write_text(_disk_polynomial(1e160))
     names["BOX_1e160"] = str(paths["tmp"] / "box_1e160.json")
+    for tag, text in (("COLLAR", '{"kind": "disk", "collar": 0.2}'),
+                      ("BALL_2.7", '{"kind": "ball", "dimension": 2.7}')):
+        names[tag] = str(paths["tmp"] / f"{tag.lower()}.json")
+        Path(names[tag]).write_text(text)
     argv = [names.get(tok, tok) for tok in argv]
     if "--out" not in argv:
         argv += ["--out", str(paths["tmp"] / "junk")]
@@ -334,6 +351,38 @@ def test_non_numeric_spec_field_exit_1(paths, capsys):
     assert cli.main(["domain-info", "--domain", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'x'" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+SUITE = ["lebesgue", "packing0.3", "packing0.5", "packing0.8", "ray+", "ray-", "cluster",
+         "density(1-d)", "density(1/(1-d))", "atom"]
+
+
+def test_every_suite_name_resolves():
+    spec = unit_disk()
+    labels = [cli._resolve_measure(spec, name, seed=0).label for name in SUITE]
+    assert labels[0] == "lebesgue" and labels[-1] == "atom-half"
+    assert labels[7:9] == ["one_minus_delta", "inv_one_minus_delta"]
+    assert all(label.startswith("unit[") for label in labels[4:7])
+
+
+def test_unknown_measure_lists_the_suite(paths, capsys):
+    argv = ["carleson", "--domain", paths["disk"], "--measure", "one_minus_delta",
+            "--out", str(paths["tmp"] / "junk")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: unknown measure 'one_minus_delta'; use one of {', '.join(SUITE)}\n"
+
+
+def test_moment_cube_too_large_exit_2(paths, capsys):
+    # kernel-check's series cross-check on the 12-ball asks for a 61^12 cube;
+    # it is refused before anything is allocated
+    spec = paths["tmp"] / "ball12.json"
+    spec.write_text('{"kind": "ball", "dimension": 12}')
+    argv = ["kernel-check", "--domain", str(spec), "--out", str(paths["tmp"] / "ball12")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: a moment table of degree 60 in dimension 12 has 61^12")
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
@@ -474,13 +523,15 @@ _FLAGS = {
 }
 
 
-# the options each command takes besides --domain, --out and --seed
+# the options each command takes besides --domain and --out
 _TAKES = {
-    "domain-info": (), "frame": ("--point",), "kernel-check": ("--degree", "--samples"),
-    "berezin": ("--measure", "--r", "--samples"),
-    "carleson": ("--measure", "--r", "--samples"),
-    "cover": ("--r", "--samples"), "decompose": ("--r",),
-    "pack": ("--r", "--samples", "--level"), "thm42": ("--r", "--samples", "--sep"),
+    "domain-info": (), "frame": ("--point",),
+    "kernel-check": ("--degree", "--samples", "--seed"),
+    "berezin": ("--measure", "--r", "--samples", "--seed"),
+    "carleson": ("--measure", "--r", "--samples", "--seed"),
+    "cover": ("--r", "--samples", "--seed"), "decompose": ("--r",),
+    "pack": ("--r", "--samples", "--level", "--seed"),
+    "thm42": ("--r", "--samples", "--sep", "--seed"),
     "bogus": (),
 }
 
@@ -488,10 +539,10 @@ _TAKES = {
 @st.composite
 def _command_line(draw):
     command = draw(st.sampled_from(sorted(_TAKES)))
-    names = list(_TAKES[command]) + ["--seed"]
+    names = list(_TAKES[command])
     if draw(st.integers(0, 9)) == 0:  # now and then an option the command does not take
         names.append(draw(st.sampled_from(sorted(_FLAGS))))
-    chosen = draw(st.lists(st.sampled_from(names), max_size=4, unique=True))
+    chosen = draw(st.lists(st.sampled_from(names), max_size=4, unique=True)) if names else []
     return command, [(name, draw(_FLAGS[name])) for name in chosen]
 
 

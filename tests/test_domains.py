@@ -443,6 +443,47 @@ class TestIO:
         with pytest.raises(ConfigError):
             spec_from_json(data)
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [(DISK, "dimension"), (DISK, "collar"), (BALL2, "exponents"), (BALL2, "collar"),
+         (ELL12, "dimension"), (ELL12, "box"), (POLY, "exponents"), (POLY, "semi_axes"),
+         (POLY, "collar")],
+        ids=lambda v: v if isinstance(v, str) else v.kind,
+    )
+    def test_a_key_the_kind_does_not_read_is_rejected(self, spec, key):
+        # {"kind": "disk", "dimension": 3} once loaded the unit disk
+        values = {"dimension": 3, "collar": 0.2, "exponents": [1, 2], "semi_axes": [1.0, 1.0],
+                  "box": [1.05, 1.05]}
+        data = {**spec_to_json(spec), key: values[key]}
+        with pytest.raises(ConfigError, match=f"unknown keys in {spec.kind} domain spec: "
+                                               rf"\['{key}'\]"):
+            spec_from_json(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"kind": "ball", "dimension": 2.7}, {"kind": "ball", "dimension": True},
+         {"kind": "ball", "dimension": "3"}, {"kind": "ellipsoid", "exponents": [1.9, 2.2]},
+         {"kind": "ellipsoid", "exponents": "12"}, {**spec_to_json(POLY), "dimension": 2.0},
+         {**spec_to_json(POLY),
+          "terms": [{**t, "powers": [p + 0.5 for p in t["powers"]]}
+                    for t in spec_to_json(POLY)["terms"]]}],
+        ids=["ball-float", "ball-bool", "ball-string", "ellipsoid-floats", "ellipsoid-string",
+             "polynomial-float-dimension", "polynomial-float-powers"],
+    )
+    def test_a_non_integer_is_rejected(self, data):
+        # each of these once loaded a different domain without a word
+        with pytest.raises(InputError, match="malformed .* must be an integer"):
+            spec_from_json(data)
+
+    def test_constructors_take_integers_only(self):
+        with pytest.raises(TypeError, match="dimension must be an integer"):
+            unit_ball(2.7)
+        with pytest.raises(TypeError, match="an exponent must be an integer"):
+            complex_ellipsoid((1.9, 2.2))
+        with pytest.raises(TypeError, match="a term power must be an integer"):
+            convex_polynomial([(1.0, (2.0, 0)), (-1.0, (0, 0))], dim=1, box=(1.1,))
+        assert unit_ball(np.int64(2)) == BALL2
+
     def test_infinite_dimension_rejected(self):
         for data in ({"kind": "ball", "dimension": math.inf},
                      {**spec_to_json(POLY), "dimension": math.inf}):

@@ -3,6 +3,7 @@ benchmark's traced run wraps and the module-level names its workloads call
 must exist, so a deletion in the library shows up here rather than in a
 benchmark run."""
 
+import argparse
 import ast
 import importlib
 import io
@@ -291,6 +292,39 @@ def test_every_parameter_is_read():
     # a parameter the body ignores is a chore for every caller and a promise
     # the function does not keep: it is deleted
     assert sorted(_unread_parameters()) == []
+
+
+def _unread_flags():
+    """(command, option) for every option of a CLI subcommand, other than
+    --domain and --out (main reads them), that the command's function in
+    cli._COMMANDS never reads as args.<option>; _echo and _validate do not
+    count."""
+    from carleson_lab import cli
+
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    functions = {
+        node.name: node
+        for node in ast.parse(Path(cli.__file__).read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    for command, sub in commands.choices.items():
+        body = functions[cli._COMMANDS[command].__name__]
+        read = {
+            node.attr
+            for node in ast.walk(body)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"
+        }
+        for action in sub._actions:
+            if action.option_strings and action.dest not in ("help", "domain", "out"):
+                if action.dest not in read:
+                    yield command, action.dest
+
+
+def test_every_cli_flag_is_read():
+    # a flag its command never reads changes no result: it is deleted
+    assert sorted(_unread_flags()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ from carleson_lab.measures import (
     atomic_measure,
     atoms_from_csv,
     atoms_to_csv,
-    density_catalog,
     lebesgue_measure,
     mass,
     square_integrals,
 )
 from carleson_lab.polynomials import poly_eval, random_polynomial
+from carleson_lab.sequences import named_measure
 
 DISK = unit_disk()
 BALL2 = unit_ball(2)
@@ -48,20 +48,24 @@ class TestConstruction:
             atomic_measure(DISK, [1.5], [1.0])
 
     def test_catalog_names(self):
-        cat = density_catalog(DISK)
-        assert set(cat) == {"lebesgue", "one_minus_delta", "inv_one_minus_delta"}
+        # the suite's densities keep the labels their artifacts print
+        names = ("lebesgue", "density(1-d)", "density(1/(1-d))")
+        cat = {name: named_measure(DISK, name) for name in names}
+        assert [mu.label for mu in cat.values()] == [
+            "lebesgue", "one_minus_delta", "inv_one_minus_delta"
+        ]
         pts = np.array([[0.0], [0.9]], dtype=complex)
         np.testing.assert_allclose(cat["lebesgue"].density(pts), [1.0, 1.0])
-        np.testing.assert_allclose(cat["one_minus_delta"].density(pts), [0.0, 0.9], atol=1e-12)
+        np.testing.assert_allclose(cat["density(1-d)"].density(pts), [0.0, 0.9], atol=1e-12)
         # 1 - delta vanishes at the center, so the reciprocal is capped there
         np.testing.assert_allclose(
-            cat["inv_one_minus_delta"].density(pts), [10.0, 1.0 / 0.9], atol=1e-9
+            cat["density(1/(1-d))"].density(pts), [10.0, 1.0 / 0.9], atol=1e-9
         )
 
     def test_density_cap(self):
-        cat = density_catalog(DISK)
+        mu = named_measure(DISK, "density(1/(1-d))")
         pts = np.array([[1e-9 + 0j]], dtype=complex)
-        assert cat["inv_one_minus_delta"].density(pts)[0] == 10.0
+        assert mu.density(pts)[0] == 10.0
 
 
 class TestAtomicMass:
@@ -139,7 +143,7 @@ class TestDensityMass:
             basis=np.eye(2, dtype=complex),
             radii=np.array([0.6, 0.5]),
         )
-        mu = density_catalog(BALL2)["one_minus_delta"]
+        mu = named_measure(BALL2, "density(1-d)")
         est = mass(BALL2, mu, P, _base(2, 3000, 21))
         pts = geometry.sample_polydisk(P, 3000, np.random.default_rng(np.random.SeedSequence(21)))
         inside = domains.contains(BALL2, pts)
@@ -254,7 +258,7 @@ class TestSandwichBracket:
         # the outer polydisk at (0, 0.9) reaches outside the (1,2) ellipsoid,
         # where boundary_distance (hence 1 - delta) is undefined
         ell = domains.complex_ellipsoid((1, 2))
-        mu = density_catalog(ell)["one_minus_delta"]
+        mu = named_measure(ell, "density(1-d)")
         sw = kobayashi.ball_sandwich(ell, (0.0, 0.9), 0.3)
         inner, outer = self._masses(ell, mu, sw, samples=1 << 8)
         assert 0.0 < inner.value <= outer.value
