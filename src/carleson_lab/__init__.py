@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .domains import (
     DomainSpec,
     complex_ellipsoid,
-    convex_polynomial,
     load_spec,
     save_spec,
     unit_ball,
@@ -42,7 +41,6 @@ __all__ = [
     "unit_disk",
     "unit_ball",
     "complex_ellipsoid",
-    "convex_polynomial",
     "load_spec",
     "save_spec",
     "MinimalFrame",

@@ -27,11 +27,7 @@ from .polynomials import HoloPolynomial, poly_eval
 def _reinhardt_data(spec: DomainSpec) -> tuple[tuple[int, ...], tuple[float, ...]]:
     if domains.is_ball(spec):
         return tuple([1] * spec.dim), tuple([1.0] * spec.dim)
-    if spec.kind == "ellipsoid":
-        return tuple(spec.exponents), tuple(spec.semi_axes)
-    raise CapabilityError(
-        f"kind {spec.kind!r} is not a Reinhardt model; no moment series available"
-    )
+    return tuple(spec.exponents), tuple(spec.semi_axes)
 
 
 # ---------------------------------------------------------------------------

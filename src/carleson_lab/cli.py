@@ -154,7 +154,6 @@ def _cmd_domain_info(args, spec, out) -> int:
         "box": list(spec.box),
         "anchor_value": float(domains.defining_value(spec, anchor)),
         "inradius": float(domains.inradius(spec)),
-        "level_cap": float(domains.level_cap(spec)),
         "box_nu_volume": float(domains.box_nu_volume(spec)),
     }
     _write_json(os.path.join(out, "domain_info.json"), info)

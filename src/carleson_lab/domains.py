@@ -1,39 +1,37 @@
 """Bounded convex model domains in C^n with global polynomial defining functions.
 
-A domain is D = {r < 0} for a smooth convex polynomial r on R^(2n).  Four kinds
-are supported:
+A domain is D = {r < 0} for a smooth convex polynomial r on R^(2n).  Three
+kinds are supported:
 
 * ``disk``        r(z) = |z|^2 - 1 in C^1
 * ``ball``        r(z) = |z|^2 - 1 in C^n
 * ``ellipsoid``   r(z) = sum_i (|z_i|^2 / a_i^2)^(m_i) - 1
-* ``polynomial``  r given term by term over the 2n real coordinates
 
 Points are numpy arrays of shape (n,) with dtype complex128.  Real coordinates
 are interleaved (x_1, y_1, ..., x_n, y_n), matching the CLI point syntax.
 
-Construction validates three things on a seeded sample: the anchor is interior,
-the sublevel set stays inside the declared coordinate box, and r is midpoint
-quasi-convex along random segments.  A violation rejects the spec.
+Each kind is convex and bounded by construction, and r takes its least value
+-1 at the origin.  Construction checks one thing: that r is finite on the box
+{|x_i| <= 1.05 a_i, |y_i| <= 1.05 a_i} (a_i = 1 on the disk and the ball).  r
+grows with every |z_i|, so its largest value on the box is the one at a
+corner, and a spec whose r overflows there is refused.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import special
 
-from .errors import CapabilityError, ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError
 
-KINDS = ("disk", "ball", "ellipsoid", "polynomial")
+KINDS = ("disk", "ball", "ellipsoid")
 
-_VALIDATION_SEED = 742001
-_CONVEXITY_TRIPLES = 1000
-_FACE_SAMPLES = 512
 _PROJECTION_STARTS = 8
 _LINE_PHASES = 64
 
@@ -43,22 +41,22 @@ _LINE_PHASES = 64
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Immutable description of a bounded convex domain.
-
-    ``box`` holds one half-width per complex coordinate; the validation box is
-    the polydisk of squares {|x_i| <= box_i, |y_i| <= box_i}.
-    """
+    """Immutable description of a model domain; the disk and the ball leave
+    exponents and semi_axes empty."""
 
     kind: str
     dim: int
     exponents: tuple[int, ...] = ()
     semi_axes: tuple[float, ...] = ()
-    terms: tuple[tuple[float, tuple[int, ...]], ...] = ()
-    box: tuple[float, ...] = ()
-    anchor: tuple[float, ...] = ()
 
     def __post_init__(self):
         _validate(self)
+
+    @property
+    def box(self) -> tuple[float, ...]:
+        """One half-width 1.05 a_i per complex coordinate: the box around D
+        is the polydisk of squares {|x_i| <= box_i, |y_i| <= box_i}."""
+        return tuple(1.05 * a for a in self.semi_axes) if self.semi_axes else (1.05,) * self.dim
 
 
 def _integer(value, what: str) -> int:
@@ -69,15 +67,23 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """An int, a float or a numpy number as a float; a bool or a string is a
+    TypeError, as in _integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 def unit_disk() -> DomainSpec:
-    return DomainSpec(kind="disk", dim=1, box=(1.05,), anchor=(0.0, 0.0))
+    return DomainSpec(kind="disk", dim=1)
 
 
 def unit_ball(dim: int) -> DomainSpec:
     dim = _integer(dim, "dimension")
     if dim < 1:
         raise ConfigError(f"ball dimension must be >= 1, got {dim}")
-    return DomainSpec(kind="ball", dim=dim, box=(1.05,) * dim, anchor=(0.0,) * (2 * dim))
+    return DomainSpec(kind="ball", dim=dim)
 
 
 def complex_ellipsoid(
@@ -86,42 +92,15 @@ def complex_ellipsoid(
     exps = tuple(_integer(m, "an exponent") for m in exponents)
     if not exps or any(m < 1 for m in exps):
         raise ConfigError(f"ellipsoid exponents must be positive integers, got {exponents}")
-    axes = tuple(float(a) for a in (semi_axes if semi_axes is not None else (1.0,) * len(exps)))
+    if semi_axes is None:
+        semi_axes = (1.0,) * len(exps)
+    axes = tuple(_real(a, "a semi-axis") for a in semi_axes)
     # r divides by a^2: an a whose square overflows or underflows leaves r inf or nan
     if len(axes) != len(exps) or not all(a > 0.0 and 0.0 < a * a < math.inf for a in axes):
         raise ConfigError(
             f"semi_axes must match exponents, each a and a^2 finite and positive, got {semi_axes}"
         )
-    dim = len(exps)
-    return DomainSpec(
-        kind="ellipsoid",
-        dim=dim,
-        exponents=exps,
-        semi_axes=axes,
-        box=tuple(1.05 * a for a in axes),
-        anchor=(0.0,) * (2 * dim),
-    )
-
-
-def convex_polynomial(
-    terms: Iterable[tuple[float, Sequence[int]]],
-    dim: int,
-    box: Sequence[float],
-    anchor: Sequence[float] | None = None,
-) -> DomainSpec:
-    dim = _integer(dim, "dimension")
-    tt = tuple((float(c), tuple(_integer(p, "a term power") for p in pw)) for c, pw in terms)
-    for _, pw in tt:
-        if len(pw) != 2 * dim or any(p < 0 for p in pw):
-            raise ConfigError(f"term powers must be {2 * dim} nonnegative integers, got {pw}")
-    anchor = tuple(anchor) if anchor is not None else (0.0,) * (2 * dim)
-    return DomainSpec(
-        kind="polynomial",
-        dim=dim,
-        terms=tt,
-        box=tuple(float(b) for b in box),
-        anchor=anchor,
-    )
+    return DomainSpec(kind="ellipsoid", dim=len(exps), exponents=exps, semi_axes=axes)
 
 
 def is_ball(spec: DomainSpec) -> bool:
@@ -217,7 +196,8 @@ def squared_norm(z: np.ndarray) -> np.ndarray:
 
 
 def anchor_point(spec: DomainSpec) -> np.ndarray:
-    return to_complex(np.asarray(spec.anchor, dtype=float))
+    """The origin, where r takes its least value -1 on every model."""
+    return np.zeros(spec.dim, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +215,10 @@ def defining_value(spec: DomainSpec, z) -> float | np.ndarray:
 def _value_batch(spec: DomainSpec, z: np.ndarray) -> np.ndarray:
     if is_ball(spec):
         return squared_norm(z) - 1.0
-    if spec.kind == "ellipsoid":
-        sq = z.real**2 + z.imag**2
-        a2 = np.asarray(spec.semi_axes) ** 2
-        m = np.asarray(spec.exponents)
-        return ((sq / a2) ** m).sum(axis=-1) - 1.0
-    x = to_real(z)
-    out = np.zeros(z.shape[:-1])
-    for coeff, powers in spec.terms:
-        mono = np.ones(z.shape[:-1])
-        for j, p in enumerate(powers):
-            if p:
-                mono = mono * x[..., j] ** p
-        out += coeff * mono
-    return out
+    sq = z.real**2 + z.imag**2
+    a2 = np.asarray(spec.semi_axes) ** 2
+    m = np.asarray(spec.exponents)
+    return ((sq / a2) ** m).sum(axis=-1) - 1.0
 
 
 def defining_gradient(spec: DomainSpec, z) -> np.ndarray:
@@ -257,28 +227,15 @@ def defining_gradient(spec: DomainSpec, z) -> np.ndarray:
     x = to_real(z)
     if is_ball(spec):
         return 2.0 * x
-    if spec.kind == "ellipsoid":
-        sq = z.real**2 + z.imag**2
-        a2 = np.asarray(spec.semi_axes) ** 2
-        m = np.asarray(spec.exponents)
-        u = sq / a2
-        factor = m * np.where(u > 0, u, 1.0) ** (m - 1) / a2  # u^0 at the axis when m=1
-        factor = np.where((u == 0) & (m > 1), 0.0, factor)
-        grad = np.empty_like(x)
-        grad[..., 0::2] = 2.0 * z.real * factor
-        grad[..., 1::2] = 2.0 * z.imag * factor
-        return grad
-    grad = np.zeros_like(x)
-    for coeff, powers in spec.terms:
-        for j, p in enumerate(powers):
-            if not p:
-                continue
-            mono = np.ones(z.shape[:-1])
-            for k, q in enumerate(powers):
-                e = q - 1 if k == j else q
-                if e:
-                    mono = mono * x[..., k] ** e
-            grad[..., j] += coeff * p * mono
+    sq = z.real**2 + z.imag**2
+    a2 = np.asarray(spec.semi_axes) ** 2
+    m = np.asarray(spec.exponents)
+    u = sq / a2
+    factor = m * np.where(u > 0, u, 1.0) ** (m - 1) / a2  # u^0 at the axis when m=1
+    factor = np.where((u == 0) & (m > 1), 0.0, factor)
+    grad = np.empty_like(x)
+    grad[..., 0::2] = 2.0 * z.real * factor
+    grad[..., 1::2] = 2.0 * z.imag * factor
     return grad
 
 
@@ -291,65 +248,19 @@ def contains(spec: DomainSpec, z) -> bool | np.ndarray:
 # construction-time validation
 
 
-@lru_cache(maxsize=128)
-def _validation_report(spec: DomainSpec) -> tuple[float, float]:
-    """Return (min r on box faces, worst convexity defect).  A value of r
-    that overflows on the box would leave both unchecked (inf - inf is nan),
-    so it rejects the spec."""
-    rng = np.random.default_rng(_VALIDATION_SEED)
-    n, box = spec.dim, np.asarray(spec.box, dtype=float)
-    if len(box) != n or np.any(box <= 0):
-        raise ConfigError(f"box must hold {n} positive half-widths, got {spec.box}")
-    # faces of the 2n-cube
-    wide = np.repeat(box, 2)
-    faces = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(2 * n):
-            pts = rng.uniform(-1.0, 1.0, size=(_FACE_SAMPLES // (2 * n) + 1, 2 * n)) * wide
-            for sign in (-1.0, 1.0):
-                pts[:, j] = sign * wide[j]
-                faces.append(_value_batch(spec, to_complex(pts)))
-        a = rng.uniform(-1.0, 1.0, size=(_CONVEXITY_TRIPLES, 2 * n)) * wide
-        b = rng.uniform(-1.0, 1.0, size=(_CONVEXITY_TRIPLES, 2 * n)) * wide
-        ra = _value_batch(spec, to_complex(a))
-        rb = _value_batch(spec, to_complex(b))
-        rm = _value_batch(spec, to_complex(0.5 * (a + b)))
-    if not all(np.isfinite(v).all() for v in (*faces, ra, rb, rm)):
-        raise InputError(
-            f"r overflows on the validation box {spec.box}: the box or the semi-axes are too large"
-        )
-    face_min = min(float(v.min()) for v in faces)
-    defect = float(np.max(rm - np.maximum(ra, rb)))
-    return face_min, defect
-
-
 def _validate(spec: DomainSpec) -> None:
     if spec.kind not in KINDS:
         raise ConfigError(f"unknown domain kind {spec.kind!r}, expected one of {KINDS}")
     if spec.dim < 1:
         raise ConfigError(f"dimension must be >= 1, got {spec.dim}")
-    if len(spec.anchor) != 2 * spec.dim:
-        raise ConfigError(f"anchor must hold {2 * spec.dim} reals, got {spec.anchor}")
-    if spec.kind == "polynomial" and not spec.terms:
-        raise ConfigError("polynomial domain needs at least one term")
-    anchor = to_complex(np.asarray(spec.anchor, dtype=float))
-    r0 = float(_value_batch(spec, anchor[None, :])[0])
-    if not r0 < 0.0:
-        raise InputError(f"anchor point is not interior: r(anchor) = {r0}")
-    face_min, defect = _validation_report(spec)
-    scale = max(1.0, abs(r0))
-    if face_min <= 0.0:
+    # r grows with every |z_i|: its largest value on the box is at a corner
+    corner = np.asarray(spec.box) * (1.0 + 1.0j)
+    with np.errstate(over="ignore"):
+        top = float(_value_batch(spec, corner[None, :])[0])
+    if not math.isfinite(top):
         raise InputError(
-            f"sublevel set {{r < 0}} is not certified bounded: min r on box faces = {face_min}"
+            f"r overflows on the validation box {spec.box}: the semi-axes or exponents are too large"
         )
-    if defect > 1e-9 * scale:
-        raise InputError(f"defining function failed midpoint quasi-convexity by {defect}")
-
-
-def level_cap(spec: DomainSpec) -> float:
-    """Largest level value whose sublevel set is still certified inside the box."""
-    face_min, _ = _validation_report(spec)
-    return face_min
 
 
 # ---------------------------------------------------------------------------
@@ -713,27 +624,6 @@ def unit_ball_volume(n: int) -> float:
     return math.pi**n / math.factorial(n)
 
 
-@lru_cache(maxsize=128)
-def depth(spec: DomainSpec) -> float:
-    """-min r.  On the disk, the ball and the ellipsoids r is a sum of
-    nonnegative terms minus 1, which vanish together at the origin, so the
-    depth is 1 exactly.  On polynomial domains BFGS runs on r and
-    defining_gradient from the anchor; r is convex, so its local minimum is
-    the global one."""
-    if spec.kind != "polynomial":
-        return 1.0
-    from scipy import optimize
-
-    x0 = np.asarray(spec.anchor, dtype=float)
-    res = optimize.minimize(
-        lambda x: float(_value_batch(spec, to_complex(x)[None, :])[0]),
-        x0,
-        jac=lambda x: defining_gradient(spec, to_complex(x)),
-        method="BFGS",
-    )
-    return -float(res.fun)
-
-
 class Halton:
     """Scrambled Halton stream in [0, 1)^d (Owen, "A randomized Halton
     algorithm in R", arXiv:1706.02808), equal bit for bit to scipy's
@@ -796,9 +686,8 @@ def random_interior(
     depend on how it is split into draws."""
     if not (math.isfinite(level_floor) and level_floor >= 0.0):
         raise InputError(f"level_floor must be finite and >= 0, got {level_floor}")
-    d = depth(spec)
-    if level_floor >= d:
-        raise InputError(f"level_floor must be < {d:.6g} on the {spec.kind} (r >= -{d:.6g}), got {level_floor}")
+    if level_floor >= 1.0:
+        raise InputError(f"level_floor must be < 1 on the {spec.kind} (r >= -1), got {level_floor}")
     quasi = isinstance(rng, Halton)
     out = np.empty((count, spec.dim), dtype=complex)
     wide = np.repeat(np.asarray(spec.box, dtype=float), 2)
@@ -852,8 +741,6 @@ def quasi_uniform(spec: DomainSpec, count: int, seed: int) -> np.ndarray:
     it does not depend on how it is split, so the points are those of a
     single draw, bit for bit, and no full-size temporary is built.
     """
-    if spec.kind not in ("disk", "ball", "ellipsoid"):
-        raise CapabilityError(f"no smooth uniform sampler for kind {spec.kind!r}")
     n = spec.dim
     exponents = spec.exponents if spec.exponents else (1,) * n
     axes = np.asarray(spec.semi_axes if spec.semi_axes else (1.0,) * n)
@@ -878,7 +765,6 @@ _JSON_KEYS = {
     "disk": ("kind",),
     "ball": ("kind", "dimension"),
     "ellipsoid": ("kind", "exponents", "semi_axes"),
-    "polynomial": ("kind", "dimension", "terms", "box", "anchor"),
 }
 
 
@@ -889,11 +775,6 @@ def spec_to_json(spec: DomainSpec) -> dict:
     elif spec.kind == "ellipsoid":
         data["exponents"] = list(spec.exponents)
         data["semi_axes"] = list(spec.semi_axes)
-    elif spec.kind == "polynomial":
-        data["dimension"] = spec.dim
-        data["terms"] = [{"coeff": c, "powers": list(p)} for c, p in spec.terms]
-        data["box"] = list(spec.box)
-        data["anchor"] = list(spec.anchor)
     return data
 
 
@@ -913,16 +794,10 @@ def spec_from_json(data: dict) -> DomainSpec:
             return unit_disk()
         if kind == "ball":
             return unit_ball(data.get("dimension", 1))
-        if kind == "ellipsoid":
-            if "exponents" not in data:
-                raise ConfigError("ellipsoid spec needs 'exponents'")
-            return complex_ellipsoid(data["exponents"], data.get("semi_axes"))
-        for key in ("dimension", "terms", "box"):
-            if key not in data:
-                raise ConfigError(f"polynomial spec needs {key!r}")
-        terms = [(t["coeff"], t["powers"]) for t in data["terms"]]
-        return convex_polynomial(terms, data["dimension"], data["box"], data.get("anchor"))
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:  # float(10**400) overflows
+        if "exponents" not in data:
+            raise ConfigError("ellipsoid spec needs 'exponents'")
+        return complex_ellipsoid(data["exponents"], data.get("semi_axes"))
+    except (TypeError, OverflowError) as exc:  # float(10**400) overflows
         raise InputError(f"malformed {kind!r} domain spec: {exc}") from None
 
 

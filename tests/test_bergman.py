@@ -24,11 +24,10 @@ from carleson_lab.bergman import (
 from carleson_lab.domains import (
     anchor_point,
     complex_ellipsoid,
-    convex_polynomial,
     unit_ball,
     unit_disk,
 )
-from carleson_lab.errors import CapabilityError, InputError, ResourceError, TruncationError
+from carleson_lab.errors import InputError, ResourceError, TruncationError
 from carleson_lab.measures import DensityMeasure, atomic_measure, lebesgue_measure
 from carleson_lab.polynomials import HoloPolynomial, poly_eval
 from carleson_lab.sequences import named_measure
@@ -138,13 +137,6 @@ class TestMoments:
             moment(tab, (1, 1))
         with pytest.raises(InputError):
             moments(DISK, -1)
-
-    def test_generic_domain_rejected(self):
-        poly = convex_polynomial(
-            [(1.0, (2, 0)), (1.0, (0, 2)), (-1.0, (0, 0))], dim=1, box=(1.01,)
-        )
-        with pytest.raises(CapabilityError):
-            moments(poly, 2)
 
 
 class TestKernelModels:

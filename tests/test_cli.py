@@ -21,14 +21,9 @@ def paths(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("cli")
     disk = tmp / "disk.json"
     ell = tmp / "ell.json"
-    poly = tmp / "poly.json"
     domains.save_spec(unit_disk(), disk)
     domains.save_spec(complex_ellipsoid((1, 2), (1.0, 1.0)), ell)
-    # |z1|^2 + |z2|^2 + (Re z1)^4/4 - 1, whose minimum is r(0) = -1
-    terms = [(1.0, p) for p in ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))]
-    terms += [(0.25, (4, 0, 0, 0)), (-1.0, (0, 0, 0, 0))]
-    domains.save_spec(domains.convex_polynomial(terms, dim=2, box=(1.01, 1.01)), poly)
-    return {"tmp": tmp, "disk": str(disk), "ell": str(ell), "poly": str(poly)}
+    return {"tmp": tmp, "disk": str(disk), "ell": str(ell)}
 
 
 def _read_json(path):
@@ -51,15 +46,18 @@ def test_domain_info(paths, capsys):
     assert "disk dim=1" in capsys.readouterr().out
 
 
-def _disk_polynomial(box: float) -> str:
-    """The unit disk as a polynomial domain, x^2 + y^2 - 1, in a box of half-width box."""
-    terms = [{"coeff": c, "powers": p} for c, p in ((1.0, [2, 0]), (1.0, [0, 2]), (-1.0, [0, 0]))]
-    return json.dumps({"kind": "polynomial", "dimension": 1, "terms": terms, "box": [box]})
+# a semi-axis must be a JSON number, not a string or a boolean
+_STRING_BOOL_AXES = '{"kind": "ellipsoid", "exponents": [1, 2], "semi_axes": ["1", true]}'
+
+
+def _wide_ellipsoid(b: float) -> str:
+    """The (1, 1, 2) ellipsoid with semi-axes (1, 1, b): its box is 1.05 b wide."""
+    return json.dumps({"kind": "ellipsoid", "exponents": [1, 1, 2], "semi_axes": [1, 1, b]})
 
 
 @pytest.mark.parametrize(
     "text",
-    [_disk_polynomial(b) for b in (1e10, 1e20, 1e60, 1e100)]
+    [_wide_ellipsoid(b) for b in (1e10, 1e20, 1e60, 1e100)]
     + ['{"kind": "ellipsoid", "exponents": [1, 2], "semi_axes": [1.0, 1e150]}'],
     ids=["box1e10", "box1e20", "box1e60", "box1e100", "axes1e150"],
 )
@@ -255,16 +253,16 @@ def test_thm42_generated_sequence(paths, capsys):
         (["pack", "--domain", "DISK", "--level=nan", "--samples", "2000"], "level_floor must be"),
         # r >= -1 on the disk, so a floor of 1 or more leaves nothing to draw
         (["pack", "--domain", "DISK", "--level", "1.5", "--samples", "4096"], "level_floor must be < 1"),
-        # the same rule off the models: the depth -min r is found numerically
-        (["pack", "--domain", "POLY", "--level", "1.5", "--samples", "4096"], "level_floor must be < 1 "),
+        # the same rule on the ellipsoid, whose least value is r(0) = -1 too
+        (["pack", "--domain", "ELL", "--level", "1.5", "--samples", "4096"], "level_floor must be < 1 "),
         # r divides by a^2: a semi-axis whose square is not finite and positive
         (["domain-info", "--domain", "AXES_INF"], "semi_axes"),
         (["domain-info", "--domain", "AXES_NAN"], "semi_axes"),
         (["domain-info", "--domain", "AXES_1e300"], "semi_axes"),
         (["domain-info", "--domain", "AXES_1e-300"], "semi_axes"),
-        # r overflows on the validation box, where boundedness and convexity would read nan
+        # r overflows at the corner of the box: |z_2|^2 itself, or 2.205^898
         (["domain-info", "--domain", "AXES_1e154"], "r overflows on the validation box"),
-        (["domain-info", "--domain", "BOX_1e160"], "r overflows on the validation box"),
+        (["domain-info", "--domain", "EXP_898"], "r overflows on the validation box"),
         # criterion (1)'s degrees are set by the levels: only kernel-check takes --degree
         (["carleson", "--domain", "DISK", "--degree", "6"], "unrecognized arguments: --degree"),
         (["thm42", "--domain", "DISK", "--degree", "6"], "unrecognized arguments: --degree"),
@@ -280,6 +278,9 @@ def test_thm42_generated_sequence(paths, capsys):
         # a spec is read exactly: a key its kind does not read, or a non-integer
         (["domain-info", "--domain", "COLLAR"], "unknown keys in disk domain spec: ['collar']"),
         (["domain-info", "--domain", "BALL_2.7"], "dimension must be an integer, got 2.7"),
+        (["domain-info", "--domain", "AXES_STR_BOOL"], "a semi-axis must be a real number, got '1'"),
+        # three kinds: a polynomial spec names its kind like any unknown one
+        (["domain-info", "--domain", "POLY"], "unknown domain kind 'polynomial'"),
     ],
 )
 def test_validation_errors_exit_1(paths, capsys, argv, fragment):
@@ -288,22 +289,25 @@ def test_validation_errors_exit_1(paths, capsys, argv, fragment):
     (paths["tmp"] / "file").write_text("a file, not a directory\n")
     names = {
         "DISK": paths["disk"],
-        "POLY": paths["poly"],
+        "ELL": paths["ell"],
         "DIR": str(paths["tmp"]),
         "DIR.csv": str(paths["tmp"] / "dir.csv"),
         "BINARY": str(paths["tmp"] / "binary.dat"),
         "FILE": str(paths["tmp"] / "file"),
     }
+    # Python's json reads Infinity and NaN as floats; the strings "inf" and
+    # "nan" are refused as strings before the semi-axis check
     for tag, axis in (
-        ("INF", '"inf"'), ("NAN", '"nan"'), ("1e300", "1e300"), ("1e-300", "1e-300"), ("1e154", "1e154")
+        ("INF", "Infinity"), ("NAN", "NaN"), ("1e300", "1e300"), ("1e-300", "1e-300"), ("1e154", "1e154")
     ):
         path = paths["tmp"] / f"axes_{tag}.json"
         path.write_text(f'{{"kind": "ellipsoid", "exponents": [1, 2], "semi_axes": [1.0, {axis}]}}')
         names[f"AXES_{tag}"] = str(path)
-    (paths["tmp"] / "box_1e160.json").write_text(_disk_polynomial(1e160))
-    names["BOX_1e160"] = str(paths["tmp"] / "box_1e160.json")
     for tag, text in (("COLLAR", '{"kind": "disk", "collar": 0.2}'),
-                      ("BALL_2.7", '{"kind": "ball", "dimension": 2.7}')):
+                      ("BALL_2.7", '{"kind": "ball", "dimension": 2.7}'),
+                      ("EXP_898", '{"kind": "ellipsoid", "exponents": [1, 898]}'),
+                      ("AXES_STR_BOOL", _STRING_BOOL_AXES),
+                      ("POLY", '{"kind": "polynomial", "dimension": 1, "box": [1.01]}')):
         names[tag] = str(paths["tmp"] / f"{tag.lower()}.json")
         Path(names[tag]).write_text(text)
     argv = [names.get(tok, tok) for tok in argv]
@@ -346,12 +350,13 @@ def test_non_numeric_cell_names_file_and_line(paths, capsys, argv, header, extra
 
 
 def test_non_numeric_spec_field_exit_1(paths, capsys):
-    bad = paths["tmp"] / "bad_ball.json"
-    bad.write_text('{"kind": "ball", "dimension": "x"}')
-    assert cli.main(["domain-info", "--domain", str(bad)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "'x'" in err
-    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    bad = paths["tmp"] / "bad_spec.json"
+    for text, value in (('{"kind": "ball", "dimension": "x"}', "'x'"), (_STRING_BOOL_AXES, "'1'")):
+        bad.write_text(text)
+        assert cli.main(["domain-info", "--domain", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and value in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 SUITE = ["lebesgue", "packing0.3", "packing0.5", "packing0.8", "ray+", "ray-", "cluster",
@@ -431,11 +436,12 @@ def test_truncation_exit_2(paths, capsys):
 
 
 def test_infinite_box_volume_exit_2(paths, capsys):
-    # r is finite on this box, but its volume (2b)^2 / pi is not, and
-    # standard JSON has no inf: domain-info writes nothing
-    spec = paths["tmp"] / "box_8e153.json"
-    spec.write_text(_disk_polynomial(8e153))
-    out = paths["tmp"] / "box_8e153"
+    # r is finite on this box, but its volume, the product of the (2b)^2
+    # over pi^2 / 2, is not, and standard JSON has no inf: domain-info
+    # writes nothing
+    spec = paths["tmp"] / "axes_5e153.json"
+    spec.write_text('{"kind": "ellipsoid", "exponents": [1, 2], "semi_axes": [1.0, 5e153]}')
+    out = paths["tmp"] / "axes_5e153"
     assert cli.main(["domain-info", "--domain", str(spec), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numeric error: domain_info.json not written")
@@ -459,9 +465,7 @@ _VALID_SPECS = [
     {"kind": "disk"},
     {"kind": "ball", "dimension": 2},
     {"kind": "ellipsoid", "exponents": [1, 2], "semi_axes": [1.0, 0.8]},
-    {"kind": "polynomial", "dimension": 1, "box": [1.01], "anchor": [0.0, 0.0],
-     "terms": [{"coeff": 1.0, "powers": [2, 0]}, {"coeff": 1.0, "powers": [0, 2]},
-               {"coeff": -1.0, "powers": [0, 0]}]},
+    {"kind": "ellipsoid", "exponents": [1, 1, 2]},
 ]
 _SPEC_KEYS = [
     "kind", "dimension", "exponents", "semi_axes", "terms", "box", "anchor", "collar", "bogus",

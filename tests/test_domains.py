@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -18,7 +19,6 @@ from carleson_lab.domains import (
     boundary_distance,
     complex_ellipsoid,
     contains,
-    convex_polynomial,
     defining_gradient,
     defining_value,
     line_level_distance,
@@ -40,21 +40,11 @@ DISK = unit_disk()
 BALL2 = unit_ball(2)
 BALL3 = unit_ball(3)
 ELL12 = complex_ellipsoid((1, 2), (1.0, 1.0))
-# |z1|^2 + |z2|^2 + (Re z1)^4/4 - 1: convex, finite type
-POLY = convex_polynomial(
-    [
-        (1.0, (2, 0, 0, 0)),
-        (1.0, (0, 2, 0, 0)),
-        (1.0, (0, 0, 2, 0)),
-        (1.0, (0, 0, 0, 2)),
-        (0.25, (4, 0, 0, 0)),
-        (-1.0, (0, 0, 0, 0)),
-    ],
-    dim=2,
-    box=(1.01, 1.01),
-)
+ELL22 = complex_ellipsoid((2, 2))
+# three coordinates: projections take the SLSQP path
+ELL112 = complex_ellipsoid((1, 1, 2))
 
-ALL_SPECS = [DISK, BALL2, ELL12, POLY]
+ALL_SPECS = [DISK, BALL2, ELL12, ELL112]
 
 
 def _dense_projection_oracle(spec, q, level=0.0, sweeps=4000, seed=11):
@@ -73,7 +63,13 @@ class TestSpecs:
         assert DISK.kind == "disk" and DISK.dim == 1
         assert BALL2.kind == "ball" and BALL2.dim == 2
         assert ELL12.kind == "ellipsoid" and tuple(ELL12.exponents) == (1, 2)
-        assert POLY.kind == "polynomial" and POLY.dim == 2
+        assert ELL112.kind == "ellipsoid" and ELL112.dim == 3
+        # four fields; the box 1.05 a_i is derived from them
+        assert [f.name for f in dataclasses.fields(DomainSpec)] == [
+            "kind", "dim", "exponents", "semi_axes"
+        ]
+        assert DISK.box == (1.05,) and BALL2.box == (1.05, 1.05)
+        assert complex_ellipsoid((1, 2), (2.0, 0.5)).box == (1.05 * 2.0, 1.05 * 0.5)
 
     def test_ellipsoid_validation(self):
         with pytest.raises(ConfigError):
@@ -84,13 +80,21 @@ class TestSpecs:
         for a in (math.inf, math.nan, 1e300, 1e-300):
             with pytest.raises(ConfigError, match="semi_axes"):
                 complex_ellipsoid((1, 2), (1.0, a))
-        # a^2 is finite here, but |z|^2 overflows on the box faces, which
-        # would leave boundedness and convexity unchecked
-        with pytest.raises(InputError, match="r overflows on the validation box"):
-            complex_ellipsoid((1, 2), (1.0, 1e154))
-        # r is finite on this box, but (2b)^2 is not: the volume reads inf
-        disk = [(1.0, (2, 0)), (1.0, (0, 2)), (-1.0, (0, 0))]
-        assert domains.box_nu_volume(convex_polynomial(disk, 1, (8e153,))) == math.inf
+        # r is finite on this box, but the product of the (2b)^2 is not:
+        # the volume reads inf
+        assert domains.box_nu_volume(complex_ellipsoid((1, 2), (1.0, 5e153))) == math.inf
+
+    def test_r_is_checked_at_the_box_corner(self):
+        # r grows with every |z_i|, so the corner 1.05 a (1 + i) holds its
+        # largest value on the box, where |z_2|^2 / a_2^2 = 2.205: 2.205^897
+        # is finite and 2.205^898 is not; with a_2 = 1e154, |z_2|^2 overflows
+        # at the corner, though a^2 is finite
+        spec = complex_ellipsoid((1, 897))
+        corner = np.asarray(spec.box) * (1.0 + 1.0j)
+        assert 1e307 < defining_value(spec, corner) < math.inf
+        for exps, axes in (((1, 898), (1.0, 1.0)), ((1, 2), (1.0, 1e154))):
+            with pytest.raises(InputError, match="r overflows on the validation box"):
+                complex_ellipsoid(exps, axes)
 
     def test_defining_values(self):
         assert defining_value(DISK, [0.0]) == -1.0
@@ -164,12 +168,12 @@ class TestProjection:
         assert res.point[0] == pytest.approx(1.0)
         assert res.point[1] == pytest.approx(0.0)
 
-    def test_polynomial_generic_path(self):
-        q = np.array([0.1 + 0.2j, -0.3 + 0.1j])
-        res = project_to_level(POLY, q)
-        oracle = _dense_projection_oracle(POLY, q)
+    def test_slsqp_generic_path(self):
+        q = np.array([0.1 + 0.2j, -0.3 + 0.1j, 0.2 - 0.1j])
+        res = project_to_level(ELL112, q)
+        oracle = _dense_projection_oracle(ELL112, q)
         assert res.distance <= oracle + 1e-5
-        assert abs(defining_value(POLY, res.point)) < 1e-8
+        assert abs(defining_value(ELL112, res.point)) < 1e-8
 
     def test_interior_precondition(self):
         with pytest.raises(InputError):
@@ -245,12 +249,13 @@ class TestDistances:
         got = line_level_distance(DISK, z, np.array([1.0 + 0.0j]))
         assert got == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("box", [1e10, 1e14, 5e16, 2e17])
-    def test_line_distance_on_a_wide_box(self, box):
-        # the unit disk as a polynomial: the bisection's resolution grows
-        # with the box, and its outer end stays an upper bound
-        spec = convex_polynomial([(1.0, (2, 0)), (1.0, (0, 2)), (-1.0, (0, 0))], 1, [box])
-        got = line_level_distance(spec, np.array([0.5 + 0j]), np.array([1.0 + 0j]))
+    @pytest.mark.parametrize("b", [1e10, 1e14, 5e16, 2e17])
+    def test_line_distance_on_a_wide_box(self, b):
+        # along e_1 the section is the unit disk, but the box is 1.05 b wide:
+        # the bisection's resolution grows with the box, and its outer end
+        # stays an upper bound
+        spec = complex_ellipsoid((1, 2), (1.0, b))
+        got = line_level_distance(spec, np.array([0.5 + 0j, 0.0]), np.array([1.0 + 0j, 0.0]))
         assert got == pytest.approx(0.5, abs=1e-12)
 
     def test_line_distance_ellipsoid_axis(self):
@@ -286,12 +291,11 @@ class TestSampling:
             random_interior(DISK, 5, np.random.default_rng(0), level_floor=level)
 
     @pytest.mark.parametrize(
-        "spec", [DISK, BALL2, ELL12, POLY], ids=["disk", "ball2", "ell12", "poly"]
+        "spec", [DISK, BALL2, ELL12, ELL22], ids=["disk", "ball2", "ell12", "ell22"]
     )
     def test_level_floor_below_the_center_level(self, spec):
-        # r >= r(0) = -1 on the models and on POLY: a floor of 1 or more is
-        # refused before any draw, a floor just under 1 still fills the count
-        assert domains.depth(spec) == 1.0
+        # r >= r(0) = -1 on every model: a floor of 1 or more is refused
+        # before any draw, a floor just under 1 still fills the count
         rng, ref = np.random.default_rng(0), np.random.default_rng(0)
         for level in (1.0, 1.5):
             with pytest.raises(InputError, match="level_floor must be < 1 "):
@@ -299,18 +303,6 @@ class TestSampling:
         assert rng.random() == ref.random()
         pts = quasi_interior(spec, 3, seed=0, level_floor=0.99)
         assert (defining_value(spec, pts) <= -0.99).all()
-
-    def test_depth_is_the_minimum_of_r_off_the_anchor(self):
-        # POLY - x1/2 takes its minimum -1.0616 at x1 = 0.2425, not at the
-        # anchor: a floor of 1.05 is met there, 1.07 is refused
-        shifted = convex_polynomial(
-            list(POLY.terms) + [(-0.5, (1, 0, 0, 0))], dim=2, box=(1.2, 1.01)
-        )
-        assert domains.depth(shifted) == pytest.approx(1.06158, abs=1e-5)
-        pts = quasi_interior(shifted, 3, seed=0, level_floor=1.05)
-        assert (defining_value(shifted, pts) <= -1.05).all()
-        with pytest.raises(InputError, match="level_floor must be < 1.06158"):
-            quasi_interior(shifted, 3, seed=0, level_floor=1.07)
 
     def test_counts(self):
         assert quasi_interior(DISK, 17, seed=0).shape == (17, 1)
@@ -392,7 +384,7 @@ class TestHalton:
         assert _run_python(code) == "[False, False]"
 
     def test_scipy_optimize_loads_only_where_a_solver_runs(self, tmp_path):
-        # closed-form depths and ray roots on the models, the oracle's covers
+        # closed-form ray roots on the models, the oracle's covers
         # on ELL12 and the golden-section projection of domain-info on ELL12
         # run no solver; frame on ELL12 takes its last slice distance from
         # line_level_distance, which does
@@ -446,33 +438,33 @@ class TestIO:
     @pytest.mark.parametrize(
         "spec, key",
         [(DISK, "dimension"), (DISK, "collar"), (BALL2, "exponents"), (BALL2, "collar"),
-         (ELL12, "dimension"), (ELL12, "box"), (POLY, "exponents"), (POLY, "semi_axes"),
-         (POLY, "collar")],
+         (ELL12, "dimension"), (ELL12, "box"), (DISK, "box"), (BALL2, "anchor"),
+         (ELL12, "terms")],
         ids=lambda v: v if isinstance(v, str) else v.kind,
     )
     def test_a_key_the_kind_does_not_read_is_rejected(self, spec, key):
         # {"kind": "disk", "dimension": 3} once loaded the unit disk
         values = {"dimension": 3, "collar": 0.2, "exponents": [1, 2], "semi_axes": [1.0, 1.0],
-                  "box": [1.05, 1.05]}
+                  "box": [1.05, 1.05], "anchor": [0.0] * 4, "terms": []}
         data = {**spec_to_json(spec), key: values[key]}
         with pytest.raises(ConfigError, match=f"unknown keys in {spec.kind} domain spec: "
                                                rf"\['{key}'\]"):
             spec_from_json(data)
 
     @pytest.mark.parametrize(
-        "data",
-        [{"kind": "ball", "dimension": 2.7}, {"kind": "ball", "dimension": True},
-         {"kind": "ball", "dimension": "3"}, {"kind": "ellipsoid", "exponents": [1.9, 2.2]},
-         {"kind": "ellipsoid", "exponents": "12"}, {**spec_to_json(POLY), "dimension": 2.0},
-         {**spec_to_json(POLY),
-          "terms": [{**t, "powers": [p + 0.5 for p in t["powers"]]}
-                    for t in spec_to_json(POLY)["terms"]]}],
+        "data, what",
+        [({"kind": "ball", "dimension": 2.7}, "an integer"),
+         ({"kind": "ball", "dimension": True}, "an integer"),
+         ({"kind": "ball", "dimension": "3"}, "an integer"),
+         ({"kind": "ellipsoid", "exponents": [1.9, 2.2]}, "an integer"),
+         ({"kind": "ellipsoid", "exponents": "12"}, "an integer"),
+         ({"kind": "ellipsoid", "exponents": [1, 2], "semi_axes": ["1", True]}, "a real number")],
         ids=["ball-float", "ball-bool", "ball-string", "ellipsoid-floats", "ellipsoid-string",
-             "polynomial-float-dimension", "polynomial-float-powers"],
+             "ellipsoid-string-bool-axes"],
     )
-    def test_a_non_integer_is_rejected(self, data):
+    def test_a_non_integer_is_rejected(self, data, what):
         # each of these once loaded a different domain without a word
-        with pytest.raises(InputError, match="malformed .* must be an integer"):
+        with pytest.raises(InputError, match=f"malformed .* must be {what}"):
             spec_from_json(data)
 
     def test_constructors_take_integers_only(self):
@@ -480,15 +472,16 @@ class TestIO:
             unit_ball(2.7)
         with pytest.raises(TypeError, match="an exponent must be an integer"):
             complex_ellipsoid((1.9, 2.2))
-        with pytest.raises(TypeError, match="a term power must be an integer"):
-            convex_polynomial([(1.0, (2.0, 0)), (-1.0, (0, 0))], dim=1, box=(1.1,))
         assert unit_ball(np.int64(2)) == BALL2
+        # the semi-axes, the one real-valued field, take numbers only
+        for bad in ("1", True):
+            with pytest.raises(TypeError, match="a semi-axis must be a real number"):
+                complex_ellipsoid((1, 2), (1.0, bad))
+        assert complex_ellipsoid((1, 2), (1, np.float32(1.0))) == ELL12
 
     def test_infinite_dimension_rejected(self):
-        for data in ({"kind": "ball", "dimension": math.inf},
-                     {**spec_to_json(POLY), "dimension": math.inf}):
-            with pytest.raises(InputError, match="malformed"):
-                spec_from_json(data)
+        with pytest.raises(InputError, match="malformed"):
+            spec_from_json({"kind": "ball", "dimension": math.inf})
 
     def test_bad_file(self, tmp_path):
         path = tmp_path / "broken.json"

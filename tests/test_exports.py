@@ -356,3 +356,28 @@ def test_every_dataclass_field_is_read():
     read = _read_attributes()
     unread = {(cls, name) for cls, name, *_ in _dataclass_fields() if name not in read}
     assert sorted(unread ^ set(UNREAD_FIELDS)) == []
+
+
+# ---------------------------------------------------------------------------
+# the README's table of spec keys is the one spec_from_json reads
+
+
+def _readme_spec_keys():
+    """{kind: keys} from the README table headed `| kind | keys |`: the
+    backquoted name of each row's first cell and those of its second."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    header = re.compile(r"\|\s*kind\s*\|\s*keys\s*\|")
+    (start,) = [k for k, line in enumerate(lines) if header.fullmatch(line.strip())]
+    table = {}
+    for line in lines[start + 2 :]:  # past the header and its rule
+        if not line.startswith("|"):
+            break
+        kind, keys = line.strip().strip("|").split("|")
+        table[kind.strip().strip("`")] = tuple(re.findall(r"`(\w+)`", keys))
+    return table
+
+
+def test_readme_lists_the_spec_keys():
+    from carleson_lab import domains
+
+    assert _readme_spec_keys() == domains._JSON_KEYS
