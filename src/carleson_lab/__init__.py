@@ -1,11 +1,11 @@
 """Numerical laboratory for Carleson measures on convex model domains.
 
 Subpackages by layer: domains (defining functions, projections, sampling),
-geometry (minimal frames and polydisks), kobayashi (invariant metric and
-distance brackets), bergman (moments, kernels, Berezin transforms), measures
-(atomic/density measures and their polydisk masses), carleson (the three criteria,
-covers, sub-mean checks), sequences (uniformly discrete sequences and their
-weighted measures), cli (batch driver).
+geometry (minimal frames and polydisks), kobayashi (invariant distance
+brackets and ball membership), bergman (moments, kernels, Berezin
+transforms), measures (atomic/density measures and their polydisk masses),
+carleson (the three criteria, covers), sequences (uniformly discrete
+sequences and their weighted measures), cli (batch driver).
 """
 
 __version__ = "0.1.0"
@@ -32,7 +32,7 @@ from .kobayashi import ball_sandwich, bracket_tanh_distance
 from .polynomials import HoloPolynomial, random_polynomial
 from .measures import AtomicMeasure, DensityMeasure, atomic_measure, lebesgue_measure
 from .bergman import KernelModel, berezin, kernel_model, moments, reproduce_check
-from .carleson import CarlesonConfig, CarlesonReport, carleson_test, kobayashi_cover, submean_check
+from .carleson import CarlesonConfig, CarlesonReport, carleson_test, kobayashi_cover
 from .sequences import SequenceSet, greedy_decompose, greedy_packing, sequence_measure
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "CarlesonReport",
     "carleson_test",
     "kobayashi_cover",
-    "submean_check",
     "SequenceSet",
     "greedy_decompose",
     "greedy_packing",

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import domains, geometry, kobayashi, measures
 from .domains import DomainSpec, as_point
@@ -66,6 +65,8 @@ def moments(spec: DomainSpec, degree: int) -> MomentTable:
             f"a moment table of degree {degree} in dimension {n} has {degree + 1}^{n} "
             f"entries, above the cap of {_MAX_CUBE}"
         )
+    from scipy import special
+
     alpha = np.indices((degree + 1,) * n, dtype=float)
     col = (n,) + (1,) * n
     m = np.asarray(exponents, dtype=float).reshape(col)
@@ -112,6 +113,8 @@ def closed_ball_model(spec: DomainSpec) -> KernelModel:
 
 
 def reinhardt_series_model(spec: DomainSpec, degree: int = 60) -> KernelModel:
+    from scipy import special
+
     table = moments(spec, degree)
     cube = table.values
     coeffs = np.where(np.isnan(cube), 0.0, 1.0 / np.where(np.isnan(cube), 1.0, cube))

@@ -8,8 +8,7 @@ so each criterion is probed on a boundary-refining grid and the verdict is a
 documented heuristic on the dyadic tail of the per-level suprema.
 
 Also here: the greedy construction of a bounded-overlap cover by Kobayashi
-balls and the plurisubharmonic sub-mean-value checks that power the (3) => (1)
-direction.
+balls and its overlap counts.
 """
 
 from __future__ import annotations
@@ -21,10 +20,9 @@ import numpy as np
 
 from . import bergman, domains, geometry, kobayashi, measures, tables
 from .bergman import KernelModel
-from .domains import DomainSpec, as_point
+from .domains import DomainSpec
 from .errors import ConfigError, InputError, ResourceError
 from .measures import AtomicMeasure, DensityMeasure, NuBase
-from .polynomials import HoloPolynomial, poly_eval
 
 BOUNDED = "Bounded"
 DIVERGING = "Diverging"
@@ -84,16 +82,16 @@ def _ray_directions(spec: DomainSpec, extra: int, seed: int) -> np.ndarray:
     return np.array(dirs)
 
 
-def grid_levels(spec: DomainSpec, config: CarlesonConfig) -> np.ndarray:
-    """Dyadic levels lambda_j = lambda_0 2^-j with lambda_0 = 0.5 |r(anchor)|."""
-    lam0 = 0.5 * abs(float(domains.defining_value(spec, domains.anchor_point(spec))))
-    return lam0 * 0.5 ** np.arange(config.levels)
+def grid_levels(config: CarlesonConfig) -> np.ndarray:
+    """Dyadic levels lambda_j = lambda_0 2^-j with lambda_0 = 0.5 |r(anchor)|
+    = 0.5: r is -1 at the anchor, the origin, on every model."""
+    return 0.5 * 0.5 ** np.arange(config.levels)
 
 
 def build_grid(spec: DomainSpec, config: CarlesonConfig) -> list[GridPoint]:
     """Dyadic boundary-approaching rays plus quasi-random interior points."""
     anchor = domains.anchor_point(spec)
-    lams = grid_levels(spec, config)
+    lams = grid_levels(config)
     dirs = _ray_directions(spec, config.extra_rays, config.seed)
     rays = [
         (j, k, anchor + domains._ray_root(spec, anchor, d, -lam) * d)
@@ -355,7 +353,7 @@ class CoverResult:
     seed: int
 
 
-_CORE_LEVEL = 0.1  # core level of kobayashi_cover, as a fraction of |r(anchor)|
+_CORE_LEVEL = 0.1  # core level of kobayashi_cover: a tenth of |r(anchor)| = 1
 
 
 def kobayashi_cover(
@@ -366,7 +364,7 @@ def kobayashi_cover(
     test_count: int = 10000,
 ) -> CoverResult:
     """Greedy maximal family of disjoint radius-r/3 Kobayashi balls on the core
-    {defining function <= -level}, level = _CORE_LEVEL * |r(anchor)|, with a
+    {defining function <= -level}, level = _CORE_LEVEL = 0.1, with a
     coverage report for the radius-r balls around the returned centers on the
     leading test_count candidates.
 
@@ -389,13 +387,12 @@ def kobayashi_cover(
     if not 0.0 < r < 1.0:
         raise InputError(f"tanh radius must lie in (0,1), got {r}")
     anchor = domains.anchor_point(spec)
-    level = _CORE_LEVEL * abs(float(domains.defining_value(spec, anchor)))
     third = math.atanh(r / 3.0)
     r_star = math.tanh(2.0 * third)  # centers closer than this have meeting r/3 balls
 
     if test_count > candidates:
         raise ConfigError(f"test_count {test_count} exceeds candidate count {candidates}")
-    pts = domains.quasi_interior(spec, candidates, seed=seed, level_floor=level)
+    pts = domains.quasi_interior(spec, candidates, seed=seed, level_floor=_CORE_LEVEL)
     sample = pts[:test_count]
     # Deepest-first processing: the packing fills the domain in level shells,
     # which makes the overlap multiplicity reproducible across seeds.  Greedy
@@ -429,7 +426,7 @@ def kobayashi_cover(
     return CoverResult(
         centers=zs,
         r=r,
-        level=level,
+        level=_CORE_LEVEL,
         coverage=coverage,
         candidate_count=candidates,
         seed=seed,
@@ -443,62 +440,6 @@ def overlap_count_many(spec: DomainSpec, centers: np.ndarray, big_r: float, quer
     queries = np.atleast_2d(np.asarray(queries, dtype=complex))
     centers = np.atleast_2d(np.asarray(centers, dtype=complex))
     return kobayashi.ball_counts(spec, queries, centers, big_r)[1]
-
-
-# ---------------------------------------------------------------------------
-# sub-mean-value checks
-
-
-@dataclass(frozen=True)
-class SubmeanReport:
-    value: float  # |f(z0)|^2
-    margin_mean: float  # (2n/(1-r)) average over the r-ball bracket, minus value
-    passed: bool  # value below that bound and the (8 n^2 r/(1-r)^3) one at R = (1+r)/2
-    samples: int
-
-
-def submean_check(
-    spec: DomainSpec,
-    f: HoloPolynomial,
-    z0,
-    r: float,
-    samples: int = 1 << 14,
-    seed: int = 0,
-) -> SubmeanReport:
-    """Certified-direction check of the sub-mean-value inequalities for |f|^2.
-
-    The unknown Kobayashi ball is replaced by the outer polydisk in the
-    integral and the inner polydisk in the normalizing volume, which can only
-    increase the right-hand sides, so a failure would falsify the inequality
-    itself (up to MC error on the integral).  The integrals are
-    measures.mass of the density |f|^2 on the two outer polydisks, on one
-    unit-polydisk sample of ``samples`` points drawn from ``seed``.
-    """
-    if not 0.0 < r < 1.0:
-        raise InputError(f"r must lie in (0,1), got {r}")
-    z0 = as_point(spec, z0)
-    n = spec.dim
-    phi0 = float(abs(poly_eval(f, z0)) ** 2)
-    f_sq = DensityMeasure(density=lambda pts: np.abs(poly_eval(f, pts)) ** 2, label="|f|^2")
-
-    frame = geometry.minimal_frame(spec, z0)
-    sw_r = kobayashi.ball_sandwich(spec, z0, r, frame=frame)
-    big_r = 0.5 * (1.0 + r)
-    sw_big = kobayashi.ball_sandwich(spec, z0, big_r, frame=frame)
-    vol_inner = geometry.polydisk_nu_volume(sw_r.inner)
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    base = geometry.unit_polydisk_sample(n, samples, rng)
-    integral_r = measures.mass(spec, f_sq, sw_r.outer, base).value
-    integral_big = measures.mass(spec, f_sq, sw_big.outer, base).value
-    bound_mean = (2.0 * n / (1.0 - r)) * integral_r / vol_inner
-    bound_shifted = (8.0 * n**2 * r / (1.0 - r) ** 3) * integral_big / vol_inner
-    return SubmeanReport(
-        value=phi0,
-        margin_mean=bound_mean - phi0,
-        passed=phi0 <= bound_mean and phi0 <= bound_shifted,
-        samples=samples,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import ConfigError, InputError, NumericError
 
@@ -722,6 +721,8 @@ def _gamma_quantile(a: float, u: np.ndarray) -> np.ndarray:
     P(1, x) = 1 - exp(-x) and P(1/2, x) = erf(sqrt(x)); gammaincinv elsewhere."""
     if a == 1.0:
         return -np.log1p(-u)
+    from scipy import special
+
     if a == 0.5:
         return special.erfinv(u) ** 2
     return special.gammaincinv(a, u)

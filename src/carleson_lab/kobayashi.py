@@ -4,9 +4,8 @@ Everything is expressed in the tanh convention: the ball of radius r in (0,1)
 around z0 is {z : tanh d_K(z0, z) < r}.  Exact distances exist for the disk
 and the ball, and a batched bracket that closes to rounding for the complex
 ellipsoids {|z1/a1|^2 + |z2/a2|^(2m) < 1}; elsewhere the module provides
-two-sided infinitesimal bounds, the frame lower bound on distances, and the
-polydisk sandwich of Kobayashi balls coming from the minimal frame.  The
-boundary log envelope is calibrated only where the exact bracket exists.
+the frame lower bound on distances and the polydisk sandwich of Kobayashi
+balls coming from the minimal frame.
 
 This module alone decides how a distance question is answered on a domain:
 ball_relation (is w within tanh-radius r of z), ball_counts, the greedy loop
@@ -23,45 +22,8 @@ import numpy as np
 
 from . import domains, geometry
 from .domains import DomainSpec, as_point
-from .errors import CapabilityError, ConfigError, InputError
+from .errors import CapabilityError, InputError
 from .geometry import MinimalFrame, Polydisk, minimal_frame
-
-
-# ---------------------------------------------------------------------------
-# infinitesimal bounds
-
-
-@dataclass(frozen=True)
-class MetricBound:
-    lower: float
-    upper: float
-
-
-def metric_bounds(spec: DomainSpec, z, v) -> MetricBound:
-    """Two-sided convexity estimate |v|/(2 delta(z;v)) <= k_D(z;v) <= |v|/delta(z;v).
-
-    Backs acceptance criterion 5 (the metric bracket), checked there against
-    exact_metric_model."""
-    z = as_point(spec, z)
-    v = np.asarray(v, dtype=complex)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        return MetricBound(0.0, 0.0)
-    delta = domains.line_level_distance(spec, z, v)
-    return MetricBound(lower=nv / (2.0 * delta), upper=nv / delta)
-
-
-def exact_metric_model(spec: DomainSpec, z, v) -> float:
-    """Kobayashi metric of the disk/ball (closed form); capability error
-    elsewhere.  The reference of acceptance criterion 5."""
-    if not domains.is_ball(spec):
-        raise CapabilityError(f"no exact Kobayashi metric for kind {spec.kind!r}")
-    z = as_point(spec, z)
-    v = np.asarray(v, dtype=complex)
-    zz = float(np.vdot(z, z).real)
-    vz = complex(np.sum(v * np.conj(z)))
-    s = 1.0 - zz
-    return math.sqrt(float(np.vdot(v, v).real) / s + abs(vz) ** 2 / s**2)
 
 
 # ---------------------------------------------------------------------------
@@ -780,91 +742,3 @@ def bracket_tanh_distance(spec: DomainSpec, x, y) -> tuple[float, float]:
         low, high = (float(end[0]) for end in tanh_distance_bracket(spec, x, y))
         return min(low, high), high  # a closed bracket may cross by a rounding error
     return min_tanh_distance(spec, np.array([x, y])), 1.0
-
-
-# ---------------------------------------------------------------------------
-# log-envelope calibration
-
-
-@dataclass(frozen=True)
-class LogEnvelope:
-    """Residuals d_K(z0, z) + 0.5 log delta(z) from the low and high ends of
-    the distance brackets, and the envelope c1 = min low, c2 = max high."""
-
-    c1: float
-    c2: float
-    low: np.ndarray
-    high: np.ndarray
-
-
-def boundary_ray_samples(spec: DomainSpec, direction, deltas) -> np.ndarray:
-    """Points along the chord anchor -> boundary with prescribed boundary distances.
-
-    The point at s is b + e^s (anchor - b), with b the boundary point of the
-    chord.  Near b the distance delta is nearly proportional to e^s, so
-    log delta is nearly linear in s; on the models it is exact (the anchor is
-    the origin), elsewhere each sample is placed by a bracketed secant
-    (Illinois) on log delta(s) - log d over s in [log 1e-12, 0].  These are
-    the calibration rays of acceptance criterion 5.
-    """
-    anchor = domains.anchor_point(spec)
-    v = np.asarray(direction, dtype=complex)
-    v = v / np.linalg.norm(v)
-    t_b = domains._ray_root(spec, anchor, v, 0.0)
-    bpt = anchor + t_b * v
-    deltas = np.asarray(deltas, dtype=float)
-    if domains.is_ball(spec):
-        return bpt * (1.0 - deltas)[:, None]  # anchor is the origin for the models
-    chord = anchor - bpt
-    point = lambda s: bpt + math.exp(s) * chord
-    log_delta = lambda s: math.log(domains.boundary_distance(spec, point(s)))
-    ends = (math.log(1e-12), 0.0)
-    end_values = [log_delta(s) for s in ends]
-    out = np.empty((len(deltas), spec.dim), dtype=complex)
-    for i, d in enumerate(deltas):
-        log_d = math.log(d)
-        (a, b), (fa, fb) = ends, (value - log_d for value in end_values)
-        if fa >= 0.0 or fb <= 0.0:  # d outside the chord's range: nearest end
-            out[i] = point(a if fa >= 0.0 else b)
-            continue
-        for _ in range(60):
-            s = b - fb * (b - a) / (fb - fa)
-            fs = log_delta(s) - log_d
-            if fs == 0.0 or abs(s - b) <= 1e-13:  # delta settled to 1e-13 relative
-                break
-            if (fs > 0.0) != (fb > 0.0):
-                a, fa = b, fb
-            else:
-                fa *= 0.5  # Illinois: keep the stale end from stalling the secant
-            b, fb = s, fs
-        out[i] = point(s)
-    return out
-
-
-def calibrate_log_envelope(spec: DomainSpec, z0, points) -> LogEnvelope:
-    """Residuals d_K(z0, z) + 0.5 log delta_D(z) over boundary-approaching samples.
-
-    One batched tanh_distance_bracket from z0 to all points gives a low and a
-    high residual per point; c1 is the least low residual and c2 the largest
-    high one, so every residual lies in [c1, c2] (up to the accuracy of
-    delta).  An open bracket makes c2 = +inf.  Only the disk, the ball and the
-    (1, m) ellipsoid have the bracket; other domains raise CapabilityError.
-    The envelope is the one acceptance criterion 5 bounds.
-    """
-    if not has_exact_distance(spec):
-        raise CapabilityError(f"no certified log envelope for {spec.kind!r} {spec.exponents}")
-    z0 = as_point(spec, z0)
-    pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    if len(pts) < 10:
-        raise ConfigError(f"need at least 10 calibration samples, got {len(pts)}")
-    deltas = np.array([domains.boundary_distance(spec, p) for p in pts])
-    if deltas.max() / deltas.min() < 1e4:
-        raise ConfigError(
-            f"calibration samples must span >= 4 decades of delta, got "
-            f"[{deltas.min():.3g}, {deltas.max():.3g}]"
-        )
-    low, high = tanh_distance_bracket(spec, z0, pts)
-    low = np.minimum(low, high)  # a closed bracket may cross by a rounding error
-    with np.errstate(divide="ignore"):  # an open high end of 1 gives +inf
-        low, high = (np.arctanh(end) + 0.5 * np.log(deltas) for end in (low, high))
-    return LogEnvelope(c1=float(low.min()), c2=float(high.max()), low=low, high=high)

@@ -162,16 +162,15 @@ def sequence_measure(spec: DomainSpec, gamma: SequenceSet) -> AtomicMeasure:
 
 
 def dyadic_ray(spec: DomainSpec, direction, depth: int = 12) -> SequenceSet:
-    """Points at defining-levels shrinking like 2^{-k} along a boundary ray
-    from the anchor; with unit weights this is the standard non-Carleson
-    boundary accumulation."""
+    """Points at defining-levels -2^{-k}, k = 1..depth, along a boundary ray
+    from the anchor, where r is -1; with unit weights this is the standard
+    non-Carleson boundary accumulation."""
     anchor = domains.anchor_point(spec)
     d = np.asarray(direction, dtype=complex)
     d = d / np.linalg.norm(d)
-    lam0 = abs(float(domains.defining_value(spec, anchor)))
     pts = []
     for k in range(1, 1 + depth):
-        t = domains._ray_root(spec, anchor, d, -lam0 * 2.0 ** (-k))
+        t = domains._ray_root(spec, anchor, d, -(2.0 ** (-k)))
         pts.append(anchor + t * d)
     return SequenceSet(points=np.array(pts), label=f"ray(depth={depth})")
 

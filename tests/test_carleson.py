@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from criteria_checks import submean_check
 
 from carleson_lab import bergman, domains, geometry, kobayashi, measures, tables
 from carleson_lab.carleson import (
@@ -25,7 +26,6 @@ from carleson_lab.carleson import (
     report_level_rows,
     report_point_rows,
     report_summary,
-    submean_check,
     verdict_from_levels,
 )
 from carleson_lab.domains import complex_ellipsoid, unit_ball, unit_disk
@@ -119,7 +119,7 @@ class TestConfigAndGrid:
         assert operator_ladder(2, 16)[:3] == [1, 1, 1]
 
     def test_levels_are_dyadic(self):
-        lams = grid_levels(DISK, CarlesonConfig(levels=5))
+        lams = grid_levels(CarlesonConfig(levels=5))
         assert abs(lams[0] - 0.5) < 1e-12  # half of |r(0)| = 1
         np.testing.assert_allclose(lams[:-1] / lams[1:], 2.0)
 

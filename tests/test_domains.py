@@ -71,6 +71,13 @@ class TestSpecs:
         assert DISK.box == (1.05,) and BALL2.box == (1.05, 1.05)
         assert complex_ellipsoid((1, 2), (2.0, 0.5)).box == (1.05 * 2.0, 1.05 * 0.5)
 
+    def test_r_is_minus_one_at_the_anchor(self):
+        # the grid levels, the cover's core level and dyadic_ray take
+        # |r(anchor)| = 1 as a constant
+        for spec in ALL_SPECS + [complex_ellipsoid((2, 2), (2.0, 0.5))]:
+            assert not anchor_point(spec).any()
+            assert defining_value(spec, anchor_point(spec)) == -1.0
+
     def test_ellipsoid_validation(self):
         with pytest.raises(ConfigError):
             complex_ellipsoid((0, 2), (1.0, 1.0))  # exponents must be >= 1
@@ -378,37 +385,45 @@ class TestHalton:
             assert ours.random(0).shape == (0, d)
 
     def test_import_leaves_scipy_stats_out(self):
-        # scipy.stats alone took about 0.5 s of a command's start-up, and
-        # scipy.optimize, which pulls in scipy.linalg, about 0.4 s
-        code = "import sys, carleson_lab, carleson_lab.cli; print([m in sys.modules for m in ('scipy.stats', 'scipy.optimize')])"
-        assert _run_python(code) == "[False, False]"
+        # scipy.stats alone took about 0.5 s of a command's start-up,
+        # scipy.optimize, which pulls in scipy.linalg, about 0.4 s, and
+        # scipy.special about 0.2 s; the package loads each where it computes
+        code = "import sys, carleson_lab, carleson_lab.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        assert _run_python(code) == "[]"
 
     def test_scipy_optimize_loads_only_where_a_solver_runs(self, tmp_path):
-        # closed-form ray roots on the models, the oracle's covers
-        # on ELL12 and the golden-section projection of domain-info on ELL12
+        # one fresh interpreter per command, since a module once loaded stays.
+        # Closed-form ray roots on the models, the oracle's covers and
+        # packings and the golden-section projection of domain-info on ELL12
         # run no solver; frame on ELL12 takes its last slice distance from
-        # line_level_distance, which does
+        # line_level_distance, which does (and scipy.optimize loads
+        # scipy.special).  scipy.special loads with a moment table (criterion
+        # (1), nu(D), the series kernel) and a gamma quantile for an exponent
+        # >= 2, and with neither for a cover, a packing or domain-info
         for name, spec in (("disk", DISK), ("ball2", BALL2), ("ell12", ELL12)):
             save_spec(spec, tmp_path / f"{name}.json")
-        out = tmp_path / "out"
-        code = f"""
+        runs = [
+            (["cover", "--domain", "ell12.json", "--samples", "500"], "False False"),
+            (["cover", "--domain", "ball2.json", "--samples", "500"], "False False"),
+            (["pack", "--domain", "disk.json", "--samples", "500"], "False False"),
+            (["domain-info", "--domain", "ell12.json"], "False False"),
+            (["carleson", "--domain", "disk.json", "--samples", "4096"], "False True"),
+            (["thm42", "--domain", "ball2.json", "--samples", "4096"], "False True"),
+            (["kernel-check", "--domain", "ell12.json", "--samples", "4096"], "False True"),
+            (["frame", "--domain", "ell12.json", "--point", "0.1,0,0.2,0"], "True True"),
+        ]
+        out = str(tmp_path / "out")
+        seen, wanted = [], []
+        for argv, want in runs:
+            code = f"""
 import sys
 from carleson_lab import cli
-runs = [
-    ["carleson", "--domain", "disk.json", "--samples", "4096"],
-    ["thm42", "--domain", "ball2.json", "--samples", "4096"],
-    ["cover", "--domain", "ell12.json", "--samples", "500"],
-    ["domain-info", "--domain", "ell12.json"],
-    ["frame", "--domain", "ell12.json", "--point", "0.1,0,0.2,0"],
-]
-for argv in runs:
-    assert cli.main([*argv, "--out", {str(out)!r}]) == 0
-    print(argv[0], "scipy.optimize" in sys.modules, file=sys.stderr)
+assert cli.main({[*argv, "--out", out]!r}) == 0
+print(*(m in sys.modules for m in ('scipy.optimize', 'scipy.special')), file=sys.stderr)
 """
-        lines = _run_python(code, cwd=tmp_path, stream="stderr").splitlines()
-        assert lines == [
-            "carleson False", "thm42 False", "cover False", "domain-info False", "frame True"
-        ]
+            seen.append(f"{argv[0]} {argv[2]} {_run_python(code, cwd=tmp_path, stream='stderr')}")
+            wanted.append(f"{argv[0]} {argv[2]} {want}")
+        assert seen == wanted
 
 
 def _run_python(code: str, cwd=None, stream: str = "stdout") -> str:

@@ -78,13 +78,8 @@ USERS = ("src", "scripts", "perfbench")
 
 # public names that only tests call, each kept for what it backs
 TEST_ONLY = {
-    "metric_bounds": "acceptance criterion 5: the two-sided metric bracket",
-    "exact_metric_model": "acceptance criterion 5: the reference metric",
-    "boundary_ray_samples": "acceptance criterion 5: the calibration rays",
-    "calibrate_log_envelope": "acceptance criterion 5: the log envelope",
     "kernel_lowerbound_check": "Berezin => geometric: K(z,z) and |k_z|^2 bounded below",
     "atoms_to_csv": "writes the atom table that --measure reads",
-    "submean_check": "acceptance criterion 7: the sub-mean-value inequalities",
 }
 
 

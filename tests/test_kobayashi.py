@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from criteria_checks import boundary_ray_samples, calibrate_log_envelope, exact_metric_model, metric_bounds
 from hypothesis import example, given, settings, strategies as st
 
 from carleson_lab import domains, geometry, kobayashi
@@ -11,13 +12,9 @@ from carleson_lab.domains import complex_ellipsoid, unit_ball, unit_disk
 from carleson_lab.errors import CapabilityError, ConfigError, InputError
 from carleson_lab.kobayashi import (
     ball_sandwich,
-    boundary_ray_samples,
     ball_relation,
     bracket_tanh_distance,
-    calibrate_log_envelope,
-    exact_metric_model,
     has_exact_distance,
-    metric_bounds,
     min_tanh_distance,
     mobius_translation,
     pseudo_distance_matrix,
