@@ -39,7 +39,8 @@ def main(argv=None) -> int:
         "ball2": domains.unit_ball(2),
         "ellipsoid": domains.complex_ellipsoid((1, 2), (1.0, 1.0)),
     }[args.domain]
-    lam0 = abs(float(domains.defining_value(spec, domains.anchor_point(spec))))
+    # |r(anchor)| = 1 on every model: test_domains.py::TestSpecs::test_r_is_minus_one_at_the_anchor
+    lam0 = 1.0
     queries = domains.quasi_interior(spec, args.queries, seed=12345, level_floor=0.1 * lam0)
 
     for r in args.radii:

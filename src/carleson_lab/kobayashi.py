@@ -10,7 +10,10 @@ balls coming from the minimal frame.
 This module alone decides how a distance question is answered on a domain:
 ball_relation (is w within tanh-radius r of z), ball_counts, the greedy loop
 greedy_separated and min_tanh_distance serve every domain, from the oracle
-where it exists and from the polydisk sandwich elsewhere.
+where it exists and from the polydisk sandwich elsewhere.  With the oracle
+the pair decisions stream out of the prefilter's tiles: ball_relation
+scatters them into its dense answer, and ball_counts sums them per point,
+holding no query x center relation.
 """
 
 from __future__ import annotations
@@ -66,19 +69,31 @@ def _ball_pd(p, q) -> np.ndarray:
     c, h = [np.real(x) for x in q], [np.imag(x) for x in q]  # q = c + i h
     e = [c[i] - a[i] for i in range(n)]  # d = e + i f
     f = [h[i] - b[i] for i in range(n)]
-    diff = sum(e[i] * e[i] + f[i] * f[i] for i in range(n))
-    wedge = 0.0
+    # each sum accumulates in place into its first term, in the order of the
+    # plain sums, so every value has their bits; a float start (0.0, 1.0)
+    # becomes a new array at the first +=
+    diff, wedge, den_re, den_im = 0.0, 0.0, 1.0, 0.0  # den = 1 - <p,q>
     for i in range(n):
+        term = e[i] * e[i]
+        term += f[i] * f[i]
+        diff += term
+        term = a[i] * c[i]
+        term += b[i] * h[i]
+        den_re -= term
+        term = b[i] * c[i]
+        term -= a[i] * h[i]
+        den_im -= term
         for j in range(i + 1, n):
             re = (a[i] * e[j] - b[i] * f[j]) - (a[j] * e[i] - b[j] * f[i])
             im = (a[i] * f[j] + b[i] * e[j]) - (a[j] * f[i] + b[j] * e[i])
-            wedge = wedge + (re * re + im * im)
-    den_re, den_im = 1.0, 0.0  # 1 - <p,q>
-    for i in range(n):
-        den_re = den_re - (a[i] * c[i] + b[i] * h[i])
-        den_im = den_im - (b[i] * c[i] - a[i] * h[i])
-    rho2 = (diff - wedge) / (den_re * den_re + den_im * den_im)
-    return np.sqrt(np.clip(rho2, 0.0, 1.0))
+            re *= re
+            re += np.multiply(im, im, out=im)
+            wedge += re
+    diff -= wedge
+    den_re *= den_re
+    den_re += np.multiply(den_im, den_im, out=den_im)
+    diff /= den_re
+    return np.sqrt(np.clip(diff, 0.0, 1.0, out=diff), out=diff)
 
 
 # ---------------------------------------------------------------------------
@@ -138,29 +153,29 @@ def _pair_tiles(pts: np.ndarray, centers: np.ndarray, scale: float = 1.0):
         ])
         for i in range(0, count, height):
             rows = slice(i, i + height)
-            x, y = prow[rows] @ ccol
-            x *= x
-            y *= y
-            x += y
-            yield rows, cols, np.multiply.outer(p_room[rows], c_room[cols]), x
+            yield rows, cols, np.multiply.outer(p_room[rows], c_room[cols]), _abs2(prow[rows] @ ccol)
 
 
-def _within(pts: np.ndarray, centers: np.ndarray, r: float) -> np.ndarray:
-    """(B, K) bool: unit-ball pseudo-distance rho_B(p, c) < r, for points
-    and centers in the unit ball."""
-    out = np.zeros((len(pts), len(centers)), dtype=bool)
+def _abs2(xy: np.ndarray) -> np.ndarray:
+    """xy[0]^2 + xy[1]^2 as a new array, so that _pair_tiles holds no tile."""
+    np.square(xy, out=xy)
+    return xy[0] + xy[1]
+
+
+def _within_tiles(pts: np.ndarray, centers: np.ndarray, r: float):
+    """Yield (rows, cols, block) over the tiles of _pair_tiles, block the
+    bool test rho_B(p, c) < r on pts[rows] x centers[cols], for points and
+    centers in the unit ball."""
     slack = 2.0 * _margin_error(pts.shape[-1])
     for rows, cols, num, den in _pair_tiles(pts, centers, math.sqrt(1.0 - r * r)):
         num -= den  # the margin |1-<p,c>|^2 (r^2 - rho^2)
-        block = out[rows, cols]
-        np.greater(num, slack, out=block)
+        block = num > slack
         loose = num >= -slack
         if np.count_nonzero(loose) > np.count_nonzero(block):  # some |margin| <= slack
             i, j = np.nonzero(loose & ~block)
-            i += rows.start
-            j += cols.start
-            out[i, j] = _ball_pd(pts[i].T, centers[j].T) < r
-    return out
+            block[i, j] = _ball_pd(pts[i + rows.start].T, centers[j + cols.start].T) < r
+        del num, den  # not held while the consumer works
+        yield rows, cols, block
 
 
 def mobius_translation(spec: DomainSpec, a):
@@ -218,14 +233,13 @@ _EDGE = 1e-6
 # (1, 4) ellipsoid.
 _CROSSING_EDGE = 3e-4
 _CLOSED = 1e-12
-# Pairs per oracle block in ball_relation, and the block size of _gauge and
-# min_tanh_distance.  On the (1,2) ellipsoid overlap counts of 10^4 queries
-# (2 cores), 2^16 cut their time by about 5% but raised the peak RSS from
-# 130 to 148 MB; 2^15 saved nothing measurable.  Per block, the few pairs
-# that Newton needs more than _EARLY_CHECKS steps for made as many
-# _newton_step calls as the rest: one R = 0.65 count (8313 centers) made
-# 7034 calls, 6751 of them on fewer than 1000 pairs.  Pooled across the
-# call (ball_relation), the same count makes 1188.
+# Pairs per first-pass oracle block of _settled_pairs, and the block size of
+# _gauge and min_tanh_distance.  One R = 0.65 overlap count on the (1,2)
+# ellipsoid (10^4 queries, 8450 centers, 2 cores) took 2.40-2.53 s with a
+# tracemalloc peak of 10.9 MB at 2^14 pairs a block, 3.0-3.4 s and 19.2 MB
+# at 2^15, and 3.0-3.3 s and 34.1 MB at 2^16.  With each block running
+# Newton to the end, such a count made 7034 _newton_step calls, 6751 of them
+# on fewer than 1000 pairs; with the stragglers pooled it makes 910.
 _PAIR_CHUNK = 1 << 14
 
 
@@ -545,6 +559,47 @@ def _relate(spec: DomainSpec, pts, centers, r: float, frames: MinimalFrame | Non
     return gauge <= inner, gauge <= outer
 
 
+def _settled_pairs(spec: DomainSpec, pts: np.ndarray, centers: np.ndarray, r: float):
+    """Yield blocks (i, j, inside, maybe) of the pairs pts[i] x centers[j] of
+    a (1, m) ellipsoid that pass the prefilter (the others are Outside), as
+    ball_relation reads them.  The flat indices of each tile's passing pairs
+    fill blocks of _PAIR_CHUNK for _bracket_1m.  With more than one block,
+    full blocks stop Newton after _EARLY_CHECKS steps; the pairs still open,
+    pooled across the call, are bracketed again from scratch with the last
+    partial block, so each pair gets the arithmetic of one full pass."""
+    pn, phi_p, m = _images(spec, pts)
+    cn, phi_c, _ = _images(spec, centers)
+    # each point's unit-ball flag, once per point, not per pair
+    inner_p, inner_c = domains.squared_norm(pn) < 1.0, domains.squared_norm(cn) < 1.0
+
+    def settle(k: np.ndarray, steps: int):
+        i, j = np.divmod(k, len(centers))
+        low, high = _bracket_1m(pn[i], cn[j], m, r, steps, inner_p[i] & inner_c[j])
+        inside = high < r
+        return i, j, inside, (low < r) | inside, ~(inside | (low >= r))  # nan when cut short
+
+    queue, queued, pool = [], 0, [np.zeros(0, dtype=int)]
+    for rows, cols, block in _within_tiles(phi_p, phi_c, r):
+        i, j = np.divmod(np.flatnonzero(block), block.shape[1])
+        queue.append((i + rows.start) * len(centers) + (j + cols.start))
+        queued += len(queue[-1])
+        if queued > _PAIR_CHUNK:
+            k = np.concatenate(queue)
+            full = (queued - 1) // _PAIR_CHUNK * _PAIR_CHUNK  # keep a nonempty rest
+            for start in range(0, full, _PAIR_CHUNK):
+                i, j, inside, _, still_open = settle(k[start : start + _PAIR_CHUNK], _EARLY_CHECKS)
+                pool.append(k[start : start + _PAIR_CHUNK][still_open])
+                # a decided pair is Inside or Outside; an open one reads
+                # Outside here and is decided again from the pool
+                yield i, j, inside, inside
+            queue, queued = [k[full:]], queued - full
+    # every pair of the pool reaches Newton: half a block holds the memory of
+    # a first-pass block
+    rest, step = np.concatenate(pool + queue), _PAIR_CHUNK // 2
+    for start in range(0, len(rest), step):
+        yield settle(rest[start : start + step], _NEWTON_STEPS)[:4]
+
+
 def ball_relation(
     spec: DomainSpec, pts: np.ndarray, centers: np.ndarray, r: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -552,17 +607,13 @@ def ball_relation(
     tanh-radius r around centers (K,n): inside is certified tanh d < r, maybe
     is "not certified >= r" (inside or Uncertain).
 
-    Disk and ball answer exactly, from the threshold test _within (the same
-    array is returned twice).  On the (1, m) ellipsoid that test on the
-    Phi-images prefilters the pairs, and those below r go to _bracket_1m in
-    blocks of _PAIR_CHUNK pairs: there the disc bound settles Outside and the
-    unit-ball bound on B x B settles Inside before any pair reaches the
-    geodesic oracle.  With more than one block, the blocks stop Newton
-    after _EARLY_CHECKS steps; the pairs still open are pooled across the
-    call and bracketed again, from scratch, in full blocks, so each pair
-    gets the arithmetic of one full pass.  Other domains use the polydisk
-    sandwich in each center's minimal frame.  The answer for a pair does
-    not depend on the other pairs of the call.
+    Disk and ball answer exactly, from the threshold tiles of _within_tiles
+    (the same array is returned twice).  On the (1, m) ellipsoid that test on
+    the Phi-images prefilters the pairs, and _settled_pairs decides those
+    below r: there the disc bound settles Outside and the unit-ball bound on
+    B x B settles Inside before any pair reaches the geodesic oracle.  Other
+    domains use the polydisk sandwich in each center's minimal frame.  The
+    answer for a pair does not depend on the other pairs of the call.
     """
     if not 0.0 < r < 1.0:
         raise InputError(f"tanh radius must lie in (0, 1), got {r}")
@@ -570,34 +621,15 @@ def ball_relation(
     centers = np.asarray(centers, dtype=complex)
     if not has_exact_distance(spec):
         return _relate(spec, pts, centers, r, geometry.minimal_frames(spec, centers))
-    pn, phi_p, m = _images(spec, pts)
-    cn, phi_c, _ = _images(spec, centers)
-    maybe = _within(phi_p, phi_c, r)
+    maybe = np.zeros((len(pts), len(centers)), dtype=bool)
     if domains.is_ball(spec):
+        for rows, cols, block in _within_tiles(pts, centers, r):
+            maybe[rows, cols] = block
         return maybe, maybe
     inside = np.zeros_like(maybe)
-    inside_flat, maybe_flat = inside.reshape(-1), maybe.reshape(-1)  # views
-    # each point's unit-ball flag, once per point, not per pair
-    inner_p, inner_c = domains.squared_norm(pn) < 1.0, domains.squared_norm(cn) < 1.0
-
-    def settle(pairs: np.ndarray, steps: int) -> np.ndarray:
-        """Decide flat pairs block by block; return those still open."""
-        still_open = [pairs[:0]]
-        for start in range(0, len(pairs), _PAIR_CHUNK):
-            k = pairs[start : start + _PAIR_CHUNK]
-            i, j = np.divmod(k, len(centers))
-            low, high = _bracket_1m(pn[i], cn[j], m, r, steps, inner_p[i] & inner_c[j])
-            inside_flat[k] = high < r
-            maybe_flat[k] = (low < r) | (high < r)
-            still_open.append(k[~((high < r) | (low >= r))])  # nan when cut short
-        return np.concatenate(still_open)
-
-    pairs = np.flatnonzero(maybe_flat)
-    if len(pairs) > _PAIR_CHUNK:
-        # every block takes the certificates and _EARLY_CHECKS Newton steps;
-        # the pairs still open, pooled across the blocks, start again
-        pairs = settle(pairs, _EARLY_CHECKS)
-    settle(pairs, _NEWTON_STEPS)
+    for i, j, inside_ij, maybe_ij in _settled_pairs(spec, pts, centers, r):
+        inside[i, j] = inside_ij
+        maybe[i, j] = maybe_ij
     return inside, maybe
 
 
@@ -605,14 +637,27 @@ def ball_counts(
     spec: DomainSpec, pts: np.ndarray, centers: np.ndarray, r: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per point of pts: how many tanh-radius-r balls around centers certainly
-    contain it (inside), and how many may (maybe).  ball_relation runs on
-    blocks of _COUNT_CHUNK points; each center's frame is computed once."""
-    frames = None if has_exact_distance(spec) else geometry.minimal_frames(spec, centers)
-    inside_n = np.zeros(len(pts), dtype=int)
+    contain it (inside), and how many may (maybe), without a B x K relation:
+    tile row sums on the disk and ball, _settled_pairs binned by point on the
+    (1, m) ellipsoid, and elsewhere ball_relation on blocks of _COUNT_CHUNK
+    points, each center's frame computed once."""
+    if not 0.0 < r < 1.0:
+        raise InputError(f"tanh radius must lie in (0, 1), got {r}")
+    pts = np.asarray(pts, dtype=complex)
+    centers = np.asarray(centers, dtype=complex)
     maybe_n = np.zeros(len(pts), dtype=int)
+    if domains.is_ball(spec):
+        for rows, _, block in _within_tiles(pts, centers, r):
+            maybe_n[rows] += np.count_nonzero(block, axis=1)
+        return maybe_n, maybe_n
+    inside_n = np.zeros(len(pts), dtype=int)
+    if has_exact_distance(spec):
+        for i, _, inside, maybe in _settled_pairs(spec, pts, centers, r):
+            inside_n += np.bincount(i[inside], minlength=len(pts))
+            maybe_n += np.bincount(i[maybe], minlength=len(pts))
+        return inside_n, maybe_n
+    frames = geometry.minimal_frames(spec, centers)
     for start in range(0, len(pts), _COUNT_CHUNK):
-        # only the sums outlive the block, so no relation matrix is held
-        # while the next one is computed
         block = slice(start, start + _COUNT_CHUNK)
         inside_n[block], maybe_n[block] = (
             relation.sum(axis=1) for relation in _relate(spec, pts[block], centers, r, frames)

@@ -182,7 +182,8 @@ def test_criterion_06_cover_coverage_and_overlap_stability():
     pieces = []
     ok = True
     for spec, name in ((DISK, "disk"), (ELL12, "ellipsoid")):
-        lam0 = abs(float(domains.defining_value(spec, domains.anchor_point(spec))))
+        # |r(anchor)| = 1 on every model: test_domains.py::TestSpecs::test_r_is_minus_one_at_the_anchor
+        lam0 = 1.0
         queries = domains.quasi_interior(spec, 10000, seed=12345, level_floor=0.1 * lam0)
         for r in (0.3, 0.5):
             maxes = []

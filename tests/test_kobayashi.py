@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -677,15 +678,51 @@ class TestRelationLayer:
         assert covered[kept].all()
         assert covered.mean() > (0.5 if exact else 0.02)
 
-    @pytest.mark.parametrize("spec", [BALL2, ELL12], ids=["BALL2", "ELL12"])
-    def test_counts_are_row_sums(self, spec):
+    @pytest.mark.parametrize("spec", [DISK, BALL2, ELL12, ELL22], ids=["DISK", "BALL2", "ELL12", "ELL22"])
+    def test_counts_are_row_sums(self, spec, monkeypatch):
         rng = np.random.default_rng(83)
         pts = domains.random_interior(spec, 2 * kobayashi._COUNT_CHUNK + 300, rng)
         centers = domains.random_interior(spec, 250, rng)
-        inside, maybe = ball_relation(spec, pts, centers, 0.65)
-        inside_n, maybe_n = kobayashi.ball_counts(spec, pts, centers, 0.65)
+        r = 0.65
+        inside, maybe = ball_relation(spec, pts, centers, r)
+        # oracle blocks of 2000 pairs, each filled from two tiles (about 3000
+        # pairs of a tile pass the prefilter), and stragglers pooled across them
+        monkeypatch.setattr(kobayashi, "_PAIR_CHUNK", 2000)
+        bracketed = {kobayashi._EARLY_CHECKS: [], kobayashi._NEWTON_STEPS: []}
+        bracket = kobayashi._bracket_1m
+
+        def counted(z, w, m, r, steps, inner):
+            bracketed[steps].append(len(z))
+            return bracket(z, w, m, r, steps, inner)
+
+        monkeypatch.setattr(kobayashi, "_bracket_1m", counted)
+        inside_n, maybe_n = kobayashi.ball_counts(spec, pts, centers, r)
         np.testing.assert_array_equal(inside_n, inside.sum(axis=1))
         np.testing.assert_array_equal(maybe_n, maybe.sum(axis=1))
+        if spec is ELL12:
+            first, pooled = bracketed.values()
+            assert first == [2000] * len(first) and len(first) > 10
+            assert max(pooled) <= 1000
+            # the pooled pairs go in twice
+            passing = ball_relation(BALL2, *(kobayashi._images(spec, x)[1] for x in (pts, centers)), r)[1]
+            assert sum(first) + sum(pooled) > passing.sum()
+            np.testing.assert_array_equal(ball_relation(spec, pts, centers, r), (inside, maybe))
+        # a cover whose greedy certified its whole sample counts no query
+        for p, c in ((pts[:0], centers), (pts, centers[:0])):
+            for counts in kobayashi.ball_counts(spec, p, c, r):
+                np.testing.assert_array_equal(counts, np.zeros(len(p), dtype=int))
+
+    def test_counts_hold_no_relation(self):
+        # 1024 x 40000 pairs, whose dense bool relation alone takes 41 MB
+        rng = np.random.default_rng(91)
+        pts, centers = (domains.random_interior(BALL2, k, rng) for k in (1024, 40000))
+        tracemalloc.start()
+        try:
+            kobayashi.ball_counts(BALL2, pts, centers, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision"
@@ -721,13 +758,14 @@ class TestRelationLayer:
             v = rng.normal(size=(2000, spec.dim)) + 1j * rng.normal(size=(2000, spec.dim))
             w = z + 3e-9 * v / np.linalg.norm(v, axis=1, keepdims=True)
             if spec is ELL12:
-                # the prefilter tests the ball distance of the Phi-images
+                # the prefilter tests the ball distance of the Phi-images, the
+                # 2-ball's relation on them
                 _, phi_w, _ = kobayashi._images(spec, w)
                 _, phi_z, _ = kobayashi._images(spec, z[None, :])
                 lower = kobayashi._ball_pd(phi_w.T, phi_z.T)
                 for k in range(len(w)):
-                    assert kobayashi._within(phi_w[k : k + 1], phi_z, 1.05 * lower[k])[0, 0]
-                    assert not kobayashi._within(phi_w[k : k + 1], phi_z, 0.95 * lower[k])[0, 0]
+                    assert ball_relation(BALL2, phi_w[k : k + 1], phi_z, 1.05 * lower[k])[1][0, 0]
+                    assert not ball_relation(BALL2, phi_w[k : k + 1], phi_z, 0.95 * lower[k])[1][0, 0]
                 exact = tanh_distance_bracket(spec, w, z)[1]
             else:
                 # cancellation-free: |w-z|^2 - |w ^ z|^2 over |1 - <w,z>|^2
