@@ -38,6 +38,12 @@ def _reinhardt_data(spec: DomainSpec) -> tuple[tuple[int, ...], tuple[float, ...
 _MAX_CUBE = 1 << 20
 
 
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """log Gamma of each entry of x, by math.lgamma once per distinct value."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([math.lgamma(v) for v in values.tolist()])[inverse].reshape(x.shape)
+
+
 @dataclass(frozen=True)
 class MomentTable:
     """Moments m_alpha = ||z^alpha||^2 for all |alpha| <= degree on one domain."""
@@ -54,7 +60,8 @@ def moments(spec: DomainSpec, degree: int) -> MomentTable:
 
     With s_i = (alpha_i + 1)/m_i the radial reduction is a Dirichlet integral,
       m_alpha = n! prod_i (a_i^(2 alpha_i + 2) / m_i) prod_i Gamma(s_i) / Gamma(1 + sum_i s_i),
-    evaluated through gammaln over the whole index cube.
+    evaluated in logarithms over the whole index cube (math.lgamma, once per
+    distinct argument).
     """
     if degree < 0:
         raise InputError(f"degree must be >= 0, got {degree}")
@@ -65,15 +72,13 @@ def moments(spec: DomainSpec, degree: int) -> MomentTable:
             f"a moment table of degree {degree} in dimension {n} has {degree + 1}^{n} "
             f"entries, above the cap of {_MAX_CUBE}"
         )
-    from scipy import special
-
     alpha = np.indices((degree + 1,) * n, dtype=float)
     col = (n,) + (1,) * n
     m = np.asarray(exponents, dtype=float).reshape(col)
     s = (alpha + 1.0) / m
     log_a = np.log(np.asarray(semi_axes)).reshape(col)
-    terms = (2.0 * alpha + 2.0) * log_a - np.log(m) + special.gammaln(s)
-    log_m = special.gammaln(n + 1.0) + terms.sum(axis=0) - special.gammaln(1.0 + s.sum(axis=0))
+    terms = (2.0 * alpha + 2.0) * log_a - np.log(m) + _lgamma(s)
+    log_m = math.lgamma(n + 1.0) + terms.sum(axis=0) - _lgamma(1.0 + s.sum(axis=0))
     cube = np.where(alpha.sum(axis=0) <= degree, np.exp(log_m), np.nan)
     return MomentTable(
         dim=n, degree=degree, exponents=exponents, semi_axes=semi_axes, values=cube
@@ -113,8 +118,6 @@ def closed_ball_model(spec: DomainSpec) -> KernelModel:
 
 
 def reinhardt_series_model(spec: DomainSpec, degree: int = 60) -> KernelModel:
-    from scipy import special
-
     table = moments(spec, degree)
     cube = table.values
     coeffs = np.where(np.isnan(cube), 0.0, 1.0 / np.where(np.isnan(cube), 1.0, cube))
@@ -124,7 +127,7 @@ def reinhardt_series_model(spec: DomainSpec, degree: int = 60) -> KernelModel:
     alpha = np.indices(cube.shape)
     k = alpha.sum(axis=0)
     inside = k <= degree
-    lw = special.gammaln(alpha + 1.0).sum(axis=0) - special.gammaln(k + 1.0) - np.log(cube)
+    lw = _lgamma(alpha + 1.0).sum(axis=0) - _lgamma(k + 1.0) - np.log(cube)
     log_a = np.log(np.asarray(table.semi_axes)).reshape((-1,) + (1,) * table.dim)
     lw += (2.0 * alpha * log_a).sum(axis=0)
     logw = np.full(degree + 1, -np.inf)

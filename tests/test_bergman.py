@@ -2,6 +2,7 @@ import math
 import re
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -45,21 +46,22 @@ def _nu_base(spec, mu, count, seed):
 
 
 def _gamma_moment(exponents, axes, alpha):
-    """Closed form for the monomial square norms on a Reinhardt model.
+    """Closed form for the monomial square norms on a Reinhardt model, at 40
+    digits.
 
     Reducing each coordinate to polar form turns the integral into a Dirichlet
     integral over the standard simplex, giving a pure Gamma-function product.
-    One multi-index at a time through math.lgamma, apart from the vectorized
-    table of ``moments``.
+    One multi-index at a time through mpmath.loggamma, apart from the
+    vectorized float table of ``moments`` and its log-gamma.
     """
     n = len(exponents)
-    s = [(alpha[i] + 1.0) / exponents[i] for i in range(n)]
-    val = math.log(math.factorial(n))
-    for i in range(n):
-        val += (2 * alpha[i] + 2) * math.log(axes[i]) - math.log(exponents[i])
-        val += math.lgamma(s[i])
-    val -= math.lgamma(1.0 + sum(s))
-    return math.exp(val)
+    with mpmath.workdps(40):
+        s = [mpmath.mpf(int(alpha[i]) + 1) / exponents[i] for i in range(n)]
+        val = mpmath.log(mpmath.factorial(n))
+        for i in range(n):
+            val += (2 * int(alpha[i]) + 2) * mpmath.log(mpmath.mpf(axes[i]))
+            val += mpmath.loggamma(s[i]) - mpmath.log(exponents[i])
+        return mpmath.exp(val - mpmath.loggamma(1 + mpmath.fsum(s)))
 
 
 class TestMoments:
@@ -111,11 +113,31 @@ class TestMoments:
         # C^3 at degree 60, 61^3 = 226,981 entries, is below the cap
         assert moments(unit_ball(3), 60).values.shape == (61, 61, 61)
 
+    @pytest.mark.parametrize(
+        "spec, degree",
+        [(DISK, 64), (BALL2, 24), (BALL3, 60), (ELL12, 60),
+         (complex_ellipsoid((2, 2), (1.0, 1.0)), 60),
+         (complex_ellipsoid((1, 1, 2), (1.0, 1.0, 1.0)), 40),
+         (complex_ellipsoid((1, 897), (1.0, 1.0)), 60),
+         (complex_ellipsoid((1, 2), (0.5, 2.0)), 60)],
+        ids=["disk", "ball2", "ball3", "ell12", "ell22", "ell112", "ell1-897", "ell12-axes"],
+    )
+    def test_tables_against_mpmath(self, spec, degree):
+        # sampled entries of each table in use, against 40 digits: exp turns
+        # the rounding of log-gamma sums of up to a few hundred into
+        # relative errors of up to about 1e-13
+        tab = moments(spec, degree)
+        idx = np.argwhere(~np.isnan(tab.values))
+        rng = np.random.default_rng(degree + spec.dim)
+        for alpha in idx[rng.choice(len(idx), min(150, len(idx)), replace=False)].tolist():
+            exact = _gamma_moment(tab.exponents, tab.semi_axes, alpha)
+            assert abs((tab.values[tuple(alpha)] - exact) / exact) <= 2e-13
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_ball_volume_is_exactly_one(self, dim):
-        # log n! goes through gammaln like the rest of the formula, so
-        # m_0 = nu(B) is 1 to the bit (math.lgamma(3) is an ulp below
-        # gammaln(3)), in a table of any degree and through nu_volume
+        # log n! and log Gamma(1 + sum s) at alpha = 0, s = (1, ..., 1), are
+        # the same math.lgamma(n + 1.0), so m_0 = nu(B) is 1 to the bit, in a
+        # table of any degree and through nu_volume
         spec = DISK if dim == 1 else unit_ball(dim)
         for degree in (0, 6, 20):
             assert moment(moments(spec, degree), (0,) * dim) == 1.0
@@ -204,7 +226,15 @@ class TestKernelModels:
     def test_tail_constants_in_scaled_variables(self):
         # unit axes: the values of the unscaled bound, to the bit
         unit = reinhardt_series_model(ELL12, degree=60)
-        assert unit.tail_ratio == 1.0907880133185142
+        assert unit.tail_ratio == 1.090788013318538
+        # and at 40 digits: 1.05 times the largest of the last ten ratios
+        # W_k / W_(k-1), W_k = max_{|a|=k} a!/(k! m_a)
+        with mpmath.workdps(40):
+            w = [max(mpmath.factorial(a) * mpmath.factorial(k - a)
+                     / (mpmath.factorial(k) * _gamma_moment((1, 2), (1.0, 1.0), (a, k - a)))
+                     for a in range(k + 1)) for k in range(50, 61)]
+            exact = 1.05 * max(w[i + 1] / w[i] for i in range(10))
+        assert abs(unit.tail_ratio / exact - 1) < 1e-12
         # other axes: the same ratio, and W_k up to the factor 1/prod a_i^2
         axes = (0.8, 1.3)
         scaled = reinhardt_series_model(complex_ellipsoid((1, 2), axes), degree=60)
