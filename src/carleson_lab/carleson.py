@@ -93,11 +93,8 @@ def build_grid(spec: DomainSpec, config: CarlesonConfig) -> list[GridPoint]:
     anchor = domains.anchor_point(spec)
     lams = grid_levels(config)
     dirs = _ray_directions(spec, config.extra_rays, config.seed)
-    rays = [
-        (j, k, anchor + domains._ray_root(spec, anchor, d, -lam) * d)
-        for j, lam in enumerate(lams)
-        for k, d in enumerate(dirs)
-    ]
+    roots = domains.level_roots(spec, anchor, dirs, -lams[:, None]).tolist()  # (levels, rays)
+    rays = [(j, k, anchor + roots[j][k] * d) for j in range(len(lams)) for k, d in enumerate(dirs)]
     interior = domains.quasi_interior(
         spec, config.interior_points, seed=config.seed + 7, level_floor=float(lams[0])
     )

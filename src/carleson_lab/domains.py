@@ -266,44 +266,72 @@ def _validate(spec: DomainSpec) -> None:
 # distances to level sets
 
 
-def _ray_root(spec: DomainSpec, q: np.ndarray, direction: np.ndarray, level: float) -> float:
-    """Positive t with r(q + t*direction) = level; direction is unit length.
+def level_roots(spec: DomainSpec, q, d, level) -> np.ndarray:
+    """Positive roots t of r(q + t d) = level for a batch of rays: q and d
+    (..., n), d of unit length, and level broadcast together; shape (...).
 
-    On the disk and the ball this is the positive root of
-    t^2 + 2 b t + c = 0, with b = Re<q, direction> and c = |q|^2 - 1 - level
-    summed exactly (_exact_dot), taken as s - b or -c / (b + s),
-    s = sqrt(b^2 - c), whichever adds terms of one sign: the relative error is
-    a few eps for every q inside the level set.  Elsewhere brentq brackets the
-    crossing.  A q outside the level set raises ValueError on every kind.
+    A closed form ray by ray on the disk and the ball (_ball_root).
+    Elsewhere one bisection of all rays at once, in brackets grown by
+    doubling from twice the box's width, returns outer ends (r > level)
+    within 1e-14 + 1e-15 t of the root.  Its arithmetic is on arrays, whose
+    elementwise results do not depend on the batch, so row k of a batch is
+    the one-ray root bit for bit.  A q outside the level set raises
+    ValueError, a ray that never crosses it NumericError.
     """
+    n = spec.dim
+    shape = np.broadcast_shapes(np.shape(q)[:-1], np.shape(d)[:-1], np.shape(level))
+    q = np.broadcast_to(np.asarray(q, dtype=complex), shape + (n,)).reshape(-1, n)
+    d = np.broadcast_to(np.asarray(d, dtype=complex), shape + (n,)).reshape(-1, n)
+    level = np.broadcast_to(np.asarray(level, dtype=float), shape).reshape(-1)
     if is_ball(spec):
-        x, e = to_real(q), to_real(np.broadcast_to(direction, q.shape))
-        c = _exact_dot(x, x, -1.0, -level)
-        if c > 0.0:
-            raise ValueError(f"q lies outside the level set: |q|^2 - 1 - level = {c}")
-        b = _exact_dot(x, e)
-        s = math.sqrt(b * b - c)
-        return -c / (b + s) if b > 0.0 else s - b
-    from scipy import optimize
+        rows = zip(to_real(q), to_real(d), level.tolist())
+        return np.array([_ball_root(x, e, lev) for x, e, lev in rows]).reshape(shape)
+    if not np.all(_value_batch(spec, q) <= level):
+        raise ValueError("q lies outside the level set")
 
-    tmax = 2.0 * float(np.sum(2.0 * np.asarray(spec.box))) + 1.0
-    f = lambda t: float(_value_batch(spec, (q + t * direction)[None, :])[0]) - level
+    def outside(t: np.ndarray) -> np.ndarray:
+        return _value_batch(spec, q + t[:, None] * d) > level
+
+    lo, hi = np.zeros(len(q)), np.full(len(q), 2.0 * float(np.sum(2.0 * np.asarray(spec.box))) + 1.0)
     # far outside a wide box r may overflow to +inf, which still reads "outside"
     with np.errstate(over="ignore"):
-        hi = tmax
         for _ in range(8):
-            if f(hi) > 0.0:
+            crossed = outside(hi)
+            if crossed.all():
                 break
-            hi *= 2.0
+            hi[~crossed] *= 2.0
         else:
-            raise NumericError(
-                "ray never crosses the level set; level too high or spec unbounded",
-                {"level": level, "t_max": hi},
-            )
-        # bisection alone needs log2(hi / xtol) steps, past brentq's default
-        # budget of 100 once a wide box widens the bracket (560 at a box of 1e154)
-        budget = 100 + 2 * math.ceil(math.log2(hi) - math.log2(1e-14))
-        return float(optimize.brentq(f, 0.0, hi, xtol=1e-14, rtol=1e-15, maxiter=budget))
+            info = {"level": float(level.max()), "t_max": float(hi.max())}
+            raise NumericError("ray never crosses the level set; level too high or spec unbounded", info)
+        # each pass halves every open bracket: log2(hi / 1e-14) passes, 560 at a box of 1e154
+        budget = 100 + 2 * math.ceil(math.log2(float(hi.max(initial=1.0))) - math.log2(1e-14))
+        for _ in range(budget):
+            open_ = hi - lo > 1e-14 + 1e-15 * hi
+            if not open_.any():
+                return hi.reshape(shape)
+            mid = 0.5 * (lo + hi)
+            out = outside(mid)
+            hi = np.where(open_ & out, mid, hi)
+            lo = np.where(open_ & ~out, mid, lo)
+    raise NumericError("level root bisection did not converge", {"passes": budget})
+
+
+def _ball_root(x: np.ndarray, e: np.ndarray, level: float) -> float:
+    """The positive root of t^2 + 2 b t + c = 0 for one ray (real coordinates
+    x of q and e of d), b = Re<q, d> and c = |q|^2 - 1 - level summed exactly
+    (_exact_dot), taken as s - b or -c / (b + s), s = sqrt(b^2 - c), whichever
+    adds terms of one sign: a few eps relative for every q in the level set."""
+    c = _exact_dot(x, x, -1.0, -level)
+    if c > 0.0:
+        raise ValueError(f"q lies outside the level set: |q|^2 - 1 - level = {c}")
+    b = _exact_dot(x, e)
+    s = math.sqrt(b * b - c)
+    return -c / (b + s) if b > 0.0 else s - b
+
+
+def _ray_root(spec: DomainSpec, q: np.ndarray, direction: np.ndarray, level: float) -> float:
+    """Positive t with r(q + t*direction) = level: one ray of level_roots."""
+    return float(level_roots(spec, q, direction, level))
 
 
 def _exact_dot(x: np.ndarray, y: np.ndarray, *terms: float) -> float:
@@ -335,7 +363,8 @@ def project_to_level(spec: DomainSpec, q, basis: np.ndarray | None = None) -> Pr
     Multi-start constrained minimization (slice axes first, then fixed
     quasi-random directions); each converged candidate is polished by a 1-d
     root along its ray so the constraint holds to near machine precision.
-    Ties are broken by enumeration order, which pins symmetric centers to the
+    The starts take one level_roots call, and the polishes another.  Ties
+    are broken by enumeration order, which pins symmetric centers to the
     canonical axes.
     """
     q = as_point(spec, q)
@@ -359,18 +388,9 @@ def project_to_level(spec: DomainSpec, q, basis: np.ndarray | None = None) -> Pr
         return _ellipsoid_project2(spec, q)
     from scipy import optimize
 
-    directions = _start_directions(k)
-    candidates: list[tuple[float, np.ndarray]] = []
-    for d in directions:
-        u_dir = d @ basis  # unit vector in C^n
-        t = _ray_root(spec, q, u_dir, 0.0)
-        candidates.append((t, d * t))
-
-    def objective(w: np.ndarray) -> float:
-        return float(w @ w)
-
-    def objective_grad(w: np.ndarray) -> np.ndarray:
-        return 2.0 * w
+    directions = np.array(_start_directions(k))
+    starts = level_roots(spec, q, directions @ basis, 0.0).tolist()  # unit vectors in C^n
+    candidates = [(t, d * t) for t, d in zip(starts, directions)]
 
     def constraint(w: np.ndarray) -> float:
         u = to_complex(w)
@@ -387,13 +407,13 @@ def project_to_level(spec: DomainSpec, q, basis: np.ndarray | None = None) -> Pr
             out[2 * j + 1] = g @ to_real(1j * basis[j])
         return out
 
-    refined: list[tuple[float, np.ndarray]] = list(candidates)
-    for t0, u0 in candidates:
+    converged = []
+    for _, u0 in candidates:
         w0 = to_real(u0)
         res = optimize.minimize(
-            objective,
+            lambda w: float(w @ w),  # |u|^2, the squared distance
             w0,
-            jac=objective_grad,
+            jac=lambda w: 2.0 * w,
             method="SLSQP",
             constraints=[{"type": "eq", "fun": constraint, "jac": constraint_grad}],
             options={"maxiter": 200, "ftol": 1e-16},
@@ -401,11 +421,11 @@ def project_to_level(spec: DomainSpec, q, basis: np.ndarray | None = None) -> Pr
         w = res.x if res.x is not None else w0
         u = to_complex(np.asarray(w))
         norm = float(np.linalg.norm(u))
-        if norm < 1e-14:
-            continue
-        u_dir = (u / norm) @ basis
-        t = _ray_root(spec, q, u_dir, 0.0)  # polish back onto the boundary
-        refined.append((t, (u / norm) * t))
+        if norm >= 1e-14:
+            converged.append(u / norm)
+    # polish each converged direction back onto the boundary
+    polished = level_roots(spec, q, np.reshape(converged, (-1, k)) @ basis, 0.0).tolist()
+    refined = candidates + [(t, u * t) for t, u in zip(polished, converged)]
 
     # stable sort on a rounded key: exact symmetric ties resolve to the
     # canonical ray candidates, which are enumerated first
@@ -535,78 +555,61 @@ def boundary_distance_batch(spec: DomainSpec, pts: np.ndarray) -> np.ndarray:
 
 
 def line_level_distance(spec: DomainSpec, z, v) -> float:
-    """Distance from z to the boundary {r = 0} inside the complex line z + C v.
+    """Distance from z to the boundary {r = 0} inside the complex line z + C v:
+    one row of line_level_distances."""
+    return float(line_level_distances(spec, as_point(spec, z)[None], np.asarray(v, dtype=complex)[None])[0])
 
-    The positive root t(theta) of r(z + t e^{i theta} v) = 0 is found by a
-    vectorized bisection over _LINE_PHASES phases (the section is convex in
-    t), then the best phase is refined by bounded scalar minimization.  The
-    bisection keeps r > 0 at its outer ends, so the best one bounds the
-    distance from above at any box width.
+
+def line_level_distances(spec: DomainSpec, z, v) -> np.ndarray:
+    """Distances from points z (m, n) to the boundary {r = 0} inside the
+    complex lines z + C v, v (m, n); shape (m,).
+
+    The distance is the least positive root t(theta) of
+    r(z + t e^{i theta} v) = 0 over the phases theta.  One level_roots call
+    takes it on _LINE_PHASES phases per point; then three parabola steps,
+    each on 3 phases 100 times narrower than the step before, refine the
+    best phase of every point at once.  Each value is the least outer end
+    (r > 0) met, so it bounds the distance from above at any box width.
     """
-    z = as_point(spec, z)
-    v = np.asarray(v, dtype=complex)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0 or not np.all(np.isfinite(v)):
+    z, v = as_points(spec, z), as_points(spec, v)
+    nv = np.sqrt(squared_norm(v))
+    if not np.all((nv > 0.0) & np.isfinite(nv)):
         raise InputError("direction vector must be finite and nonzero")
-    v = v / nv
-    rz = float(defining_value(spec, z))
-    if not rz < 0.0:
-        raise InputError(f"point must be interior: r(z) = {rz}")
-
+    v = v / nv[:, None]
+    if not np.all(_value_batch(spec, z) < 0.0):
+        raise InputError("point must be interior")
     if is_ball(spec):
-        b = complex(np.sum(z * np.conj(v)))  # <z, v>
-        return math.sqrt(abs(b) ** 2 + 1.0 - float(np.vdot(z, z).real)) - abs(b)
-    from scipy import optimize
+        b = np.abs(np.sum(z * np.conj(v), axis=-1))  # |<z, v>|
+        return np.sqrt(b * b + 1.0 - squared_norm(z)) - b
 
-    theta = np.linspace(0.0, 2.0 * math.pi, _LINE_PHASES, endpoint=False)
-    dirs = np.exp(1j * theta)[:, None] * v[None, :]  # (phases, n)
+    def roots(theta: np.ndarray) -> np.ndarray:
+        return level_roots(spec, z[:, None], np.exp(1j * theta)[..., None] * v[:, None], 0.0)
 
-    def g(t: np.ndarray) -> np.ndarray:
-        return _value_batch(spec, z[None, :] + t[:, None] * dirs)
-
-    tmax = 2.0 * float(np.sum(2.0 * np.asarray(spec.box))) + 1.0
-    hi = np.full(_LINE_PHASES, tmax)
-    for _ in range(8):
-        bad = g(hi) <= 0.0
-        if not bad.any():
-            break
-        hi[bad] *= 2.0
-    else:
-        raise NumericError("line never crosses the boundary", {"t_max": tmax})
-    lo = np.zeros(_LINE_PHASES)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        pos = g(mid) > 0.0
-        hi = np.where(pos, mid, hi)
-        lo = np.where(pos, lo, mid)
-    jbest = int(np.argmin(hi))
-    best = float(hi[jbest])
-
-    def root_of(th: float) -> float:
-        d = np.exp(1j * th) * v
-        f = lambda t: float(_value_batch(spec, (z + t * d)[None, :])[0])
-        hi1 = best * 2.0 + 1e-3
-        while f(hi1) <= 0.0:
-            hi1 *= 2.0
-        return float(optimize.brentq(f, 0.0, hi1, xtol=1e-14, rtol=1e-15))
-
-    span = 2.0 * math.pi / _LINE_PHASES
-    res = optimize.minimize_scalar(
-        root_of,
-        bounds=(theta[jbest] - span, theta[jbest] + span),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return min(best, float(res.fun))
+    h = 2.0 * math.pi / _LINE_PHASES
+    phases = h * np.arange(_LINE_PHASES)
+    grid = roots(phases[None])
+    jbest = np.argmin(grid, axis=1)
+    theta, best = phases[jbest], grid.min(axis=1)
+    t = np.take_along_axis(grid, (jbest[:, None] + np.arange(-1, 2)) % _LINE_PHASES, axis=1)
+    for _ in range(3):
+        # move to the vertex of the parabola through the three phases
+        curv = t[:, 0] - 2.0 * t[:, 1] + t[:, 2]
+        theta = theta + 0.5 * h * (t[:, 0] - t[:, 2]) / np.where(curv > 0.0, curv, np.inf)
+        h /= 100.0
+        t = roots(theta[:, None] + h * np.arange(-1, 2))
+        best = np.minimum(best, t.min(axis=1))
+    return best
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
 
-@lru_cache(maxsize=128)
 def inradius(spec: DomainSpec) -> float:
-    return boundary_distance(spec, anchor_point(spec))
+    """Radius of the largest ball about the anchor inside D: min_i a_i on an
+    ellipsoid, since on its boundary sum_i u_i^(m_i) = 1 with u_i in [0, 1]
+    gives sum_i u_i >= 1, so |z|^2 = sum_i a_i^2 u_i >= min_i a_i^2."""
+    return min(spec.semi_axes) if spec.semi_axes else 1.0
 
 
 def box_nu_volume(spec: DomainSpec) -> float:

@@ -2,7 +2,9 @@
 
 The greedy construction: project q to the nearest boundary point, record the
 direction and distance, restrict to the complex-orthogonal slice through q,
-repeat.  The distances are the frame's radii sigma.
+repeat.  The distances are the frame's radii sigma.  Frames come in
+batches: a closed form on the disk and the ball; elsewhere a projection per
+point and slice, then one line distance call for every last slice.
 """
 
 from __future__ import annotations
@@ -99,19 +101,13 @@ def _ball_frames(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return basis, sigma, unique
 
 
-def _frame(spec: DomainSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+def _projected_slices(spec: DomainSpec, q: np.ndarray, frame: np.ndarray, sigma: np.ndarray) -> bool:
+    """Fill in the rows and radii of q's frame by projection, slices 1..n-1
+    (the one slice on C^1), and the last slice's line as the last row;
+    return whether the first projection was unique."""
     n = spec.dim
-    frame = np.zeros((n, n), dtype=complex)
-    sigma = np.empty(n)
     slice_basis = np.eye(n, dtype=complex)
-    unique = True
-    for i in range(n):
-        if i == n - 1 and i > 0:
-            # final slice is one complex line; the phase of the frame vector
-            # does not affect any polydisk built on it
-            frame[i] = slice_basis[0]
-            sigma[i] = domains.line_level_distance(spec, q, slice_basis[0])
-            break
+    for i in range(max(n - 1, 1)):
         proj = project_to_level(spec, q, basis=slice_basis)
         if i == 0:
             unique = proj.unique
@@ -123,36 +119,40 @@ def _frame(spec: DomainSpec, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, boo
         sigma[i] = proj.distance
         if i < n - 1:
             slice_basis = _orthonormal_complement(slice_basis, frame[i])
-    # the greedy construction makes sigma nondecreasing; tiny numeric
-    # inversions are tolerated, real ones are a failure
-    if np.any(np.diff(sigma) < -1e-7 * max(1.0, float(sigma.max()))):
-        raise NumericError("slice distances are not nondecreasing", {"sigma": sigma.tolist()})
-    return frame, sigma, unique
+    if n > 1:
+        # the final slice is one complex line; the phase of the frame vector
+        # does not affect any polydisk built on it
+        frame[n - 1] = slice_basis[0]
+    return unique
 
 
 def minimal_frame(spec: DomainSpec, q) -> MinimalFrame:
     """Greedy minimal frame of D at an interior point q."""
-    q = as_point(spec, q)
-    if domains.is_ball(spec):
-        return minimal_frames(spec, q[None])[0]
-    if not float(defining_value(spec, q)) < 0.0:
-        raise InputError("minimal_frame expects an interior point")
-    return MinimalFrame(q, *_frame(spec, q))
+    return minimal_frames(spec, as_point(spec, q)[None])[0]
 
 
 def minimal_frames(spec: DomainSpec, pts) -> MinimalFrame:
     """The minimal frames of a batch of interior points (k, n), stacked; row
     k is minimal_frame(spec, pts[k]) bit for bit.  One closed form over the
-    batch on the disk and ball, one minimal_frame per point elsewhere."""
+    batch on the disk and ball.  Elsewhere each point's slices 1..n-1 are
+    projected, and one line_level_distances call gives every last radius."""
     pts = as_points(spec, pts)
-    if not domains.is_ball(spec):
-        n, frames = spec.dim, [minimal_frame(spec, q) for q in pts]
-        basis = np.array([f.basis for f in frames], dtype=complex).reshape(-1, n, n)
-        sigma = np.array([f.sigma for f in frames]).reshape(-1, n)
-        return MinimalFrame(pts, basis, sigma, np.array([f.unique for f in frames], dtype=bool))
     if not np.all(defining_value(spec, pts) < 0.0):
         raise InputError("minimal_frame expects an interior point")
-    return MinimalFrame(pts, *_ball_frames(pts))
+    if domains.is_ball(spec):
+        return MinimalFrame(pts, *_ball_frames(pts))
+    k, n = pts.shape
+    basis, sigma = np.zeros((k, n, n), dtype=complex), np.zeros((k, n))
+    unique = np.array([_projected_slices(spec, q, b, s) for q, b, s in zip(pts, basis, sigma)], dtype=bool)
+    if n > 1:
+        sigma[:, -1] = domains.line_level_distances(spec, pts, basis[:, -1])
+    # the greedy construction makes sigma nondecreasing; tiny numeric
+    # inversions are tolerated, real ones are a failure
+    floor = -1e-7 * np.maximum(1.0, sigma.max(axis=1))[:, None]
+    drop = np.flatnonzero((np.diff(sigma, axis=1) < floor).any(axis=1))
+    if len(drop):
+        raise NumericError("slice distances are not nondecreasing", {"sigma": sigma[drop[0]].tolist()})
+    return MinimalFrame(pts, basis, sigma, unique)
 
 
 def frame_polydisk(frame: MinimalFrame, scale: float) -> Polydisk:

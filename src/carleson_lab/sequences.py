@@ -168,11 +168,8 @@ def dyadic_ray(spec: DomainSpec, direction, depth: int = 12) -> SequenceSet:
     anchor = domains.anchor_point(spec)
     d = np.asarray(direction, dtype=complex)
     d = d / np.linalg.norm(d)
-    pts = []
-    for k in range(1, 1 + depth):
-        t = domains._ray_root(spec, anchor, d, -(2.0 ** (-k)))
-        pts.append(anchor + t * d)
-    return SequenceSet(points=np.array(pts), label=f"ray(depth={depth})")
+    t = domains.level_roots(spec, anchor, d, -np.ldexp(1.0, -np.arange(1, 1 + depth)))
+    return SequenceSet(points=anchor + t[:, None] * d, label=f"ray(depth={depth})")
 
 
 def boundary_cluster(spec: DomainSpec, direction, levels: int = 8) -> SequenceSet:

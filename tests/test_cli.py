@@ -62,8 +62,9 @@ def _wide_ellipsoid(b: float) -> str:
     ids=["box1e10", "box1e20", "box1e60", "box1e100", "axes1e150"],
 )
 def test_wide_domains_give_the_unit_inradius(paths, text):
-    # the ray roots' bracket grows with the box and brentq's budget with the
-    # bracket; no numpy or scipy warning may reach the terminal
+    # the inradius is min a_i on any box; no numpy or scipy warning may reach
+    # the terminal (the ray roots' brackets on these boxes are pinned by
+    # test_domains.py::test_level_roots_on_wide_boxes)
     spec = paths["tmp"] / "wide.json"
     spec.write_text(text)
     out = paths["tmp"] / "wide"

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -48,14 +49,14 @@ ALL_SPECS = [DISK, BALL2, ELL12, ELL112]
 
 
 def _dense_projection_oracle(spec, q, level=0.0, sweeps=4000, seed=11):
-    """Independent upper bound on the projection distance: best of many rays."""
+    """Independent upper bound on the projection distance: best of many rays,
+    their roots taken in one batch."""
     rng = np.random.default_rng(seed)
-    best = math.inf
+    dirs = []
     for _ in range(sweeps):
         v = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
-        v /= np.linalg.norm(v)
-        best = min(best, domains._ray_root(spec, q, v, level))
-    return best
+        dirs.append(v / np.linalg.norm(v))
+    return float(domains.level_roots(spec, q, np.array(dirs), level).min())
 
 
 class TestSpecs:
@@ -244,11 +245,41 @@ class TestDistances:
         assert worst <= 4.0 * eps
 
     def test_ray_root_outside_the_level_set_raises(self):
-        # as brentq does off the models: no sign change, no root
         d = np.array([1.0 + 0j, 0.0])
         for spec, q in ((DISK, [0.9 + 0j]), (BALL2, [0.9 + 0j, 0.0]), (ELL12, [0.9 + 0j, 0.0])):
             with pytest.raises(ValueError):
                 domains._ray_root(spec, np.asarray(q), d[: spec.dim], -0.5)
+
+    @pytest.mark.parametrize(
+        "exponents, axes",
+        [((1, 1, 2), (1.0, 1.0, b)) for b in (1e10, 1e20, 1e60, 1e100)] + [((1, 2), (1.0, 1e150))],
+        ids=["box1e10", "box1e20", "box1e60", "box1e100", "axes1e150"],
+    )
+    def test_level_roots_on_wide_boxes(self, exponents, axes):
+        # the bracket grows with the box and the bisection's budget with the
+        # bracket (about 550 passes at 1e150); far outside, r overflows to
+        # inf with no warning
+        spec = complex_ellipsoid(exponents, axes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = domains.level_roots(spec, anchor_point(spec), np.eye(spec.dim, dtype=complex), 0.0)
+        np.testing.assert_allclose(got, axes, rtol=2e-14, atol=0.0)
+
+    @pytest.mark.parametrize("spec", [ELL12, ELL22, ELL112], ids=["ELL12", "ELL22", "ELL112"])
+    def test_level_roots_are_outer_ends_and_one_ray_rows(self, spec):
+        # each root has r > level and lies within 1e-14 + 1e-15 t of the
+        # crossing, and row k of a batch is the one-ray root bit for bit
+        rng = np.random.default_rng(31 + spec.dim)
+        q = random_interior(spec, 300, rng, level_floor=0.3)
+        d = rng.standard_normal(q.shape) + 1j * rng.standard_normal(q.shape)
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        level = -(2.0 ** -rng.integers(2, 40, len(q)).astype(float))
+        t = domains.level_roots(spec, q, d, level)
+        assert np.all(defining_value(spec, q + t[:, None] * d) > level)
+        inner = t - (1e-14 + 1e-15 * t)
+        assert np.all(defining_value(spec, q + inner[:, None] * d) <= level)
+        for k in range(len(q)):
+            assert domains._ray_root(spec, q[k], d[k], level[k]) == t[k]
 
     def test_line_distance_disk_closed_form(self):
         # line through z in direction v: sqrt(|<z,v>|^2 + 1 - |z|^2) - |<z,v>|
@@ -264,6 +295,30 @@ class TestDistances:
         spec = complex_ellipsoid((1, 2), (1.0, b))
         got = line_level_distance(spec, np.array([0.5 + 0j, 0.0]), np.array([1.0 + 0j, 0.0]))
         assert got == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec", [ELL12, ELL22, complex_ellipsoid((1, 4), (1.2, 0.7))], ids=["ELL12", "ELL22", "ELL14"]
+    )
+    def test_line_distances_against_a_dense_phase_oracle(self, spec):
+        # the 64-phase grid alone lies about 2e-4 above the least root in the
+        # median; refined, no distance lies 1e-12 above the least root on the
+        # 2^14 phases of the windows +-2 cells around the best phase of a
+        # 2^8-phase scan.  Row k is the one-row distance bit for bit
+        rng = np.random.default_rng(47)
+        z = quasi_interior(spec, 200, seed=8, level_floor=0.02)
+        v = rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
+        got = domains.line_level_distances(spec, z, v)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+
+        def roots(steps):  # at the phases 2 pi steps / 2^14
+            phases = np.exp(2j * math.pi * steps / 2**14)
+            return domains.level_roots(spec, z[:, None], phases[..., None] * v[:, None], 0.0)
+
+        scan = np.argmin(roots(64 * np.arange(256)[None]), axis=1)
+        oracle = roots(64 * scan[:, None] + np.arange(-128, 129)).min(axis=1)
+        assert np.all(got <= oracle * (1.0 + 1e-12))
+        for k in range(20):
+            assert line_level_distance(spec, z[k], v[k]) == got[k]
 
     def test_line_distance_ellipsoid_axis(self):
         # along e2 from (0, t): remaining quartic room is 1 - t
@@ -393,16 +448,17 @@ class TestHalton:
 
     def test_scipy_optimize_loads_only_where_a_solver_runs(self, tmp_path):
         # one fresh interpreter per command, since a module once loaded stays.
-        # Closed-form ray roots on the models, the oracle's covers and
-        # packings and the golden-section projection of domain-info on ELL12
-        # run no solver; frame on ELL12 takes its last slice distance from
-        # line_level_distance, which does (and scipy.optimize loads
-        # scipy.special).  Moment tables (criterion (1), nu(D), the series
-        # kernel) take math.lgamma, so no command on the disk or the ball
-        # loads scipy, not even kernel-check, which builds a series model
-        # there; scipy.special loads only for a gamma quantile of an
-        # exponent >= 2, as in ELL12's quasi-uniform sample
-        for name, spec in (("disk", DISK), ("ball2", BALL2), ("ell12", ELL12)):
+        # Ray roots and line distances are bisections on arrays, and the
+        # oracle's covers and packings and the golden-section projection on
+        # ELL12 run no solver, so frame on ELL12 loads no scipy; SLSQP, which
+        # projects in C^3, is the one solver, so frame on the (1,1,2)
+        # ellipsoid loads scipy.optimize (and with it scipy.special).  Moment
+        # tables (criterion (1), nu(D), the series kernel) take math.lgamma,
+        # so no command on the disk or the ball loads scipy, not even
+        # kernel-check, which builds a series model there; scipy.special
+        # loads only for a gamma quantile of an exponent >= 2, as in ELL12's
+        # quasi-uniform sample
+        for name, spec in (("disk", DISK), ("ball2", BALL2), ("ell12", ELL12), ("ell112", ELL112)):
             save_spec(spec, tmp_path / f"{name}.json")
         runs = [
             (["cover", "--domain", "ell12.json", "--samples", "500"], "False False"),
@@ -414,7 +470,8 @@ class TestHalton:
             (["kernel-check", "--domain", "disk.json", "--samples", "4096"], "False False"),
             (["berezin", "--domain", "ball2.json", "--samples", "4096"], "False False"),
             (["kernel-check", "--domain", "ell12.json", "--samples", "4096"], "False True"),
-            (["frame", "--domain", "ell12.json", "--point", "0.1,0,0.2,0"], "True True"),
+            (["frame", "--domain", "ell12.json", "--point", "0.1,0,0.2,0"], "False False"),
+            (["frame", "--domain", "ell112.json", "--point", "0.1,0,0.2,0,0.1,0"], "True True"),
         ]
         out = str(tmp_path / "out")
         seen, wanted = [], []

@@ -164,7 +164,7 @@ class TestMinimalFrames:
 
         monkeypatch.setattr(geometry, "_ball_frames", batch)
         monkeypatch.setattr(geometry, "minimal_frame", per_point)
-        monkeypatch.setattr(geometry, "_frame", per_point)
+        monkeypatch.setattr(geometry, "_projected_slices", per_point)
         pts = domains.quasi_interior(spec, 10_000, seed=5)
         frames = geometry.minimal_frames(spec, pts)
         assert calls["batch"] == 1
@@ -211,12 +211,14 @@ class TestMinimalFrames:
         np.testing.assert_array_equal(frames.basis[:, 0, 0], np.array([q[0] / r for q, r in zip(pts, nq)]))
 
     @pytest.mark.parametrize(
-        "spec",
-        [ELL12, ELL22, ELL112],
+        "spec, count",
+        [(ELL12, 200), (ELL22, 6), (ELL112, 30)],
         ids=["ELL12", "ELL22", "ELL112"],
     )
-    def test_other_domains_stack_the_per_point_frames(self, spec):
-        pts = domains.quasi_interior(spec, 6, seed=13, level_floor=0.05)
+    def test_other_domains_stack_the_per_point_frames(self, spec, count):
+        # the last radii of a batch come from one line_level_distances call,
+        # and row k is the one-point frame bit for bit
+        pts = domains.quasi_interior(spec, count, seed=13, level_floor=0.05)
         frames = geometry.minimal_frames(spec, pts)
         for k, q in enumerate(pts):
             _equal_frames(frames[k], minimal_frame(spec, q))
