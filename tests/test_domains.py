@@ -211,6 +211,24 @@ class TestDistances:
             assert defining_value(spec, pts[k]) == values[k]
             assert domains.boundary_distance_batch(spec, pts[k : k + 1])[0] == dists[k]
 
+    @pytest.mark.parametrize(
+        "spec",
+        [ELL12, ELL22, ELL112, complex_ellipsoid((1, 4), (1.2, 0.7))],
+        ids=["ELL12", "ELL22", "ELL112", "ELL14"],
+    )
+    def test_ellipsoid_value_is_the_sum_over_the_coordinate_axis(self, spec):
+        # r adds its terms one coordinate at a time; numpy's sum over a last
+        # axis of length < 8 adds them in the same order, so r is bit for bit
+        # that sum, on 2-D and 3-D batches, inside and outside the domain
+        rng = np.random.default_rng(70 + spec.dim)
+        box = np.repeat(np.asarray(spec.box), 2)
+        pts = to_complex(rng.uniform(-1.0, 1.0, (4096, 2 * spec.dim)) * box)
+        a2 = np.asarray(spec.semi_axes) ** 2
+        m = np.asarray(spec.exponents)
+        for z in (pts, pts.reshape(64, 64, spec.dim)):
+            want = (((z.real**2 + z.imag**2) / a2) ** m).sum(axis=-1) - 1.0
+            np.testing.assert_array_equal(domains._value_batch(spec, z), want)
+
     @pytest.mark.parametrize("spec", [DISK, BALL2, BALL3], ids=["disk", "ball2", "ball3"])
     def test_single_point_distance_is_the_batch_value(self, spec):
         # a grid point's delta and the density 1 - delta at that point agree
@@ -414,6 +432,43 @@ class TestSampling:
                 assert got.tobytes() == expected.tobytes(), (spec.kind, spec.exponents, count)
 
 
+def _ulps(got: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    return np.abs(got - ref) / np.spacing(np.abs(ref))
+
+
+class TestErfinv:
+    def test_against_mpmath(self):
+        # within 2 ulp of the 40-digit inverse, from 1e-300 up to 1 - 2^-53,
+        # on both sides of each range's start in w = -log((1 - x)(1 + x))
+        starts = np.sqrt(-np.expm1(-np.array([6.25, 16.0])))
+        steps = np.arange(-40, 41)
+        near = np.concatenate([s + steps * np.spacing(s) for s in starts])
+        x = np.concatenate([
+            [0.0],
+            np.geomspace(1e-300, 0.5, 1000),
+            np.linspace(0.0, 1.0, 1000, endpoint=False)[1:],
+            1.0 - np.geomspace(2.0**-53, 0.5, 1000),
+            1.0 - 2.0 ** -np.arange(1.0, 54.0),
+            near,
+        ])
+        w = -np.log((1.0 - near) * (1.0 + near))
+        for start in (6.25, 16.0):
+            assert (w < start).any() and (w >= start).any()
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.erfinv(mpmath.mpf(float(v)))) for v in x])
+        assert len(x) >= 3000
+        assert _ulps(domains._erfinv(x), ref).max() <= 2.0
+
+    def test_against_scipy(self):
+        u = domains.Halton(1, 4).random(1 << 20)[:, 0]
+        assert _ulps(domains._erfinv(u), special.erfinv(u)).max() <= 4.0
+
+    def test_odd_and_zero_at_zero(self):
+        u = domains.Halton(1, 5).random(1 << 12)[:, 0]
+        np.testing.assert_array_equal(domains._erfinv(-u), -domains._erfinv(u))
+        assert domains._erfinv(0.0) == 0.0
+
+
 PRIMES = (2, 3, 5, 7, 11, 13, 17)
 
 
@@ -439,6 +494,22 @@ class TestHalton:
             np.testing.assert_array_equal(ours.random(1 << 16), ref.random(1 << 16))
             assert ours.random(0).shape == (0, d)
 
+    @pytest.mark.parametrize("d", [1, 3, 7])
+    def test_single_first_point_and_digit_boundaries(self, d):
+        # count 1 at index 0 has no nonzero digit; a draw from b^k - 1 to
+        # b^k needs one digit more than the draw before it
+        from scipy.stats import qmc
+
+        ref = qmc.Halton(d=d, scramble=True, seed=3)
+        ours = domains.Halton(d, 3)
+        np.testing.assert_array_equal(ours.random(1), ref.random(1))
+        for b in PRIMES[:d]:
+            ref = qmc.Halton(d=d, scramble=True, seed=3)
+            ours = domains.Halton(d, 3)
+            k = math.ceil(math.log(3000, b))
+            np.testing.assert_array_equal(ours.random(b**k - 1), ref.random(b**k - 1))
+            np.testing.assert_array_equal(ours.random(2), ref.random(2))
+
     def test_import_leaves_scipy_stats_out(self):
         # scipy.stats alone took about 0.5 s of a command's start-up,
         # scipy.optimize, which pulls in scipy.linalg, about 0.4 s, and
@@ -454,11 +525,17 @@ class TestHalton:
         # projects in C^3, is the one solver, so frame on the (1,1,2)
         # ellipsoid loads scipy.optimize (and with it scipy.special).  Moment
         # tables (criterion (1), nu(D), the series kernel) take math.lgamma,
-        # so no command on the disk or the ball loads scipy, not even
-        # kernel-check, which builds a series model there; scipy.special
-        # loads only for a gamma quantile of an exponent >= 2, as in ELL12's
-        # quasi-uniform sample
-        for name, spec in (("disk", DISK), ("ball2", BALL2), ("ell12", ELL12), ("ell112", ELL112)):
+        # and the quasi-uniform sample's gamma quantiles are closed forms in
+        # numpy for exponents 1 and 2, so kernel-check loads no scipy on the
+        # disk, the ball or ELL12; scipy.special loads only for gammaincinv,
+        # the quantile of an exponent >= 3, as on the (1,3) ellipsoid
+        for name, spec in (
+            ("disk", DISK),
+            ("ball2", BALL2),
+            ("ell12", ELL12),
+            ("ell13", complex_ellipsoid((1, 3))),
+            ("ell112", ELL112),
+        ):
             save_spec(spec, tmp_path / f"{name}.json")
         runs = [
             (["cover", "--domain", "ell12.json", "--samples", "500"], "False False"),
@@ -469,7 +546,8 @@ class TestHalton:
             (["thm42", "--domain", "ball2.json", "--samples", "4096"], "False False"),
             (["kernel-check", "--domain", "disk.json", "--samples", "4096"], "False False"),
             (["berezin", "--domain", "ball2.json", "--samples", "4096"], "False False"),
-            (["kernel-check", "--domain", "ell12.json", "--samples", "4096"], "False True"),
+            (["kernel-check", "--domain", "ell12.json", "--samples", "4096"], "False False"),
+            (["kernel-check", "--domain", "ell13.json", "--samples", "4096"], "False True"),
             (["frame", "--domain", "ell12.json", "--point", "0.1,0,0.2,0"], "False False"),
             (["frame", "--domain", "ell112.json", "--point", "0.1,0,0.2,0,0.1,0"], "True True"),
         ]
@@ -485,6 +563,23 @@ print(*(m in sys.modules for m in ('scipy.optimize', 'scipy.special')), file=sys
             seen.append(f"{argv[0]} {argv[2]} {_run_python(code, cwd=tmp_path, stream='stderr')}")
             wanted.append(f"{argv[0]} {argv[2]} {want}")
         assert seen == wanted
+
+    def test_ell12_kernel_integrals_load_no_scipy(self):
+        # the degree-60 series model, its nu-uniform sample and one
+        # reproducing integral on ELL12, in one fresh interpreter
+        code = """
+import sys
+import numpy as np
+from carleson_lab import bergman, domains
+from carleson_lab.polynomials import random_polynomial
+spec = domains.complex_ellipsoid((1, 2))
+model = bergman.kernel_model(spec, degree=60)
+pts = domains.quasi_uniform(spec, 4096, seed=0)
+poly = random_polynomial(2, 5, np.random.default_rng(0))
+bergman.reproduce_check(model, poly, np.array([0.3, 0.2j]), pts)
+print([m for m in sys.modules if m.split('.')[0] == 'scipy'])
+"""
+        assert _run_python(code) == "[]"
 
 
 def _run_python(code: str, cwd=None, stream: str = "stdout") -> str:
