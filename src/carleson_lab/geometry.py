@@ -62,7 +62,10 @@ def _orthonormal_complement(basis: np.ndarray, direction: np.ndarray) -> np.ndar
     _, s, vh = np.linalg.svd(proj)
     if not s[keep - 1] > 0.5:
         raise NumericError("slice complement lost rank", {"singular_values": s.tolist()})
-    return vh[:keep]
+    # the SVD gives each row any phase, which can jump under a tiny change of
+    # direction: turn the row's first entry of largest modulus real positive
+    lead = vh[np.arange(keep), np.argmax(np.abs(vh[:keep]), axis=1)]
+    return vh[:keep] * (np.conj(lead) / np.abs(lead))[:, None]
 
 
 def _ball_frames(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

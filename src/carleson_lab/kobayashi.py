@@ -11,9 +11,10 @@ This module alone decides how a distance question is answered on a domain:
 ball_relation (is w within tanh-radius r of z), ball_counts, the greedy loop
 greedy_separated and min_tanh_distance serve every domain, from the oracle
 where it exists and from the polydisk sandwich elsewhere.  With the oracle
-the pair decisions stream out of the prefilter's tiles: ball_relation
-scatters them into its dense answer, and ball_counts sums them per point,
-holding no query x center relation.
+every cheap bound is a unit-ball threshold test, one matrix product of
+lifted features per tile of pairs; only the pairs those leave open reach
+the geodesic oracle, and no call holds a query x center relation it does
+not return.
 """
 
 from __future__ import annotations
@@ -35,17 +36,17 @@ from .geometry import MinimalFrame, Polydisk, minimal_frame
 
 def pseudo_distance_matrix(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Unit-ball pseudo-distances tanh d_B, pts (B,n) x centers (K,n), from
-    rho^2 = m / |1-<p,c>|^2, where the margin m = |1-<p,c>|^2 -
-    (1-|p|^2)(1-|c|^2) of each tile is off by less than _margin_error(n).
-    Where m >= _PD_GUARD, rho is therefore off by less than
-    _margin_error(n) / _PD_GUARD, rounding included.  Below the guard, where
-    this form loses up to sqrt(eps), entries are recomputed by _ball_pd."""
+    rho^2 = m / |1-<p,c>|^2 with the margin m = |1-<p,c>|^2 -
+    (1-|p|^2)(1-|c|^2), both lifted products (see the threshold test) off by
+    less than _margin_error(n).  Where m >= _PD_GUARD, rho is therefore off
+    by less than _margin_error(n) / _PD_GUARD, rounding included.  Below the
+    guard, where this form loses up to sqrt(eps), _ball_pd recomputes it."""
     out = np.empty((len(pts), len(centers)))
-    for rows, cols, num, den in _pair_tiles(pts, centers):
-        margin = np.subtract(den, num, out=num)
-        i, j = np.nonzero(margin < _PD_GUARD)
+    for rows, cols, [(lifted, columns)] in _lifted_tiles([(pts, centers)], 1.0):
+        margin = lifted @ columns  # -m
+        i, j = np.nonzero(margin > -_PD_GUARD)
         block = out[rows, cols]  # a view
-        np.divide(margin, den, out=margin)
+        np.divide(margin, lifted[:, 1:] @ columns[1:], out=margin)  # over -|1-<p,c>|^2
         np.sqrt(np.clip(margin, 0.0, None, out=margin), out=block)
         block[i, j] = _ball_pd(pts[i + rows.start].T, centers[j + cols.start].T)
     return out
@@ -99,82 +100,94 @@ def _ball_pd(p, q) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the unit-ball threshold test rho_B(p, c) < r, tile by tile
 #
-# Each tile of b x k pairs comes from one real matrix product,
-#   [Re p, Im p, 1] (b, 2n+1) @ t [[-Re c, -Im c, 1], [Im c, -Re c, 0]]^T (2, 2n+1, k)
-#     = t [1 - Re <p,c>, -Im <p,c>]  (2, b, k),
-# whose squares sum to t^2 |1-<p,c>|^2; with t^2 = 1 - r^2 the test
-# (1-|p|^2)(1-|c|^2) > (1-r^2) |1-<p,c>|^2 needs no square root.  For |p|,
-# |c| < 1 the difference of the two sides (the margin) is computed with an
-# absolute error below (24n + 58) eps, whatever the order of the sums, and a
-# pair within twice that of the threshold is decided by _ball_pd instead.
-# So the answer never depends on how the pairs are blocked, and it stays
-# right at radii far below sqrt(eps), where the quotient form fails.
-# pseudo_distance_matrix reads the same margin at t = 1 and hands the pairs
-# with margin below _PD_GUARD to _ball_pd.
+# With t^2 = 1 - r^2 the test is the sign of the margin M = (1-|p|^2)(1-|c|^2)
+# - t^2 |1-<p,c>|^2, and M = F(p) . G(c) in lifted features (i < j):
+#   F(x) = [1-|x|^2, 1, Re x_i, Im x_i, |x_i|^2, Re x_i conj(x_j), Im x_i conj(x_j)],
+#   G(c) = [1-|c|^2, -t^2, t^2 (2 Re c_i, 2 Im c_i, -|c_i|^2, -2 Re c_i conj(c_j), ...)],
+# as |<p,c>|^2 = sum_i |p_i c_i|^2 + 2 sum_{i<j} Re(p_i conj(p_j) c_j conj(c_i)):
+# a tile is one real matrix product with K = n^2 + 2n + 2 columns (5, 10, 17
+# for n = 1, 2, 3) and one comparison.  Rounding, for |p|, |c| < 1 (u = eps/2):
+# the terms' magnitudes sum to at most 6 (1 + 1, 2 t^2 |p||c| for the linear
+# terms, 2 t^2 (sum_i |p_i||c_i|)^2 for the quadratic ones), so the product
+# errs by 6 K u in any order of its sums; the two 1-|x|^2 add 2 (n+2) u, the
+# linear terms 2 u, the quadratic ones 10 u (2 roundings in F, 3 in G), and
+# t^2 = 1 - r*r, off by u, 4 u.  That is (6n^2 + 14n + 32) u to first order,
+# below _margin_error(n), which bounds |1-<p,c>|^2 (the product at t = 1
+# without the first feature) too.  A pair within twice that of the threshold
+# is decided by _ball_pd, so the answer never depends on how the pairs are
+# blocked, and it stays right at radii far below sqrt(eps).
 #
-# A tile holds about _PRODUCT / (2n+1) pairs, so each half of a product has
-# at most _PRODUCT multiply-adds: its width is capped so that min(B, 16) rows
-# fit, and its height fills the rest (16 rows against many centers, 349
-# against 250 centers on the disk, 52428 against one center in the 2-ball).
-# On 2 cores
-# OpenBLAS ran halves of 2^20 on two threads, which doubled the CPU time of
-# the tile loop and raised its wall time 1.3-4x (the elementwise work after
-# each product competes with the spinning BLAS worker); 2^18 stays clear of
-# that at about 5% more wall time than 2^19.
-_PRODUCT = 1 << 18
+# A tile holds _PRODUCT / K pairs: min(B, 16) rows against as many centers as
+# fit (16 rows against many centers, 524 against 200 on the disk).  OpenBLAS
+# keeps a product of 2^19 multiply-adds on the calling thread, so the tile
+# loop's CPU time is its wall time; on 2 cores products of 2^20 went to two
+# threads and doubled the CPU time of the loop, for no gain.
+_PRODUCT = 1 << 19
 _PD_GUARD = 2.0**-10
 
 
 def _margin_error(n: int) -> float:
-    """Bound on the absolute rounding error of a tile's margin in C^n."""
-    return (24 * n + 58) * np.finfo(float).eps
+    """Bound on the absolute rounding error of a lifted margin in C^n."""
+    return (3 * n * n + 7 * n + 17) * np.finfo(float).eps
 
 
-def _pair_tiles(pts: np.ndarray, centers: np.ndarray, scale: float = 1.0):
-    """Yield (rows, cols, num, den) over tiles of pts[rows] x centers[cols]:
-    num = (1-|p|^2)(1-|c|^2) and den = scale^2 |1-<p,c>|^2."""
-    count, k_all = len(pts), len(centers)
+def _lift(x: np.ndarray, t2: float | None = None) -> np.ndarray:
+    """The rows F(x) (B, n^2 + 2n + 2) of points x (B, n), or with t2 the
+    columns G(x) (n^2 + 2n + 2, B): _lift(p) @ _lift(c, t2) is the margin
+    (1-|p|^2)(1-|c|^2) - t2 |1-<p,c>|^2."""
+    count, n = x.shape
+    re, im = x.real, x.imag
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    out = np.empty((count, n * n + 2 * n + 2))
+    out[:, 1], out[:, 2 : 2 + n], out[:, 2 + n : 2 + 2 * n] = 1.0, re, im
+    quad = np.multiply(re, re, out=out[:, 2 + 2 * n : 2 + 3 * n])
+    quad += im * im
+    out[:, 0] = 1.0 - quad.sum(axis=1)
+    for k, (i, j) in enumerate(pairs, start=2 + 3 * n):
+        out[:, k] = re[:, i] * re[:, j] + im[:, i] * im[:, j]
+        out[:, k + len(pairs)] = im[:, i] * re[:, j] - re[:, i] * im[:, j]
+    if t2 is None:
+        return out
+    out = out.T.copy()  # each feature one contiguous row: the faster product
+    out[1] = -t2
+    out[2:] *= np.repeat([2.0 * t2, -t2, -2.0 * t2], [2 * n, n, len(pairs) * 2])[:, None]
+    return out
+
+
+def _lifted_tiles(screens, t2: float):
+    """Yield (rows, cols, blocks) over tiles of the pairs p x c of each
+    screen (p, c) (every p of B points, every c of K): blocks[s] = (F, G) of
+    screen s on p[rows] x c[cols], whose product is the margin at t2.  Each
+    product has at most _PRODUCT multiply-adds; the columns are lifted one
+    block of centers at a time."""
+    count, k_all = len(screens[0][0]), len(screens[0][1])
     if not count or not k_all:
         return
-    depth = 2 * pts.shape[1] + 1
-    pairs = max(1, _PRODUCT // depth)
+    n = max(p.shape[1] for p, _ in screens)
+    pairs = max(1, _PRODUCT // (n * n + 2 * n + 2))
     width = max(1, min(k_all, pairs // min(count, 16)))
     height = max(1, pairs // width)
-    prow = np.concatenate([pts.real, pts.imag, np.ones((count, 1))], axis=1)
-    re_c, im_c = scale * centers.real.T, scale * centers.imag.T
-    p_room = 1.0 - (pts.real**2 + pts.imag**2).sum(axis=1)
-    c_room = 1.0 - (centers.real**2 + centers.imag**2).sum(axis=1)
+    lifted = [_lift(p) for p, _ in screens]
     for j in range(0, k_all, width):
-        cols = slice(j, j + width)
-        k = min(width, k_all - j)
-        ccol = np.stack([
-            np.vstack([-re_c[:, cols], -im_c[:, cols], np.full((1, k), scale)]),
-            np.vstack([im_c[:, cols], -re_c[:, cols], np.zeros((1, k))]),
-        ])
+        cols = slice(j, min(j + width, k_all))
+        columns = [_lift(c[cols], t2) for _, c in screens]
         for i in range(0, count, height):
-            rows = slice(i, i + height)
-            yield rows, cols, np.multiply.outer(p_room[rows], c_room[cols]), _abs2(prow[rows] @ ccol)
-
-
-def _abs2(xy: np.ndarray) -> np.ndarray:
-    """xy[0]^2 + xy[1]^2 as a new array, so that _pair_tiles holds no tile."""
-    np.square(xy, out=xy)
-    return xy[0] + xy[1]
+            rows = slice(i, min(i + height, count))
+            yield rows, cols, [(f[rows], g) for f, g in zip(lifted, columns)]
 
 
 def _within_tiles(pts: np.ndarray, centers: np.ndarray, r: float):
-    """Yield (rows, cols, block) over the tiles of _pair_tiles, block the
+    """Yield (rows, cols, block) over the tiles of _lifted_tiles, block the
     bool test rho_B(p, c) < r on pts[rows] x centers[cols], for points and
     centers in the unit ball."""
     slack = 2.0 * _margin_error(pts.shape[-1])
-    for rows, cols, num, den in _pair_tiles(pts, centers, math.sqrt(1.0 - r * r)):
-        num -= den  # the margin |1-<p,c>|^2 (r^2 - rho^2)
-        block = num > slack
-        loose = num >= -slack
-        if np.count_nonzero(loose) > np.count_nonzero(block):  # some |margin| <= slack
-            i, j = np.nonzero(loose & ~block)
+    for rows, cols, [(lifted, columns)] in _lifted_tiles([(pts, centers)], 1.0 - r * r):
+        margin = lifted @ columns
+        block = margin > slack
+        if np.count_nonzero(margin >= -slack) > np.count_nonzero(block):  # some |margin| <= slack
+            i, j = np.nonzero((margin >= -slack) & ~block)
             block[i, j] = _ball_pd(pts[i + rows.start].T, centers[j + cols.start].T) < r
-        del num, den  # not held while the consumer works
+        del margin  # not held while the consumer works
         yield rows, cols, block
 
 
@@ -233,14 +246,15 @@ _EDGE = 1e-6
 # (1, 4) ellipsoid.
 _CROSSING_EDGE = 3e-4
 _CLOSED = 1e-12
-# Pairs per first-pass oracle block of _settled_pairs, and the block size of
-# _gauge and min_tanh_distance.  One R = 0.65 overlap count on the (1,2)
-# ellipsoid (10^4 queries, 8450 centers, 2 cores) took 2.40-2.53 s with a
-# tracemalloc peak of 10.9 MB at 2^14 pairs a block, 3.0-3.4 s and 19.2 MB
-# at 2^15, and 3.0-3.3 s and 34.1 MB at 2^16.  With each block running
-# Newton to the end, such a count made 7034 _newton_step calls, 6751 of them
-# on fewer than 1000 pairs; with the stragglers pooled it makes 910.
+# Pairs per block of _gauge and min_tanh_distance (_PAIR_CHUNK) and per
+# first-pass block of _settled_pairs (_ORACLE_CHUNK: open pairs, nearly all
+# crossing the axis).  One R = 0.65 overlap count on the (1,2) ellipsoid
+# (10^4 queries, 8404 centers, 2 cores; medians of 6) took 1.60, 1.49 and
+# 1.58 s at oracle blocks of 2^12, 2^13 and 2^14 pairs, with tracemalloc
+# peaks of 4.5, 6.5 and 10.5 MB, and 2050, 1066 and 544 _newton_step calls
+# (7034 with each block running Newton to the end, the stragglers unpooled).
 _PAIR_CHUNK = 1 << 14
+_ORACLE_CHUNK = 1 << 13
 
 
 def _ellipsoid_1m_order(spec: DomainSpec) -> tuple[list[int], int] | None:
@@ -318,9 +332,10 @@ def _newton_step(z1, z2, w1, w2, b: np.ndarray, m: int) -> np.ndarray:
 
 
 def _crossing(
-    z1, z2, w1, w2, b: np.ndarray, m: int, r: float | None, steps: int = _NEWTON_STEPS
+    coords, pairs: np.ndarray, b: np.ndarray, m: int, r: float | None, steps: int = _NEWTON_STEPS
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Newton on b from the start b, then the bracket at the last iterate.
+    """Newton on b from the start b, then the bracket at the last iterate,
+    for the pairs of coords = (z1, z2, w1, w2) indexed by pairs.
 
     With a threshold r, a pair also stops once its bracket at an early iterate
     lies on one side of r: the ends are bounds at every b, so membership in
@@ -333,7 +348,7 @@ def _crossing(
     pending = np.ones(len(b), dtype=bool)  # bracket still to take at the final b
     active = np.arange(len(b))
     for k in range(steps):
-        args = (z1[active], z2[active], w1[active], w2[active])
+        args = [x[pairs[active]] for x in coords]
         step = _newton_step(*args, b[active], m)
         b[active] += step
         moving = np.abs(step) > 1e-15
@@ -346,11 +361,12 @@ def _crossing(
         active = active[moving]
         if not len(active):
             break
+    del args
     if steps < _NEWTON_STEPS:
         pending[active] = False
         low[active] = high[active] = np.nan
     rest = np.flatnonzero(pending)
-    low[rest], high[rest] = _crossing_bracket(z1[rest], z2[rest], w1[rest], w2[rest], b[rest], m)
+    low[rest], high[rest] = _crossing_bracket(*(x[pairs[rest]] for x in coords), b[rest], m)
     return low, high
 
 
@@ -391,53 +407,15 @@ def _crossing_bracket(z1, z2, w1, w2, b: np.ndarray, m: int) -> tuple[np.ndarray
     return np.where(np.isfinite(low), np.maximum(low - slack, 0.0), 0.0), high
 
 
-def _bracket_1m(
-    z: np.ndarray,
-    w: np.ndarray,
-    m: int,
-    r: float | None = None,
-    steps: int = _NEWTON_STEPS,
-    inner: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise bracket [low, high] on tanh k_E(z, w) for normalized pairs
-    z, w of shape (k, 2).
-
-    With a threshold r only membership in the r-ball is asked for, and every
-    r-dependent shortcut is taken here, cheapest first.  (z1, z2) -> z2 maps E
-    into the unit disc, so rho_D(z2, w2) >= r settles Outside; E contains the
-    unit ball B, so on B x B rho_B(z, w) < r settles Inside.  The ends of a
-    settled pair are those bounds, with 1 or the disc bound on the other
-    side.  Only the pairs left open go through _oracle_1m (lift detection,
-    the axis formula and Newton), which also stops Newton once r is decided.
-    With fewer Newton steps (see _crossing), a pair that needs more reads
-    nan at both ends.  ``inner`` flags the pairs with both points in B when
-    the caller has the flags of its points.
-    """
-    if inner is None:
-        inner = (domains.squared_norm(z) < 1.0) & (domains.squared_norm(w) < 1.0)
-    if r is None:
-        low, high = _oracle_1m(z, w, m)
-        # E contains the unit ball B, so tanh k_E <= rho_B on B x B
-        k = np.flatnonzero((high - low > _CLOSED) & inner)
-        high[k] = np.minimum(high[k], _ball_pd(z[k].T, w[k].T))
-        return low, high
-    low = _ball_pd((z[:, 1],), (w[:, 1],))
-    high = np.ones_like(low)
-    k = np.flatnonzero((low < r) & inner)
-    high[k] = _ball_pd(z[k].T, w[k].T)
-    rest = np.flatnonzero((low < r) & (high >= r))
-    low[rest], high[rest] = _oracle_1m(z[rest], w[rest], m, r, steps)
-    return low, high
-
-
 def _oracle_1m(
-    z: np.ndarray, w: np.ndarray, m: int, r: float | None = None, steps: int = _NEWTON_STEPS
+    z1, z2, w1, w2, m: int, r: float | None = None, steps: int = _NEWTON_STEPS
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The geodesic bracket of _bracket_1m: exact for lifts and axis points,
-    from Newton on the axis crossing otherwise (stopped once r is decided)."""
-    z1, z2, w1, w2 = z[:, 0], z[:, 1], w[:, 0], w[:, 1]
+    """The geodesic bracket of normalized pairs (z1, z2), (w1, w2), above the
+    ball distance of the Phi-images.  With a threshold r (pairs whose Phi
+    distance _settled_pairs put below r) it starts at 0, a lift reads [0, 0]
+    and Newton stops once r is decided; see _crossing for fewer steps."""
     p2, q2 = z2**m, w2**m
-    low = _ball_pd((z1, p2), (w1, q2))
+    low = _ball_pd((z1, p2), (w1, q2)) if r is None else np.zeros(len(z1))
     if m == 1:
         return low, low.copy()
     high = np.ones_like(low)
@@ -445,31 +423,31 @@ def _oracle_1m(
     # lift case: the line through Phi z, Phi w meets {second coordinate 0}
     # outside the ball and the root branch continued from z2 reaches w2
     with np.errstate(divide="ignore", invalid="ignore"):
-        zeta0 = p2 / (p2 - q2)
-        zero_outside = ~(np.abs(z1 + zeta0 * (w1 - z1)) < 1.0)
+        lift = ~(np.abs(z1 + p2 / (p2 - q2) * (w1 - z1)) < 1.0)
         ratio = w2 / z2
-        branch = np.abs(_root(q2 / p2, m) - ratio) < math.sin(math.pi / m) * np.abs(ratio)
+        lift &= np.abs(_root(q2 / p2, m) - ratio) < math.sin(math.pi / m) * np.abs(ratio)
+        del ratio
     off_axis = (z2 != 0.0) & (w2 != 0.0)
-    lift = off_axis & zero_outside & branch
+    lift &= off_axis
     high[lift] = low[lift]
 
     # axis points: tanh k((a, 0), w) = h(phi_a(w))
-    for a, other, on_axis in ((z, w, z2 == 0.0), (w, z, (w2 == 0.0) & (z2 != 0.0))):
+    for a, o1, o2, on_axis in ((z1, w1, w2, z2 == 0.0), (w1, z1, z2, (w2 == 0.0) & (z2 != 0.0))):
         if on_axis.any():
-            o1, o2 = _phi_b(a[on_axis, 0], other[on_axis, 0], other[on_axis, 1], m)
-            low[on_axis] = high[on_axis] = _minkowski_1m(o1, o2, m)
+            x1, x2 = _phi_b(a[on_axis], o1[on_axis], o2[on_axis], m)
+            low[on_axis] = high[on_axis] = _minkowski_1m(x1, x2, m)
 
     cross = np.flatnonzero(off_axis & ~lift)
     if len(cross):
-        c1, c2, d1, d2 = z1[cross], z2[cross], w1[cross], w2[cross]
-        e2, f2 = p2[cross], q2[cross]
         # start from the axis crossing of the ball geodesic through Phi z, Phi w
+        e2, f2 = p2[cross], q2[cross]
         with np.errstate(divide="ignore", invalid="ignore"):
-            b0 = (c1 * f2 - d1 * e2) / (f2 - e2)
+            b0 = (z1[cross] * f2 - w1[cross] * e2) / (f2 - e2)
+        del e2, f2, p2, q2
         b0 = np.where(np.isfinite(b0), b0, 0.0)
         size = np.abs(b0)
         b0 = np.where(size > 0.95, 0.95 * b0 / np.where(size > 0.0, size, 1.0), b0)
-        lo, hi = _crossing(c1, c2, d1, d2, b0, m, r, steps)
+        lo, hi = _crossing((z1, z2, w1, w2), cross, b0, m, r, steps)
         lo = np.maximum(low[cross], lo)
         # a start that drifts to the circle finds no root; retry once from 0
         # and keep the tighter ends (both brackets are valid)
@@ -478,8 +456,7 @@ def _oracle_1m(
             again &= (lo < r) & (hi >= r)
         if again.any():
             k = np.flatnonzero(again)
-            zero = np.zeros(len(k), dtype=complex)
-            lo2, hi2 = _crossing(c1[k], c2[k], d1[k], d2[k], zero, m, r, steps)
+            lo2, hi2 = _crossing((z1, z2, w1, w2), cross[k], np.zeros(len(k), dtype=complex), m, r, steps)
             lo[k] = np.maximum(lo[k], lo2)
             hi[k] = np.minimum(hi[k], hi2)
         low[cross] = lo
@@ -516,9 +493,13 @@ def tanh_distance_bracket(spec: DomainSpec, z, w) -> tuple[np.ndarray, np.ndarra
     if domains.is_ball(spec):
         rho = _ball_pd(z.T, w.T)
         return rho, rho.copy()
-    zn, m = _normalize_1m(spec, z)
-    wn, _ = _normalize_1m(spec, w)
-    return _bracket_1m(zn, wn, m)
+    z, m = _normalize_1m(spec, z)
+    w, _ = _normalize_1m(spec, w)
+    low, high = _oracle_1m(z[:, 0], z[:, 1], w[:, 0], w[:, 1], m)
+    inner = (domains.squared_norm(z) < 1.0) & (domains.squared_norm(w) < 1.0)
+    k = np.flatnonzero((high - low > _CLOSED) & inner)  # E contains B: tanh k_E <= rho_B on B x B
+    high[k] = np.minimum(high[k], _ball_pd(z[k].T, w[k].T))
+    return low, high
 
 
 # ---------------------------------------------------------------------------
@@ -560,44 +541,61 @@ def _relate(spec: DomainSpec, pts, centers, r: float, frames: MinimalFrame | Non
 
 
 def _settled_pairs(spec: DomainSpec, pts: np.ndarray, centers: np.ndarray, r: float):
-    """Yield blocks (i, j, inside, maybe) of the pairs pts[i] x centers[j] of
-    a (1, m) ellipsoid that pass the prefilter (the others are Outside), as
-    ball_relation reads them.  The flat indices of each tile's passing pairs
-    fill blocks of _PAIR_CHUNK for _bracket_1m.  With more than one block,
-    full blocks stop Newton after _EARLY_CHECKS steps; the pairs still open,
-    pooled across the call, are bracketed again from scratch with the last
-    partial block, so each pair gets the arithmetic of one full pass."""
+    """Yield blocks (rows, cols, i, j, inside, maybe) of the pairs
+    pts[rows][i] x centers[cols][j] of a (1, m) ellipsoid, as ball_relation
+    reads them; the pairs of no block are Outside.  Each tile tests two lower
+    bounds, the ball distance of the Phi-images and the disc distance of the
+    second coordinates, and an upper bound on B x B, the ball distance (E
+    contains the unit ball B); the pairs left open fill blocks of
+    _ORACLE_CHUNK.  With more than one block, full blocks stop Newton after
+    _EARLY_CHECKS steps; the pairs still open, pooled across the call, are
+    bracketed again from scratch with the last partial block."""
     pn, phi_p, m = _images(spec, pts)
     cn, phi_c, _ = _images(spec, centers)
-    # each point's unit-ball flag, once per point, not per pair
     inner_p, inner_c = domains.squared_norm(pn) < 1.0, domains.squared_norm(cn) < 1.0
+    screens = [(phi_p, phi_c), (pn[:, 1:], cn[:, 1:]), (pn, cn)]
+    slacks = [2.0 * _margin_error(p.shape[1]) for p, _ in screens]
 
     def settle(k: np.ndarray, steps: int):
         i, j = np.divmod(k, len(centers))
-        low, high = _bracket_1m(pn[i], cn[j], m, r, steps, inner_p[i] & inner_c[j])
+        low, high = _oracle_1m(pn[i, 0], pn[i, 1], cn[j, 0], cn[j, 1], m, r, steps)
         inside = high < r
         return i, j, inside, (low < r) | inside, ~(inside | (low >= r))  # nan when cut short
 
+    every_row, every_col = slice(0, len(pts)), slice(0, len(centers))
     queue, queued, pool = [], 0, [np.zeros(0, dtype=int)]
-    for rows, cols, block in _within_tiles(phi_p, phi_c, r):
-        i, j = np.divmod(np.flatnonzero(block), block.shape[1])
-        queue.append((i + rows.start) * len(centers) + (j + cols.start))
+    for rows, cols, blocks in _lifted_tiles(screens, 1.0 - r * r):
+        width = cols.stop - cols.start
+        k = passed = None  # flat indices of the tile's pairs, and which pass the screen
+        for (lifted, columns), slack, (p, c) in zip(blocks, slacks, screens):
+            margin = (lifted @ columns).ravel()
+            k = np.flatnonzero(margin > -slack) if k is None else k[passed]  # above the lower bounds
+            margin = margin[k]
+            passed = margin > slack
+            loose = np.flatnonzero((margin >= -slack) & ~passed)
+            if len(loose):
+                i, j = np.divmod(k[loose], width)
+                passed[loose] = _ball_pd(p[i + rows.start].T, c[j + cols.start].T) < r
+        i, j = np.divmod(k, width)
+        passed &= inner_p[i + rows.start] & inner_c[j + cols.start]  # the upper bound holds on B x B
+        yield rows, cols, i, j, passed, passed  # an open pair reads Outside until its block
+        queue.append((i[~passed] + rows.start) * len(centers) + (j[~passed] + cols.start))
         queued += len(queue[-1])
-        if queued > _PAIR_CHUNK:
+        if queued > _ORACLE_CHUNK:
             k = np.concatenate(queue)
-            full = (queued - 1) // _PAIR_CHUNK * _PAIR_CHUNK  # keep a nonempty rest
-            for start in range(0, full, _PAIR_CHUNK):
-                i, j, inside, _, still_open = settle(k[start : start + _PAIR_CHUNK], _EARLY_CHECKS)
-                pool.append(k[start : start + _PAIR_CHUNK][still_open])
+            full = (queued - 1) // _ORACLE_CHUNK * _ORACLE_CHUNK  # keep a nonempty rest
+            for start in range(0, full, _ORACLE_CHUNK):
+                i, j, inside, _, still_open = settle(k[start : start + _ORACLE_CHUNK], _EARLY_CHECKS)
+                pool.append(k[start : start + _ORACLE_CHUNK][still_open])
                 # a decided pair is Inside or Outside; an open one reads
                 # Outside here and is decided again from the pool
-                yield i, j, inside, inside
+                yield every_row, every_col, i, j, inside, inside
             queue, queued = [k[full:]], queued - full
     # every pair of the pool reaches Newton: half a block holds the memory of
     # a first-pass block
-    rest, step = np.concatenate(pool + queue), _PAIR_CHUNK // 2
+    rest, step = np.concatenate(pool + queue), _ORACLE_CHUNK // 2
     for start in range(0, len(rest), step):
-        yield settle(rest[start : start + step], _NEWTON_STEPS)[:4]
+        yield (every_row, every_col, *settle(rest[start : start + step], _NEWTON_STEPS)[:4])
 
 
 def ball_relation(
@@ -608,17 +606,16 @@ def ball_relation(
     is "not certified >= r" (inside or Uncertain).
 
     Disk and ball answer exactly, from the threshold tiles of _within_tiles
-    (the same array is returned twice).  On the (1, m) ellipsoid that test on
-    the Phi-images prefilters the pairs, and _settled_pairs decides those
-    below r: there the disc bound settles Outside and the unit-ball bound on
-    B x B settles Inside before any pair reaches the geodesic oracle.  Other
-    domains use the polydisk sandwich in each center's minimal frame.  The
-    answer for a pair does not depend on the other pairs of the call.
+    (the same array is returned twice).  On the (1, m) ellipsoid the tiles
+    of _settled_pairs test the Phi-images, the disc bound of the second
+    coordinates and the unit-ball bound on B x B, and only the pairs those
+    leave open reach the geodesic oracle.  Other domains use the polydisk
+    sandwich in each center's minimal frame.  The answer for a pair does not
+    depend on the other pairs of the call.
     """
     if not 0.0 < r < 1.0:
         raise InputError(f"tanh radius must lie in (0, 1), got {r}")
-    pts = np.asarray(pts, dtype=complex)
-    centers = np.asarray(centers, dtype=complex)
+    pts, centers = (np.asarray(x, dtype=complex) for x in (pts, centers))
     if not has_exact_distance(spec):
         return _relate(spec, pts, centers, r, geometry.minimal_frames(spec, centers))
     maybe = np.zeros((len(pts), len(centers)), dtype=bool)
@@ -627,9 +624,9 @@ def ball_relation(
             maybe[rows, cols] = block
         return maybe, maybe
     inside = np.zeros_like(maybe)
-    for i, j, inside_ij, maybe_ij in _settled_pairs(spec, pts, centers, r):
-        inside[i, j] = inside_ij
-        maybe[i, j] = maybe_ij
+    for rows, cols, i, j, inside_ij, maybe_ij in _settled_pairs(spec, pts, centers, r):
+        inside[rows, cols][i, j] = inside_ij
+        maybe[rows, cols][i, j] = maybe_ij
     return inside, maybe
 
 
@@ -638,13 +635,12 @@ def ball_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per point of pts: how many tanh-radius-r balls around centers certainly
     contain it (inside), and how many may (maybe), without a B x K relation:
-    tile row sums on the disk and ball, _settled_pairs binned by point on the
-    (1, m) ellipsoid, and elsewhere ball_relation on blocks of _COUNT_CHUNK
-    points, each center's frame computed once."""
+    tile row sums on the disk and ball, the blocks of _settled_pairs binned
+    by point on the (1, m) ellipsoid, and elsewhere ball_relation on blocks
+    of _COUNT_CHUNK points, each center's frame computed once."""
     if not 0.0 < r < 1.0:
         raise InputError(f"tanh radius must lie in (0, 1), got {r}")
-    pts = np.asarray(pts, dtype=complex)
-    centers = np.asarray(centers, dtype=complex)
+    pts, centers = (np.asarray(x, dtype=complex) for x in (pts, centers))
     maybe_n = np.zeros(len(pts), dtype=int)
     if domains.is_ball(spec):
         for rows, _, block in _within_tiles(pts, centers, r):
@@ -652,9 +648,10 @@ def ball_counts(
         return maybe_n, maybe_n
     inside_n = np.zeros(len(pts), dtype=int)
     if has_exact_distance(spec):
-        for i, _, inside, maybe in _settled_pairs(spec, pts, centers, r):
-            inside_n += np.bincount(i[inside], minlength=len(pts))
-            maybe_n += np.bincount(i[maybe], minlength=len(pts))
+        for rows, _, i, _, inside, maybe in _settled_pairs(spec, pts, centers, r):
+            for counts, flags in ((inside_n, inside), (maybe_n, maybe)):
+                block = counts[rows]  # a view
+                block += np.bincount(i[flags], minlength=len(block))
         return inside_n, maybe_n
     frames = geometry.minimal_frames(spec, centers)
     for start in range(0, len(pts), _COUNT_CHUNK):
@@ -733,7 +730,7 @@ def min_tanh_distance(spec: DomainSpec, pts: np.ndarray) -> float:
         return g / (2.0 + g)
     _, images, _ = _images(spec, pts)
     # the rounding error that pseudo_distance_matrix's guarded values still
-    # carry (2.4e-11 in C^2); a lower bound is trusted only above it
+    # carry (9.8e-12 in C^2); a lower bound is trusted only above it
     slack = _margin_error(spec.dim) / _PD_GUARD
     best = math.inf
     step = max(1, _PAIR_CHUNK // count)

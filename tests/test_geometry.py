@@ -121,6 +121,26 @@ class TestMinimalFrame:
         with pytest.raises(InputError):
             minimal_frame(ELL12, (0.0, 1.0))
 
+    def test_one_row_complement_moves_with_direction(self):
+        # a one-row complement is unique up to phase, and that phase is
+        # fixed (first entry of largest modulus real and positive): a 1e-12
+        # change of direction moves the row by about as much.  The SVD's own
+        # phase jumped by up to 2 on the real directions against two axes of
+        # C^3 (46 of 200 draws), the slice of a frame's last row in C^3
+        rng = np.random.default_rng(101)
+        eye2, eye3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
+        for basis, real in ((eye2, False), (eye2, True), (eye3[:2], False), (eye3[:2], True)):
+            n = basis.shape[1]
+            for _ in range(100):
+                d = rng.normal(size=n) + (0.0 if real else 1j) * rng.normal(size=n)
+                e = rng.normal(size=n) + 1j * rng.normal(size=n)
+                rows = geometry._orthonormal_complement(basis, d)
+                moved = geometry._orthonormal_complement(basis, d + 1e-12 * e)
+                assert np.abs(rows - moved).max() < 1e-9
+                lead = rows[0, np.argmax(np.abs(rows[0]))]
+                assert abs(lead.imag) < 1e-15 and lead.real > 0.0
+                _assert_orthonormal(np.vstack([d / np.linalg.norm(d), rows]))
+
 
 def _reference_ball_frame(q):
     """The disk's or ball's frame at one point by the per-point construction:

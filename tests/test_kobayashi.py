@@ -74,6 +74,30 @@ def _random_ball_points(rng, count, dim=2, rmax=0.95):
     return radii[:, None] * g
 
 
+def _screened_reference(spec, z, w, r):
+    """Per-pair (inside, maybe, opened) of paired batches z, w on a (1, m)
+    ellipsoid, from the exact pair distance _ball_pd and _oracle_1m, in the
+    order of ball_relation's screens: the ball distance of the Phi-images
+    and the disc distance of the second coordinates (lower bounds), the
+    unit-ball distance on B x B (an upper bound), and the oracle for the
+    pairs those leave open (opened)."""
+    zn, m = kobayashi._normalize_1m(spec, z)
+    wn, _ = kobayashi._normalize_1m(spec, w)
+    _, phi_z, _ = kobayashi._images(spec, z)
+    _, phi_w, _ = kobayashi._images(spec, w)
+    above = kobayashi._ball_pd(phi_z.T, phi_w.T) < r
+    above &= kobayashi._ball_pd((zn[:, 1],), (wn[:, 1],)) < r
+    both = (domains.squared_norm(zn) < 1.0) & (domains.squared_norm(wn) < 1.0)
+    inside = above & both & (kobayashi._ball_pd(zn.T, wn.T) < r)
+    maybe = inside.copy()
+    opened = above & ~inside
+    k = np.flatnonzero(opened)
+    low, high = kobayashi._oracle_1m(zn[k, 0], zn[k, 1], wn[k, 0], wn[k, 1], m, r)
+    inside[k] = high < r
+    maybe[k] = (low < r) | (high < r)
+    return inside, maybe, opened
+
+
 class TestMetricBounds:
     def test_disk_offcenter(self):
         b = metric_bounds(DISK, 0.5, 1.0)
@@ -606,13 +630,10 @@ class TestRelationLayer:
             p_all, c_all = np.repeat(pts, 300, axis=0), np.tile(centers, (300, 1))
             inside, maybe = ball_relation(spec, pts, centers, r)
             if spec.kind == "ellipsoid":
-                zn, m = kobayashi._normalize_1m(spec, p_all)
-                cn, _ = kobayashi._normalize_1m(spec, c_all)
-                low, high = kobayashi._bracket_1m(zn, cn, m, r)  # no prefilter
-                ref_inside, ref_maybe = high < r, (low < r) | (high < r)
+                ref_inside, ref_maybe, _ = _screened_reference(spec, p_all, c_all, r)
                 # and the full bracket, without the shortcuts of a threshold,
                 # decides every pair it closes clear of r the same way
-                low, high = kobayashi._bracket_1m(zn, cn, m)
+                low, high = tanh_distance_bracket(spec, p_all, c_all)
                 clear = ((high - low <= 1e-12) & (np.abs(low - r) > 1e-9)).reshape(300, 300)
                 assert clear.mean() > 0.99
                 np.testing.assert_array_equal(inside[clear], (high < r).reshape(300, 300)[clear])
@@ -629,16 +650,17 @@ class TestRelationLayer:
         # across the call's blocks (small ones here) and bracketed again from
         # scratch; picked as the pairs Inside whose shortened bracket reads
         # nan, they read the decisions of tanh_distance_bracket, pair by pair
-        monkeypatch.setattr(kobayashi, "_PAIR_CHUNK", 16)
+        monkeypatch.setattr(kobayashi, "_ORACLE_CHUNK", 16)
         r = 0.65
         rng = np.random.default_rng(89)
         z, w = (domains.random_interior(ELL12, 40000, rng) for _ in range(2))
         w = z + 0.4 * (w - z)  # nearer pairs, inside the convex domain
         zn, m = kobayashi._normalize_1m(ELL12, z)
         wn, _ = kobayashi._normalize_1m(ELL12, w)
-        cut, _ = kobayashi._bracket_1m(zn, wn, m, r, kobayashi._EARLY_CHECKS)
+        cut, _ = kobayashi._oracle_1m(zn[:, 0], zn[:, 1], wn[:, 0], wn[:, 1], m, r, kobayashi._EARLY_CHECKS)
         low, high = tanh_distance_bracket(ELL12, z, w)
-        slow = np.flatnonzero(np.isnan(cut) & (high < r - 1e-9))[:40]
+        opened = _screened_reference(ELL12, z, w, r)[2]  # the pairs the tiles leave to the oracle
+        slow = np.flatnonzero(np.isnan(cut) & opened & (high < r - 1e-9))[:40]
         assert len(slow) >= 20
         pts, centers = z[slow], w[slow]
         inside, maybe = ball_relation(ELL12, pts, centers, r)
@@ -685,27 +707,30 @@ class TestRelationLayer:
         centers = domains.random_interior(spec, 250, rng)
         r = 0.65
         inside, maybe = ball_relation(spec, pts, centers, r)
-        # oracle blocks of 2000 pairs, each filled from two tiles (about 3000
-        # pairs of a tile pass the prefilter), and stragglers pooled across them
-        monkeypatch.setattr(kobayashi, "_PAIR_CHUNK", 2000)
+        if spec is ELL12:  # the pairs the screens leave open
+            pairs = np.repeat(pts, len(centers), axis=0), np.tile(centers, (len(pts), 1))
+            opened = _screened_reference(spec, *pairs, r)[2]
+        # oracle blocks of 1000 pairs (the screens leave about 1100 pairs of
+        # each of the 12 tiles open), and stragglers pooled across them
+        monkeypatch.setattr(kobayashi, "_ORACLE_CHUNK", 1000)
         bracketed = {kobayashi._EARLY_CHECKS: [], kobayashi._NEWTON_STEPS: []}
-        bracket = kobayashi._bracket_1m
+        oracle = kobayashi._oracle_1m
 
-        def counted(z, w, m, r, steps, inner):
-            bracketed[steps].append(len(z))
-            return bracket(z, w, m, r, steps, inner)
+        def counted(z1, z2, w1, w2, m, r, steps):
+            bracketed[steps].append(len(z1))
+            return oracle(z1, z2, w1, w2, m, r, steps)
 
-        monkeypatch.setattr(kobayashi, "_bracket_1m", counted)
+        monkeypatch.setattr(kobayashi, "_oracle_1m", counted)
         inside_n, maybe_n = kobayashi.ball_counts(spec, pts, centers, r)
         np.testing.assert_array_equal(inside_n, inside.sum(axis=1))
         np.testing.assert_array_equal(maybe_n, maybe.sum(axis=1))
         if spec is ELL12:
             first, pooled = bracketed.values()
-            assert first == [2000] * len(first) and len(first) > 10
-            assert max(pooled) <= 1000
-            # the pooled pairs go in twice
-            passing = ball_relation(BALL2, *(kobayashi._images(spec, x)[1] for x in (pts, centers)), r)[1]
-            assert sum(first) + sum(pooled) > passing.sum()
+            assert first == [1000] * len(first) and len(first) > 10
+            assert max(pooled) <= 500
+            # only the pairs the screens leave open reach the oracle, and the
+            # pooled ones go in twice
+            assert sum(first) <= opened.sum() < sum(first) + sum(pooled)
             np.testing.assert_array_equal(ball_relation(spec, pts, centers, r), (inside, maybe))
         # a cover whose greedy certified its whole sample counts no query
         for p, c in ((pts[:0], centers), (pts, centers[:0])):
@@ -724,30 +749,135 @@ class TestRelationLayer:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_ellipsoid_counts_peak_memory(self):
+        # one R = 0.65 count on the (1,2) ellipsoid, 2000 queries x 3000
+        # centers: with nine-pass tiles, and each oracle pair's coordinates
+        # copied up to four times, it peaked at 7.06 MB; with one block of
+        # lifted columns at a time, and each open pair's coordinates gathered
+        # once, it peaks at about 5.5 MB
+        rng = np.random.default_rng(93)
+        pts, centers = (domains.random_interior(ELL12, k, rng) for k in (2000, 3000))
+        tracemalloc.start()
+        try:
+            inside_n, maybe_n = kobayashi.ball_counts(ELL12, pts, centers, 0.65)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inside_n.sum() > 10**5
+        assert peak < 7 * 2**20
+
+    @pytest.mark.parametrize("r", [0.3, 0.65, 0.9])
+    def test_ellipsoid_screens_match_pair_decisions(self, r):
+        # ball_relation and ball_counts on the (1,2) ellipsoid against each
+        # pair decided on its own by _screened_reference: random pairs (with
+        # 15-20 % of the points outside B), and pairs planted at distance r to
+        # rounding in each screen, so that their margins fall within its
+        # slack: the Phi-images, the second coordinates (with z1 = w1, so that
+        # some pass the Phi screen; on the slice z1 = 0 all do), and points of
+        # B (also on the axis z2 = 0, where the ball distance is k_E).  Last,
+        # pairs outside B whose unit-ball margin, read without the B mask,
+        # would certify Inside at r = 0.65 and 0.9 (tanh k_E 0.65009, 0.98561,
+        # 0.99639; found among 4e5 random pairs outside B)
+        outer = np.array([
+            [0.5595812110357138 - 0.661997869293945j, -0.22563716566025194 + 0.609730563559279j],
+            [0.6027790365554849 - 0.6684819628652882j, -0.08639459031308526 + 0.476762242878675j],
+            [0.20782139688518353 - 0.962320826244623j, -0.2669236386486232 - 0.0783793742334377j],
+            [0.23468989231529253 - 0.9298128845643306j, 0.46976209540656855 + 0.13465943051146304j],
+            [-0.7191685379271529 + 0.6542625359488496j, -0.1665850676886921 - 0.42789520490738964j],
+            [-0.6906948432529402 + 0.6762741190502468j, -0.03611374994308141 + 0.43352184841532254j],
+        ])
+        rng = np.random.default_rng(97)
+        count = 100
+
+        def unit(k):
+            v = _random_ball_points(rng, k, dim=2, rmax=1.0)
+            return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+        def disc_partner(z2):  # rho_D(z2, w2) = r
+            turn = r * np.exp(2j * math.pi * rng.uniform(0, 1, len(z2)))
+            return (z2 + turn) / (1.0 + np.conj(z2) * turn)
+
+        z = domains.random_interior(ELL12, 2 * count, rng)
+        # Phi w = phi_{Phi z}(r v), then w = (., sqrt)
+        phi_z = np.stack([z[:count, 0], z[:count, 1] ** 2], axis=1)
+        phi_w = np.array([mobius_translation(BALL2, a)(r * v) for a, v in zip(phi_z, unit(count))])
+        w_phi = np.stack([phi_w[:, 0], np.sqrt(phi_w[:, 1])], axis=1)
+        z_disc = z[count:].copy()
+        z_disc[: count // 2, 0] = 0.0
+        w_disc = np.stack([z_disc[:, 0], disc_partner(z_disc[:, 1])], axis=1)
+        z_ball = _random_ball_points(rng, count, dim=2, rmax=0.9)
+        z_ball[: count // 2, 1] = 0.0
+        w_ball = np.array([mobius_translation(BALL2, a)(r * v) for a, v in zip(z_ball, unit(count))])
+        w_ball[: count // 2] = np.stack([disc_partner(z_ball[: count // 2, 0]), np.zeros(count // 2)], axis=1)
+        keep = domains.contains(ELL12, w_disc)
+        pts = np.concatenate([z[:count], z_disc[keep], z_ball, outer[::2], domains.random_interior(ELL12, count, rng)])
+        centers = np.concatenate([w_phi, w_disc[keep], w_ball, outer[1::2], domains.random_interior(ELL12, count, rng)])
+        assert np.all(domains.contains(ELL12, pts)) and np.all(domains.contains(ELL12, centers))
+        outside = (domains.squared_norm(pts) >= 1.0).mean(), (domains.squared_norm(centers) >= 1.0).mean()
+        assert min(outside) > 0.1
+        # the planted pairs do sit on the threshold of their screen
+        planted = np.arange(len(pts) - count - 3)
+        groups = np.split(planted, [count, count + keep.sum()])
+        _, phi_p, _ = kobayashi._images(ELL12, pts[groups[0]])
+        _, phi_c, _ = kobayashi._images(ELL12, centers[groups[0]])
+        for rho in (
+            kobayashi._ball_pd(phi_p.T, phi_c.T),
+            kobayashi._ball_pd((pts[groups[1], 1],), (centers[groups[1], 1],)),
+            kobayashi._ball_pd(pts[groups[2]].T, centers[groups[2]].T),
+        ):
+            assert np.count_nonzero(np.abs(rho - r) < 1e-15) > len(rho) // 2
+            assert 0 < np.count_nonzero(rho < r) < len(rho)
+        k = len(pts)
+        inside_ref, maybe_ref, _ = _screened_reference(ELL12, np.repeat(pts, k, axis=0), np.tile(centers, (k, 1)), r)
+        inside_ref, maybe_ref = inside_ref.reshape(k, k), maybe_ref.reshape(k, k)
+        if r > 0.5:
+            p, c = outer[::2], outer[1::2]
+            margin = (1.0 - domains.squared_norm(p)) * (1.0 - domains.squared_norm(c))
+            margin -= (1.0 - r * r) * np.abs(1.0 - (p * np.conj(c)).sum(axis=1)) ** 2
+            i = len(planted) + np.arange(3)
+            assert np.any((margin > 1e-9) & ~inside_ref[i, i])
+        inside, maybe = ball_relation(ELL12, pts, centers, r)
+        np.testing.assert_array_equal(inside, inside_ref)
+        np.testing.assert_array_equal(maybe, maybe_ref)
+        inside_n, maybe_n = kobayashi.ball_counts(ELL12, pts, centers, r)
+        np.testing.assert_array_equal(inside_n, inside_ref.sum(axis=1))
+        np.testing.assert_array_equal(maybe_n, maybe_ref.sum(axis=1))
+
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision"
     )
     def test_margin_error_within_slack(self):
-        # the threshold test trusts its margin (1-|p|^2)(1-|c|^2) - t^2 |1-<p,c>|^2
-        # to (24n + 58) eps; check against extended precision, also near the sphere
+        # the threshold test trusts its lifted margin (1-|p|^2)(1-|c|^2) -
+        # t^2 |1-<p,c>|^2 to _margin_error(n), and pseudo_distance_matrix its
+        # |1-<p,c>|^2 as well; check both against extended precision, also
+        # near the sphere
         rng = np.random.default_rng(87)
         ld = np.longdouble
+        worst = {}
         for n in (1, 2, 3):
+            bound = kobayashi._margin_error(n)
             for near_sphere, r in ((False, 0.3), (True, 0.65), (True, 1e-6), (False, 0.999)):
                 pts, centers = (_random_ball_points(rng, 200, dim=n, rmax=1.0) for _ in range(2))
                 if near_sphere:
                     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
                     pts *= (1.0 - 10.0 ** rng.uniform(-12, 0, 200))[:, None]
-                t = math.sqrt(1.0 - r * r)
-                got = np.empty((200, 200))
-                for rows, cols, num, den in kobayashi._pair_tiles(pts, centers, t):
-                    got[rows, cols] = num - den
+                got, den = np.empty((200, 200)), np.empty((200, 200))
+                for rows, cols, [(f, g)] in kobayashi._lifted_tiles([(pts, centers)], 1.0 - r * r):
+                    got[rows, cols] = f @ g
+                for rows, cols, [(f, g)] in kobayashi._lifted_tiles([(pts, centers)], 1.0):
+                    den[rows, cols] = -(f[:, 1:] @ g[1:])
                 pr, pi, cr, ci = (a.astype(ld) for a in (pts.real, pts.imag, centers.real, centers.imag))
                 re, im = pr @ cr.T + pi @ ci.T, pi @ cr.T - pr @ ci.T
                 num = np.multiply.outer(1 - (pr**2 + pi**2).sum(1), 1 - (cr**2 + ci**2).sum(1))
-                ref = num - (1 - ld(r) * ld(r)) * ((1 - re) ** 2 + im**2)
+                ref_den = (1 - re) ** 2 + im**2
+                ref = num - (1 - ld(r) * ld(r)) * ref_den
                 err = np.abs(got - ref.astype(float)).max()
-                assert err <= (24 * n + 58) * np.finfo(float).eps
+                err_den = np.abs(den - ref_den.astype(float)).max()
+                assert err <= bound and err_den <= bound, (n, r, err / bound, err_den / bound)
+                worst[n] = max(worst.get(n, 0.0), err / bound)
+        # the errors seen reach 12-15 % of the bound in each dimension: a
+        # bound ten times smaller fails here
+        assert min(worst.values()) > 0.1
 
     def test_tiny_radius_is_sound(self):
         # the quotient form 1 - num/|1-<p,c>|^2 has an absolute error of about
@@ -899,13 +1029,14 @@ def test_bracket_sound_on_ellipsoid_property(seed):
 def test_shortcut_bounds_sound_on_ellipsoid_property(seed, m):
     # the normalized (1, m) ellipsoid contains the unit ball, so on B x B the
     # ball distance bounds tanh k_E from above: it must never undercut a
-    # closed bracket; with a threshold r the oracle also skips Newton on the
-    # disc distance of the second coordinates (a lower bound), and its ends
-    # must still hold the closed value
+    # closed bracket; with a threshold r the screens settle pairs on it and
+    # on the disc distance of the second coordinates (a lower bound) before
+    # the oracle, whose ends must still hold the closed value
+    spec = complex_ellipsoid((1, m), (1.0, 1.0))
     rng = np.random.default_rng(seed)
     z = _random_ball_points(rng, 300, rmax=0.99)
     w = _random_ball_points(rng, 300, rmax=0.99)
-    low, high = kobayashi._bracket_1m(z, w, m)
+    low, high = tanh_distance_bracket(spec, z, w)
     closed = high - low <= 1e-12
     assert closed.mean() > 0.9
     rho_b = kobayashi._ball_pd(z.T, w.T)
@@ -914,23 +1045,28 @@ def test_shortcut_bounds_sound_on_ellipsoid_property(seed, m):
     # with every bracket counted open, its high end must still hold
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kobayashi, "_CLOSED", -1.0)
-        _, high_all = kobayashi._bracket_1m(z, w, m)
+        _, high_all = tanh_distance_bracket(spec, z, w)
     assert np.all(high_all[closed] >= low[closed] - 1e-12)
     for r in (0.3, 0.65):
-        low_r, high_r = kobayashi._bracket_1m(z, w, m, r)
-        assert np.all(high_r[closed] >= low[closed] - 1e-12)
-        assert np.all(low_r[closed] <= high[closed] + 1e-12)
-        # and they decide every closed pair clear of r as the full bracket does
+        # the oracle with a threshold takes the pairs whose Phi distance is
+        # below r; what its ends decide must hold for the closed value
+        phi = kobayashi._ball_pd((z[:, 0], z[:, 1] ** m), (w[:, 0], w[:, 1] ** m)) < r
+        low_r, high_r = kobayashi._oracle_1m(z[phi, 0], z[phi, 1], w[phi, 0], w[phi, 1], m, r)
+        assert np.all(low[phi][closed[phi] & (high_r < r)] < r + 1e-12)
+        assert np.all(high[phi][closed[phi] & (low_r >= r)] >= r - 1e-12)
+        # and the screens with it decide every closed pair clear of r as the
+        # full bracket does
+        inside, maybe, _ = _screened_reference(spec, z, w, r)
         clear = closed & (np.abs(low - r) > 1e-9)
-        np.testing.assert_array_equal((high_r < r)[clear], (high < r)[clear])
-        np.testing.assert_array_equal((low_r < r)[clear], (low < r)[clear])
+        np.testing.assert_array_equal(inside[clear], (high < r)[clear])
+        np.testing.assert_array_equal(maybe[clear], (low < r)[clear])
 
 
 @given(st.integers(0, 2**31 - 1), st.sampled_from([2, 4]))
 @settings(max_examples=20, deadline=None)
 def test_certificates_hold_on_closed_brackets(seed, m):
-    # the certificates _bracket_1m takes before the oracle when given a
-    # threshold: (z1, z2) -> z2 maps E into the disc, so the disc distance of
+    # the certificates the screens of _settled_pairs take before the oracle
+    # for a threshold: (z1, z2) -> z2 maps E into the disc, so the disc distance of
     # the second coordinates is a lower bound; E contains the unit ball B, so
     # on B x B the ball distance is an upper bound
     spec = complex_ellipsoid((1, m), (1.0, 1.0))
@@ -940,7 +1076,7 @@ def test_certificates_hold_on_closed_brackets(seed, m):
     near = z + 0.05 * _random_ball_points(rng, 400, rmax=1.0)  # half the pairs close
     near[:200] = w[:200]
     w = np.where(domains.contains(spec, near)[:, None], near, w)
-    low, high = kobayashi._bracket_1m(z, w, m)
+    low, high = tanh_distance_bracket(spec, z, w)
     closed = high - low <= 1e-12
     assert closed.mean() > 0.9
     disc = kobayashi._ball_pd((z[:, 1],), (w[:, 1],))
