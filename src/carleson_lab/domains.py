@@ -662,21 +662,25 @@ class Halton:
 
     def random(self, count: int) -> np.ndarray:
         """The next count points, shape (count, d).  The digits are summed
-        lowest first, each rounded in turn, as in scipy's loop; once every
-        quotient is 0 the remaining digits are 0 and add perm[0] alone.  The
-        quotients are all 0 exactly when the last index's quotient, top, is."""
+        lowest first, each rounded in turn, as in scipy's loop.  Digit j of
+        consecutive indices n is constant on runs of b^j, one per quotient
+        n // b^j, so each term perm[j][digit] b^-(j+1) is formed once per run
+        and repeated; a digit constant over the draw adds one number, and
+        once the last index's quotient is 0 every digit is 0."""
         out = np.zeros((len(self.bases), count))
-        index = np.arange(self.index, self.index + count, dtype=np.int64)
+        first, last = self.index, self.index + count - 1
         for seq, b, perm in zip(out, self.bases, self.perms):
-            q, b2r, top = index, 1.0 / b, self.index + count - 1
+            b2r, run = 1.0 / b, 1  # b^-(j+1), b^j
             for row in perm:
-                if top:
-                    q, rem = np.divmod(q, b)
-                    top //= b
-                    seq += row[rem] * b2r
+                low, top = first // run, last // run
+                if top <= low:  # one run (none when count is 0)
+                    seq += row[top % b] * b2r
                 else:
-                    seq += row[0] * b2r
+                    runs = np.full(top - low + 1, run)
+                    runs[0], runs[-1] = run - first % run, last % run + 1
+                    seq += np.repeat(row[np.arange(low, top + 1) % b] * b2r, runs)
                 b2r /= b
+                run *= b
         self.index += count
         return out.T
 

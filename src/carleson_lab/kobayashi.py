@@ -66,27 +66,33 @@ def _ball_pd(p, q) -> np.ndarray:
     and scalar loops, so the value of a pair would otherwise depend on the
     other pairs of the batch."""
     n = len(p)
-    a, b = [np.real(x) for x in p], [np.imag(x) for x in p]  # p = a + i b
+    a = [np.real(x) for x in p]  # p = a + i b
+    b = [np.imag(x) if np.iscomplexobj(x) else None for x in p]  # None: b = 0
     c, h = [np.real(x) for x in q], [np.imag(x) for x in q]  # q = c + i h
     e = [c[i] - a[i] for i in range(n)]  # d = e + i f
-    f = [h[i] - b[i] for i in range(n)]
+    f = [h[i] if b[i] is None else h[i] - b[i] for i in range(n)]
     # each sum accumulates in place into its first term, in the order of the
     # plain sums, so every value has their bits; a float start (0.0, 1.0)
-    # becomes a new array at the first +=
+    # becomes a new array at the first +=.  A real p_i drops the terms of
+    # b_i = 0, which add or subtract zeros only: the bits stay, up to the sign
+    # of a zero that is squared
     diff, wedge, den_re, den_im = 0.0, 0.0, 1.0, 0.0  # den = 1 - <p,q>
     for i in range(n):
         term = e[i] * e[i]
         term += f[i] * f[i]
         diff += term
         term = a[i] * c[i]
-        term += b[i] * h[i]
+        if b[i] is not None:
+            term += b[i] * h[i]
         den_re -= term
-        term = b[i] * c[i]
-        term -= a[i] * h[i]
-        den_im -= term
+        term = a[i] * h[i]  # -Im(p_i conj(q_i))
+        if b[i] is not None:
+            term -= b[i] * c[i]
+        den_im += term
         for j in range(i + 1, n):
-            re = (a[i] * e[j] - b[i] * f[j]) - (a[j] * e[i] - b[j] * f[i])
-            im = (a[i] * f[j] + b[i] * e[j]) - (a[j] * f[i] + b[j] * e[i])
+            bi, bj = (0.0 if x is None else x for x in (b[i], b[j]))
+            re = (a[i] * e[j] - bi * f[j]) - (a[j] * e[i] - bj * f[i])
+            im = (a[i] * f[j] + bi * e[j]) - (a[j] * f[i] + bj * e[i])
             re *= re
             re += np.multiply(im, im, out=im)
             wedge += re
@@ -235,6 +241,10 @@ def mobius_translation(spec: DomainSpec, a):
 # ellipsoids", 1993).
 
 _NEWTON_STEPS = 60
+# In the first pass of one R = 0.65 count (below) the bracket after the
+# first Newton step decides 87.1 % of the 1.66M crossing pairs, 43.0 % Outside
+# on its lower end alone, and after the second 97.8 %; the other 2.2 % go on
+# from their iterates (_resume).
 _EARLY_CHECKS = 2
 _EDGE = 1e-6
 # The ends of the crossing bracket lose precision as |b| -> 1.  Against
@@ -249,10 +259,12 @@ _CLOSED = 1e-12
 # Pairs per block of _gauge and min_tanh_distance (_PAIR_CHUNK) and per
 # first-pass block of _settled_pairs (_ORACLE_CHUNK: open pairs, nearly all
 # crossing the axis).  One R = 0.65 overlap count on the (1,2) ellipsoid
-# (10^4 queries, 8404 centers, 2 cores; medians of 6) took 1.60, 1.49 and
-# 1.58 s at oracle blocks of 2^12, 2^13 and 2^14 pairs, with tracemalloc
-# peaks of 4.5, 6.5 and 10.5 MB, and 2050, 1066 and 544 _newton_step calls
-# (7034 with each block running Newton to the end, the stragglers unpooled).
+# (10^4 queries, 8404 centers, 1.82M pairs to the oracle, 2 shared cores)
+# took 1.38-1.48 s at oracle blocks of 2^12 and 2^13 pairs (medians of 6 and
+# of 10 runs, in alternating order, each size ahead once) and 1.49 s at
+# 2^14, with tracemalloc peaks of 6.8, 8.8 and 12.8 MB and 2027, 1061 and
+# 549 _newton_step calls.  From 2^14 pairs an array reaches the size at which
+# numpy reuses temporaries (see _crossing_bracket).
 _PAIR_CHUNK = 1 << 14
 _ORACLE_CHUNK = 1 << 13
 
@@ -305,9 +317,16 @@ def _root(x: np.ndarray, m: int) -> np.ndarray:
     return np.sqrt(x) if m == 2 else x ** (1.0 / m)
 
 
-def _phi_b(b: np.ndarray, x1: np.ndarray, x2: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    d = 1.0 - np.conj(b) * x1
-    return (x1 - b) / d, _root(1.0 - np.abs(b) ** 2, 2 * m) * x2 / _root(d, m)
+def _phi_b(b: np.ndarray, m: int, *points) -> list[np.ndarray]:
+    """[x1', x2', y1', ...]: phi_b of each point (x1, x2) of points, which
+    share conj(b) and (1 - |b|^2)^(1/2m)."""
+    conj_b = np.conj(b)
+    scale = (1.0 - np.abs(b) ** 2) ** (1.0 / (2 * m))
+    images = []
+    for x1, x2 in points:
+        d = 1.0 - conj_b * x1
+        images += [(x1 - b) / d, scale * x2 / _root(d, m)]
+    return images
 
 
 def _newton_step(z1, z2, w1, w2, b: np.ndarray, m: int) -> np.ndarray:
@@ -316,13 +335,15 @@ def _newton_step(z1, z2, w1, w2, b: np.ndarray, m: int) -> np.ndarray:
     p = 1 - 1/m.  F is not holomorphic in b, so the step solves the real 2x2
     system F + F_b db + F_bbar conj(db) = 0; it is cut to stay in the disc."""
     p = 1.0 - 1.0 / m
-    ez = 1.0 - np.conj(b) * z1
-    ew = 1.0 - np.conj(b) * w1
+    conj_b = np.conj(b)
+    ez = 1.0 - conj_b * z1
+    ew = 1.0 - conj_b * w1
     tz = z2 * ez / _root(ez, m)  # z2 ez^p
     tw = w2 * ew / _root(ew, m)
-    f = (z1 - b) * tw - (w1 - b) * tz
+    zb, wb = z1 - b, w1 - b
+    f = zb * tw - wb * tz
     f_b = tz - tw
-    f_bbar = p * ((w1 - b) * tz * z1 / ez - (z1 - b) * tw * w1 / ew)
+    f_bbar = p * (wb * tz * z1 / ez - zb * tw * w1 / ew)
     with np.errstate(divide="ignore", invalid="ignore"):
         step = (np.conj(f) * f_bbar - f * np.conj(f_b)) / (np.abs(f_b) ** 2 - np.abs(f_bbar) ** 2)
     step = np.where(np.isfinite(step), step, 0.0)
@@ -332,28 +353,29 @@ def _newton_step(z1, z2, w1, w2, b: np.ndarray, m: int) -> np.ndarray:
 
 
 def _crossing(
-    coords, pairs: np.ndarray, b: np.ndarray, m: int, r: float | None, steps: int = _NEWTON_STEPS
+    coords, pairs: np.ndarray, b: np.ndarray, m: int, r: float | None, steps=range(_NEWTON_STEPS), active=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Newton on b from the start b, then the bracket at the last iterate,
-    for the pairs of coords = (z1, z2, w1, w2) indexed by pairs.
+    """Newton on the iterates b (updated in place) over the step indices
+    steps, then the bracket at the last iterate, for the pairs of coords =
+    (z1, z2, w1, w2) indexed by pairs; active holds the pairs still moving
+    (all by default), and the others are only bracketed.
 
-    With a threshold r, a pair also stops once its bracket at an early iterate
-    lies on one side of r: the ends are bounds at every b, so membership in
-    the r-ball is already decided there.  With fewer than _NEWTON_STEPS
-    steps, a pair still moving after the last one is cut short: both its
-    ends are nan."""
-    b = b.copy()
+    With a threshold r, a pair also stops once its bracket after a step of
+    index below _EARLY_CHECKS lies on one side of r: the ends are bounds at
+    every b, so membership in the r-ball is already decided there.  If steps
+    end before _NEWTON_STEPS, a pair still moving after the last one is cut
+    short: both its ends are nan, and b holds its iterate."""
     low = np.zeros(len(b))
     high = np.ones(len(b))
     pending = np.ones(len(b), dtype=bool)  # bracket still to take at the final b
-    active = np.arange(len(b))
-    for k in range(steps):
+    active = np.arange(len(b)) if active is None else active
+    for k in steps:
         args = [x[pairs[active]] for x in coords]
         step = _newton_step(*args, b[active], m)
         b[active] += step
         moving = np.abs(step) > 1e-15
         if r is not None and k < _EARLY_CHECKS:
-            lo, hi = _crossing_bracket(*args, b[active], m)
+            lo, hi = _crossing_bracket(*args, b[active], m, r)
             low[active], high[active] = lo, hi
             decided = (hi < r) | (lo >= r)
             pending[active[decided]] = False
@@ -362,15 +384,32 @@ def _crossing(
         if not len(active):
             break
     del args
-    if steps < _NEWTON_STEPS:
+    if steps.stop < _NEWTON_STEPS:
         pending[active] = False
         low[active] = high[active] = np.nan
     rest = np.flatnonzero(pending)
-    low[rest], high[rest] = _crossing_bracket(*(x[pairs[rest]] for x in coords), b[rest], m)
+    if len(rest):
+        low[rest], high[rest] = _crossing_bracket(*(x[pairs[rest]] for x in coords), b[rest], m, r)
     return low, high
 
 
-def _crossing_bracket(z1, z2, w1, w2, b: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _retry(coords, pairs: np.ndarray, low: np.ndarray, high: np.ndarray, m: int, r: float | None) -> None:
+    """A start that drifts to the circle finds no root: the pairs whose
+    bracket (low, high) is open, and with r undecided, run Newton once more
+    from 0, and each keeps the tighter ends (both brackets are valid)."""
+    again = high - low > _CLOSED
+    if r is not None:
+        again &= (low < r) & (high >= r)
+    k = np.flatnonzero(again)
+    if len(k):
+        lo, hi = _crossing(coords, pairs[k], np.zeros(len(k), dtype=complex), m, r)
+        low[k] = np.maximum(low[k], lo)
+        high[k] = np.minimum(high[k], hi)
+
+
+def _crossing_bracket(
+    z1, z2, w1, w2, b: np.ndarray, m: int, r: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Bracket from the linear disc through phi_b(z) or phi_b(w), valid at any b.
 
     Let x, y be the two images, named so that h(x) >= h(y): the direction of
@@ -380,9 +419,10 @@ def _crossing_bracket(z1, z2, w1, w2, b: np.ndarray, m: int) -> tuple[np.ndarray
     along lambda u from x to the projection y' of y onto C u, then along the
     segment [y', y], where the Kobayashi metric is at most |v| / (1 - h)
     because E contains the unit ball.  At a root of F, y' = y and the two
-    bounds coincide."""
-    x1, x2 = _phi_b(b, z1, z2, m)
-    y1, y2 = _phi_b(b, w1, w2, m)
+    bounds coincide.  With a threshold r the upper end is taken only where
+    the lower end is below r, and reads 1 elsewhere: the lower end alone
+    puts those pairs outside the r-ball."""
+    x1, x2, y1, y2 = _phi_b(b, m, (z1, z2), (w1, w2))
     hx = _minkowski_1m(x1, x2, m)
     hy = _minkowski_1m(y1, y2, m)
     swap = hy > hx
@@ -391,76 +431,95 @@ def _crossing_bracket(z1, z2, w1, w2, b: np.ndarray, m: int) -> tuple[np.ndarray
     hx, hy = np.maximum(hx, hy), np.minimum(hx, hy)
     with np.errstate(divide="ignore", invalid="ignore"):
         u1, u2 = x1 / hx, x2 / hx
-        n1, n2 = u1, m * np.abs(u2) ** (2 * m - 2) * u2
-        ly = (y1 * np.conj(n1) + y2 * np.conj(n2)) / (u1 * np.conj(n1) + u2 * np.conj(n2))
-        lam = (y1 * np.conj(u1) + y2 * np.conj(u2)) / (np.abs(u1) ** 2 + np.abs(u2) ** 2)
-        gap = np.sqrt(np.abs(y1 - lam * u1) ** 2 + np.abs(y2 - lam * u2) ** 2)
-        depth = 1.0 - np.maximum(hy, np.abs(lam))
-        high = np.tanh(np.arctanh(np.minimum(_ball_pd((hx,), (lam,)), 1.0)) + gap / depth)
+        n2 = m * np.abs(u2) ** (2 * m - 2) * u2  # nu = (u1, n2)
+        # x * conj(.) with a temporary conj: from 2^14 elements numpy reuses
+        # the temporary and computes conj(.) * x, and the imaginary part of a
+        # complex product rounds by its operand order; a product in another
+        # form would move the bits of large batches
+        yu = y1 * np.conj(u1)  # shared by ly and lam
+        ly = (yu + y2 * np.conj(n2)) / (u1 * np.conj(u1) + u2 * np.conj(n2))
         # As |b| -> 1 the images approach the boundary and the disc distances
         # lose all precision (relative error ~ eps / (1 - |l|)); keep clear.
         usable = np.maximum(hx, np.abs(ly)) < 1.0 - _EDGE
         low = np.where(usable, _ball_pd((hx,), (ly,)), 0.0)
         edge = 1.0 - np.abs(b)
         slack = np.where(edge < _CROSSING_EDGE, 4.0 * np.finfo(float).eps / edge, 0.0)
-    high = np.where(usable & (depth > 0.0) & np.isfinite(high), np.minimum(high + slack, 1.0), 1.0)
-    return np.where(np.isfinite(low), np.maximum(low - slack, 0.0), 0.0), high
+    low = np.where(np.isfinite(low), np.maximum(low - slack, 0.0), 0.0)
+    high = np.ones_like(low)
+    k = slice(None) if r is None else np.flatnonzero(low < r)
+    y1, y2, u1, u2, yu, hx, hy, usable, slack = (v[k] for v in (y1, y2, u1, u2, yu, hx, hy, usable, slack))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (yu + y2 * np.conj(u2)) / (np.abs(u1) ** 2 + np.abs(u2) ** 2)
+        gap = np.sqrt(np.abs(y1 - lam * u1) ** 2 + np.abs(y2 - lam * u2) ** 2)
+        depth = 1.0 - np.maximum(hy, np.abs(lam))
+        up = np.tanh(np.arctanh(np.minimum(_ball_pd((hx,), (lam,)), 1.0)) + gap / depth)
+    high[k] = np.where(usable & (depth > 0.0) & np.isfinite(up), np.minimum(up + slack, 1.0), 1.0)
+    return low, high
 
 
 def _oracle_1m(
     z1, z2, w1, w2, m: int, r: float | None = None, steps: int = _NEWTON_STEPS
-) -> tuple[np.ndarray, np.ndarray]:
-    """The geodesic bracket of normalized pairs (z1, z2), (w1, w2), above the
-    ball distance of the Phi-images.  With a threshold r (pairs whose Phi
-    distance _settled_pairs put below r) it starts at 0, a lift reads [0, 0]
-    and Newton stops once r is decided; see _crossing for fewer steps."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(low, high, b): the geodesic bracket of normalized pairs (z1, z2),
+    (w1, w2), above the ball distance of the Phi-images, and each crossing
+    pair's last Newton iterate b (0 elsewhere).  With a threshold r (pairs
+    whose Phi distance _settled_pairs put below r) it starts at 0, a lift
+    reads [0, 0] and Newton stops once r is decided.  With fewer steps a
+    pair still moving is cut short (see _crossing), no start is retried, and
+    _resume goes on from b."""
     p2, q2 = z2**m, w2**m
     low = _ball_pd((z1, p2), (w1, q2)) if r is None else np.zeros(len(z1))
+    b = np.zeros(len(z1), dtype=complex)
     if m == 1:
-        return low, low.copy()
+        return low, low.copy(), b
     high = np.ones_like(low)
 
-    # lift case: the line through Phi z, Phi w meets {second coordinate 0}
-    # outside the ball and the root branch continued from z2 reaches w2
+    # lift case: the line through Phi z, Phi w meets {second coordinate 0} at
+    # b0, outside the ball, and the root branch continued from z2 reaches w2:
+    # w2 / z2 lies in the sector |arg| < pi/m, where the principal m-th root
+    # of (w2 / z2)^m is w2 / z2 itself
     with np.errstate(divide="ignore", invalid="ignore"):
-        lift = ~(np.abs(z1 + p2 / (p2 - q2) * (w1 - z1)) < 1.0)
-        ratio = w2 / z2
-        lift &= np.abs(_root(q2 / p2, m) - ratio) < math.sin(math.pi / m) * np.abs(ratio)
-        del ratio
+        b0 = (z1 * q2 - w1 * p2) / (q2 - p2)
+    del p2, q2
+    v = np.conj(z2) * w2
     off_axis = (z2 != 0.0) & (w2 != 0.0)
-    lift &= off_axis
+    lift = off_axis & ~(np.abs(b0) < 1.0) & (v.real > np.abs(v) * math.cos(math.pi / m))
+    del v
     high[lift] = low[lift]
 
     # axis points: tanh k((a, 0), w) = h(phi_a(w))
     for a, o1, o2, on_axis in ((z1, w1, w2, z2 == 0.0), (w1, z1, z2, (w2 == 0.0) & (z2 != 0.0))):
         if on_axis.any():
-            x1, x2 = _phi_b(a[on_axis], o1[on_axis], o2[on_axis], m)
+            x1, x2 = _phi_b(a[on_axis], m, (o1[on_axis], o2[on_axis]))
             low[on_axis] = high[on_axis] = _minkowski_1m(x1, x2, m)
 
     cross = np.flatnonzero(off_axis & ~lift)
     if len(cross):
         # start from the axis crossing of the ball geodesic through Phi z, Phi w
-        e2, f2 = p2[cross], q2[cross]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b0 = (z1[cross] * f2 - w1[cross] * e2) / (f2 - e2)
-        del e2, f2, p2, q2
-        b0 = np.where(np.isfinite(b0), b0, 0.0)
-        size = np.abs(b0)
-        b0 = np.where(size > 0.95, 0.95 * b0 / np.where(size > 0.0, size, 1.0), b0)
-        lo, hi = _crossing((z1, z2, w1, w2), cross, b0, m, r, steps)
-        lo = np.maximum(low[cross], lo)
-        # a start that drifts to the circle finds no root; retry once from 0
-        # and keep the tighter ends (both brackets are valid)
-        again = hi - lo > _CLOSED
-        if r is not None:
-            again &= (lo < r) & (hi >= r)
-        if again.any():
-            k = np.flatnonzero(again)
-            lo2, hi2 = _crossing((z1, z2, w1, w2), cross[k], np.zeros(len(k), dtype=complex), m, r, steps)
-            lo[k] = np.maximum(lo[k], lo2)
-            hi[k] = np.minimum(hi[k], hi2)
-        low[cross] = lo
-        high[cross] = hi
+        start = b0[cross]
+        del b0
+        start = np.where(np.isfinite(start), start, 0.0)
+        size = np.abs(start)
+        start = np.where(size > 0.95, 0.95 * start / np.where(size > 0.0, size, 1.0), start)
+        coords = (z1, z2, w1, w2)
+        lo, hi = _crossing(coords, cross, start, m, r, range(steps))
+        if r is None:  # above the Phi distance; with r, above 0 already
+            lo = np.maximum(low[cross], lo)
+        if steps == _NEWTON_STEPS:
+            _retry(coords, cross, lo, hi, m, r)
+        low[cross], high[cross], b[cross] = lo, hi, start
+    return low, high, b
+
+
+def _resume(z1, z2, w1, w2, b: np.ndarray, moving: np.ndarray, m: int, r: float):
+    """The bracket of pairs that _oracle_1m with threshold r cut short or
+    left open after _EARLY_CHECKS steps, from their iterates b: Newton goes on
+    for the pairs still moving, without early checks, then each pair is
+    bracketed and retried as in a run of _NEWTON_STEPS steps, whose first
+    steps and checks are those of the cut run; so are its ends, bit for bit."""
+    coords, pairs = (z1, z2, w1, w2), np.arange(len(b))
+    low, high = _crossing(coords, pairs, b, m, r, range(_EARLY_CHECKS, _NEWTON_STEPS), np.flatnonzero(moving))
+    _retry(coords, pairs, low, high, m, r)
     return low, high
 
 
@@ -495,7 +554,7 @@ def tanh_distance_bracket(spec: DomainSpec, z, w) -> tuple[np.ndarray, np.ndarra
         return rho, rho.copy()
     z, m = _normalize_1m(spec, z)
     w, _ = _normalize_1m(spec, w)
-    low, high = _oracle_1m(z[:, 0], z[:, 1], w[:, 0], w[:, 1], m)
+    low, high, _ = _oracle_1m(z[:, 0], z[:, 1], w[:, 0], w[:, 1], m)
     inner = (domains.squared_norm(z) < 1.0) & (domains.squared_norm(w) < 1.0)
     k = np.flatnonzero((high - low > _CLOSED) & inner)  # E contains B: tanh k_E <= rho_B on B x B
     high[k] = np.minimum(high[k], _ball_pd(z[k].T, w[k].T))
@@ -547,23 +606,36 @@ def _settled_pairs(spec: DomainSpec, pts: np.ndarray, centers: np.ndarray, r: fl
     bounds, the ball distance of the Phi-images and the disc distance of the
     second coordinates, and an upper bound on B x B, the ball distance (E
     contains the unit ball B); the pairs left open fill blocks of
-    _ORACLE_CHUNK.  With more than one block, full blocks stop Newton after
-    _EARLY_CHECKS steps; the pairs still open, pooled across the call, are
-    bracketed again from scratch with the last partial block."""
+    _ORACLE_CHUNK.  Full blocks stop Newton after _EARLY_CHECKS steps; the
+    pairs they leave open, pooled across the call, resume from their
+    iterates (_resume), and the last partial block runs to the end."""
     pn, phi_p, m = _images(spec, pts)
     cn, phi_c, _ = _images(spec, centers)
     inner_p, inner_c = domains.squared_norm(pn) < 1.0, domains.squared_norm(cn) < 1.0
     screens = [(phi_p, phi_c), (pn[:, 1:], cn[:, 1:]), (pn, cn)]
     slacks = [2.0 * _margin_error(p.shape[1]) for p, _ in screens]
-
-    def settle(k: np.ndarray, steps: int):
-        i, j = np.divmod(k, len(centers))
-        low, high = _oracle_1m(pn[i, 0], pn[i, 1], cn[j, 0], cn[j, 1], m, r, steps)
-        inside = high < r
-        return i, j, inside, (low < r) | inside, ~(inside | (low >= r))  # nan when cut short
-
     every_row, every_col = slice(0, len(pts)), slice(0, len(centers))
-    queue, queued, pool = [], 0, [np.zeros(0, dtype=int)]
+
+    def gather(k: np.ndarray):
+        i, j = np.divmod(k, len(centers))
+        return i, j, (pn[i, 0], pn[i, 1], cn[j, 0], cn[j, 1])
+
+    def decisions(i, j, low, high):
+        inside = high < r
+        return every_row, every_col, i, j, inside, (low < r) | inside
+
+    def first_pass(block: np.ndarray):
+        """(i, j, inside) of a full block after _EARLY_CHECKS steps; the
+        pairs left open join the pool with their iterates.  No array of the
+        block outlives the call, so none is held through the next block."""
+        i, j, coords = gather(block)
+        low, high, b = _oracle_1m(*coords, m, r, _EARLY_CHECKS)
+        inside = high < r
+        still_open = np.flatnonzero(~(inside | (low >= r)))  # nan when cut short
+        pool.append((block[still_open], b[still_open], np.isnan(low[still_open])))
+        return i, j, inside
+
+    queue, queued, pool = [], 0, []
     for rows, cols, blocks in _lifted_tiles(screens, 1.0 - r * r):
         width = cols.stop - cols.start
         k = passed = None  # flat indices of the tile's pairs, and which pass the screen
@@ -585,17 +657,23 @@ def _settled_pairs(spec: DomainSpec, pts: np.ndarray, centers: np.ndarray, r: fl
             k = np.concatenate(queue)
             full = (queued - 1) // _ORACLE_CHUNK * _ORACLE_CHUNK  # keep a nonempty rest
             for start in range(0, full, _ORACLE_CHUNK):
-                i, j, inside, _, still_open = settle(k[start : start + _ORACLE_CHUNK], _EARLY_CHECKS)
-                pool.append(k[start : start + _ORACLE_CHUNK][still_open])
+                i, j, inside = first_pass(k[start : start + _ORACLE_CHUNK])
                 # a decided pair is Inside or Outside; an open one reads
-                # Outside here and is decided again from the pool
+                # Outside here and is decided from the pool
                 yield every_row, every_col, i, j, inside, inside
             queue, queued = [k[full:]], queued - full
-    # every pair of the pool reaches Newton: half a block holds the memory of
-    # a first-pass block
-    rest, step = np.concatenate(pool + queue), _ORACLE_CHUNK // 2
-    for start in range(0, len(rest), step):
-        yield (every_row, every_col, *settle(rest[start : start + step], _NEWTON_STEPS)[:4])
+    if queued:
+        i, j, coords = gather(np.concatenate(queue))
+        yield decisions(i, j, *_oracle_1m(*coords, m, r)[:2])
+    if pool:
+        # every pooled pair reaches Newton: half a block holds the memory of
+        # a first-pass block
+        k, b, moving = (np.concatenate(parts) for parts in zip(*pool))
+        step = _ORACLE_CHUNK // 2
+        for start in range(0, len(k), step):
+            part = slice(start, start + step)
+            i, j, coords = gather(k[part])
+            yield decisions(i, j, *_resume(*coords, b[part], moving[part], m, r))
 
 
 def ball_relation(
@@ -649,9 +727,12 @@ def ball_counts(
     inside_n = np.zeros(len(pts), dtype=int)
     if has_exact_distance(spec):
         for rows, _, i, _, inside, maybe in _settled_pairs(spec, pts, centers, r):
-            for counts, flags in ((inside_n, inside), (maybe_n, maybe)):
-                block = counts[rows]  # a view
-                block += np.bincount(i[flags], minlength=len(block))
+            size = rows.stop - rows.start
+            hits = np.bincount(i[inside], minlength=size)
+            inside_n[rows] += hits
+            if maybe is not inside:  # tiles and first-pass blocks yield one array twice
+                hits = np.bincount(i[maybe], minlength=size)
+            maybe_n[rows] += hits
         return inside_n, maybe_n
     frames = geometry.minimal_frames(spec, centers)
     for start in range(0, len(pts), _COUNT_CHUNK):
@@ -697,9 +778,11 @@ def greedy_separated(spec: DomainSpec, pts: np.ndarray, r: float) -> tuple[np.nd
         own = None if frames is None else geometry.minimal_frames(spec, survivors)
         inside, within = _relate(spec, survivors, survivors, r, own)
         taken: list[int] = []
+        blocked = np.zeros(len(free), dtype=bool)  # within[k, taken].any() for each k
         for k in range(len(free)):
-            if not within[k, taken].any():
+            if not blocked[k]:
                 taken.append(k)
+                blocked |= within[:, k]
         covered[start + free] = inside[:, taken].any(axis=1)
         covered[start + free[taken]] = True
         kept.extend((start + free[taken]).tolist())

@@ -92,7 +92,7 @@ def _screened_reference(spec, z, w, r):
     maybe = inside.copy()
     opened = above & ~inside
     k = np.flatnonzero(opened)
-    low, high = kobayashi._oracle_1m(zn[k, 0], zn[k, 1], wn[k, 0], wn[k, 1], m, r)
+    low, high, _ = kobayashi._oracle_1m(zn[k, 0], zn[k, 1], wn[k, 0], wn[k, 1], m, r)
     inside[k] = high < r
     maybe[k] = (low < r) | (high < r)
     return inside, maybe, opened
@@ -583,6 +583,105 @@ class TestEllipsoidOracle:
         np.testing.assert_array_equal(low, high)
 
 
+class TestOraclePass:
+    """The thresholded (1, m) oracle against reference forms: the root test
+    for lifts, a run from the start for pooled pairs, and the bracket with
+    both ends."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_sector_lift_test_is_the_root_test(self, m):
+        # a lift has |b0| >= 1, b0 the axis crossing of the line through the
+        # Phi-images, and w2 / z2 in the sector |arg| < pi/m.  The reference
+        # is the root test: b0 as z1 + p2 / (p2 - q2) (w1 - z1), and the
+        # principal root (w2^m / z2^m)^(1/m) near w2 / z2.  Away from the
+        # edge of either half they agree; with a threshold a lift reads [0, 0]
+        spec = complex_ellipsoid((1, m), (1.0, 1.0))
+        rng = np.random.default_rng(103 + m)
+        z, w = (domains.random_interior(spec, 100000, rng) for _ in range(2))
+        z1, z2, w1, w2 = z[:, 0], z[:, 1], w[:, 0], w[:, 1]
+        p2, q2, ratio = z2**m, w2**m, w2 / z2
+        b0 = np.abs(z1 + p2 / (p2 - q2) * (w1 - z1))
+        lift = ~(b0 < 1.0) & (np.abs((q2 / p2) ** (1.0 / m) - ratio) < math.sin(math.pi / m) * np.abs(ratio))
+        edge = (np.abs(b0 - 1.0) < 1e-12) | (np.abs(np.abs(np.angle(ratio)) - math.pi / m) < 1e-12)
+        _, high, _ = kobayashi._oracle_1m(z1, z2, w1, w2, m, 0.5, kobayashi._EARLY_CHECKS)
+        np.testing.assert_array_equal((high == 0.0)[~edge], lift[~edge])
+        assert lift.sum() > 1000 and edge.sum() < 10
+
+    def test_pooled_pairs_resume_where_the_first_pass_stopped(self, monkeypatch):
+        # blocks of 64 open pairs; the pairs their first pass leaves open go
+        # on from their iterates.  Each reads the bracket of a run from the
+        # start, bit for bit, and so its decisions, and Newton saves at least
+        # the first step of every pooled pair
+        monkeypatch.setattr(kobayashi, "_ORACLE_CHUNK", 64)
+        r = 0.65
+        rng = np.random.default_rng(107)
+        pts, centers = (domains.random_interior(ELL12, 200, rng) for _ in range(2))
+        centers = pts + 0.4 * (centers - pts)  # nearer pairs, inside the convex domain
+        steps, pooled = [0], []
+        newton, resume = kobayashi._newton_step, kobayashi._resume
+
+        def counted(*args):
+            steps[0] += len(args[0])
+            return newton(*args)
+
+        def resumed(z1, z2, w1, w2, b, moving, m, r):
+            start = steps[0]
+            out = resume(z1, z2, w1, w2, b, moving, m, r)
+            pooled.append(((z1, z2, w1, w2), moving, steps[0] - start, out))
+            return out
+
+        monkeypatch.setattr(kobayashi, "_newton_step", counted)
+        monkeypatch.setattr(kobayashi, "_resume", resumed)
+        inside, maybe = ball_relation(ELL12, pts, centers, r)
+        count = len(pts)
+        ref_inside, ref_maybe, _ = _screened_reference(
+            ELL12, np.repeat(pts, count, axis=0), np.tile(centers, (count, 1)), r
+        )
+        np.testing.assert_array_equal(inside, ref_inside.reshape(count, count))
+        np.testing.assert_array_equal(maybe, ref_maybe.reshape(count, count))
+        assert sum(len(moving) for _, moving, _, _ in pooled) > 20
+        for coords, moving, resumed_steps, (low, high) in pooled:
+            start = steps[0]
+            ref_low, ref_high, _ = kobayashi._oracle_1m(*coords, 2, r)
+            restarted_steps = steps[0] - start
+            np.testing.assert_array_equal(low, ref_low)
+            np.testing.assert_array_equal(high, ref_high)
+            assert moving.any() and 0 < resumed_steps <= restarted_steps - len(moving)
+
+    def test_one_sided_bracket_decides_as_both_ends(self):
+        # with a threshold the bracket takes its upper end only where the
+        # lower end is below r.  Pairs planted at tanh-distance r +- 1e-13
+        # (points lambda u, lambda' u of a linear disc of E, a geodesic, moved
+        # by phi_{-c}, so that the geodesic crosses the axis at c) and random
+        # pairs, bracketed at c and at iterates near it, read the same lower
+        # end and the same decisions as with both ends
+        r, count = 0.65, 4000
+        rng = np.random.default_rng(109)
+        share = rng.uniform(0.0, 1.0, count)  # |u1|^2, so h(u) = 1
+        u = np.stack([np.sqrt(share), (1.0 - share) ** 0.25], axis=1)
+        u = u * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, (count, 2)))
+        planted = r + rng.choice([-1e-13, 1e-13], count)
+        lam = _random_disk_points(rng, count, rmax=0.9)[:, 0]
+        turn = planted * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, count))
+        other = (lam + turn) / (1.0 + np.conj(lam) * turn)  # rho_D(lam, other) = planted
+        c = _random_disk_points(rng, count, rmax=0.9)[:, 0]
+        x, y = lam[:, None] * u, other[:, None] * u
+        z1, z2, w1, w2 = kobayashi._phi_b(-c, 2, (x[:, 0], x[:, 1]), (y[:, 0], y[:, 1]))
+        z, w = (domains.random_interior(ELL12, count, rng) for _ in range(2))
+        pairs = [(z1, z2, w1, w2), (z[:, 0], z[:, 1], w[:, 0], w[:, 1])]
+        for k, coords in enumerate(pairs):
+            for shift in (0.0, 1e-9, 1e-6, 1e-3, 1e-1):
+                b = c + shift * _random_disk_points(rng, count, rmax=1.0)[:, 0]
+                low, high = kobayashi._crossing_bracket(*coords, b, 2, r)
+                low2, high2 = kobayashi._crossing_bracket(*coords, b, 2)
+                np.testing.assert_array_equal(low, low2)
+                np.testing.assert_array_equal(high < r, high2 < r)
+                np.testing.assert_array_equal(high[low < r], high2[low < r])
+                if k == 0 and shift == 0.0:  # at the crossing, the planted side
+                    np.testing.assert_array_equal(high < r, planted < r)
+                    np.testing.assert_array_equal(low >= r, planted > r)
+
+
 class TestFrameRelation:
     """Domains without the oracle answer from the polydisk sandwich."""
 
@@ -657,7 +756,7 @@ class TestRelationLayer:
         w = z + 0.4 * (w - z)  # nearer pairs, inside the convex domain
         zn, m = kobayashi._normalize_1m(ELL12, z)
         wn, _ = kobayashi._normalize_1m(ELL12, w)
-        cut, _ = kobayashi._oracle_1m(zn[:, 0], zn[:, 1], wn[:, 0], wn[:, 1], m, r, kobayashi._EARLY_CHECKS)
+        cut = kobayashi._oracle_1m(zn[:, 0], zn[:, 1], wn[:, 0], wn[:, 1], m, r, kobayashi._EARLY_CHECKS)[0]
         low, high = tanh_distance_bracket(ELL12, z, w)
         opened = _screened_reference(ELL12, z, w, r)[2]  # the pairs the tiles leave to the oracle
         slow = np.flatnonzero(np.isnan(cut) & opened & (high < r - 1e-9))[:40]
@@ -713,24 +812,30 @@ class TestRelationLayer:
         # oracle blocks of 1000 pairs (the screens leave about 1100 pairs of
         # each of the 12 tiles open), and stragglers pooled across them
         monkeypatch.setattr(kobayashi, "_ORACLE_CHUNK", 1000)
-        bracketed = {kobayashi._EARLY_CHECKS: [], kobayashi._NEWTON_STEPS: []}
-        oracle = kobayashi._oracle_1m
+        bracketed = {kobayashi._EARLY_CHECKS: [], kobayashi._NEWTON_STEPS: [], "resumed": []}
+        oracle, resume = kobayashi._oracle_1m, kobayashi._resume
 
-        def counted(z1, z2, w1, w2, m, r, steps):
+        def counted(z1, z2, w1, w2, m, r, steps=kobayashi._NEWTON_STEPS):
             bracketed[steps].append(len(z1))
             return oracle(z1, z2, w1, w2, m, r, steps)
 
+        def resumed(z1, z2, w1, w2, b, moving, m, r):
+            bracketed["resumed"].append(len(z1))
+            return resume(z1, z2, w1, w2, b, moving, m, r)
+
         monkeypatch.setattr(kobayashi, "_oracle_1m", counted)
+        monkeypatch.setattr(kobayashi, "_resume", resumed)
         inside_n, maybe_n = kobayashi.ball_counts(spec, pts, centers, r)
         np.testing.assert_array_equal(inside_n, inside.sum(axis=1))
         np.testing.assert_array_equal(maybe_n, maybe.sum(axis=1))
         if spec is ELL12:
-            first, pooled = bracketed.values()
+            first, last, pooled = bracketed.values()
             assert first == [1000] * len(first) and len(first) > 10
-            assert max(pooled) <= 500
-            # only the pairs the screens leave open reach the oracle, and the
-            # pooled ones go in twice
-            assert sum(first) <= opened.sum() < sum(first) + sum(pooled)
+            assert len(last) == 1 and 0 < last[0] <= 1000
+            assert pooled and max(pooled) <= 500
+            # each pair the screens leave open reaches the oracle once, and
+            # only the pooled ones go on
+            assert sum(first) + sum(last) == opened.sum()
             np.testing.assert_array_equal(ball_relation(spec, pts, centers, r), (inside, maybe))
         # a cover whose greedy certified its whole sample counts no query
         for p, c in ((pts[:0], centers), (pts, centers[:0])):
@@ -765,6 +870,27 @@ class TestRelationLayer:
             tracemalloc.stop()
         assert inside_n.sum() > 10**5
         assert peak < 7 * 2**20
+
+    def test_ellipsoid_count_work_stays_bounded(self, monkeypatch):
+        # the count of test_ellipsoid_counts_peak_memory sends 147296 open
+        # pairs to the oracle, pools 3678 of them, and takes 184485 Newton
+        # pair-steps; a change that sends more work to the oracle fails here
+        # (bounds 2 % above those counts)
+        rng = np.random.default_rng(93)
+        pts, centers = (domains.random_interior(ELL12, k, rng) for k in (2000, 3000))
+        work = {"_oracle_1m": 0, "_resume": 0, "_newton_step": 0}
+        for name in work:
+
+            def counted(*args, name=name, call=getattr(kobayashi, name)):
+                work[name] += len(args[0])
+                return call(*args)
+
+            monkeypatch.setattr(kobayashi, name, counted)
+        inside_n, _ = kobayashi.ball_counts(ELL12, pts, centers, 0.65)
+        assert inside_n.sum() > 10**5
+        assert work["_oracle_1m"] <= 1.02 * 147296
+        assert work["_resume"] <= 1.02 * 3678
+        assert work["_newton_step"] <= 1.02 * 184485
 
     @pytest.mark.parametrize("r", [0.3, 0.65, 0.9])
     def test_ellipsoid_screens_match_pair_decisions(self, r):
@@ -1051,7 +1177,7 @@ def test_shortcut_bounds_sound_on_ellipsoid_property(seed, m):
         # the oracle with a threshold takes the pairs whose Phi distance is
         # below r; what its ends decide must hold for the closed value
         phi = kobayashi._ball_pd((z[:, 0], z[:, 1] ** m), (w[:, 0], w[:, 1] ** m)) < r
-        low_r, high_r = kobayashi._oracle_1m(z[phi, 0], z[phi, 1], w[phi, 0], w[phi, 1], m, r)
+        low_r, high_r, _ = kobayashi._oracle_1m(z[phi, 0], z[phi, 1], w[phi, 0], w[phi, 1], m, r)
         assert np.all(low[phi][closed[phi] & (high_r < r)] < r + 1e-12)
         assert np.all(high[phi][closed[phi] & (low_r >= r)] >= r - 1e-12)
         # and the screens with it decide every closed pair clear of r as the
